@@ -4,8 +4,9 @@ Subcommands are thin wrappers over the pipeline: generate / transform /
 verify / export run one configuration; sweep iterates the spectral
 parameter over a list, producing the deformation family as a file series.
 
-Exit codes: 0 pass, 1 check failed, 2 invalid configuration, 3 numerical
-singularity.
+Exit codes: 0 pass, 1 check failed (verify: a check failed or none ran;
+sweep: a member failed a check), 2 invalid configuration, 3 numerical
+singularity or an artifact that cannot be written.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .errors import ConfigInvalid, GeometryError
-from .pipeline import PipelineConfig, load_config, run_pipeline, sweep
+from .pipeline import PipelineConfig, finite_float, load_config, run_pipeline, sweep
 
 DEFAULT_CONFIG = {
     "generator": {"kind": "example", "lambda": 1.0},
@@ -64,11 +65,11 @@ def _config_from_args(args):
         if cfg.grid_nx < 4:
             raise ConfigInvalid("grid too small")
     if args.lam is not None:
-        cfg.generator["lambda"] = args.lam
+        cfg.generator["lambda"] = finite_float(args.lam, "--lambda")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.tolerance_scale is not None:
-        if args.tolerance_scale <= 0:
+        if not finite_float(args.tolerance_scale, "--tolerance-scale") > 0:
             raise ConfigInvalid("tolerance-scale must be positive")
         cfg.tolerance_scale = args.tolerance_scale
     return cfg
@@ -79,11 +80,17 @@ def main(argv=None):
     try:
         cfg = _config_from_args(args)
         if args.command == "sweep":
-            lambdas = [float(v) for v in args.lambdas.split(",") if v.strip()]
+            lambdas = [finite_float(v, "--lambdas value")
+                       for v in args.lambdas.split(",") if v.strip()]
             if not lambdas:
                 raise ConfigInvalid("sweep needs at least one parameter value")
             family, path = sweep(cfg, lambdas, args.out)
             print(f"wrote {len(family['members'])} members and {path}")
+            failed = [m["lambda"] for m in family["members"]
+                      if not all(c["pass"] for c in m["checks"])]
+            if failed:
+                print(f"FAIL  checks failed for lambda {failed}")
+                return 1
             return 0
         if args.command == "generate" and not cfg.export:
             cfg.export = {"surface": "surface.json", "report": "report.json"}

@@ -38,6 +38,7 @@ from .grid import (
     integrate_frame,
     integrate_right_rowvec,
     laplacian,
+    sample_on_grid,
 )
 from .quaternion import (
     INFINITY,
@@ -103,10 +104,10 @@ class WeierstrassData:
 
     @classmethod
     def sample(cls, grid, g_fn, w_fn, dg_fn=None):
-        zs = grid.zgrid()
-        g = np.vectorize(g_fn)(zs)
-        w = np.vectorize(w_fn)(zs)
-        dg = np.vectorize(dg_fn)(zs) if dg_fn else None
+        """Sample array callables fn(grid.zgrid()) -> complex (ny, nx); constants broadcast."""
+        g = sample_on_grid(grid, g_fn, dtype=complex)
+        w = sample_on_grid(grid, w_fn, dtype=complex)
+        dg = sample_on_grid(grid, dg_fn, dtype=complex) if dg_fn else None
         return cls(grid, g, w, dg)
 
     def cr_residual(self):
@@ -645,22 +646,10 @@ def family_ribaucour_connection(grid: GridSpec, lam: float, p0=None) -> FrameCon
 
     p0 = p0 or grid.center_node()
     zs = grid.zgrid()
-    fvals = np.empty((grid.ny, grid.nx, 4))
-    spin = np.empty((grid.ny, grid.nx, 4))
-    u = np.empty((grid.ny, grid.nx))
-    ux = np.empty_like(u)
-    uy = np.empty_like(u)
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            z = zs[iy, ix]
-            fvals[iy, ix] = oracles.minimal_family(z, lam).as_array()
-            spin[iy, ix] = oracles.family_spin(z, lam).as_array()
-            uval, dzu = oracles.family_log_metric(z, lam)
-            u[iy, ix] = uval
-            ux[iy, ix] = 2.0 * dzu.real
-            uy[iy, ix] = -2.0 * dzu.imag
-    spin = _sign_continuity(spin, p0)
-    return _ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0)
+    fvals = oracles.minimal_family(zs, lam)
+    spin = _sign_continuity(oracles.family_spin(zs, lam), p0)
+    u, dzu = oracles.family_log_metric(zs, lam)
+    return _ribaucour_from_parts(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
 
 
 @dataclass

@@ -123,6 +123,15 @@ class GridSpec:
         return v
 
 
+def sample_on_grid(grid, fn, tail=(), dtype=float):
+    """fn(grid.zgrid()) as a fresh (ny, nx) + tail array; constants broadcast."""
+    values = np.asarray(fn(grid.zgrid()), dtype=dtype)
+    shape = (grid.ny, grid.nx) + tail
+    if values.shape != shape:
+        values = np.broadcast_to(values, shape).copy()
+    return values
+
+
 @dataclass
 class QField:
     """Quaternion-valued function sampled on a grid; values (ny, nx, 4)."""
@@ -143,13 +152,12 @@ class QField:
 
     @classmethod
     def sample(cls, grid, fn):
-        """Sample a callable z -> Quaternion over the grid."""
-        vals = np.empty((grid.ny, grid.nx, 4))
-        zs = grid.zgrid()
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                vals[iy, ix] = fn(zs[iy, ix]).as_array()
-        return cls(grid, vals)
+        """Sample an array callable fn(grid.zgrid()) -> (ny, nx, 4) components.
+
+        A result that broadcasts to (ny, nx, 4), such as a constant (4,)
+        quaternion, is accepted.
+        """
+        return cls(grid, sample_on_grid(grid, fn, (4,), float))
 
     def value_at(self, node):
         return self.values[node[0], node[1]]
@@ -694,9 +702,10 @@ def save_field(f: QField, path, header=None):
     if header:
         doc.update(header)
     try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-    except OSError as exc:
+            fh.write(text)
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot write field to {path}: {exc}") from None
 
 

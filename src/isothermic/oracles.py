@@ -1,4 +1,4 @@
-"""Closed-form reference family used as ground truth by the test suites.
+"""Closed-form reference family, evaluated on whole arrays of z.
 
 Everything here derives from the flat immersion f(z) = -jz of the polarized
 plane and its dual zj.  The spectral transforms, Darboux transforms, the
@@ -7,17 +7,24 @@ limit) and the corresponding frames all have elementary closed forms in the
 commutative subalgebra span{1, i}; negative lam runs through trigonometric
 branches via the complex square root, and a Taylor series takes over near
 lam = 0.
+
+Every function takes a complex array z (a Python scalar or a 0-d array
+works too) and evaluates all of it at once: quaternion-valued forms return
+component arrays of shape z.shape + (4,), the frame t_frame returns
+z.shape + (2, 2, 4), complex-valued forms return complex arrays.  The
+generators sample them on grid.zgrid() through the array callables that
+QField.sample and WeierstrassData.sample take, the criterion-8 connection
+builds its frame from them, and the tests use them as ground truth.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NearZeroQuaternion, PoleProximity
-from .quaternion import QMatrix2, Quaternion
+from .quaternion import cj, from_complex, qinv, qmul, qnorm
 
 #: switch to series evaluation when |lam * z^2| falls below this
 SERIES_CUTOFF = 1e-4
@@ -25,54 +32,88 @@ SERIES_CUTOFF = 1e-4
 #: default margin (in the sqrt(lam) z plane) kept from the tanh/cosh poles
 POLE_MARGIN = 0.1
 
+#: norm below which a Darboux denominator counts as vanished
+EPS_DENOMINATOR = 1e-14
 
-@dataclass(frozen=True)
-class ExampleParams:
-    """Evaluation parameters for the closed-form family."""
+_FACT2K = [1.0, 2.0, 24.0, 720.0, 40320.0, 3628800.0, 479001600.0]
+_FACT2K1 = [1.0, 6.0, 120.0, 5040.0, 362880.0, 39916800.0]
+# tanh(w)/w = 1 - w^2/3 + 2 w^4/15 - 17 w^6/315 + 62 w^8/2835 - 1382 w^10/155925
+_TANHC = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0, -1382.0 / 155925.0)
 
-    lam: float
-    pole_margin: float = POLE_MARGIN
+MINUS_J = np.array([0.0, 0.0, -1.0, 0.0])
+_K = np.array([0.0, 0.0, 0.0, 1.0])
+_I = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def _sqrt_lambda(lam):
     return cmath.sqrt(complex(lam))
 
 
+def _z(z):
+    return np.asarray(z, dtype=complex)
+
+
+def _first_node(bad):
+    """Row-major index of the first True entry; None for a 0-d array."""
+    node = tuple(int(i) for i in np.argwhere(bad)[0])
+    return node or None
+
+
 def check_pole_margin(z, lam, margin=POLE_MARGIN):
-    """Distance guard from the poles of tanh and 1/cosh at w = i(pi/2 + m pi)."""
-    w = _sqrt_lambda(lam) * complex(z)
-    m = max(0, round((abs(w.imag) - cmath.pi / 2) / cmath.pi))
-    dist = min(
-        abs(complex(w.real, abs(w.imag) - (cmath.pi / 2 + k * cmath.pi)))
-        for k in (max(0, m - 1), m, m + 1)
+    """Distance guard from the poles of tanh and 1/cosh at w = i(pi/2 + m pi).
+
+    Raises PoleProximity at the first node (row-major) closer than margin.
+    """
+    w = _sqrt_lambda(lam) * _z(z)
+    a = np.abs(w.imag)
+    m = np.maximum(0.0, np.round((a - np.pi / 2) / np.pi))
+    dist = np.min(
+        [np.hypot(w.real, a - (np.pi / 2 + k * np.pi))
+         for k in (np.maximum(0.0, m - 1), m, m + 1)],
+        axis=0,
     )
-    if dist < margin:
-        raise PoleProximity(f"sqrt(lam) z = {w:.4f} within {margin} of a pole")
+    bad = dist < margin
+    if bad.any():
+        node = _first_node(bad)
+        w_bad = complex(w[node] if node else w)
+        raise PoleProximity(
+            f"sqrt(lam) z = {w_bad:.4f} within {margin} of a pole", node=node
+        )
 
 
-def _w2(z, lam):
-    return complex(lam) * complex(z) * complex(z)
+def _branches(z, lam, series, closed):
+    """series(z, lam z^2) where |lam z^2| < SERIES_CUTOFF, closed(z, sqrt(lam)) elsewhere.
 
-
-def _use_series(z, lam):
-    return abs(_w2(z, lam)) < SERIES_CUTOFF
+    Each branch sees only its own nodes, so at lam = 0 the closed forms
+    (which divide by lam or sqrt(lam)) are never evaluated.
+    """
+    z = _z(z)
+    w2 = complex(lam) * z * z
+    near = np.abs(w2) < SERIES_CUTOFF
+    out = np.empty(z.shape, dtype=complex)
+    out[near] = series(z[near], w2[near])
+    far = ~near
+    if far.any():
+        out[far] = closed(z[far], _sqrt_lambda(lam))
+    return out
 
 
 def cosh_sl(z, lam):
     """cosh(sqrt(lam) z), series-stable near lam = 0."""
-    if _use_series(z, lam):
-        w2 = _w2(z, lam)
-        return sum(w2**k / _FACT2K[k] for k in range(6))
-    return cmath.cosh(_sqrt_lambda(lam) * z)
+    return _branches(
+        z, lam,
+        lambda z, w2: sum(w2**k / _FACT2K[k] for k in range(6)),
+        lambda z, sl: np.cosh(sl * z),
+    )
 
 
 def sinhc_sl(z, lam):
     """sinh(sqrt(lam) z)/sqrt(lam), an entire function of lam."""
-    if _use_series(z, lam):
-        w2 = _w2(z, lam)
-        return z * sum(w2**k / _FACT2K1[k] for k in range(6))
-    sl = _sqrt_lambda(lam)
-    return cmath.sinh(sl * z) / sl
+    return _branches(
+        z, lam,
+        lambda z, w2: z * sum(w2**k / _FACT2K1[k] for k in range(6)),
+        lambda z, sl: np.sinh(sl * z) / sl,
+    )
 
 
 def sqrt_sinh_sl(z, lam):
@@ -82,159 +123,144 @@ def sqrt_sinh_sl(z, lam):
 
 def tanhc_sl(z, lam):
     """tanh(sqrt(lam) z)/sqrt(lam)."""
-    if _use_series(z, lam):
-        w2 = _w2(z, lam)
-        # tanh(w)/w = 1 - w^2/3 + 2 w^4/15 - 17 w^6/315 + 62 w^8/2835 - 1382 w^10/155925
-        coeff = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0,
-                 -1382.0 / 155925.0)
-        return z * sum(c * w2**k for k, c in enumerate(coeff))
-    sl = _sqrt_lambda(lam)
-    return cmath.tanh(sl * z) / sl
+    return _branches(
+        z, lam,
+        lambda z, w2: z * sum(c * w2**k for k, c in enumerate(_TANHC)),
+        lambda z, sl: np.tanh(sl * z) / sl,
+    )
 
 
 def sinh2c_sl(z, lam):
     """sinh(2 sqrt(lam) z)/(2 sqrt(lam))."""
-    if _use_series(z, lam):
-        w2 = _w2(z, lam)
-        return z * sum((4.0 * w2) ** k / _FACT2K1[k] for k in range(6))
-    sl = _sqrt_lambda(lam)
-    return cmath.sinh(2.0 * sl * z) / (2.0 * sl)
+    return _branches(
+        z, lam,
+        lambda z, w2: z * sum((4.0 * w2) ** k / _FACT2K1[k] for k in range(6)),
+        lambda z, sl: np.sinh(2.0 * sl * z) / (2.0 * sl),
+    )
 
 
 def cosh2m1_over_lam(z, lam):
     """(cosh(2 sqrt(lam) z) - 1)/lam."""
-    if _use_series(z, lam):
-        w2 = _w2(z, lam)
-        return 4.0 * z * z * sum((4.0 * w2) ** k / _FACT2K[k + 1] for k in range(6))
-    return (cmath.cosh(2.0 * _sqrt_lambda(lam) * z) - 1.0) / lam
+    return _branches(
+        z, lam,
+        lambda z, w2: 4.0 * z * z * sum((4.0 * w2) ** k / _FACT2K[k + 1] for k in range(6)),
+        lambda z, sl: (np.cosh(2.0 * sl * z) - 1.0) / lam,
+    )
 
 
-_FACT2K = [1.0, 2.0, 24.0, 720.0, 40320.0, 3628800.0, 479001600.0]
-_FACT2K1 = [1.0, 6.0, 120.0, 5040.0, 362880.0, 39916800.0]
+def _ck(c):
+    """c*k for complex c: components (0, 0, -Im c, Re c)."""
+    return cj(1j * c)
 
 
-def _cjq(c):
-    """Quaternion c*j for complex c."""
-    return Quaternion.cj(c)
+def _check_denominator(den):
+    bad = qnorm(den) < EPS_DENOMINATOR
+    if bad.any():
+        raise NearZeroQuaternion("darboux denominator vanished", node=_first_node(bad))
 
 
-def _cq(c):
-    return Quaternion.from_complex(c)
-
-
-def _ckq(c):
-    """Quaternion c*k for complex c: components (0, 0, -Im c, Re c)."""
-    c = complex(c)
-    return Quaternion(0.0, 0.0, -c.imag, c.real)
-
-
-MINUS_J = Quaternion(0.0, 0.0, -1.0, 0.0)
-
-
-def f_plane(z) -> Quaternion:
+def f_plane(z):
     """The flat reference immersion -jz of the polarized plane into Cj."""
-    return _cjq(-complex(z).conjugate())
+    return cj(-_z(z).conjugate())
 
 
-def cf_plane(z) -> Quaternion:
+def cf_plane(z):
     """Its dual (Christoffel) surface zj."""
-    return _cjq(z)
+    return cj(_z(z))
 
 
-def t_frame(z, lam, margin=POLE_MARGIN) -> QMatrix2:
-    """Spectral frame of the plane with frame(0) = Id.
+def t_frame(z, lam, margin=POLE_MARGIN):
+    """Spectral frame of the plane with frame(0) = Id, shape z.shape + (2, 2, 4).
 
     diag(1,-j) [[cosh(sl z), sl sinh(sl z)], [sinh(sl z)/sl, cosh(sl z)]] diag(1, j)
     """
     check_pole_margin(z, lam, margin)
     c = cosh_sl(z, lam)
-    return QMatrix2(
-        _cq(c),
-        _cjq(sqrt_sinh_sl(z, lam)),
-        _cjq(-sinhc_sl(z, lam).conjugate()),
-        _cq(c.conjugate()),
-    )
+    return np.stack([
+        np.stack([from_complex(c), cj(sqrt_sinh_sl(z, lam))], axis=-2),
+        np.stack([cj(-sinhc_sl(z, lam).conjugate()), from_complex(c.conjugate())], axis=-2),
+    ], axis=-3)
 
 
-def t_plane(z, lam, margin=POLE_MARGIN) -> Quaternion:
+def t_plane(z, lam, margin=POLE_MARGIN):
     """Spectral transform of the plane: -j tanh(sqrt(lam) z)/sqrt(lam)."""
     check_pole_margin(z, lam, margin)
-    return _cjq(-tanhc_sl(z, lam).conjugate())
+    return cj(-tanhc_sl(z, lam).conjugate())
 
 
-def ct_plane(z, lam, margin=POLE_MARGIN) -> Quaternion:
+def ct_plane(z, lam, margin=POLE_MARGIN):
     """Dual of the spectral transform: (z + sinh(2 sl z)/(2 sl)) j / 2."""
     check_pole_margin(z, lam, margin)
-    return _cjq(0.5 * (complex(z) + sinh2c_sl(z, lam)))
+    return cj(0.5 * (_z(z) + sinh2c_sl(z, lam)))
 
 
-def minimal_family(z, lam, margin=POLE_MARGIN) -> Quaternion:
+def minimal_family(z, lam, margin=POLE_MARGIN):
     """Minimal surface family: catenoid at lam = 1, Enneper as lam -> 0.
 
     1/4 { Re[(cosh(2 sl z) - 1)/lam] i + [z + sinh(2 sl z)/(2 sl)] j
           + j (1/lam)[z - sinh(2 sl z)/(2 sl)] }
     """
     check_pole_margin(z, lam, margin)
-    z = complex(z)
-    icomp = 0.25 * cosh2m1_over_lam(z, lam).real
-    if _use_series(z, lam):
-        w2 = _w2(z, lam)
-        third = -(z**3) * sum(
+    z = _z(z)
+    third = _branches(
+        z, lam,
+        lambda z, w2: -(z**3) * sum(
             4.0 ** (k + 1) * w2**k / _FACT2K1[k + 1] for k in range(5)
-        )
-    else:
-        third = (z - sinh2c_sl(z, lam)) / lam
-    cjcomp = 0.25 * ((z + sinh2c_sl(z, lam)) + third.conjugate())
-    q = _cjq(cjcomp)
-    return Quaternion(0.0, icomp, q.y, q.z)
+        ),
+        lambda z, sl: (z - sinh2c_sl(z, lam)) / lam,
+    )
+    out = cj(0.25 * ((z + sinh2c_sl(z, lam)) + third.conjugate()))
+    out[..., 1] = 0.25 * cosh2m1_over_lam(z, lam).real
+    return out
 
 
-def darboux_plane(z, lam, margin=POLE_MARGIN) -> Quaternion:
+def darboux_plane(z, lam, margin=POLE_MARGIN):
     """Darboux transform of the plane seeded by v0 = (1, -i)^t.
 
     -j { z - [sinh(sl z)/sl - cosh(sl z) k][cosh(sl z) - sl sinh(sl z) k]^-1 }
     """
     check_pole_margin(z, lam, margin)
-    z = complex(z)
+    z = _z(z)
     c = cosh_sl(z, lam)
-    num = _cq(sinhc_sl(z, lam)) - _ckq(c)
-    den = _cq(c) - _ckq(sqrt_sinh_sl(z, lam))
-    if den.norm() < 1e-14:
-        raise NearZeroQuaternion("darboux denominator vanished")
-    return MINUS_J * (_cq(z) - num * den.inverse())
+    num = from_complex(sinhc_sl(z, lam)) - _ck(c)
+    den = from_complex(c) - _ck(sqrt_sinh_sl(z, lam))
+    _check_denominator(den)
+    return qmul(MINUS_J, from_complex(z) - qmul(num, qinv(den)))
 
 
-def darboux_of_t_plane(z, lam, margin=POLE_MARGIN) -> Quaternion:
+def darboux_of_t_plane(z, lam, margin=POLE_MARGIN):
     """The simultaneous Darboux transform of the spectral surface.
 
     -j { tanh(sl z)/sl - (1/cosh(sl z)) [z - k][cosh(sl z) - sl sinh(sl z)(z - k)]^-1 }
     """
     check_pole_margin(z, lam, margin)
-    z = complex(z)
+    z = _z(z)
     c = cosh_sl(z, lam)
-    zk = _cq(z) - Quaternion(0, 0, 0, 1)
-    den = _cq(c) - _cq(sqrt_sinh_sl(z, lam)) * zk
-    if den.norm() < 1e-14:
-        raise NearZeroQuaternion("darboux denominator vanished")
-    return MINUS_J * (_cq(tanhc_sl(z, lam)) - _cq(1.0 / c) * zk * den.inverse())
+    zk = from_complex(z) - _K
+    den = from_complex(c) - qmul(from_complex(sqrt_sinh_sl(z, lam)), zk)
+    _check_denominator(den)
+    return qmul(
+        MINUS_J,
+        from_complex(tanhc_sl(z, lam)) - qmul(qmul(from_complex(1.0 / c), zk), qinv(den)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Weierstrass data of the family
 # ---------------------------------------------------------------------------
 
-def family_g(z, lam) -> complex:
+def family_g(z, lam):
     """Meromorphic data of the minimal family: tanh(sqrt(lam) z)/sqrt(lam)."""
     return tanhc_sl(z, lam)
 
 
-def family_w(z, lam) -> complex:
+def family_w(z, lam):
     """Holomorphic differential coefficient: cosh(sqrt(lam) z)^2 (= 1/g')."""
     c = cosh_sl(z, lam)
     return c * c
 
 
-def family_dg(z, lam) -> complex:
+def family_dg(z, lam):
     """g'(z) = 1/cosh(sqrt(lam) z)^2."""
     c = cosh_sl(z, lam)
     return 1.0 / (c * c)
@@ -251,12 +277,12 @@ def family_log_metric(z, lam):
     dg = family_dg(z, lam)
     # w = cosh^2 has w' = sqrt(lam) sinh(2 sqrt(lam) z) = 2 lam sinh2c
     wprime = 2.0 * complex(lam) * sinh2c_sl(z, lam)
-    u = float(np.log(0.5 * (1.0 + abs(g) ** 2) * abs(w)))
-    dz_u = (dg * g.conjugate()) / (1.0 + abs(g) ** 2) + wprime / (2.0 * w)
+    u = np.log(0.5 * (1.0 + np.abs(g) ** 2) * np.abs(w))
+    dz_u = (dg * g.conjugate()) / (1.0 + np.abs(g) ** 2) + wprime / (2.0 * w)
     return u, dz_u
 
 
-def family_spin(z, lam) -> Quaternion:
+def family_spin(z, lam):
     """Unit spin rotating (j, k, i) onto the family's frame (t1, t2, normal).
 
     r = (i - jg) i (w/|w|)^(1/2) / sqrt(1 + |g|^2), with the square-root
@@ -265,7 +291,7 @@ def family_spin(z, lam) -> Quaternion:
     """
     g = family_g(z, lam)
     c = cosh_sl(z, lam)
-    phase = c / abs(c)
-    q1 = Quaternion(0.0, 1.0, -g.real, g.imag)
-    r = q1 * Quaternion(0, 1, 0, 0) * Quaternion.from_complex(phase)
-    return r * (1.0 / np.sqrt(1.0 + abs(g) ** 2))
+    q1 = cj(-g.conjugate())  # -jg
+    q1[..., 1] = 1.0
+    r = qmul(qmul(q1, _I), from_complex(c / np.abs(c)))
+    return r * (1.0 / np.sqrt(1.0 + np.abs(g) ** 2))[..., None]

@@ -7,9 +7,11 @@ reports are JSON and reproducible bit-for-bit for a fixed config and seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +40,17 @@ from .transforms import (
 
 DEFAULT_GRID_N = 129
 DEFAULT_DOMAIN = {"x0": -1.0, "y0": -1.0, "width": 2.0, "height": 2.0}
+
+
+def finite_float(value, where):
+    """value as a finite float; anything else is invalid input."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def _require_keys(d, allowed, required=(), where="config"):
@@ -153,7 +166,8 @@ class InvariantReport:
         )
 
     def all_passed(self):
-        return all(c.passed for c in self.checks)
+        """True when at least one check ran and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_dict(self):
         return {
@@ -170,15 +184,15 @@ class InvariantReport:
 def _family_weierstrass(grid, lam):
     return WeierstrassData.sample(
         grid,
-        lambda z: oracles.family_g(z, lam),
-        lambda z: oracles.family_w(z, lam),
-        lambda z: oracles.family_dg(z, lam),
+        partial(oracles.family_g, lam=lam),
+        partial(oracles.family_w, lam=lam),
+        partial(oracles.family_dg, lam=lam),
     )
 
 
 def _plane_weierstrass(grid):
-    return WeierstrassData.sample(grid, lambda z: z, lambda z: 1.0 + 0j,
-                                  lambda z: 1.0 + 0j)
+    # g = z, w = 1, dg = 1
+    return WeierstrassData.sample(grid, np.asarray, np.ones_like, np.ones_like)
 
 
 def make_surface(config: PipelineConfig):
@@ -186,7 +200,7 @@ def make_surface(config: PipelineConfig):
     grid = config.grid()
     gen = dict(config.generator)
     kind = gen.pop("kind", None)
-    lam = float(gen.pop("lambda", 1.0))
+    lam = finite_float(gen.pop("lambda", 1.0), "generator.lambda")
     extras = {"lambda": lam}
     if kind == "example":
         _require_keys(gen, set(), where="generator.example")
@@ -229,7 +243,7 @@ def apply_transforms(surface: PolarizedSurface, steps, config: PipelineConfig):
     for step in steps:
         step = dict(step)
         op = step.pop("op", None)
-        lam = float(step.pop("lambda", 1.0))
+        lam = finite_float(step.pop("lambda", 1.0), f"transform {op} lambda")
         if op == "christoffel":
             _require_keys(step, set(), where="transform.christoffel")
             surface = christoffel(surface, tolerance_scale=config.tolerance_scale)
@@ -292,14 +306,16 @@ def run_verifications(surface, extras, config: PipelineConfig, report: Invariant
     return report
 
 
-def _atomic_write_text(path, text):
+def _write_json(path, doc):
+    """Write doc as JSON atomically; a NaN or infinity fails before any write."""
     try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
@@ -329,7 +345,7 @@ def run_pipeline(config: PipelineConfig, out_dir="."):
         artifacts["obj"] = path
     if config.export.get("report"):
         path = os.path.join(out_dir, config.export["report"])
-        _atomic_write_text(path, json.dumps(report.to_dict(), sort_keys=True, indent=1))
+        _write_json(path, report.to_dict())
         artifacts["report"] = path
     return report, artifacts, surface
 
@@ -365,7 +381,7 @@ def sweep(config: PipelineConfig, lambdas, out_dir="."):
              "checks": report.to_dict()["checks"]}
         )
     path = os.path.join(out_dir, "family_report.json")
-    _atomic_write_text(path, json.dumps(family_report, sort_keys=True, indent=1))
+    _write_json(path, family_report)
     return family_report, path
 
 

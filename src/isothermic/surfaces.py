@@ -45,6 +45,7 @@ class PolarizedSurface:
 
     @classmethod
     def sample(cls, grid, fn, polarization="dz2", provenance=()):
+        """Immersion sampled from an array callable fn(grid.zgrid()) -> (ny, nx, 4)."""
         return cls(QField.sample(grid, fn), polarization, provenance)
 
     def derived(self, values, grid=None, flip=False, step=None):

@@ -6,13 +6,13 @@ from isothermic import oracles
 
 
 def sample_values(grid, fn):
-    """Sample a callable z -> Quaternion into an (ny, nx, 4) array."""
-    out = np.empty((grid.ny, grid.nx, 4))
-    zs = grid.zgrid()
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            out[iy, ix] = fn(zs[iy, ix]).as_array()
-    return out
+    """Evaluate an array callable on the grid: fn(grid.zgrid()) -> (ny, nx, 4)."""
+    return np.asarray(fn(grid.zgrid()), dtype=float)
+
+
+def cylinder(z):
+    """The unit cylinder (0, y, cos x, sin x): isothermic, not of spherical type."""
+    return np.stack([np.zeros(z.shape), z.imag, np.cos(z.real), np.sin(z.real)], axis=-1)
 
 
 def sample_field(grid, fn):

@@ -41,7 +41,7 @@ from isothermic import oracles as oc
 from isothermic.grid import crop_field
 from isothermic.quaternion import qnorm
 
-from conftest import sample_values
+from conftest import cylinder, sample_values
 
 V0_SEED = np.array([[1.0, 0, 0, 0], [0, -1.0, 0, 0]])  # (1, -i)
 
@@ -80,11 +80,7 @@ def order_line(errs):
 def test_criterion_1_spectral_transform_oracle(grid129):
     p0 = grid129.center_node()
     out = t_transform(plane_surface(grid129), 1.0, p0)
-    zs = grid129.zgrid()
-    frame_target = np.empty((grid129.ny, grid129.nx, 2, 2, 4))
-    for iy in range(grid129.ny):
-        for ix in range(grid129.nx):
-            frame_target[iy, ix] = oc.t_frame(zs[iy, ix], 1.0).as_array()
+    frame_target = oc.t_frame(grid129.zgrid(), 1.0)
     frame_err = float(np.abs(out.frame.values - frame_target).max())
     surf_target = sample_values(grid129, lambda z: oc.t_plane(z, 1.0))
     surf_err = float(qnorm(out.surface.f.values - surf_target)[out.surface.grid.valid()].max())
@@ -183,9 +179,7 @@ def test_criterion_7_spherical_type(grid129, catenoid129):
     enneper = weierstrass_minimal(plane_data(grid129))
     _, res = spherical_type_certificate(enneper)
     report("criterion 7 (Liouville residual, enneper)", res, 1e-3)
-    cyl = PolarizedSurface.sample(
-        grid129, lambda z: Quaternion(0, z.imag, np.cos(z.real), np.sin(z.real))
-    )
+    cyl = PolarizedSurface.sample(grid129, cylinder)
     _, res = spherical_type_certificate(cyl)
     state = "PASS" if res >= 1e-1 else "FAIL"
     print(f"{state}  criterion 7 (cylinder negative control): residual "

@@ -41,7 +41,7 @@ from isothermic.grid import crop_field
 from isothermic.quaternion import QI, cj, qmul, qnorm
 from isothermic.surfaces import fundamental_forms
 
-from conftest import sample_values
+from conftest import cylinder, sample_values
 
 V0_SEED = np.array([[1.0, 0, 0, 0], [0, -1.0, 0, 0]])
 
@@ -213,9 +213,7 @@ def test_spherical_type_positive_cases(grid129, catenoid129):
 
 
 def test_spherical_type_negative_control(grid129):
-    cyl = PolarizedSurface.sample(
-        grid129, lambda z: Quaternion(0, z.imag, np.cos(z.real), np.sin(z.real))
-    )
+    cyl = PolarizedSurface.sample(grid129, cylinder)
     _, res = spherical_type_certificate(cyl)
     assert res >= 1e-1
 
@@ -252,11 +250,7 @@ def test_ribaucour_connection_numeric_matches_analytic(grid129, catenoid129):
 
 def test_ribaucour_connection_requires_normalized_minimal(grid65):
     with pytest.raises(PatternMismatch):
-        ribaucour_connection(
-            PolarizedSurface.sample(
-                grid65, lambda z: Quaternion(0, z.imag, np.cos(z.real), np.sin(z.real))
-            )
-        )
+        ribaucour_connection(PolarizedSurface.sample(grid65, cylinder))
 
 
 def test_extraction_on_family_frame(grid129):
@@ -407,8 +401,6 @@ def test_minimal_position(grid129):
 def test_umehara_yamada_frame_unavailable(grid65):
     from isothermic import FrameUnavailable
 
-    cyl = PolarizedSurface.sample(
-        grid65, lambda z: Quaternion(0, z.imag, np.cos(z.real), np.sin(z.real))
-    )
+    cyl = PolarizedSurface.sample(grid65, cylinder)
     with pytest.raises(FrameUnavailable):
         umehara_yamada_check(cyl, 1.0)

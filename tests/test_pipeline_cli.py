@@ -245,3 +245,70 @@ def test_cmc_surface_header(tmp_path):
     assert doc["model"] == "halfspace"
     assert doc["route"] == "darboux-weierstrass"
     assert doc["lambda"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# input boundary and exit codes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_lambda(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    code = cli_main(["generate", "--grid-n", "17", f"--lambda={value}", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    code = cli_main(["sweep", "--grid-n", "17", "--lambdas", f"0.5,{value}",
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("raw", [
+    '{"generator": {"kind": "example", "lambda": NaN}}',
+    '{"generator": {"kind": "example", "lambda": "abc"}}',
+    '{"generator": {"kind": "example"}, "transforms": [{"op": "t_transform", "lambda": Infinity}]}',
+])
+def test_config_rejects_non_finite_lambda(tmp_path, raw):
+    p = tmp_path / "cfg.json"
+    p.write_text(raw)
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--grid-n", "17", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_json_writers_refuse_non_finite(tmp_path):
+    from isothermic.grid import save_field
+    from isothermic.pipeline import _write_json
+
+    g = GridSpec.square(1.0, 5)
+    vals = np.zeros((5, 5, 4))
+    vals[2, 3, 1] = np.nan
+    with pytest.raises(IoError):
+        save_field(QField(g, vals), str(tmp_path / "nan.json"))
+    with pytest.raises(IoError):
+        _write_json(str(tmp_path / "inf.json"), {"residual": float("inf")})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_report_does_not_pass(tmp_path, capsys):
+    report, _, _ = run_pipeline(config(verify={}), str(tmp_path))
+    assert report.checks == []
+    assert not report.all_passed()
+    assert report.to_dict()["all_passed"] is False
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, verify={"isothermic": False})))
+    assert cli_main(["verify", "--config", str(p), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_sweep_failing_member_returns_one(tmp_path, capsys, monkeypatch):
+    from isothermic import pipeline
+
+    # a negative tolerance fails every isothermic check of the family
+    monkeypatch.setattr(pipeline, "TAU_ISOTHERMIC", -1.0)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(BASE_CONFIG))
+    code = cli_main(["sweep", "--config", str(p), "--grid-n", "17",
+                     "--lambdas", "0.25,0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out

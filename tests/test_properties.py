@@ -1,0 +1,66 @@
+"""Property-based tests of the quaternion algebra and of the array oracles.
+
+Runs are derandomized (a fixed example sequence per test, no example
+database), so the suite stays reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isothermic import oracles as oc
+from isothermic.quaternion import qconj, qm2_mul, qm2_norm, qmul, qnorm, study_det_array
+
+from test_oracle_equivalence import LAMBDAS, ORACLES, as_array, oracle_args, scalar_values
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def _floats(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+quaternions = st.lists(_floats(10.0), min_size=4, max_size=4).map(np.array)
+matrices = st.lists(_floats(2.0), min_size=16, max_size=16).map(
+    lambda v: np.reshape(v, (2, 2, 4)))
+
+
+@PROPERTY
+@given(quaternions, quaternions, quaternions)
+def test_qmul_associative(p, q, r):
+    scale = 1.0 + qnorm(p) * qnorm(q) * qnorm(r)
+    assert np.abs(qmul(qmul(p, q), r) - qmul(p, qmul(q, r))).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(quaternions, quaternions)
+def test_norm_multiplicative(p, q):
+    scale = 1.0 + qnorm(p) * qnorm(q)
+    assert abs(qnorm(qmul(p, q)) - qnorm(p) * qnorm(q)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(quaternions, quaternions)
+def test_conjugation_is_an_anti_automorphism(p, q):
+    scale = 1.0 + qnorm(p) * qnorm(q)
+    assert np.abs(qconj(qmul(p, q)) - qmul(qconj(q), qconj(p))).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(matrices, matrices)
+def test_study_determinant_multiplicative(a, b):
+    # the Study determinant is of degree 4 in the entries
+    scale = 1.0 + (qm2_norm(a) * qm2_norm(b)) ** 4
+    got = study_det_array(qm2_mul(a, b))
+    assert abs(got - study_det_array(a) * study_det_array(b)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(_floats(1.0), _floats(1.0), st.sampled_from(LAMBDAS), st.sampled_from(ORACLES))
+def test_array_oracle_matches_scalar_at_random_points(x, y, lam, name):
+    # |lam| <= 1 on [-1, 1]^2 keeps sqrt(lam) z outside the pole margin
+    z = complex(x, y)
+    got = as_array(getattr(oc, name)(z, *oracle_args(name, lam)))
+    want = scalar_values(name, [z], lam)[0]
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
+

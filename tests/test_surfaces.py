@@ -9,12 +9,10 @@ from isothermic import (
     normal_field,
 )
 from isothermic import oracles as oc
-from isothermic.quaternion import qmul, qnorm
+from isothermic.quaternion import qinv, qmul, qnorm
 from isothermic.surfaces import surface_jets
 
-
-def cylinder(z):
-    return Quaternion(0, z.imag, np.cos(z.real), np.sin(z.real))
+from conftest import cylinder
 
 
 def test_plane_normal_constant(plane129):
@@ -37,7 +35,7 @@ def test_normal_equivariance_rotated_plane(grid65):
     r = Quaternion(np.cos(0.4), 0, np.sin(0.4), 0)  # unit quaternion
 
     def rotated(z):
-        return r * oc.f_plane(z) * r.inverse()
+        return qmul(qmul(r.as_array(), oc.f_plane(z)), qinv(r.as_array()))
 
     s = PolarizedSurface.sample(grid65, rotated, "dzbar2")
     n = normal_field(s)
@@ -64,7 +62,7 @@ def test_certificate_family_refines():
 def test_certificate_negative_control(grid129):
     def wobble(z):
         bump = 0.1 * np.sin(3 * z.real) * np.sin(5 * z.imag)
-        return oc.f_plane(z) + Quaternion(0, -1, 0, 0) * bump
+        return oc.f_plane(z) + Quaternion(0, -1, 0, 0).as_array() * bump[..., None]
 
     s = PolarizedSurface.sample(grid129, wobble, "dzbar2")
     _, res = isothermic_certificate(s)
