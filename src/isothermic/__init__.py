@@ -13,6 +13,7 @@ cross-validate them.
 from .errors import (
     AffineEscape,
     BoundaryContact,
+    ClosedFormOverflow,
     ConfigInvalid,
     DegenerateQuadruple,
     DegenerateTangent,

@@ -801,9 +801,6 @@ class IsometryReport:
     mean_curvature_std: float
     metric_scale: float
 
-    def passes(self, tol):
-        return self.first_deviation <= tol and self.second_deviation <= tol
-
 
 def _form_metric(comp_fields, h):
     """(E, F, G) coefficient fields of <d s, d s> for a form field."""

@@ -97,6 +97,10 @@ class PoleProximity(GeometryError):
     """Closed-form evaluation too close to a pole of tanh/cosh."""
 
 
+class ClosedFormOverflow(GeometryError):
+    """Closed-form evaluation would overflow (cosh of a large argument)."""
+
+
 class ConfigInvalid(GeometryError):
     """Pipeline configuration failed validation."""
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     GridMismatch,
     IoError,
     MaskedNeighbor,
@@ -23,7 +25,15 @@ from .errors import (
     NotIntegrable,
     StepBlowup,
 )
-from .quaternion import qm2_matvec, qm2_mul, qm2_norm, qmul, qnorm, study_det_array
+from .quaternion import (
+    qm2_complex_rep,
+    qm2_from_complex_rep,
+    qm2_mul,
+    qm2_norm,
+    qmul,
+    qnorm,
+    study_det_array,
+)
 
 #: base tolerance for normalized closedness / Maurer-Cartan residuals
 TAU_CLOSED = 1e-6
@@ -78,10 +88,6 @@ class GridSpec:
 
     def zgrid(self):
         return self.xs()[None, :] + 1j * self.ys()[:, None]
-
-    def node_z(self, node):
-        iy, ix = node
-        return complex(self.x0 + ix * self.h, self.y0 + iy * self.h)
 
     def center_node(self):
         """Node closest to z = 0 (falls back to the grid center)."""
@@ -161,12 +167,6 @@ class QField:
 
     def value_at(self, node):
         return self.values[node[0], node[1]]
-
-    def max_norm(self, where=None):
-        sel = self.grid.valid() if where is None else where
-        if not sel.any():
-            return 0.0
-        return float(qnorm(self.values)[sel].max())
 
 
 @dataclass
@@ -457,43 +457,103 @@ def midpoint_samples(coef, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _march(grid, p0, coef_x, coef_y, state0, mul, blowup=BLOWUP_LIMIT):
-    """March a per-node ODE state along the spine column then along rows.
+def _march(grid, p0, coef_x, coef_y, state0, step, store, blowup):
+    """March a per-node state along the spine column, then along rows.
 
-    coef_x/coef_y give the coefficient arrays (leading (ny, nx)); state0 is
-    the state at p0.  Returns the full state field (ny, nx, ...).
+    step(state, pa, pm, pb, s) advances a batch of states over a grid step s
+    from the coefficients at its start, midpoint and end; store maps states
+    to the real layout of the returned (ny, nx, ...) field.  StepBlowup names
+    the first node reached whose state is not finite or exceeds blowup.
     """
     iy0, ix0 = _spine_rows_order(grid, p0)
     h = grid.h
-    state_shape = np.asarray(state0).shape
-    out = np.zeros((grid.ny, grid.nx) + state_shape)
-    mid_y = midpoint_samples(coef_y[:, ix0], axis=0)  # (ny-1, ...)
-    mid_x = midpoint_samples(coef_x, axis=1)  # (ny, nx-1, ...)
+    out = np.empty((grid.ny, grid.nx) + store(state0).shape)
+    out[iy0, ix0] = store(state0)
 
-    def check(arr, node):
-        m = np.abs(arr).max()
-        if not np.isfinite(m) or m > blowup:
-            raise StepBlowup(f"state norm {m:.3e} exceeds {blowup:.1e}", node=node)
+    def advance(state, pa, pm, pb, s, iy, ix):
+        state = step(state, pa, pm, pb, s)
+        vals = out[iy:iy + len(state), ix]
+        vals[...] = store(state)
+        norm = np.abs(vals).reshape(len(vals), -1).max(axis=1)
+        bad = ~(norm <= blowup)
+        if bad.any():
+            k = int(bad.argmax())
+            raise StepBlowup(f"state norm {norm[k]:.3e} exceeds {blowup:.1e}",
+                             node=(iy + k, ix))
+        return state
 
-    # spine: vary iy at fixed ix0
-    out[iy0, ix0] = state0
+    # spine: vary iy at fixed ix0, in batches of one node
+    cy = coef_y[:, ix0, None]
+    my = midpoint_samples(cy, axis=0)
+    spine = np.empty((grid.ny, 1) + state0.shape, dtype=state0.dtype)
+    spine[iy0] = state0
     for iy in range(iy0 + 1, grid.ny):
-        pa, pb = coef_y[iy - 1, ix0], coef_y[iy, ix0]
-        out[iy, ix0] = _rk4_step_right(out[iy - 1, ix0], pa, mid_y[iy - 1], pb, h, mul)
+        spine[iy] = advance(spine[iy - 1], cy[iy - 1], my[iy - 1], cy[iy], h, iy, ix0)
     for iy in range(iy0 - 1, -1, -1):
-        pa, pb = coef_y[iy + 1, ix0], coef_y[iy, ix0]
-        out[iy, ix0] = _rk4_step_right(out[iy + 1, ix0], pa, mid_y[iy], pb, -h, mul)
-    check(out[:, ix0], (None, ix0))
+        spine[iy] = advance(spine[iy + 1], cy[iy + 1], my[iy], cy[iy], -h, iy, ix0)
 
     # rows: vary ix, batched over iy
+    mx = midpoint_samples(coef_x, axis=1)
+    state = spine[:, 0]
     for ix in range(ix0 + 1, grid.nx):
-        pa, pb = coef_x[:, ix - 1], coef_x[:, ix]
-        out[:, ix] = _rk4_step_right(out[:, ix - 1], pa, mid_x[:, ix - 1], pb, h, mul)
+        state = advance(state, coef_x[:, ix - 1], mx[:, ix - 1], coef_x[:, ix], h, 0, ix)
+    state = spine[:, 0]
     for ix in range(ix0 - 1, -1, -1):
-        pa, pb = coef_x[:, ix + 1], coef_x[:, ix]
-        out[:, ix] = _rk4_step_right(out[:, ix + 1], pa, mid_x[:, ix], pb, -h, mul)
-    check(out, None)
+        state = advance(state, coef_x[:, ix + 1], mx[:, ix], coef_x[:, ix], -h, 0, ix)
     return out
+
+
+def _step_propagators(pa, pm, pb, s, left):
+    """RK4 step matrices M of a linear system in the complex representation.
+
+    pa, pm, pb: (..., 2, 2, 4) coefficients P at the start, midpoint and end
+    of a step s.  One RK4 step of dx = x P takes the rows x of a state's
+    representation to x @ M; with left=True, of dx = -P x on columns x, and
+    M is transposed so that the same row product applies.
+    """
+    reps = qm2_complex_rep(np.stack((pa, pm, pb)))
+    if left:
+        reps = -np.swapaxes(reps, -1, -2)
+    a, m, b = reps
+    eye = np.eye(4)
+    k2 = (eye + (0.5 * s) * a) @ m
+    k3 = (eye + (0.5 * s) * k2) @ m
+    k4 = (eye + s * k3) @ b
+    return eye + (s / 6.0) * (a + 2.0 * (k2 + k3) + k4)
+
+
+def _linear_march(phi_x, phi_y, grid, p0, rows0, store, left, tau, tolerance_scale,
+                  blowup):
+    """Maurer-Cartan gate, then _march of a linear system by step matrices,
+    built per grid column (node by node on the spine).
+
+    rows0: the state at p0 as (r, 4) complex rows of its representation, as
+    many bytes as the real layout: the top block [alpha | beta] of a frame,
+    row 0 of a row vector, or column 0 of a column vector (left=True).
+    """
+    if tau is None:
+        tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
+    res = maurer_cartan_residual(phi_x, phi_y, grid)
+    if res > tau:
+        raise NotIntegrable(f"Maurer-Cartan residual {res:.3e} exceeds {tau:.3e}")
+    return _march(grid, p0, phi_x, phi_y, rows0,
+                  lambda rows, *coef: rows @ _step_propagators(*coef, left), store, blowup)
+
+
+def _vector_rows(v, column):
+    """(2, 4) vector v_r = a_r + b_r j as row 0 (a1, a2, b1, b2) of its
+    representation, or as column 0 (a1, a2, -conj b1, -conj b2); (1, 4)."""
+    alpha = v[:, 0] + 1j * v[:, 1]
+    beta = v[:, 2] + 1j * v[:, 3]
+    return np.concatenate([alpha, -np.conj(beta) if column else beta])[None]
+
+
+def _vector_from_rows(rows, column):
+    """Inverse of _vector_rows, batched: (..., 1, 4) complex -> (..., 2, 4)."""
+    alpha, beta = rows[..., 0, :2], rows[..., 0, 2:]
+    if column:
+        beta = -np.conj(beta)
+    return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
 
 
 def maurer_cartan_residual(phi_x, phi_y, grid) -> float:
@@ -528,31 +588,20 @@ def integrate_frame(
     down the base column then along rows; spine="row" transposes it, which
     is useful for certifying path independence.
     """
-    if tau is None:
-        tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
-    res = maurer_cartan_residual(phi_x, phi_y, grid)
-    if res > tau:
-        raise NotIntegrable(f"Maurer-Cartan residual {res:.3e} exceeds {tau:.3e}")
-    f0 = np.asarray(f0, dtype=float)
-    if spine == "column":
-        vals = _march(grid, p0, phi_x, phi_y, f0, qm2_mul, blowup)
-    elif spine == "row":
-        swapped = replace(grid, nx=grid.ny, ny=grid.nx,
-                          x0=grid.y0, y0=grid.x0,
-                          mask=None if grid.mask is None else grid.mask.T)
-        vals = _march(
-            swapped,
-            (p0[1], p0[0]),
-            np.swapaxes(phi_y, 0, 1),
-            np.swapaxes(phi_x, 0, 1),
-            f0,
-            qm2_mul,
-            blowup,
-        )
-        vals = np.swapaxes(vals, 0, 1)
-    else:
+    if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
-    return FrameField(grid, vals)
+    args = (qm2_complex_rep(f0)[:2], qm2_from_complex_rep, False, tau, tolerance_scale,
+            blowup)
+    if spine == "column":
+        return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, *args))
+    swapped = replace(grid, nx=grid.ny, ny=grid.nx, x0=grid.y0, y0=grid.x0,
+                      mask=None if grid.mask is None else grid.mask.T)
+    try:
+        vals = _linear_march(np.swapaxes(phi_y, 0, 1), np.swapaxes(phi_x, 0, 1), swapped,
+                             (p0[1], p0[0]), *args)
+    except StepBlowup as exc:  # name the node in the grid's own (iy, ix) order
+        raise StepBlowup(exc.args[0].rsplit(" (at node", 1)[0], node=exc.node[::-1]) from None
+    return FrameField(grid, np.swapaxes(vals, 0, 1))
 
 
 def integrate_left_vector(
@@ -566,16 +615,10 @@ def integrate_left_vector(
     blowup=BLOWUP_LIMIT,
 ):
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
-    if tau is None:
-        tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
-    res = maurer_cartan_residual(phi_x, phi_y, grid)
-    if res > tau:
-        raise NotIntegrable(f"Maurer-Cartan residual {res:.3e} exceeds {tau:.3e}")
-
-    def mul(state, p):
-        return -qm2_matvec(p, state)
-
-    return _march(grid, p0, phi_x, phi_y, np.asarray(v0, dtype=float), mul, blowup)
+    rows0 = _vector_rows(np.asarray(v0, dtype=float), column=True)
+    return _linear_march(phi_x, phi_y, grid, p0, rows0,
+                         partial(_vector_from_rows, column=True), True, tau,
+                         tolerance_scale, blowup)
 
 
 def integrate_right_rowvec(
@@ -589,21 +632,10 @@ def integrate_right_rowvec(
     blowup=BLOWUP_LIMIT,
 ):
     """Solve dW = W Phi for a row vector (w1, w2) of quaternions."""
-    if tau is None:
-        tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
-    res = maurer_cartan_residual(phi_x, phi_y, grid)
-    if res > tau:
-        raise NotIntegrable(f"Maurer-Cartan residual {res:.3e} exceeds {tau:.3e}")
-
-    def mul(state, p):
-        cols = [
-            qmul(state[..., 0, :], p[..., 0, c, :])
-            + qmul(state[..., 1, :], p[..., 1, c, :])
-            for c in range(2)
-        ]
-        return np.stack(cols, axis=-2)
-
-    return _march(grid, p0, phi_x, phi_y, np.asarray(w0, dtype=float), mul, blowup)
+    rows0 = _vector_rows(np.asarray(w0, dtype=float), column=False)
+    return _linear_march(phi_x, phi_y, grid, p0, rows0,
+                         partial(_vector_from_rows, column=False), False, tau,
+                         tolerance_scale, blowup)
 
 
 def integrate_riccati(
@@ -626,7 +658,8 @@ def integrate_riccati(
     def mul(state, p):
         return qmul(qmul(state, p[..., 0, :]), state) - p[..., 1, :]
 
-    return _march(grid, p0, coef_x, coef_y, np.asarray(delta0, dtype=float), mul, blowup)
+    return _march(grid, p0, coef_x, coef_y, np.asarray(delta0, dtype=float),
+                  partial(_rk4_step_right, mul=mul), np.asarray, blowup)
 
 
 def laplacian(u, grid: GridSpec):
@@ -692,9 +725,17 @@ def field_to_dict(f: QField):
 
 
 def field_from_dict(d):
-    grid = grid_from_dict(d["grid"])
-    vals = np.asarray(d["values"], dtype=float).reshape(grid.ny, grid.nx, 4)
-    return QField(grid, vals)
+    """QField of a field document; a malformed document is invalid input."""
+    try:
+        grid = grid_from_dict(d["grid"])
+        vals = np.asarray(d["values"], dtype=float)
+        if vals.shape != (grid.ny * grid.nx, 4):
+            raise ValueError(f"values of shape {vals.shape} for {grid.ny}x{grid.nx} nodes")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"malformed field document: {exc}") from None
+    if not np.isfinite(vals).all():
+        raise ConfigInvalid("field values must be finite")
+    return QField(grid, vals.reshape(grid.ny, grid.nx, 4))
 
 
 def save_field(f: QField, path, header=None):

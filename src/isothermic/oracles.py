@@ -23,7 +23,7 @@ import cmath
 
 import numpy as np
 
-from .errors import NearZeroQuaternion, PoleProximity
+from .errors import ClosedFormOverflow, NearZeroQuaternion, PoleProximity
 from .quaternion import cj, from_complex, qinv, qmul, qnorm
 
 #: switch to series evaluation when |lam * z^2| falls below this
@@ -31,6 +31,9 @@ SERIES_CUTOFF = 1e-4
 
 #: default margin (in the sqrt(lam) z plane) kept from the tanh/cosh poles
 POLE_MARGIN = 0.1
+
+#: largest |Re(sqrt(lam) z)| at which cosh(sqrt(lam) z)^2 stays finite (355)
+OVERFLOW_LIMIT = 350.0
 
 #: norm below which a Darboux denominator counts as vanished
 EPS_DENOMINATOR = 1e-14
@@ -72,13 +75,22 @@ def check_pole_margin(z, lam, margin=POLE_MARGIN):
          for k in (np.maximum(0.0, m - 1), m, m + 1)],
         axis=0,
     )
-    bad = dist < margin
+    _raise_at_first(dist < margin, w, PoleProximity, f"within {margin} of a pole")
+
+
+def check_overflow(z, lam):
+    """Raise ClosedFormOverflow at the first node (row-major) where
+    |Re(sqrt(lam) z)| > OVERFLOW_LIMIT, so that cosh(sqrt(lam) z)^2 would overflow."""
+    w = _sqrt_lambda(lam) * _z(z)
+    _raise_at_first(np.abs(w.real) > OVERFLOW_LIMIT, w, ClosedFormOverflow,
+                    f"beyond |Re| = {OVERFLOW_LIMIT}, where cosh overflows")
+
+
+def _raise_at_first(bad, w, error, what):
     if bad.any():
         node = _first_node(bad)
         w_bad = complex(w[node] if node else w)
-        raise PoleProximity(
-            f"sqrt(lam) z = {w_bad:.4f} within {margin} of a pole", node=node
-        )
+        raise error(f"sqrt(lam) z = {w_bad:.4f} {what}", node=node)
 
 
 def _branches(z, lam, series, closed):
@@ -251,17 +263,20 @@ def darboux_of_t_plane(z, lam, margin=POLE_MARGIN):
 
 def family_g(z, lam):
     """Meromorphic data of the minimal family: tanh(sqrt(lam) z)/sqrt(lam)."""
+    check_overflow(z, lam)
     return tanhc_sl(z, lam)
 
 
 def family_w(z, lam):
     """Holomorphic differential coefficient: cosh(sqrt(lam) z)^2 (= 1/g')."""
+    check_overflow(z, lam)
     c = cosh_sl(z, lam)
     return c * c
 
 
 def family_dg(z, lam):
     """g'(z) = 1/cosh(sqrt(lam) z)^2."""
+    check_overflow(z, lam)
     c = cosh_sl(z, lam)
     return 1.0 / (c * c)
 

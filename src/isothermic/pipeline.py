@@ -230,8 +230,8 @@ def make_surface(config: PipelineConfig):
     elif kind == "file":
         _require_keys(gen, {"path"}, required={"path"}, where="generator.file")
         fld, doc = load_field(gen["path"])
-        if not fld.grid.same_geometry(grid):
-            grid = fld.grid
+        _require_keys(doc, {"grid", "values", "polarization", "lambda", "provenance",
+                            "model", "route"}, where=f"surface file {gen['path']}")
         surface = PolarizedSurface(fld, doc.get("polarization", "dz2"),
                                    tuple(doc.get("provenance", ())))
     else:

@@ -33,17 +33,16 @@ EPS_INV = 1e-12
 
 def qmul(a, b):
     """Hamilton product of component arrays, broadcasting over leading axes."""
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    a = np.asarray(a)
+    b = np.asarray(b)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def qconj(a):
@@ -81,14 +80,6 @@ def qinv_masked(a, eps=EPS_INV):
     return qconj(a) / safe[..., None], ok
 
 
-def qscalar(values, w=0.0):
-    """Constant quaternion array broadcast helper."""
-    values = np.asarray(values, dtype=float)
-    out = np.zeros(values.shape + (4,))
-    out[..., 0] = w
-    return out
-
-
 def from_complex(c):
     """Embed complex arrays into span{1, i}."""
     c = np.asarray(c)
@@ -98,12 +89,6 @@ def from_complex(c):
     return out
 
 
-def to_complex(a):
-    """Project onto span{1, i} (drops j, k components)."""
-    a = np.asarray(a)
-    return a[..., 0] + 1j * a[..., 1]
-
-
 def cj(c):
     """The value c*j for complex c; components (0, 0, Re c, Im c)."""
     c = np.asarray(c)
@@ -111,12 +96,6 @@ def cj(c):
     out[..., 2] = c.real
     out[..., 3] = c.imag
     return out
-
-
-def cj_to_complex(a):
-    """Inverse of :func:`cj` (drops 1, i components)."""
-    a = np.asarray(a)
-    return a[..., 2] + 1j * a[..., 3]
 
 
 def imag3(a):
@@ -191,26 +170,8 @@ def qm2_mul(a, b):
 
 def qm2_matvec(m, v):
     """Apply (..., 2, 2, 4) matrices to (..., 2, 4) column vectors."""
-    m = np.asarray(m)
-    v = np.asarray(v)
-    out = np.empty(np.broadcast_shapes(m.shape[:-3] + (2, 4), v.shape))
-    for r in range(2):
-        out[..., r, :] = qmul(m[..., r, 0, :], v[..., 0, :]) + qmul(
-            m[..., r, 1, :], v[..., 1, :]
-        )
-    return out
-
-
-def qm2_vecmat(v, m):
-    """Apply matrices to (..., 2, 4) row vectors from the right."""
-    m = np.asarray(m)
-    v = np.asarray(v)
-    out = np.empty(np.broadcast_shapes(m.shape[:-3] + (2, 4), v.shape))
-    for c in range(2):
-        out[..., c, :] = qmul(v[..., 0, :], m[..., 0, c, :]) + qmul(
-            v[..., 1, :], m[..., 1, c, :]
-        )
-    return out
+    p = qmul(m, np.asarray(v)[..., None, :, :])  # p[r, c] = m[r, c] v[c]
+    return p[..., 0, :] + p[..., 1, :]
 
 
 def qm2_inv(m):
@@ -507,13 +468,6 @@ class HermitianForm:
     def components(self):
         """The six real coordinates (s11, s22, s12.w, s12.x, s12.y, s12.z)."""
         return np.concatenate(([self.s11, self.s22], self.s12.as_array()))
-
-    @classmethod
-    def from_components(cls, c):
-        return cls(c[0], c[1], Quaternion.from_array(c[2:]))
-
-    def scaled(self, t):
-        return HermitianForm(self.s11 * t, self.s22 * t, self.s12 * t)
 
 
 def herm_apply(s: HermitianForm, u, v) -> Quaternion:

@@ -17,8 +17,6 @@ from .errors import DegenerateTangent
 from .grid import (
     GridSpec,
     QField,
-    QForm1,
-    d_field,
     diff_axis4,
     dilate_invalid,
 )
@@ -178,6 +176,3 @@ def isothermic_certificate(surface: PolarizedSurface, tau=None, margin=4):
 
 TAU_ISOTHERMIC = 1e-4
 
-
-def surface_d(surface: PolarizedSurface) -> QForm1:
-    return d_field(surface.f)

@@ -29,13 +29,11 @@ from .grid import (
     GridSpec,
     QField,
     QForm1,
-    d_field,
     d_field_hi,
     integrate_form,
     integrate_frame,
     integrate_left_vector,
     integrate_riccati,
-    wedge,
 )
 from .quaternion import (
     Quaternion,
@@ -598,9 +596,3 @@ def permutability_suite(
 
     return PermutabilityReport(p1, float(point_res), float(trans_res), p3, tau)
 
-
-def wedge_residual(surface: PolarizedSurface, other: PolarizedSurface) -> float:
-    """Max norm of wedge(df, d other) over the common interior."""
-    w = wedge(d_field(surface.f), d_field(other.f))
-    sel = w.grid.valid() & surface.grid.interior()
-    return float(qnorm(w.values)[sel].max())

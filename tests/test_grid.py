@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from isothermic.grid import (
     field_from_dict,
     field_to_dict,
     grid_tolerance,
+    integrate_left_vector,
+    integrate_riccati,
+    integrate_right_rowvec,
 )
 from isothermic.quaternion import cj, qm2_identity
 
@@ -241,9 +245,50 @@ def test_integrate_frame_blowup(grid33):
     phix = np.zeros((grid33.ny, grid33.nx, 2, 2, 4))
     phix[..., 0, 0, 0] = 40.0  # d F11 = 40 F11 dx: overflows the budget
     phiy = np.zeros_like(phix)
-    with pytest.raises(StepBlowup):
+    with pytest.raises(StepBlowup) as info:
         integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node(),
                         blowup=1e6)
+    # e^(40 x) passes 1e6 between x = 0.3125 and 0.375 (ix = 22); row 0 first
+    assert info.value.node == (0, 22)
+
+
+def _nan_marches(grid, phi_x, phi_y):
+    p0 = grid.center_node()
+    v0 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    a_x, a_y = phi_x[..., 0, 0, :], phi_y[..., 0, 0, :]
+    b = np.full_like(a_x, 0.1)
+    return {
+        "frame": lambda: integrate_frame(phi_x, phi_y, grid, qm2_identity(), p0),
+        "left_vector": lambda: integrate_left_vector(phi_x, phi_y, grid, v0, p0),
+        "right_rowvec": lambda: integrate_right_rowvec(phi_x, phi_y, grid, v0, p0),
+        "riccati": lambda: integrate_riccati(a_x, a_y, b, b, grid, v0[0], p0),
+    }
+
+
+@pytest.mark.parametrize("march", ["frame", "left_vector", "right_rowvec", "riccati"])
+@pytest.mark.parametrize("bad, node", [
+    (("x", 5, 25), (5, 24)),  # a row: the cubic midpoint reads one node ahead
+    (("y", 25, 16), (24, 16)),  # the spine column ix0 = 16
+], ids=["row", "spine"])
+def test_march_stops_at_first_non_finite_node(grid33, march, bad, node):
+    phi = {"x": np.zeros((33, 33, 2, 2, 4)), "y": np.zeros((33, 33, 2, 2, 4))}
+    axis, iy, ix = bad
+    phi[axis][iy, ix, 0, 0, 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepBlowup) as info:
+            _nan_marches(grid33, phi["x"], phi["y"])[march]()
+    assert info.value.node == node
+
+
+def test_row_spine_names_node_in_grid_orientation(grid33):
+    phi_x = np.zeros((33, 33, 2, 2, 4))
+    phi_y = np.zeros_like(phi_x)
+    phi_y[25, 5, 0, 0, 1] = np.nan  # a column of the row-spine scheme
+    with pytest.raises(StepBlowup) as info:
+        integrate_frame(phi_x, phi_y, grid33, qm2_identity(), grid33.center_node(),
+                        spine="row")
+    assert info.value.node == (24, 5)
 
 
 def test_maurer_cartan_gate(grid65):

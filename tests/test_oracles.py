@@ -1,9 +1,10 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
 
-from isothermic import PoleProximity, QMatrix2, Quaternion
+from isothermic import ClosedFormOverflow, GridSpec, PoleProximity, QMatrix2, Quaternion
 from isothermic import oracles as oc
 from isothermic.quaternion import (
     QI,
@@ -175,6 +176,20 @@ def test_pole_margin_guard():
     assert info.value.node is None  # a scalar argument has no grid node
     with pytest.raises(PoleProximity):
         oc.t_frame(0.05 + 1j * (cmath.pi / 2 - 0.05), 1.0)
+
+
+@pytest.mark.parametrize("name", (
+    "family_g", "family_w", "family_dg", "family_log_metric", "family_spin"))
+@pytest.mark.parametrize("lam, node", [(2e5, (0, 7)), (-2e5, (7, 0))])
+def test_family_overflow_guard(name, lam, node):
+    # on [0, 2]^2 at n = 17 (h = 1/8), |Re sqrt(lam) z| = 447 |x| (or 447 |y|
+    # for lam < 0) first exceeds 350 at x = 0.875: column (row) 7
+    zs = GridSpec(0.0, 0.0, 0.125, 17, 17).zgrid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ClosedFormOverflow) as info:
+            getattr(oc, name)(zs, lam)
+    assert info.value.node == node
 
 
 def test_spin_rotates_standard_frame():

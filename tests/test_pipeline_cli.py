@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -312,3 +313,51 @@ def test_cli_sweep_failing_member_returns_one(tmp_path, capsys, monkeypatch):
                      "--lambdas", "0.25,0.5", "--out", str(tmp_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _surface_file(tmp_path, edit):
+    """A valid 17x17 surface file changed by edit(doc); returns the verify config path."""
+    g = GridSpec.square(1.0, 17)
+    doc = {"grid": {"x0": g.x0, "y0": g.y0, "h": g.h, "nx": 17, "ny": 17},
+           "values": oc.f_plane(g.zgrid()).reshape(-1, 4).tolist(),
+           "polarization": "dz2", "lambda": 1.0, "provenance": []}
+    edit(doc)
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(doc))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_n": 17, "generator": {"kind": "file", "path": str(surface)}}))
+    return str(cfg)
+
+
+def test_cli_reads_surface_file(tmp_path, capsys):
+    cfg = _surface_file(tmp_path, lambda doc: None)
+    assert cli_main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["values"].pop(), "(288, 4)"),
+    (lambda doc: doc["values"].append([0.0] * 4), "(290, 4)"),
+    (lambda doc: doc.update(mask=[1] * 289), "'mask'"),
+    (lambda doc: doc.update(colour="red"), "'colour'"),
+    (lambda doc: doc["values"][7].__setitem__(2, float("nan")), "finite"),
+], ids=["truncated", "over_long", "top_level_mask", "unknown_key", "non_finite"])
+def test_cli_rejects_malformed_surface_file(tmp_path, capsys, edit, message):
+    code = cli_main(["verify", "--config", _surface_file(tmp_path, edit),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_family_overflow_names_node(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"grid_n": 17, "generator": {
+        "kind": "bryant", "data": "family", "lambda": 1e6}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["generate", "--config", str(p), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "overflow" in err and "(at node (0, 0))" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
