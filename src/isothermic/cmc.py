@@ -112,7 +112,7 @@ class WeierstrassData:
 
     def cr_residual(self):
         """Max discrete dbar defect of g and w, relative to field scale."""
-        out = 0.0
+        out = []
         sel = dilate_invalid(self.grid.valid(), rings=2)
         for arr in (self.g, self.w):
             dx = diff_axis4(arr.real, self.grid.h, 1) + 1j * diff_axis4(
@@ -128,13 +128,13 @@ class WeierstrassData:
                 float(np.abs(dy[sel]).max()),
                 float(np.abs(arr[sel]).max()),
             )
-            out = max(out, float(np.abs(dbar[sel]).max() / scale))
-        return out
+            out.append(np.abs(dbar[sel]).max() / scale)
+        return float(np.max(out))  # a NaN in either field propagates
 
     def check_holomorphic(self, tau=None, tolerance_scale=1.0):
         tau = tau if tau is not None else grid_tolerance(self.grid, scale=tolerance_scale)
         res = self.cr_residual()
-        if res > tau:
+        if not res <= tau:
             raise NotClosed(f"Cauchy-Riemann residual {res:.3e} exceeds {tau:.3e}")
 
 

@@ -326,6 +326,11 @@ def curl(omega: QForm1):
     return diff_x(omega.py, omega.grid.h) - diff_y(omega.px, omega.grid.h)
 
 
+def _closedness_point(omega: QForm1):
+    """Pointwise h |curl omega| and the nodes whose plaquettes are gated."""
+    return omega.grid.h * qnorm(curl(omega)), dilate_invalid(omega.grid.valid())
+
+
 def closedness_residual(omega: QForm1) -> float:
     """Max plaquette loop integral of omega, normalized by h * max |omega|.
 
@@ -334,14 +339,27 @@ def closedness_residual(omega: QForm1) -> float:
     identically.
     """
     grid = omega.grid
-    valid = dilate_invalid(grid.valid())
-    c = qnorm(curl(omega))
+    point, valid = _closedness_point(omega)
     scale = max(qnorm(omega.px)[grid.valid()].max(), qnorm(omega.py)[grid.valid()].max())
     if scale < 1e-300:
         return 0.0
     if not valid.any():
         raise MaskedNeighbor("no interior plaquettes")
-    return float(grid.h * c[valid].max() / scale)
+    return float(point[valid].max() / scale)
+
+
+def _gate(res, tau, what, error, pointwise):
+    """Raise error unless res <= tau; a non-finite residual fails too, naming
+    the first node (row-major) of pointwise() = (point, valid) whose point
+    is not finite."""
+    if res <= tau:
+        return
+    node = None
+    if not np.isfinite(res):
+        point, valid = pointwise()
+        bad = np.argwhere(valid & ~np.isfinite(point))
+        node = tuple(int(i) for i in bad[0]) if len(bad) else None
+    raise error(f"{what} residual {res:.3e} exceeds {tau:.3e}", node=node)
 
 
 def _spine_rows_order(grid, p0):
@@ -408,9 +426,8 @@ def integrate_form(
     iy0, ix0 = _spine_rows_order(grid, p0)
     if tau is None:
         tau = grid_tolerance(grid, TAU_CLOSED, tolerance_scale)
-    res = closedness_residual(omega)
-    if res > tau:
-        raise NotClosed(f"closedness residual {res:.3e} exceeds {tau:.3e}")
+    _gate(closedness_residual(omega), tau, "closedness", NotClosed,
+          partial(_closedness_point, omega))
 
     px = omega.px
     py = omega.py
@@ -533,9 +550,8 @@ def _linear_march(phi_x, phi_y, grid, p0, rows0, store, left, tau, tolerance_sca
     """
     if tau is None:
         tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
-    res = maurer_cartan_residual(phi_x, phi_y, grid)
-    if res > tau:
-        raise NotIntegrable(f"Maurer-Cartan residual {res:.3e} exceeds {tau:.3e}")
+    _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
+          NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
     return _march(grid, p0, phi_x, phi_y, rows0,
                   lambda rows, *coef: rows @ _step_propagators(*coef, left), store, blowup)
 
@@ -556,12 +572,16 @@ def _vector_from_rows(rows, column):
     return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
 
 
-def maurer_cartan_residual(phi_x, phi_y, grid) -> float:
-    """Normalized residual of d(Phi) + Phi^Phi over interior plaquettes."""
+def _maurer_cartan_point(phi_x, phi_y, grid):
+    """Pointwise |d(Phi) + Phi^Phi| and the nodes whose plaquettes are gated."""
     d = diff_x(phi_y, grid.h) - diff_y(phi_x, grid.h)
     comm = qm2_mul(phi_x, phi_y) - qm2_mul(phi_y, phi_x)
-    point = qm2_norm(d + comm)
-    valid = dilate_invalid(grid.valid())
+    return qm2_norm(d + comm), dilate_invalid(grid.valid())
+
+
+def maurer_cartan_residual(phi_x, phi_y, grid) -> float:
+    """Normalized residual of d(Phi) + Phi^Phi over interior plaquettes."""
+    point, valid = _maurer_cartan_point(phi_x, phi_y, grid)
     scale = 1.0 + max(
         qm2_norm(phi_x)[grid.valid()].max(), qm2_norm(phi_y)[grid.valid()].max()
     )

@@ -53,6 +53,20 @@ def finite_float(value, where):
     return number
 
 
+def _integer(value, where):
+    """value as an int; anything int() cannot convert is invalid input."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid(f"{where} must be an integer, got {value!r}") from None
+
+
+def _mapping(value, where):
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _require_keys(d, allowed, required=(), where="config"):
     unknown = set(d) - set(allowed)
     if unknown:
@@ -77,7 +91,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw):
         _require_keys(
-            raw,
+            _mapping(raw, "config"),
             allowed={
                 "domain", "grid_n", "grid_nx", "grid_ny", "generator",
                 "transforms", "verify", "export", "seed", "tolerance_scale",
@@ -85,11 +99,14 @@ class PipelineConfig:
             required={"generator"},
         )
         domain = dict(DEFAULT_DOMAIN)
-        domain.update(raw.get("domain", {}))
+        domain.update(_mapping(raw.get("domain", {}), "domain"))
         _require_keys(domain, {"x0", "y0", "width", "height"}, where="domain")
-        n = raw.get("grid_n", DEFAULT_GRID_N)
-        nx = int(raw.get("grid_nx", n))
-        ny = int(raw.get("grid_ny", n))
+        domain = {key: finite_float(value, f"domain {key}") for key, value in domain.items()}
+        if not (domain["width"] > 0 and domain["height"] > 0):
+            raise ConfigInvalid("domain width and height must be positive")
+        n = _integer(raw.get("grid_n", DEFAULT_GRID_N), "grid_n")
+        nx = _integer(raw.get("grid_nx", n), "grid_nx")
+        ny = _integer(raw.get("grid_ny", n), "grid_ny")
         if nx < 4 or ny < 4:
             raise ConfigInvalid("grid needs at least 4 samples per side")
         hx = domain["width"] / (nx - 1)
@@ -99,26 +116,29 @@ class PipelineConfig:
                 f"anisotropic spacing hx={hx!r} != hy={hy!r}: conformal "
                 "curvature-line sampling needs a square grid"
             )
-        generator = dict(raw["generator"])
+        generator = dict(_mapping(raw["generator"], "generator"))
         kinds = {"example", "weierstrass", "bryant", "darboux-weierstrass", "file"}
         if generator.get("kind") not in kinds:
             raise ConfigInvalid(
                 f"unknown generator kind {generator.get('kind')!r} "
                 f"(expected one of {sorted(kinds)})"
             )
-        transforms = [dict(t) for t in raw.get("transforms", [])]
-        verify = dict(raw.get("verify", {}))
+        transforms = raw.get("transforms", [])
+        if not isinstance(transforms, list):
+            raise ConfigInvalid(f"transforms must be a list, got {transforms!r}")
+        transforms = [dict(_mapping(t, "transform step")) for t in transforms]
+        verify = dict(_mapping(raw.get("verify", {}), "verify"))
         _require_keys(
             verify,
             {"isothermic", "spherical_type", "liouville", "mean_curvature",
              "permutability"},
             where="verify",
         )
-        export = dict(raw.get("export", {}))
+        export = dict(_mapping(raw.get("export", {}), "export"))
         _require_keys(export, {"obj", "surface", "report"}, where="export")
-        seed = int(raw.get("seed", 0))
-        scale = float(raw.get("tolerance_scale", 1.0))
-        if not np.isfinite(scale) or scale <= 0:
+        seed = _integer(raw.get("seed", 0), "seed")
+        scale = finite_float(raw.get("tolerance_scale", 1.0), "tolerance_scale")
+        if scale <= 0:
             raise ConfigInvalid("tolerance_scale must be positive")
         return cls(domain, nx, ny, generator, transforms, verify, export, seed, scale)
 

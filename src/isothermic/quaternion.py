@@ -15,6 +15,8 @@ order (w, x, y, z); all array helpers broadcast over leading axes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -26,22 +28,36 @@ from .errors import (
 
 EPS_INV = 1e-12
 
+#: nodes per block of the whole-grid qm2_mul
+_QM2_BLOCK = 4096
+
 
 # ---------------------------------------------------------------------------
 # vectorized component-level helpers
 # ---------------------------------------------------------------------------
 
+def _hamilton(a, b, out):
+    """Hamilton product of quaternions held as sequences of 4 component arrays.
+
+    Writes the components of a * b to out[0..3]; the one place the product's
+    component formula is written down.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    out[0] = aw * bw - ax * bx - ay * by - az * bz
+    out[1] = aw * bx + ax * bw + ay * bz - az * by
+    out[2] = aw * by - ax * bz + ay * bw + az * bx
+    out[3] = aw * bz + ax * by - ay * bx + az * bw
+
+
 def qmul(a, b):
     """Hamilton product of component arrays, broadcasting over leading axes."""
     a = np.asarray(a)
     b = np.asarray(b)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    _hamilton((a[..., 0], a[..., 1], a[..., 2], a[..., 3]),
+              (b[..., 0], b[..., 1], b[..., 2], b[..., 3]),
+              out.transpose(-1, *range(out.ndim - 1)))  # row k is out[..., k]
     return out
 
 
@@ -155,16 +171,68 @@ def qm2_from_complex_rep(c):
     return out
 
 
+def _qm2_planes(x, lead, n, size):
+    """Reader of x broadcast to lead + (2, 2, 4) as component planes.
+
+    planes(start, stop) returns the nodes start..stop-1 as (2, 2, 4, m)
+    planes, plane [r, c, k] holding component k of entry (r, c).  A single
+    matrix is its (2, 2, 4, 1) planes for every block; any other operand is
+    copied one block at a time into a contiguous buffer of `size` nodes, so
+    no whole-grid copy is made.
+    """
+    if x.size == 16:
+        single = x.reshape(2, 2, 4, 1)
+        return lambda start, stop: single
+    if x.shape[:-3] == lead and x.flags.c_contiguous:
+        rows = x.reshape(n, 16)
+
+        def block(start, stop):
+            return rows[start:stop]
+    else:  # broadcast or strided leading axes: gather the block's nodes
+        full = np.broadcast_to(x, lead + (2, 2, 4))
+
+        def block(start, stop):
+            return full[np.unravel_index(np.arange(start, stop), lead)].reshape(-1, 16)
+    buf = np.empty((16, size), x.dtype)
+
+    def planes(start, stop):
+        out = buf[:, :stop - start]
+        out[...] = block(start, stop).T
+        return out.reshape(2, 2, 4, -1)
+
+    return planes
+
+
 def qm2_mul(a, b):
-    """Product of (..., 2, 2, 4) quaternionic matrices."""
+    """Product of (..., 2, 2, 4) quaternionic matrices.
+
+    Entry (r, c) is qmul(a[r, 0], b[0, c]) + qmul(a[r, 1], b[1, c]), bit for
+    bit, computed in blocks of _QM2_BLOCK nodes on contiguous component
+    planes so that every Hamilton product reads unit-stride arrays.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for r in range(2):
-        for c in range(2):
-            out[..., r, c, :] = qmul(a[..., r, 0, :], b[..., 0, c, :]) + qmul(
-                a[..., r, 1, :], b[..., 1, c, :]
-            )
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    lead = shape[:-3]
+    n = math.prod(lead)
+    size = min(n, _QM2_BLOCK)
+    read_a, read_b = (_qm2_planes(x, lead, n, size) for x in (a, b))
+    dtype = np.result_type(a, b)
+    second = np.empty((4, size), dtype)
+    entries = np.empty((16, size), dtype)
+    out = np.empty(shape)
+    rows = out.reshape(n, 16)
+    for start in range(0, n, _QM2_BLOCK):
+        stop = min(start + _QM2_BLOCK, n)
+        m = stop - start
+        pa, pb = read_a(start, stop), read_b(start, stop)
+        ent, sec = entries[:, :m].reshape(2, 2, 4, m), second[:, :m]
+        for r in range(2):
+            for c in range(2):
+                _hamilton(pa[r, 0], pb[0, c], ent[r, c])
+                _hamilton(pa[r, 1], pb[1, c], sec)
+                ent[r, c] += sec
+        rows[start:stop] = entries[:, :m].T
     return out
 
 

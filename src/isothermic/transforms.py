@@ -82,7 +82,7 @@ def christoffel(
     transform flips the stored conjugation flag.
     """
     _, res = isothermic_certificate(surface)
-    if res > tau_iso:
+    if not res <= tau_iso:
         raise NotClosed(f"isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}")
     p0 = p0 or surface.grid.center_node()
     omega = christoffel_form(surface)
@@ -168,7 +168,7 @@ def canonical_connection(
     df = d_field_hi(surface.f)
     if cform is None:
         _, res = isothermic_certificate(surface)
-        if res > tau_iso:
+        if not res <= tau_iso:
             raise NotClosed(
                 f"isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}"
             )

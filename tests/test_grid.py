@@ -182,6 +182,16 @@ def test_integrate_form_rejects_non_closed(grid65):
         integrate_form(QForm1(grid65, px, py), grid65.center_node(), np.zeros(4))
 
 
+def test_integrate_form_rejects_non_finite_form():
+    g = GridSpec.square(1.0, 17)
+    px, py = _zero_form(g)
+    px[8, 9, 1] = np.nan  # without the gate, nodes (8, 9..16) came out NaN
+    with pytest.raises(NotClosed) as info:
+        integrate_form(QForm1(g, px, py), g.center_node(), np.zeros(4))
+    # the first node whose pointwise curl is not finite: the NaN's y-neighbour
+    assert info.value.node == (7, 9)
+
+
 def test_integrate_form_masked_region(grid33):
     mask = np.ones((grid33.ny, grid33.nx), dtype=bool)
     mask[10:12, :] = False
@@ -266,17 +276,24 @@ def _nan_marches(grid, phi_x, phi_y):
 
 
 @pytest.mark.parametrize("march", ["frame", "left_vector", "right_rowvec", "riccati"])
-@pytest.mark.parametrize("bad, node", [
-    (("x", 5, 25), (5, 24)),  # a row: the cubic midpoint reads one node ahead
-    (("y", 25, 16), (24, 16)),  # the spine column ix0 = 16
+@pytest.mark.parametrize("bad, gate_node, march_node", [
+    # a row: the cubic midpoint reads one node ahead
+    (("x", 5, 25), (4, 25), (5, 24)),
+    # the spine column ix0 = 16
+    (("y", 25, 16), (25, 15), (24, 16)),
 ], ids=["row", "spine"])
-def test_march_stops_at_first_non_finite_node(grid33, march, bad, node):
+def test_march_stops_at_first_non_finite_node(grid33, march, bad, gate_node, march_node):
+    """The linear marches stop at the Maurer-Cartan gate, which names the
+    first row-major node whose pointwise residual is not finite (a neighbour
+    of the NaN through the difference stencil); the ungated Riccati march
+    stops at the first non-finite node it reaches."""
     phi = {"x": np.zeros((33, 33, 2, 2, 4)), "y": np.zeros((33, 33, 2, 2, 4))}
     axis, iy, ix = bad
     phi[axis][iy, ix, 0, 0, 1] = np.nan
+    error, node = (StepBlowup, march_node) if march == "riccati" else (NotIntegrable, gate_node)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StepBlowup) as info:
+        with pytest.raises(error) as info:
             _nan_marches(grid33, phi["x"], phi["y"])[march]()
     assert info.value.node == node
 
@@ -284,11 +301,12 @@ def test_march_stops_at_first_non_finite_node(grid33, march, bad, node):
 def test_row_spine_names_node_in_grid_orientation(grid33):
     phi_x = np.zeros((33, 33, 2, 2, 4))
     phi_y = np.zeros_like(phi_x)
-    phi_y[25, 5, 0, 0, 1] = np.nan  # a column of the row-spine scheme
+    phi_y[..., 0, 0, 0] = 40.0  # d F11 = 40 F11 dy along the columns of the scheme
     with pytest.raises(StepBlowup) as info:
         integrate_frame(phi_x, phi_y, grid33, qm2_identity(), grid33.center_node(),
-                        spine="row")
-    assert info.value.node == (24, 5)
+                        spine="row", blowup=1e6)
+    # e^(40 y) passes 1e6 at iy = 22, as in test_integrate_frame_blowup; column 0 first
+    assert info.value.node == (22, 0)
 
 
 def test_maurer_cartan_gate(grid65):

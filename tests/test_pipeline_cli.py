@@ -278,6 +278,27 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"grid_n": "abc"}, "grid_n must be an integer"),
+    ({"domain": "x"}, "domain must be a mapping"),
+    ({"seed": "s"}, "seed must be an integer"),
+    ({"generator": [1]}, "generator must be a mapping"),
+    ({"domain": {"x0": "a"}}, "domain x0 must be a number"),
+    ({"domain": {"x0": float("inf")}}, "domain x0 must be finite"),
+    ({"domain": {"width": -2.0, "height": -2.0}}, "must be positive"),
+], ids=["grid_n", "domain_not_mapping", "seed", "generator_not_mapping",
+        "domain_value", "domain_non_finite", "negative_size"])
+def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, **edit)))
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and message in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_json_writers_refuse_non_finite(tmp_path):
     from isothermic.grid import save_field
     from isothermic.pipeline import _write_json

@@ -19,7 +19,9 @@ from isothermic import (
     quat_mul,
     study_det,
 )
-from isothermic.quaternion import ONE, QI, QJ, QK, study_det_array
+from isothermic.quaternion import ONE, QI, QJ, QK, qm2_mul, study_det_array
+
+import reference_march as ref
 
 RNG = np.random.default_rng(20260809)
 
@@ -92,6 +94,39 @@ def _reorder_oracle(m):
     """Block layout used by the package groups rows/cols by half; permute."""
     perm = [0, 2, 1, 3]
     return m[np.ix_(perm, perm)]
+
+
+def _qm2_equal(a, b):
+    got = qm2_mul(a, b)
+    want = ref.qm2_mul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lead", [(), (0,), (4095,), (4096,), (4097,), (129, 129),
+                                  (257, 257)])
+def test_qm2_mul_blocks_bit_identical(lead):
+    """The blocked kernel equals the entrywise reference bit for bit on
+    shapes inside, at and across the block edge, with a single-matrix
+    operand on either side."""
+    rng = np.random.default_rng(len(lead) + sum(lead))
+    a, b = rng.normal(size=(2,) + lead + (2, 2, 4))
+    _qm2_equal(a, b)
+    single = rng.normal(size=(2, 2, 4))
+    _qm2_equal(single, b)
+    _qm2_equal(a, single)
+
+
+def test_qm2_mul_broadcast_and_strided_bit_identical():
+    rng = np.random.default_rng(7)
+    _qm2_equal(rng.normal(size=(3, 1, 2, 2, 4)), rng.normal(size=(1, 5, 2, 2, 4)))
+    x, y = rng.normal(size=(2, 65, 65, 2, 2, 4))
+    _qm2_equal(np.swapaxes(x, 0, 1), y)
+    _qm2_equal(y, np.swapaxes(x, 0, 1))
+    _qm2_equal(x[::2], y[::2])
+    ints = rng.integers(-9, 10, size=(2, 4097, 2, 2, 4))
+    _qm2_equal(ints[0], ints[1])
+    _qm2_equal(ints[0], y.reshape(-1, 2, 2, 4)[:4097])
 
 
 def test_study_det_examples():
