@@ -60,7 +60,7 @@ def _config_from_args(args):
     else:
         raw = json.loads(json.dumps(DEFAULT_CONFIG))
         cfg = PipelineConfig.from_dict(raw)
-    if args.grid_n:
+    if args.grid_n is not None:
         cfg.grid_nx = cfg.grid_ny = int(args.grid_n)
         if cfg.grid_nx < 4:
             raise ConfigInvalid("grid too small")

@@ -26,8 +26,10 @@ from .errors import (
     StepBlowup,
 )
 from .quaternion import (
-    qm2_complex_rep,
-    qm2_from_complex_rep,
+    _cayley_dickson,
+    _pair_matmul,
+    _pair_planes,
+    _pair_view,
     qm2_mul,
     qm2_norm,
     qmul,
@@ -474,102 +476,143 @@ def midpoint_samples(coef, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _march(grid, p0, coef_x, coef_y, state0, step, store, blowup):
+#: nodes per block of grid columns whose RK4 steps a march prepares at once
+_MARCH_BLOCK = 4096
+
+
+def _lines(first, count, d):
+    """Slice of the count grid lines first, first + d, ... (d = 1 or -1)."""
+    stop = first + d * count
+    return slice(first, stop if stop >= 0 else None, d)
+
+
+def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
     """March a per-node state along the spine column, then along rows.
 
-    step(state, pa, pm, pb, s) advances a batch of states over a grid step s
-    from the coefficients at its start, midpoint and end; store maps states
-    to the real layout of the returned (ny, nx, ...) field.  StepBlowup names
-    the first node reached whose state is not finite or exceeds blowup.
+    A state is the pair array (2, ..., b) of a batch of b nodes whose real
+    (b, ..., 4) components the returned (ny, nx, ..., 4) field holds.
+    steps(pa, pm, pb, s) prepares k grid steps of signed lengths s (k,) from
+    the coefficients at their starts, midpoints and ends, (k, b, ...) for
+    batches of b nodes, and returns advance(i, state), which takes a batch
+    of states over step i.  The whole spine line is prepared in one call and
+    the rows in blocks of grid columns of about _MARCH_BLOCK nodes; the
+    states advance one grid line at a time.  StepBlowup names the first node
+    reached whose state is not finite or exceeds blowup.
     """
     iy0, ix0 = _spine_rows_order(grid, p0)
     h = grid.h
-    out = np.empty((grid.ny, grid.nx) + store(state0).shape)
-    out[iy0, ix0] = store(state0)
+    out = np.empty((grid.ny, grid.nx) + state0.shape[1:] + (4,))
+    state0 = state0[..., None]
+    _pair_view(out[iy0:iy0 + 1, ix0])[...] = state0
 
-    def advance(state, pa, pm, pb, s, iy, ix):
-        state = step(state, pa, pm, pb, s)
-        vals = out[iy:iy + len(state), ix]
-        vals[...] = store(state)
+    def reached(state, iy, ix):
+        vals = out[iy:iy + state.shape[-1], ix]
+        _pair_view(vals)[...] = state
         norm = np.abs(vals).reshape(len(vals), -1).max(axis=1)
         bad = ~(norm <= blowup)
         if bad.any():
             k = int(bad.argmax())
             raise StepBlowup(f"state norm {norm[k]:.3e} exceeds {blowup:.1e}",
                              node=(iy + k, ix))
-        return state
 
-    # spine: vary iy at fixed ix0, in batches of one node
+    # spine: vary iy at fixed ix0, in batches of one node; (target, start,
+    # midpoint, step) up from iy0, then down from it
     cy = coef_y[:, ix0, None]
     my = midpoint_samples(cy, axis=0)
-    spine = np.empty((grid.ny, 1) + state0.shape, dtype=state0.dtype)
-    spine[iy0] = state0
-    for iy in range(iy0 + 1, grid.ny):
-        spine[iy] = advance(spine[iy - 1], cy[iy - 1], my[iy - 1], cy[iy], h, iy, ix0)
-    for iy in range(iy0 - 1, -1, -1):
-        spine[iy] = advance(spine[iy + 1], cy[iy + 1], my[iy], cy[iy], -h, iy, ix0)
+    rise = [(iy, iy - 1, iy - 1, h) for iy in range(iy0 + 1, grid.ny)]
+    fall = [(iy, iy + 1, iy, -h) for iy in range(iy0 - 1, -1, -1)]
+    target, start, mid, s = (list(v) for v in zip(*rise, *fall))
+    advance = steps(cy[start], my[mid], cy[target], np.array(s))
+    spine = np.empty(state0.shape[:-1] + (grid.ny,), state0.dtype)
+    spine[..., iy0] = state0[..., 0]
+    state = state0
+    for i, iy in enumerate(target):
+        state = advance(i, state0 if i == len(rise) else state)
+        reached(state, iy, ix0)
+        spine[..., iy] = state[..., 0]
 
-    # rows: vary ix, batched over iy
+    # rows: vary ix, batched over iy, right of ix0 then left of it
     mx = midpoint_samples(coef_x, axis=1)
-    state = spine[:, 0]
-    for ix in range(ix0 + 1, grid.nx):
-        state = advance(state, coef_x[:, ix - 1], mx[:, ix - 1], coef_x[:, ix], h, 0, ix)
-    state = spine[:, 0]
-    for ix in range(ix0 - 1, -1, -1):
-        state = advance(state, coef_x[:, ix + 1], mx[:, ix], coef_x[:, ix], -h, 0, ix)
+    width = max(1, _MARCH_BLOCK // grid.ny)
+    for d, end in ((1, grid.nx), (-1, -1)):
+        state = spine
+        for ix1 in range(ix0 + d, end, d * width):
+            k = min(width, abs(end - ix1))
+            advance = steps(*(np.swapaxes(c[:, _lines(f, k, d)], 0, 1) for c, f in (
+                (coef_x, ix1 - d), (mx, min(ix1, ix1 - d)), (coef_x, ix1))), np.full(k, d * h))
+            for i in range(k):
+                state = advance(i, state)
+                reached(state, 0, ix1 + d * i)
     return out
 
 
-def _step_propagators(pa, pm, pb, s, left):
-    """RK4 step matrices M of a linear system in the complex representation.
+def _eye_plus(c, x):
+    """I + c X for 2x2 quaternionic matrices X held as a pair array."""
+    out = c * x
+    out[0, 0, 0] += 1.0
+    out[0, 1, 1] += 1.0
+    return out
 
-    pa, pm, pb: (..., 2, 2, 4) coefficients P at the start, midpoint and end
-    of a step s.  One RK4 step of dx = x P takes the rows x of a state's
-    representation to x @ M; with left=True, of dx = -P x on columns x, and
-    M is transposed so that the same row product applies.
+
+def _step_pairs(p, left):
+    """Real (..., 2, 2, 4) coefficients P as the pair array of rep(P), or
+    with left=True of -rep(P)^T, the pair (-A^T, conj(B)^T)."""
+    if not left:
+        return _pair_planes(p, 2)
+    x = _pair_planes(np.swapaxes(p, -3, -2), 2)
+    np.negative(x[0], out=x[0])
+    np.conjugate(x[1], out=x[1])
+    return x
+
+
+def _linear_steps(product, left):
+    """steps of _march for dx = x P on the rows x of a state's representation,
+    or with left=True for dv = -P v on its columns, taken as rows.
+
+    Builds the RK4 step matrices M = I + s/6 (Pa + 2 K2 + 2 K3 + K4),
+    K2 = (I + s/2 Pa) Pm, K3 = (I + s/2 K2) Pm, K4 = (I + s K3) Pb for all
+    k steps at once, as contiguous pair arrays (2, 2, 2, k, b); a step is
+    product(state, M).  With left=True the steps use -rep(P)^T in place of
+    rep(P), so that the same row product applies.
     """
-    reps = qm2_complex_rep(np.stack((pa, pm, pb)))
-    if left:
-        reps = -np.swapaxes(reps, -1, -2)
-    a, m, b = reps
-    eye = np.eye(4)
-    k2 = (eye + (0.5 * s) * a) @ m
-    k3 = (eye + (0.5 * s) * k2) @ m
-    k4 = (eye + s * k3) @ b
-    return eye + (s / 6.0) * (a + 2.0 * (k2 + k3) + k4)
+    def steps(pa, pm, pb, s):
+        pa, pm, pb = (_step_pairs(p, left) for p in (pa, pm, pb))
+        s = s[:, None]
+        k2 = _pair_matmul(_eye_plus(0.5 * s, pa), pm)
+        k3 = _pair_matmul(_eye_plus(0.5 * s, k2), pm)
+        k4 = _pair_matmul(_eye_plus(s, k3), pb)
+        m = _eye_plus(s / 6.0, pa + 2.0 * (k2 + k3) + k4)
+        return lambda i, state: product(state, m[..., i, :])
+
+    return steps
 
 
-def _linear_march(phi_x, phi_y, grid, p0, rows0, store, left, tau, tolerance_scale,
+def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, tolerance_scale,
                   blowup):
-    """Maurer-Cartan gate, then _march of a linear system by step matrices,
-    built per grid column (node by node on the spine).
-
-    rows0: the state at p0 as (r, 4) complex rows of its representation, as
-    many bytes as the real layout: the top block [alpha | beta] of a frame,
-    row 0 of a row vector, or column 0 of a column vector (left=True).
-    """
+    """Maurer-Cartan gate, then _march of a linear system by RK4 step matrices
+    (see _linear_steps)."""
     if tau is None:
         tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
     _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
           NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
-    return _march(grid, p0, phi_x, phi_y, rows0,
-                  lambda rows, *coef: rows @ _step_propagators(*coef, left), store, blowup)
+    return _march(grid, p0, phi_x, phi_y, state0,
+                  _linear_steps(product, left), blowup)
 
 
-def _vector_rows(v, column):
-    """(2, 4) vector v_r = a_r + b_r j as row 0 (a1, a2, b1, b2) of its
-    representation, or as column 0 (a1, a2, -conj b1, -conj b2); (1, 4)."""
-    alpha = v[:, 0] + 1j * v[:, 1]
-    beta = v[:, 2] + 1j * v[:, 3]
-    return np.concatenate([alpha, -np.conj(beta) if column else beta])[None]
+def _row_product(w, m):
+    """Row vectors w = (w1, w2), pair arrays (2, 2, b), times matrices m."""
+    return _pair_matmul(w[:, None], m)[:, 0]
 
 
-def _vector_from_rows(rows, column):
-    """Inverse of _vector_rows, batched: (..., 1, 4) complex -> (..., 2, 4)."""
-    alpha, beta = rows[..., 0, :2], rows[..., 0, 2:]
-    if column:
-        beta = -np.conj(beta)
-    return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
+def _column_row(v):
+    """Column vectors v, pair arrays (2, 2, b), as column 0 (a1, a2 | -conj b1,
+    -conj b2) of their representation, taken as a row; its own inverse."""
+    return np.array((v[0], -np.conj(v[1])))
+
+
+def _column_product(v, m):
+    """The row product of _row_product on columns v taken as rows."""
+    return _column_row(_row_product(_column_row(v), m))
 
 
 def _maurer_cartan_point(phi_x, phi_y, grid):
@@ -610,8 +653,8 @@ def integrate_frame(
     """
     if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
-    args = (qm2_complex_rep(f0)[:2], qm2_from_complex_rep, False, tau, tolerance_scale,
-            blowup)
+    args = (_pair_planes(np.asarray(f0, dtype=float), 2), _pair_matmul, False, tau,
+            tolerance_scale, blowup)
     if spine == "column":
         return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, *args))
     swapped = replace(grid, nx=grid.ny, ny=grid.nx, x0=grid.y0, y0=grid.x0,
@@ -635,9 +678,8 @@ def integrate_left_vector(
     blowup=BLOWUP_LIMIT,
 ):
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
-    rows0 = _vector_rows(np.asarray(v0, dtype=float), column=True)
-    return _linear_march(phi_x, phi_y, grid, p0, rows0,
-                         partial(_vector_from_rows, column=True), True, tau,
+    v0 = _pair_planes(np.asarray(v0, dtype=float), 1)
+    return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
                          tolerance_scale, blowup)
 
 
@@ -652,9 +694,8 @@ def integrate_right_rowvec(
     blowup=BLOWUP_LIMIT,
 ):
     """Solve dW = W Phi for a row vector (w1, w2) of quaternions."""
-    rows0 = _vector_rows(np.asarray(w0, dtype=float), column=False)
-    return _linear_march(phi_x, phi_y, grid, p0, rows0,
-                         partial(_vector_from_rows, column=False), False, tau,
+    w0 = _pair_planes(np.asarray(w0, dtype=float), 1)
+    return _linear_march(phi_x, phi_y, grid, p0, w0, _row_product, False, tau,
                          tolerance_scale, blowup)
 
 
@@ -675,11 +716,17 @@ def integrate_riccati(
     coef_x = np.stack([a_x, b_x], axis=2)  # (ny, nx, 2, 4)
     coef_y = np.stack([a_y, b_y], axis=2)
 
-    def mul(state, p):
-        return qmul(qmul(state, p[..., 0, :]), state) - p[..., 1, :]
+    def mul(state, p):  # delta A delta - B; states and p = (A, B) as pair arrays
+        delta_a = _cayley_dickson(*state, *p[:, 0])
+        return np.array(_cayley_dickson(*delta_a, *state)) - p[:, 1]
 
-    return _march(grid, p0, coef_x, coef_y, np.asarray(delta0, dtype=float),
-                  partial(_rk4_step_right, mul=mul), np.asarray, blowup)
+    def steps(pa, pm, pb, s):
+        pa, pm, pb = (_pair_planes(p, 1) for p in (pa, pm, pb))
+        return lambda i, state: _rk4_step_right(state, pa[..., i, :], pm[..., i, :],
+                                                pb[..., i, :], s[i], mul)
+
+    delta0 = _pair_planes(np.asarray(delta0, dtype=float), 0)
+    return _march(grid, p0, coef_x, coef_y, delta0, steps, blowup)
 
 
 def laplacian(u, grid: GridSpec):

@@ -54,11 +54,17 @@ def finite_float(value, where):
 
 
 def _integer(value, where):
-    """value as an int; anything int() cannot convert is invalid input."""
+    """value as an int; a bool, a number with a fractional part and anything
+    int() cannot convert are invalid input (an integral float such as 33.0
+    is accepted)."""
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigInvalid(f"{where} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool) or (
+            isinstance(value, float) and number != value):
+        raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
+    return number
 
 
 def _mapping(value, where):

@@ -171,6 +171,48 @@ def qm2_from_complex_rep(c):
     return out
 
 
+# the same split q = alpha + beta j as complex pair arrays: a pair array holds
+# alpha at [0] and beta at [1], then any matrix axes, then the nodes last, so
+# that each (alpha or beta) entry is one contiguous plane over the nodes
+
+def _cayley_dickson(a1, b1, a2, b2):
+    """Product (a1 + b1 j)(a2 + b2 j) of quaternions held as complex pairs.
+
+    Broadcasts over complex arrays and returns the pair
+    (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)); the one place the pair
+    product is written down.
+    """
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _pair_planes(p, ndim):
+    """Real (..., <ndim matrix axes>, 4) components as a contiguous complex
+    pair array (2, <matrix axes>, ...)."""
+    lead = p.ndim - 1 - ndim
+    comp = p.transpose((p.ndim - 1, *range(lead, p.ndim - 1), *range(lead)))
+    out = np.empty((2,) + comp.shape[1:], complex)
+    out.real[0], out.imag[0], out.real[1], out.imag[1] = comp
+    return out
+
+
+def _pair_view(x):
+    """Real components x (n, ..., 4), contiguous along the last axis, viewed
+    as the pair array (2, ..., n) of their n nodes."""
+    c = x.view(complex)
+    return c.transpose(c.ndim - 1, *range(1, c.ndim - 1), 0)
+
+
+def _pair_matmul(x, y):
+    """Product of quaternionic matrices held as pair arrays (2, r, 2, ...)
+    and (2, 2, c, ...): entrywise Cayley-Dickson products summed over the
+    inner index k, as in the product of the representations
+    [[A, B], [-conj(B), conj(A)]]."""
+    (a0, b0), (a1, b1) = (
+        _cayley_dickson(x[0, :, k, None], x[1, :, k, None], y[0, None, k], y[1, None, k])
+        for k in range(2))
+    return np.array((a0 + a1, b0 + b1))
+
+
 def _qm2_planes(x, lead, n, size):
     """Reader of x broadcast to lead + (2, 2, 4) as component planes.
 

@@ -5,7 +5,9 @@ through step propagators: four quaternionic products per RK4 stage, with
 the Hamilton product written through ``moveaxis`` and ``stack``.  It is kept
 here, unchanged, as the independent reference that ``integrate_frame``,
 ``integrate_left_vector`` and ``integrate_right_rowvec`` are tested against
-(tests/test_march_equivalence.py).  The cubic midpoint samples are shared
+(tests/test_march_equivalence.py), together with the Riccati march on real
+quaternion components that ``integrate_riccati`` ran before its states and
+coefficients became complex pairs.  The cubic midpoint samples are shared
 with the package; the gates and the blow-up check are not part of it.
 """
 
@@ -129,3 +131,14 @@ def left_vector(phi_x, phi_y, grid, v0, p0):
 def right_rowvec(phi_x, phi_y, grid, w0, p0):
     """dW = W Phi for a row vector with W(p0) = w0."""
     return march(grid, p0, phi_x, phi_y, np.asarray(w0, dtype=float), row_mul)
+
+
+def riccati(a_x, a_y, b_x, b_y, grid, delta0, p0):
+    """d(delta) = delta A delta - B with delta(p0) = delta0."""
+    coef_x = np.stack([a_x, b_x], axis=2)  # (ny, nx, 2, 4)
+    coef_y = np.stack([a_y, b_y], axis=2)
+
+    def mul(state, p):
+        return qmul(qmul(state, p[..., 0, :]), state) - p[..., 1, :]
+
+    return march(grid, p0, coef_x, coef_y, np.asarray(delta0, dtype=float), mul)

@@ -30,6 +30,7 @@ from isothermic.grid import (
     integrate_riccati,
     integrate_right_rowvec,
 )
+from isothermic import grid as grid_module
 from isothermic.quaternion import cj, qm2_identity
 
 
@@ -260,6 +261,55 @@ def test_integrate_frame_blowup(grid33):
                         blowup=1e6)
     # e^(40 x) passes 1e6 between x = 0.3125 and 0.375 (ix = 22); row 0 first
     assert info.value.node == (0, 22)
+
+
+def _smooth_connection(grid):
+    """A connection that varies over the grid; not flat, so marched with tau=inf."""
+    z = grid.zgrid()
+    x, y = z.real[..., None, None, None], z.imag[..., None, None, None]
+    rng = np.random.default_rng(11)
+    c = 0.5 * rng.normal(size=(2, 3, 2, 2, 4))
+    return tuple(ck[0] + ck[1] * np.cos(x - y) + ck[2] * x * y for ck in c)
+
+
+def test_march_blocks_agree_with_default_block(monkeypatch):
+    """Blocks of 3 grid columns (2 on the transposed row spine) give the marches
+    of one whole-grid block; non-square grid, base node off the centre."""
+    grid = GridSpec(-1.0, -0.8, 0.05, 37, 29)
+    phi_x, phi_y = _smooth_connection(grid)
+    rng = np.random.default_rng(12)
+    f0, v0, delta0 = rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 4)), rng.normal(size=4)
+    p0 = (20, 9)
+    marches = {
+        "frame": lambda: integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf).values,
+        "frame_row": lambda: integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf,
+                                             spine="row").values,
+        "left_vector": lambda: integrate_left_vector(phi_x, phi_y, grid, v0, p0, tau=np.inf),
+        "right_rowvec": lambda: integrate_right_rowvec(phi_x, phi_y, grid, v0, p0, tau=np.inf),
+        "riccati": lambda: integrate_riccati(0.2 * phi_x[..., 0, 1, :], 0.2 * phi_y[..., 1, 0, :],
+                                             phi_x[..., 1, 1, :], phi_y[..., 0, 0, :], grid,
+                                             delta0, p0),
+    }
+    whole = {name: march() for name, march in marches.items()}
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid.ny)
+    for name, march in marches.items():
+        got, want = march(), whole[name]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("rate, node", [(40.0, (0, 23)), (-40.0, (0, 9))],
+                         ids=["right", "left"])
+def test_blowup_named_at_first_column_of_a_block(grid33, monkeypatch, rate, node):
+    """Blocks of 3 columns from ix0 = 16: 17-19, 20-22, 23-25 to the right and
+    15-13, 12-10, 9-7 to the left; e^(+-40 x) passes 1e7 at ix = 23 and 9."""
+    phix = np.zeros((grid33.ny, grid33.nx, 2, 2, 4))
+    phix[..., 0, 0, 0] = rate
+    phiy = np.zeros_like(phix)
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid33.ny)
+    with pytest.raises(StepBlowup) as info:
+        integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node(),
+                        blowup=1e7)
+    assert info.value.node == node
 
 
 def _nan_marches(grid, phi_x, phi_y):

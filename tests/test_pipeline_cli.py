@@ -286,8 +286,12 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     ({"domain": {"x0": "a"}}, "domain x0 must be a number"),
     ({"domain": {"x0": float("inf")}}, "domain x0 must be finite"),
     ({"domain": {"width": -2.0, "height": -2.0}}, "must be positive"),
+    ({"grid_n": 33.9}, "grid_n must be an integer, got 33.9"),
+    ({"seed": 2.7}, "seed must be an integer, got 2.7"),
+    ({"seed": True}, "seed must be an integer, got True"),
 ], ids=["grid_n", "domain_not_mapping", "seed", "generator_not_mapping",
-        "domain_value", "domain_non_finite", "negative_size"])
+        "domain_value", "domain_non_finite", "negative_size", "grid_n_fractional",
+        "seed_fractional", "seed_bool"])
 def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE_CONFIG, **edit)))
@@ -296,6 +300,20 @@ def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message)
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and message in err
     assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_accepts_integral_float():
+    cfg = config(grid_n=33.0, seed=2.0)
+    assert (cfg.grid_nx, cfg.grid_ny, cfg.seed) == (33, 33, 2)
+    assert all(type(v) is int for v in (cfg.grid_nx, cfg.grid_ny, cfg.seed))
+
+
+def test_cli_rejects_grid_n_zero(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--grid-n", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "grid too small" in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from isothermic import MoebiusMap, QMatrix2, Quaternion, cross_ratio_class
 from isothermic import oracles as oc
 from isothermic.quaternion import (
+    _cayley_dickson,
     qconj,
     qm2_matvec,
     qm2_mul,
@@ -51,6 +52,23 @@ def test_qm2_products_equal_reference_formula(ms, b):
     assert np.array_equal(qm2_mul(a, b), ref.qm2_mul(a, b))
     assert np.array_equal(qm2_mul(b, a), ref.qm2_mul(b, a))
     assert np.array_equal(qm2_matvec(a, b[:, 0]), ref.qm2_matvec(a, b[:, 0]))
+
+
+def _pairs(a):
+    """Components (..., 4) as the complex pair (alpha, beta) of a = alpha + beta j."""
+    return np.moveaxis(np.ascontiguousarray(a).view(complex), -1, 0)
+
+
+@PROPERTY
+@given(st.lists(quaternions, min_size=1, max_size=6), quaternions)
+def test_pair_product_equals_qmul(ps, q):
+    # the same four real products per component, summed in another order;
+    # the floor keeps the bound meaningful where |a||b| underflows
+    p = np.array(ps)
+    for a, b in ((p, q), (q, p)):
+        got = np.stack(_cayley_dickson(*_pairs(a), *_pairs(b)), axis=-1).view(float)
+        bound = 1e-15 * qnorm(a) * qnorm(b) + np.finfo(float).tiny
+        assert (np.abs(got - qmul(a, b)).max(axis=-1) <= bound).all()
 
 
 @PROPERTY
