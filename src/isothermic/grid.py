@@ -653,8 +653,7 @@ def integrate_frame(
     """
     if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
-    args = (_pair_planes(np.asarray(f0, dtype=float), 2), _pair_matmul, False, tau,
-            tolerance_scale, blowup)
+    args = (_pair_planes(f0, 2), _pair_matmul, False, tau, tolerance_scale, blowup)
     if spine == "column":
         return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, *args))
     swapped = replace(grid, nx=grid.ny, ny=grid.nx, x0=grid.y0, y0=grid.x0,
@@ -678,7 +677,7 @@ def integrate_left_vector(
     blowup=BLOWUP_LIMIT,
 ):
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
-    v0 = _pair_planes(np.asarray(v0, dtype=float), 1)
+    v0 = _pair_planes(v0, 1)
     return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
                          tolerance_scale, blowup)
 
@@ -694,7 +693,7 @@ def integrate_right_rowvec(
     blowup=BLOWUP_LIMIT,
 ):
     """Solve dW = W Phi for a row vector (w1, w2) of quaternions."""
-    w0 = _pair_planes(np.asarray(w0, dtype=float), 1)
+    w0 = _pair_planes(w0, 1)
     return _linear_march(phi_x, phi_y, grid, p0, w0, _row_product, False, tau,
                          tolerance_scale, blowup)
 
@@ -725,7 +724,7 @@ def integrate_riccati(
         return lambda i, state: _rk4_step_right(state, pa[..., i, :], pm[..., i, :],
                                                 pb[..., i, :], s[i], mul)
 
-    delta0 = _pair_planes(np.asarray(delta0, dtype=float), 0)
+    delta0 = _pair_planes(delta0, 0)
     return _march(grid, p0, coef_x, coef_y, delta0, steps, blowup)
 
 

@@ -188,6 +188,7 @@ def _cayley_dickson(a1, b1, a2, b2):
 def _pair_planes(p, ndim):
     """Real (..., <ndim matrix axes>, 4) components as a contiguous complex
     pair array (2, <matrix axes>, ...)."""
+    p = np.asarray(p, dtype=float)
     lead = p.ndim - 1 - ndim
     comp = p.transpose((p.ndim - 1, *range(lead, p.ndim - 1), *range(lead)))
     out = np.empty((2,) + comp.shape[1:], complex)
