@@ -476,6 +476,17 @@ def midpoint_samples(coef, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def _block_midpoints(coef, first, count):
+    """midpoint_samples(coef, axis=1)[:, first:first + count], bit for bit,
+    from the columns its stencils read: a halo of one column before the
+    block and two after it, widened to the four columns the one-sided
+    formulas read where the block meets a grid edge."""
+    n = coef.shape[1]
+    lo = max(0, min(first - 1, n - 4))
+    hi = min(n, max(first + count + 2, lo + 4))
+    return midpoint_samples(coef[:, lo:hi], axis=1)[:, first - lo:first - lo + count]
+
+
 #: nodes per block of grid columns whose RK4 steps a march prepares at once
 _MARCH_BLOCK = 4096
 
@@ -531,15 +542,17 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
         reached(state, iy, ix0)
         spine[..., iy] = state[..., 0]
 
-    # rows: vary ix, batched over iy, right of ix0 then left of it
-    mx = midpoint_samples(coef_x, axis=1)
+    # rows: vary ix, batched over iy, right of ix0 then left of it; the steps
+    # of a block span the intervals first .. first + k - 1, walked in order d
     width = max(1, _MARCH_BLOCK // grid.ny)
     for d, end in ((1, grid.nx), (-1, -1)):
         state = spine
         for ix1 in range(ix0 + d, end, d * width):
             k = min(width, abs(end - ix1))
-            advance = steps(*(np.swapaxes(c[:, _lines(f, k, d)], 0, 1) for c, f in (
-                (coef_x, ix1 - d), (mx, min(ix1, ix1 - d)), (coef_x, ix1))), np.full(k, d * h))
+            first = ix1 - 1 if d > 0 else ix1 - k + 1
+            advance = steps(*(np.swapaxes(c, 0, 1) for c in (
+                coef_x[:, _lines(ix1 - d, k, d)], _block_midpoints(coef_x, first, k)[:, ::d],
+                coef_x[:, _lines(ix1, k, d)])), np.full(k, d * h))
             for i in range(k):
                 state = advance(i, state)
                 reached(state, 0, ix1 + d * i)

@@ -67,6 +67,32 @@ def _integer(value, where):
     return number
 
 
+#: shapes of the array fields of the generator and of transform steps
+_ARRAY_FIELDS = {"m": (3,), "d0": (4,), "v0": (2, 4)}
+
+
+def _check_arrays(section, where):
+    """Every array field of section must be finite numbers of its shape."""
+    for key, shape in _ARRAY_FIELDS.items():
+        if key not in section:
+            continue
+        try:
+            array = np.asarray(section[key], dtype=float)
+            ok = array.shape == shape and np.isfinite(array).all()
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigInvalid(f"{where} {key} must be finite numbers of shape {shape}, "
+                                f"got {section[key]!r}")
+
+
+def _check_values(section, kind, description, where):
+    """Every value of section must be an instance of kind."""
+    for key, value in section.items():
+        if not isinstance(value, kind):
+            raise ConfigInvalid(f"{where} {key} must be {description}, got {value!r}")
+
+
 def _mapping(value, where):
     if not isinstance(value, dict):
         raise ConfigInvalid(f"{where} must be a mapping, got {value!r}")
@@ -129,10 +155,15 @@ class PipelineConfig:
                 f"unknown generator kind {generator.get('kind')!r} "
                 f"(expected one of {sorted(kinds)})"
             )
+        _check_arrays(generator, "generator")
+        if not isinstance(generator.get("path", ""), str):
+            raise ConfigInvalid(f"generator path must be a string, got {generator['path']!r}")
         transforms = raw.get("transforms", [])
         if not isinstance(transforms, list):
             raise ConfigInvalid(f"transforms must be a list, got {transforms!r}")
         transforms = [dict(_mapping(t, "transform step")) for t in transforms]
+        for step in transforms:
+            _check_arrays(step, f"transform {step.get('op')}")
         verify = dict(_mapping(raw.get("verify", {}), "verify"))
         _require_keys(
             verify,
@@ -140,8 +171,10 @@ class PipelineConfig:
              "permutability"},
             where="verify",
         )
+        _check_values(verify, bool, "true or false", "verify")
         export = dict(_mapping(raw.get("export", {}), "export"))
         _require_keys(export, {"obj", "surface", "report"}, where="export")
+        _check_values(export, str, "a file name", "export")
         seed = _integer(raw.get("seed", 0), "seed")
         scale = finite_float(raw.get("tolerance_scale", 1.0), "tolerance_scale")
         if scale <= 0:
@@ -345,8 +378,16 @@ def _write_json(path, doc):
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
+def _check_lambda(verify, lam):
+    """The permutability suite divides by the spectral parameter."""
+    if verify.get("permutability") and finite_float(lam, "generator.lambda") == 0.0:
+        raise ConfigInvalid("verify permutability needs a nonzero spectral parameter, "
+                            "got lambda = 0")
+
+
 def run_pipeline(config: PipelineConfig, out_dir="."):
     """Generate, transform, verify, export; returns (report, artifact paths)."""
+    _check_lambda(config.verify, config.generator.get("lambda", 1.0))
     os.makedirs(out_dir, exist_ok=True)
     report = InvariantReport()
     surface, extras = make_surface(config)
@@ -382,6 +423,8 @@ def sweep(config: PipelineConfig, lambdas, out_dir="."):
     If the transform chain carries no spectral step, one is appended, so
     sweeping a bare generator yields the deformation family of its surface.
     """
+    for lam in lambdas:  # reject the family before any member runs
+        _check_lambda(config.verify, lam)
     os.makedirs(out_dir, exist_ok=True)
     steps = [dict(t) for t in config.transforms]
     if not any(t.get("op") == "t_transform" for t in steps):

@@ -28,6 +28,10 @@ from .errors import (
 
 EPS_INV = 1e-12
 
+#: qm2_inv treats [[a, b], [c, d]] as singular where its Study determinant is
+#: at most this fraction of its bound (|a|^2 + |b|^2)(|c|^2 + |d|^2)
+EPS_SINGULAR = 1e-12
+
 #: nodes per block of the whole-grid qm2_mul
 _QM2_BLOCK = 4096
 
@@ -139,41 +143,9 @@ def cross3(a, b):
     return from_imag3(np.cross(imag3(a), imag3(b)))
 
 
-# quaternion <-> complex 2x2 representation: q = alpha + beta j with
-# alpha = w + xi, beta = y + zi maps to [[alpha, beta], [-conj(beta), conj(alpha)]]
-
-def _complex_parts(a):
-    a = np.asarray(a)
-    return a[..., 0] + 1j * a[..., 1], a[..., 2] + 1j * a[..., 3]
-
-
-def qm2_complex_rep(m):
-    """Complex 4x4 representation of 2x2 quaternionic matrices (..., 2, 2, 4)."""
-    m = np.asarray(m, dtype=float)
-    alpha, beta = _complex_parts(m)
-    out = np.empty(m.shape[:-3] + (4, 4), dtype=complex)
-    out[..., 0:2, 0:2] = alpha
-    out[..., 0:2, 2:4] = beta
-    out[..., 2:4, 0:2] = -np.conj(beta)
-    out[..., 2:4, 2:4] = np.conj(alpha)
-    return out
-
-
-def qm2_from_complex_rep(c):
-    """Back-map from the complex representation (top blocks only)."""
-    alpha = c[..., 0:2, 0:2]
-    beta = c[..., 0:2, 2:4]
-    out = np.empty(alpha.shape + (4,))
-    out[..., 0] = alpha.real
-    out[..., 1] = alpha.imag
-    out[..., 2] = beta.real
-    out[..., 3] = beta.imag
-    return out
-
-
-# the same split q = alpha + beta j as complex pair arrays: a pair array holds
-# alpha at [0] and beta at [1], then any matrix axes, then the nodes last, so
-# that each (alpha or beta) entry is one contiguous plane over the nodes
+# q = alpha + beta j (alpha = w + xi, beta = y + zi) as complex pair arrays: alpha
+# at [0] and beta at [1], then any matrix axes, then the nodes last, so that
+# each (alpha or beta) entry is one contiguous plane over the nodes
 
 def _cayley_dickson(a1, b1, a2, b2):
     """Product (a1 + b1 j)(a2 + b2 j) of quaternions held as complex pairs.
@@ -285,14 +257,51 @@ def qm2_matvec(m, v):
     return p[..., 0, :] + p[..., 1, :]
 
 
+def _study(m, inverse):
+    """Study determinants D of (..., 2, 2, 4) matrices M = [[a, b], [c, d]] and,
+    with inverse=True, their inverses, as closed forms on pair planes in
+    blocks of _QM2_BLOCK nodes (x' = conj x):
+    D = |a|^2 |d|^2 + |b|^2 |c|^2 - 2 Re(a c' d b'),
+    M^-1 = [[|d|^2 a' - c' d b', |b|^2 c' - a' b d'],
+            [|c|^2 b' - d' c a', |a|^2 d' - b' a c']] / D.
+    The inverse raises SingularMatrix at the first node where D is at most
+    EPS_SINGULAR times its bound (|a|^2 + |b|^2)(|c|^2 + |d|^2).
+    """
+    m = np.asarray(m, dtype=float)
+    lead = m.shape[:-3]
+    rows = m.reshape(-1, 2, 2, 4)
+    det = np.empty(len(rows))
+    out = np.empty(rows.shape) if inverse else None
+    for start in range(0, len(rows), _QM2_BLOCK):
+        block = slice(start, start + _QM2_BLOCK)
+        x = _pair_planes(rows[block], 2)  # x[:, r, c] is entry (r, c)
+        xc = np.array((np.conj(x[0]), -x[1]))  # the conjugate entries
+        sq = x.real ** 2 + x.imag ** 2
+        (na, nb), (nc, nd) = sq[0] + sq[1]
+        cd = _cayley_dickson(*xc[:, 1, 0], *x[:, 1, 1])  # c' d
+        cdb = _cayley_dickson(*cd, *xc[:, 0, 1])
+        d = det[block]
+        d[...] = na * nd + nb * nc - 2.0 * _cayley_dickson(*x[:, 0, 0], *cdb)[0].real
+        if not inverse:
+            continue
+        bad = np.flatnonzero(d <= EPS_SINGULAR * (na + nb) * (nc + nd))
+        if bad.size:
+            node = tuple(int(i) for i in np.unravel_index(start + bad[0], lead))
+            raise SingularMatrix(f"singular matrix: Study determinant {d[bad[0]]:.3e} is "
+                                 f"at most {EPS_SINGULAR:g} of its bound", node=node or None)
+        ab = _cayley_dickson(*xc[:, 0, 0], *x[:, 0, 1])  # a' b
+        for (r, c), norm, triple in (
+                ((0, 0), nd, cdb),
+                ((0, 1), nb, _cayley_dickson(*ab, *xc[:, 1, 1])),
+                ((1, 0), nc, _cayley_dickson(np.conj(cd[0]), -cd[1], *xc[:, 0, 0])),
+                ((1, 1), na, _cayley_dickson(np.conj(ab[0]), -ab[1], *xc[:, 1, 0]))):
+            _pair_view(out[block])[:, r, c] = (norm * xc[:, c, r] - triple) / d
+    return det.reshape(lead), None if out is None else out.reshape(m.shape)
+
+
 def qm2_inv(m):
     """Batched inverse of (..., 2, 2, 4) quaternionic matrices."""
-    rep = qm2_complex_rep(m)
-    try:
-        inv = np.linalg.inv(rep)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from None
-    return qm2_from_complex_rep(inv)
+    return _study(m, True)[1]
 
 
 def qm2_identity(shape=()):
@@ -309,8 +318,7 @@ def qm2_norm(m):
 
 def study_det_array(m):
     """Study determinant of (..., 2, 2, 4) matrices (real, nonnegative)."""
-    d = np.linalg.det(qm2_complex_rep(m))
-    return d.real
+    return _study(m, False)[0][()]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +555,7 @@ def _as_quat(value):
 
 
 def study_det(m: QMatrix2) -> float:
-    """Study determinant via the complex 4x4 representation."""
+    """Study determinant of a single 2x2 quaternionic matrix."""
     return m.study_det()
 
 

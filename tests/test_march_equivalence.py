@@ -6,13 +6,16 @@ integrate_right_rowvec must reproduce the generic RK4 loop they replaced to
 reference family's flat connection and for a constant connection whose two
 coefficients do not commute, from a base node off the grid centre; so must
 integrate_riccati the real-component Riccati loop, for coefficients that
-vary over the grid and do not commute.
+vary over the grid and do not commute.  The cubic midpoints of a block of
+grid columns equal the whole-grid ones bit for bit, and so does every march
+whatever the width of its column blocks.
 """
 
 import numpy as np
 import pytest
 
 from isothermic import GridSpec, family_ribaucour_connection
+from isothermic import grid as grid_module
 from isothermic.grid import (
     integrate_frame,
     integrate_left_vector,
@@ -89,3 +92,32 @@ def test_riccati_matches_reference(n):
     p0 = ((2 * grid.ny) // 3, grid.nx // 4)
     _assert_close(integrate_riccati(a_x, a_y, b_x, b_y, grid, delta0, p0),
                   ref.riccati(a_x, a_y, b_x, b_y, grid, delta0, p0))
+
+
+def test_block_midpoints_equal_whole_grid():
+    # every block of intervals, at the block edges and at both grid ends
+    coef = np.random.default_rng(9).normal(size=(37, 29, 2, 2, 4))
+    whole = grid_module.midpoint_samples(coef, axis=1)
+    for first in range(28):
+        for count in range(1, 29 - first):
+            got = grid_module._block_midpoints(coef, first, count)
+            assert np.array_equal(got, whole[:, first:first + count])
+
+
+def test_march_blocks_bit_identical(monkeypatch):
+    # blocks of 3 columns against the whole 37 x 29 grid in one block
+    grid = GridSpec(-1.0, -0.75, 1.0 / 16, 29, 37)
+    phi_x, phi_y, f0, _ = noncommuting(grid)
+    v0 = np.random.default_rng(4).normal(size=(2, 4))
+    a_x, a_y, b_x, b_y, delta0 = riccati_coefficients(grid)
+
+    def march():
+        return (integrate_frame(phi_x, phi_y, grid, f0, (20, 11), tau=np.inf).values,
+                integrate_frame(phi_x, phi_y, grid, f0, (3, 25), tau=np.inf, spine="row").values,
+                integrate_left_vector(phi_x, phi_y, grid, v0, (36, 0), tau=np.inf),
+                integrate_riccati(a_x, a_y, b_x, b_y, grid, delta0, (0, 28)))
+
+    whole = march()
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid.ny)
+    for got, want in zip(march(), whole):
+        assert np.array_equal(got, want)

@@ -289,9 +289,27 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     ({"grid_n": 33.9}, "grid_n must be an integer, got 33.9"),
     ({"seed": 2.7}, "seed must be an integer, got 2.7"),
     ({"seed": True}, "seed must be an integer, got True"),
+    ({"transforms": [{"op": "goursat", "m": "abc"}]},
+     "transform goursat m must be finite numbers of shape (3,), got 'abc'"),
+    ({"transforms": [{"op": "goursat", "m": [1]}]},
+     "transform goursat m must be finite numbers of shape (3,), got [1]"),
+    ({"transforms": [{"op": "goursat", "m": [1, float("nan"), 0]}]},
+     "transform goursat m must be finite numbers of shape (3,), got [1, nan, 0]"),
+    ({"transforms": [{"op": "darboux", "d0": "x"}]},
+     "transform darboux d0 must be finite numbers of shape (4,), got 'x'"),
+    ({"generator": {"kind": "darboux-weierstrass", "v0": [[1]]}},
+     "generator v0 must be finite numbers of shape (2, 4), got [[1]]"),
+    ({"transforms": [{"op": "darboux_linear", "v0": [[1, 0, 0], [0, -1, 0, 0]]}]},
+     "transform darboux_linear v0 must be finite numbers of shape (2, 4)"),
+    ({"export": {"obj": 5}}, "export obj must be a file name, got 5"),
+    ({"generator": {"kind": "file", "path": 5}}, "generator path must be a string, got 5"),
+    ({"verify": {"isothermic": "no"}}, "verify isothermic must be true or false, got 'no'"),
 ], ids=["grid_n", "domain_not_mapping", "seed", "generator_not_mapping",
         "domain_value", "domain_non_finite", "negative_size", "grid_n_fractional",
-        "seed_fractional", "seed_bool"])
+        "seed_fractional", "seed_bool", "goursat_m_string", "goursat_m_short",
+        "goursat_m_non_finite", "darboux_d0_string", "weierstrass_v0_shape",
+        "darboux_linear_v0_ragged", "export_path_number", "file_path_number",
+        "verify_flag_string"])
 def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE_CONFIG, **edit)))
@@ -301,6 +319,22 @@ def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message)
     assert err.startswith("configuration error") and message in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_rejects_permutability_at_zero_lambda(tmp_path, capsys):
+    # the permutability suite divides by the spectral parameter
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, grid_n=17, verify={"permutability": True},
+                                 generator={"kind": "example", "lambda": 0})))
+    out = tmp_path / "out"
+    assert cli_main(["verify", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "needs a nonzero spectral parameter, got lambda = 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert cli_main(["sweep", "--config", str(p), "--lambdas", "0.5,0",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_accepts_integral_float():
