@@ -5,15 +5,16 @@ verify / export run one configuration; sweep iterates the spectral
 parameter over a list, producing the deformation family as a file series.
 
 Exit codes: 0 pass, 1 check failed (verify: a check failed or none ran;
-sweep: a member failed a check), 2 invalid configuration, 3 numerical
-singularity or an artifact that cannot be written.
+sweep: a member failed a check), 2 invalid configuration or an unreadable
+input, 3 numerical singularity, or an output directory or artifact that
+cannot be written.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import ConfigInvalid, GeometryError
+from .errors import ConfigInvalid, GeometryError, IoError
 from .pipeline import PipelineConfig, finite_float, load_config, run_pipeline, sweep
 
 DEFAULT_CONFIG = {
@@ -111,6 +112,9 @@ def main(argv=None):
     except ConfigInvalid as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except IoError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
     except GeometryError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

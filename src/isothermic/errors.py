@@ -106,4 +106,4 @@ class ConfigInvalid(GeometryError):
 
 
 class IoError(GeometryError):
-    """Artifact could not be written or read."""
+    """Output directory or artifact could not be written."""

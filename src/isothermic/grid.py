@@ -10,6 +10,7 @@ exactly and closedness can be certified before any path integration.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -200,10 +201,6 @@ class FrameField:
         dets = study_det_array(self.values)
         sel = self.grid.valid()
         return float(np.abs(dets[sel] - reference).max())
-
-    def column(self, k):
-        """Column k as an (ny, nx, 2, 4) homogeneous vector field."""
-        return self.values[..., :, k, :]
 
 
 # ---------------------------------------------------------------------------
@@ -817,22 +814,38 @@ def field_from_dict(d):
     return QField(grid, vals.reshape(grid.ny, grid.nx, 4))
 
 
+def write_text(path, text, what):
+    """Write text to path atomically: into a temporary file next to it, then
+    os.replace, so that a failed write leaves no partial file; an OSError is
+    an IoError naming what was written."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise IoError(f"cannot write {what} to {path}: {exc}") from None
+
+
 def save_field(f: QField, path, header=None):
     doc = field_to_dict(f)
     if header:
         doc.update(header)
     try:
         text = json.dumps(doc, sort_keys=True, allow_nan=False)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise IoError(f"cannot write field to {path}: {exc}") from None
+    write_text(path, text, "field")
 
 
 def load_field(path):
+    """Field and document of a surface file; an unreadable or malformed file
+    is invalid input."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise IoError(f"cannot read field from {path}: {exc}") from None
+        raise ConfigInvalid(f"cannot read field from {path}: {exc}") from None
     return field_from_dict(doc), doc

@@ -1,10 +1,7 @@
 """Wavefront OBJ export for sampled surfaces (v/f records only)."""
 
-import os
-import tempfile
-
 from .errors import IoError
-from .grid import QField
+from .grid import QField, write_text
 
 
 def obj_lines(field: QField):
@@ -37,13 +34,5 @@ def export_obj(field: QField, path) -> str:
     cells = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, :-1] & valid[1:, 1:]
     if not cells.any():
         raise IoError("no unmasked quad cells to export")
-    text = "\n".join(obj_lines(field)) + "\n"
-    try:
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".obj.tmp")
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write OBJ to {path}: {exc}") from None
+    write_text(path, "\n".join(obj_lines(field)) + "\n", "OBJ")
     return path

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -25,7 +24,7 @@ from .cmc import (
     weierstrass_minimal,
 )
 from .errors import ConfigInvalid, GeometryError, IoError
-from .grid import GridSpec, load_field, save_field
+from .grid import GridSpec, load_field, save_field, write_text
 from .objio import export_obj
 from .quaternion import Quaternion
 from .surfaces import TAU_ISOTHERMIC, PolarizedSurface, isothermic_certificate
@@ -43,11 +42,13 @@ DEFAULT_DOMAIN = {"x0": -1.0, "y0": -1.0, "width": 2.0, "height": 2.0}
 
 
 def finite_float(value, where):
-    """value as a finite float; anything else is invalid input."""
+    """value as a finite float; anything else, a bool too, is invalid input."""
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise ConfigInvalid(f"{where} must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ConfigInvalid(f"{where} must be finite, got {value!r}")
     return number
@@ -86,10 +87,10 @@ def _check_arrays(section, where):
                                 f"got {section[key]!r}")
 
 
-def _check_values(section, kind, description, where):
-    """Every value of section must be an instance of kind."""
+def _check_values(section, valid, description, where):
+    """Every value of section must satisfy valid."""
     for key, value in section.items():
-        if not isinstance(value, kind):
+        if not valid(value):
             raise ConfigInvalid(f"{where} {key} must be {description}, got {value!r}")
 
 
@@ -171,10 +172,11 @@ class PipelineConfig:
              "permutability"},
             where="verify",
         )
-        _check_values(verify, bool, "true or false", "verify")
+        _check_values(verify, lambda v: isinstance(v, bool), "true or false", "verify")
         export = dict(_mapping(raw.get("export", {}), "export"))
         _require_keys(export, {"obj", "surface", "report"}, where="export")
-        _check_values(export, str, "a file name", "export")
+        _check_values(export, lambda v: isinstance(v, str) and v != "", "a file name",
+                      "export")
         seed = _integer(raw.get("seed", 0), "seed")
         scale = finite_float(raw.get("tolerance_scale", 1.0), "tolerance_scale")
         if scale <= 0:
@@ -369,13 +371,16 @@ def _write_json(path, doc):
     """Write doc as JSON atomically; a NaN or infinity fails before any write."""
     try:
         text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
+    write_text(path, text, "JSON")
+
+
+def _make_dir(out_dir):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out_dir}: {exc}") from None
 
 
 def _check_lambda(verify, lam):
@@ -388,7 +393,7 @@ def _check_lambda(verify, lam):
 def run_pipeline(config: PipelineConfig, out_dir="."):
     """Generate, transform, verify, export; returns (report, artifact paths)."""
     _check_lambda(config.verify, config.generator.get("lambda", 1.0))
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     report = InvariantReport()
     surface, extras = make_surface(config)
     surface = apply_transforms(surface, config.transforms, config)
@@ -425,7 +430,7 @@ def sweep(config: PipelineConfig, lambdas, out_dir="."):
     """
     for lam in lambdas:  # reject the family before any member runs
         _check_lambda(config.verify, lam)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     steps = [dict(t) for t in config.transforms]
     if not any(t.get("op") == "t_transform" for t in steps):
         steps.append({"op": "t_transform"})

@@ -15,8 +15,6 @@ order (w, x, y, z); all array helpers broadcast over leading axes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -40,29 +38,16 @@ _QM2_BLOCK = 4096
 # vectorized component-level helpers
 # ---------------------------------------------------------------------------
 
-def _hamilton(a, b, out):
-    """Hamilton product of quaternions held as sequences of 4 component arrays.
-
-    Writes the components of a * b to out[0..3]; the one place the product's
-    component formula is written down.
-    """
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    out[0] = aw * bw - ax * bx - ay * by - az * bz
-    out[1] = aw * bx + ax * bw + ay * bz - az * by
-    out[2] = aw * by - ax * bz + ay * bw + az * bx
-    out[3] = aw * bz + ax * by - ay * bx + az * bw
-
-
 def qmul(a, b):
-    """Hamilton product of component arrays, broadcasting over leading axes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
-    _hamilton((a[..., 0], a[..., 1], a[..., 2], a[..., 3]),
-              (b[..., 0], b[..., 1], b[..., 2], b[..., 3]),
-              out.transpose(-1, *range(out.ndim - 1)))  # row k is out[..., k]
-    return out
+    """Hamilton product of component arrays, broadcasting over leading axes.
+
+    Computed on the complex pairs (w + xi, y + zi) that a float (..., 4) array
+    is when viewed as complex; integer operands come back as float.
+    """
+    a, b = _pairs(a), _pairs(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+    out[..., 0], out[..., 1] = _cayley_dickson(a[..., 0], a[..., 1], b[..., 0], b[..., 1])
+    return out.view(float)
 
 
 def qconj(a):
@@ -151,10 +136,21 @@ def _cayley_dickson(a1, b1, a2, b2):
     """Product (a1 + b1 j)(a2 + b2 j) of quaternions held as complex pairs.
 
     Broadcasts over complex arrays and returns the pair
-    (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)); the one place the pair
-    product is written down.
+    (a1 a2 - conj(b2) b1, a1 b2 + conj(a2) b1); the one place the product
+    is written down.  The conjugate temporaries stand on the left: numpy may
+    reuse a large right-hand temporary as the output and swap the operands,
+    and its fused complex multiply is not commutative bit for bit.
     """
-    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+    return a1 * a2 - np.conj(b2) * b1, a1 * b2 + np.conj(a2) * b1
+
+
+def _pairs(x):
+    """Float (..., 4) components as the complex (..., 2) array (alpha, beta),
+    a view wherever the last axis is contiguous."""
+    x = np.asarray(x, dtype=float)
+    if x.strides[-1] != x.itemsize:
+        x = x.copy()
+    return x.view(complex)
 
 
 def _pair_planes(p, ndim):
@@ -186,68 +182,42 @@ def _pair_matmul(x, y):
     return np.array((a0 + a1, b0 + b1))
 
 
-def _qm2_planes(x, lead, n, size):
-    """Reader of x broadcast to lead + (2, 2, 4) as component planes.
+def _qm2_blocks(x, lead):
+    """Reader of x broadcast to lead + (2, 2, 4) as pair planes.
 
-    planes(start, stop) returns the nodes start..stop-1 as (2, 2, 4, m)
-    planes, plane [r, c, k] holding component k of entry (r, c).  A single
-    matrix is its (2, 2, 4, 1) planes for every block; any other operand is
-    copied one block at a time into a contiguous buffer of `size` nodes, so
-    no whole-grid copy is made.
+    block(start, stop) returns the nodes start..stop-1 as a (2, 2, 2, m) pair
+    array.  A single matrix is its (2, 2, 2, 1) planes for every block; a
+    broadcast or strided operand is gathered one block at a time, so no
+    whole-grid copy is made.
     """
     if x.size == 16:
-        single = x.reshape(2, 2, 4, 1)
+        single = _pair_planes(x.reshape(1, 2, 2, 4), 2)
         return lambda start, stop: single
     if x.shape[:-3] == lead and x.flags.c_contiguous:
-        rows = x.reshape(n, 16)
-
-        def block(start, stop):
-            return rows[start:stop]
-    else:  # broadcast or strided leading axes: gather the block's nodes
-        full = np.broadcast_to(x, lead + (2, 2, 4))
-
-        def block(start, stop):
-            return full[np.unravel_index(np.arange(start, stop), lead)].reshape(-1, 16)
-    buf = np.empty((16, size), x.dtype)
-
-    def planes(start, stop):
-        out = buf[:, :stop - start]
-        out[...] = block(start, stop).T
-        return out.reshape(2, 2, 4, -1)
-
-    return planes
+        rows = x.reshape(-1, 2, 2, 4)
+        return lambda start, stop: _pair_planes(rows[start:stop], 2)
+    full = np.broadcast_to(x, lead + (2, 2, 4))
+    return lambda start, stop: _pair_planes(
+        full[np.unravel_index(np.arange(start, stop), lead)], 2)
 
 
 def qm2_mul(a, b):
     """Product of (..., 2, 2, 4) quaternionic matrices.
 
-    Entry (r, c) is qmul(a[r, 0], b[0, c]) + qmul(a[r, 1], b[1, c]), bit for
-    bit, computed in blocks of _QM2_BLOCK nodes on contiguous component
-    planes so that every Hamilton product reads unit-stride arrays.
+    Entry (r, c) is qmul(a[r, 0], b[0, c]) + qmul(a[r, 1], b[1, c]), computed
+    in blocks of _QM2_BLOCK nodes on contiguous pair planes.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     shape = np.broadcast_shapes(a.shape, b.shape)
     lead = shape[:-3]
-    n = math.prod(lead)
-    size = min(n, _QM2_BLOCK)
-    read_a, read_b = (_qm2_planes(x, lead, n, size) for x in (a, b))
-    dtype = np.result_type(a, b)
-    second = np.empty((4, size), dtype)
-    entries = np.empty((16, size), dtype)
+    read_a, read_b = (_qm2_blocks(x, lead) for x in (a, b))
     out = np.empty(shape)
-    rows = out.reshape(n, 16)
-    for start in range(0, n, _QM2_BLOCK):
-        stop = min(start + _QM2_BLOCK, n)
-        m = stop - start
-        pa, pb = read_a(start, stop), read_b(start, stop)
-        ent, sec = entries[:, :m].reshape(2, 2, 4, m), second[:, :m]
-        for r in range(2):
-            for c in range(2):
-                _hamilton(pa[r, 0], pb[0, c], ent[r, c])
-                _hamilton(pa[r, 1], pb[1, c], sec)
-                ent[r, c] += sec
-        rows[start:stop] = entries[:, :m].T
+    rows = out.reshape(-1, 2, 2, 4)
+    for start in range(0, len(rows), _QM2_BLOCK):
+        stop = min(start + _QM2_BLOCK, len(rows))
+        _pair_view(rows[start:stop])[...] = _pair_matmul(read_a(start, stop),
+                                                        read_b(start, stop))
     return out
 
 

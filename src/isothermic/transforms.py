@@ -471,6 +471,11 @@ def sample_quadruples(grid: GridSpec, n_quads, seed=0, min_sep=None, extra_valid
     return quads
 
 
+#: the six orders of a quadruple's points that fix its first point
+_ORDERS = np.array([(0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2),
+                    (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)])
+
+
 def moebius_equivalent(
     a: PolarizedSurface | QField,
     b: PolarizedSurface | QField,
@@ -481,8 +486,11 @@ def moebius_equivalent(
 ):
     """Compare cross-ratio classes of seeded node quadruples.
 
-    Returns (equivalent, residual): residual is the largest absolute
-    discrepancy in (Re r, |r|) over the sampled quadruples.
+    Each quadruple is compared in the best-conditioned of its six point
+    orders on a, the one with |log |r|| least, and b is read in that same
+    order (Moebius equivalence in one order implies it in all six).  Returns
+    (equivalent, residual): residual is the largest absolute discrepancy in
+    (Re r, |r|) over the sampled quadruples.
     """
     fa = a.f if isinstance(a, PolarizedSurface) else a
     fb = b.f if isinstance(b, PolarizedSurface) else b
@@ -495,15 +503,15 @@ def moebius_equivalent(
     while done < n_quads and retries > 0:
         quads = sample_quadruples(fa.grid, n_quads - done, seed_k, extra_valid=common)
         for quad in quads:
-            pts_a = np.stack([fa.values[iy, ix] for iy, ix in quad])
-            pts_b = np.stack([fb.values[iy, ix] for iy, ix in quad])
+            nodes = tuple(np.array(quad)[_ORDERS].T)  # (iy, ix), each (4, 6)
             try:
-                ra, na = cross_ratio_class_array(pts_a[0], pts_a[1], pts_a[2], pts_a[3])
-                rb, nb = cross_ratio_class_array(pts_b[0], pts_b[1], pts_b[2], pts_b[3])
+                ra, na = cross_ratio_class_array(*fa.values[nodes])
+                rb, nb = cross_ratio_class_array(*fb.values[nodes])
             except DegenerateQuadruple:
                 retries -= 1
                 continue
-            residual = max(residual, float(abs(ra - rb)), float(abs(na - nb)))
+            k = np.argmin(np.abs(np.log(na)))
+            residual = max(residual, float(abs(ra[k] - rb[k])), float(abs(na[k] - nb[k])))
             done += 1
         seed_k += 101
     if done < n_quads:

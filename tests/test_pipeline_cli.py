@@ -265,6 +265,17 @@ def test_cli_rejects_non_finite_lambda(tmp_path, capsys, value):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_cli_out_under_a_file_is_an_io_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli_main([command, "--grid-n", "17", "--out", str(blocker / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("I/O error: cannot create output directory")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("raw", [
     '{"generator": {"kind": "example", "lambda": NaN}}',
     '{"generator": {"kind": "example", "lambda": "abc"}}',
@@ -304,12 +315,19 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     ({"export": {"obj": 5}}, "export obj must be a file name, got 5"),
     ({"generator": {"kind": "file", "path": 5}}, "generator path must be a string, got 5"),
     ({"verify": {"isothermic": "no"}}, "verify isothermic must be true or false, got 'no'"),
+    ({"generator": {"kind": "example", "lambda": True}},
+     "generator.lambda must be a number, got True"),
+    ({"export": {"obj": ""}}, "export obj must be a file name, got ''"),
+    ({"generator": {"kind": "file", "path": "no-such-dir/surface.json"}},
+     "cannot read field from no-such-dir/surface.json"),
+    ({"generator": {"kind": "file", "path": "."}}, "cannot read field from ."),
 ], ids=["grid_n", "domain_not_mapping", "seed", "generator_not_mapping",
         "domain_value", "domain_non_finite", "negative_size", "grid_n_fractional",
         "seed_fractional", "seed_bool", "goursat_m_string", "goursat_m_short",
         "goursat_m_non_finite", "darboux_d0_string", "weierstrass_v0_shape",
         "darboux_linear_v0_ragged", "export_path_number", "file_path_number",
-        "verify_flag_string"])
+        "verify_flag_string", "lambda_bool", "export_path_empty", "file_path_missing",
+        "file_path_directory"])
 def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE_CONFIG, **edit)))
@@ -363,6 +381,28 @@ def test_json_writers_refuse_non_finite(tmp_path):
     with pytest.raises(IoError):
         _write_json(str(tmp_path / "inf.json"), {"residual": float("inf")})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    from isothermic.grid import save_field
+    from isothermic.pipeline import _write_json
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    g = GridSpec.square(1.0, 5)
+    field = QField(g, sample_values(g, oc.f_plane))
+    monkeypatch.setattr(os, "replace", refuse)
+    for name, write in (("surface.json", lambda path: save_field(field, path)),
+                        ("mesh.obj", lambda path: export_obj(field, path)),
+                        ("report.json", lambda path: _write_json(path, {"checks": []}))):
+        target = tmp_path / name
+        target.write_text("old")
+        with pytest.raises(IoError, match="disk full"):
+            write(str(target))
+        assert target.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh.obj", "report.json",
+                                                          "surface.json"]
 
 
 def test_empty_report_does_not_pass(tmp_path, capsys):

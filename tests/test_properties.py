@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from isothermic import MoebiusMap, QMatrix2, Quaternion, cross_ratio_class
 from isothermic import oracles as oc
 from isothermic.quaternion import (
-    _cayley_dickson,
     qconj,
     qm2_matvec,
     qm2_mul,
@@ -22,6 +21,7 @@ from isothermic.quaternion import (
 )
 
 import reference_march as ref
+from test_quaternion import qm2_close
 from test_oracle_equivalence import LAMBDAS, ORACLES, as_array, oracle_args, scalar_values
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -39,36 +39,29 @@ matrices = st.lists(_floats(2.0), min_size=16, max_size=16).map(
 @PROPERTY
 @given(st.lists(quaternions, min_size=1, max_size=6), quaternions)
 def test_qmul_equals_reference_formula(ps, q):
-    # same component formula in the same order: equal bit for bit, batched too
+    # the pair form sums the four real products of each component in another
+    # order than the Hamilton formula, so the two agree to rounding, batched
+    # too; the floor keeps the bound meaningful where |a||b| underflows
     p = np.array(ps)
-    assert np.array_equal(qmul(p, q), ref.qmul(p, q))
-    assert np.array_equal(qmul(q, p), ref.qmul(q, p))
+    for a, b in ((p, q), (q, p), (q, q), (p.astype(int), q.astype(int))):
+        got = qmul(a, b)
+        assert got.shape == np.broadcast_shapes(a.shape, b.shape) and got.dtype == float
+        bound = 1e-15 * qnorm(a) * qnorm(b) + np.finfo(float).tiny
+        assert (np.abs(got - ref.qmul(a, b)).max(axis=-1) <= bound).all()
 
 
 @PROPERTY
 @given(st.lists(matrices, min_size=1, max_size=4), matrices)
 def test_qm2_products_equal_reference_formula(ms, b):
+    # entry (r, c) within 2e-15 |A_r||B_c| of the reference, entry r of a
+    # matrix-vector product within 2e-15 |A_r||v|
     a = np.array(ms)
-    assert np.array_equal(qm2_mul(a, b), ref.qm2_mul(a, b))
-    assert np.array_equal(qm2_mul(b, a), ref.qm2_mul(b, a))
-    assert np.array_equal(qm2_matvec(a, b[:, 0]), ref.qm2_matvec(a, b[:, 0]))
-
-
-def _pairs(a):
-    """Components (..., 4) as the complex pair (alpha, beta) of a = alpha + beta j."""
-    return np.moveaxis(np.ascontiguousarray(a).view(complex), -1, 0)
-
-
-@PROPERTY
-@given(st.lists(quaternions, min_size=1, max_size=6), quaternions)
-def test_pair_product_equals_qmul(ps, q):
-    # the same four real products per component, summed in another order;
-    # the floor keeps the bound meaningful where |a||b| underflows
-    p = np.array(ps)
-    for a, b in ((p, q), (q, p)):
-        got = np.stack(_cayley_dickson(*_pairs(a), *_pairs(b)), axis=-1).view(float)
-        bound = 1e-15 * qnorm(a) * qnorm(b) + np.finfo(float).tiny
-        assert (np.abs(got - qmul(a, b)).max(axis=-1) <= bound).all()
+    qm2_close(qm2_mul(a, b), a, b)
+    qm2_close(qm2_mul(b, a), b, a)
+    v = b[:, 0]
+    bound = 2e-15 * np.sqrt((a ** 2).sum(axis=(-2, -1))) * np.sqrt((v ** 2).sum())
+    err = np.abs(qm2_matvec(a, v) - ref.qm2_matvec(a, v)).max(axis=-1)
+    assert (err <= bound + np.finfo(float).tiny).all()
 
 
 @PROPERTY

@@ -19,7 +19,7 @@ from isothermic import (
     quat_mul,
     study_det,
 )
-from isothermic.quaternion import ONE, QI, QJ, QK, qm2_mul, study_det_array
+from isothermic.quaternion import ONE, QI, QJ, QK, qm2_mul, qmul, study_det_array
 
 import reference_march as ref
 
@@ -96,19 +96,38 @@ def _reorder_oracle(m):
     return m[np.ix_(perm, perm)]
 
 
+def qm2_close(got, a, b, scale=2e-15):
+    """Each entry (r, c) of got is the Hamilton reference product to within
+    scale * |A_r| |B_c|, the norms of row r of a and column c of b (floored
+    where that product underflows)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rows = np.sqrt((a ** 2).sum(axis=(-2, -1)))
+    cols = np.sqrt((b ** 2).sum(axis=(-3, -1)))
+    bound = scale * rows[..., :, None] * cols[..., None, :] + np.finfo(float).tiny
+    assert (np.abs(got - ref.qm2_mul(a, b)).max(axis=-1) <= bound).all()
+
+
 def _qm2_equal(a, b):
+    """qm2_mul equals qmul(a[r, 0], b[0, c]) + qmul(a[r, 1], b[1, c]) bit for
+    bit, and the Hamilton reference to rounding."""
+    a, b = np.asarray(a), np.asarray(b)
     got = qm2_mul(a, b)
-    want = ref.qm2_mul(a, b)
+    want = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for r in range(2):
+        for c in range(2):
+            want[..., r, c, :] = (qmul(a[..., r, 0, :], b[..., 0, c, :])
+                                  + qmul(a[..., r, 1, :], b[..., 1, c, :]))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
+    qm2_close(got, a, b)
 
 
 @pytest.mark.parametrize("lead", [(), (0,), (4095,), (4096,), (4097,), (129, 129),
                                   (257, 257)])
 def test_qm2_mul_blocks_bit_identical(lead):
-    """The blocked kernel equals the entrywise reference bit for bit on
-    shapes inside, at and across the block edge, with a single-matrix
-    operand on either side."""
+    """The blocked kernel equals the entrywise product bit for bit on shapes
+    inside, at and across the block edge, with a single-matrix operand on
+    either side."""
     rng = np.random.default_rng(len(lead) + sum(lead))
     a, b = rng.normal(size=(2,) + lead + (2, 2, 4))
     _qm2_equal(a, b)

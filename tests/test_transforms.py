@@ -365,6 +365,21 @@ def test_moebius_equivalent_detects_difference(plane129, catenoid129):
     assert not eq and res > 1e-2
 
 
+@pytest.mark.parametrize("name", ["plane", "catenoid"])
+def test_moebius_equivalent_negative_control(name, plane129, catenoid129, grid129):
+    """A 1e-4 bump, which no Moebius map makes, fails even in the
+    best-conditioned point order; a Moebius image of the bumped surface
+    passes."""
+    f = {"plane": plane129, "catenoid": catenoid129}[name].f
+    bump = np.exp(-4 * np.abs(grid129.zgrid()) ** 2)[..., None] * np.array([0, 1, 1, 1])
+    bumped = QField(grid129, f.values + 1e-4 / np.sqrt(3) * bump)
+    eq, res = moebius_equivalent(f, bumped, seed=2)
+    assert not eq and res > 5e-5, res
+    vals, ok = MoebiusMap.inversion_about(Quaternion(0, 0.3, 0.2, 0.1)).apply_array(bumped.values)
+    eq, res = moebius_equivalent(bumped, QField(grid129.merge_mask(ok), vals), seed=2)
+    assert eq and res < 1e-12, res
+
+
 # ---------------------------------------------------------------------------
 # permutability
 # ---------------------------------------------------------------------------
@@ -376,6 +391,19 @@ def test_permutability_suite_plane(plane129, grid129):
     assert rep.p2_pointwise <= 1e-4   # O(h^2) positioning identity
     assert rep.p2_translation <= 1e-4
     assert rep.all_pass()
+
+
+@pytest.mark.parametrize("lam, seed", [(1.387875832181368, 196591218),
+                                       (1.2440018924366578, 1947939405),
+                                       (1.454273677371302, 1796055005)])
+def test_permutability_p3_nearly_coincident_images(lam, seed, plane129):
+    """Inputs on which P3, compared in the sampled point order, read 1.0e-5
+    to 1.6e-5, above tau: two image points of a quadruple nearly coincide,
+    so |r| is large (38.35 on the last input, where the chain is accurate
+    to 4.2e-7 relative) and the absolute (Re r, |r|) metric magnifies the
+    error."""
+    rep = permutability_suite(plane129, lam, seed=seed)
+    assert rep.p3_residual <= 1e-6, rep.p3_residual
 
 
 def test_permutability_p2_positioning_order(plane65, plane129):
