@@ -504,8 +504,10 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
     batches of b nodes, and returns advance(i, state), which takes a batch
     of states over step i.  The whole spine line is prepared in one call and
     the rows in blocks of grid columns of about _MARCH_BLOCK nodes; the
-    states advance one grid line at a time.  StepBlowup names the first node
-    reached whose state is not finite or exceeds blowup.
+    states advance one grid line at a time.  Each spine node is checked when
+    it is reached and each block of rows after its last column: StepBlowup
+    names the first node, in march order, whose state is not finite or
+    exceeds blowup.
     """
     iy0, ix0 = _spine_rows_order(grid, p0)
     h = grid.h
@@ -513,15 +515,16 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
     state0 = state0[..., None]
     _pair_view(out[iy0:iy0 + 1, ix0])[...] = state0
 
-    def reached(state, iy, ix):
-        vals = out[iy:iy + state.shape[-1], ix]
-        _pair_view(vals)[...] = state
-        norm = np.abs(vals).reshape(len(vals), -1).max(axis=1)
+    def check(vals, iy, ix, d=1):
+        """Raise at the first bad node of vals, rows iy, iy + 1, ... of the
+        grid lines ix, ix + d, ...: its first bad line, then its first row."""
+        norm = np.abs(vals).max(axis=tuple(range(2, vals.ndim)))
         bad = ~(norm <= blowup)
         if bad.any():
-            k = int(bad.argmax())
-            raise StepBlowup(f"state norm {norm[k]:.3e} exceeds {blowup:.1e}",
-                             node=(iy + k, ix))
+            j = int(bad.any(axis=0).argmax())
+            k = int(bad[:, j].argmax())
+            raise StepBlowup(f"state norm {norm[k, j]:.3e} exceeds {blowup:.1e}",
+                             node=(iy + k, ix + d * j))
 
     # spine: vary iy at fixed ix0, in batches of one node; (target, start,
     # midpoint, step) up from iy0, then down from it
@@ -536,7 +539,8 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
     state = state0
     for i, iy in enumerate(target):
         state = advance(i, state0 if i == len(rise) else state)
-        reached(state, iy, ix0)
+        _pair_view(out[iy:iy + 1, ix0])[...] = state
+        check(out[iy:iy + 1, ix0:ix0 + 1], iy, ix0)
         spine[..., iy] = state[..., 0]
 
     # rows: vary ix, batched over iy, right of ix0 then left of it; the steps
@@ -550,9 +554,13 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
             advance = steps(*(np.swapaxes(c, 0, 1) for c in (
                 coef_x[:, _lines(ix1 - d, k, d)], _block_midpoints(coef_x, first, k)[:, ::d],
                 coef_x[:, _lines(ix1, k, d)])), np.full(k, d * h))
-            for i in range(k):
-                state = advance(i, state)
-                reached(state, 0, ix1 + d * i)
+            # a floating-point exception leaves a non-finite or over-limit
+            # state in its column, which the block's check then reports
+            with np.errstate(all="ignore"):
+                for i in range(k):
+                    state = advance(i, state)
+                    _pair_view(out[:, ix1 + d * i])[...] = state
+            check(out[:, _lines(ix1, k, d)], 0, ix1, d)
     return out
 
 

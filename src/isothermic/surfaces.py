@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTangent
+from .errors import DegenerateTangent, MaskedNeighbor
 from .grid import (
     GridSpec,
     QField,
@@ -151,26 +151,30 @@ def isothermic_certificate(surface: PolarizedSurface, tau=None, margin=4):
     dz^2 component of <df, dn>), residual the largest relative deviation
     among the off-real Hopf part and the conformality defects.  The surface
     is accepted as isothermic when residual <= tau (default 1e-4); this is
-    a certificate, not a gate, so no exception is raised here.
+    a certificate, not a gate, so no exception is raised for a large residual.
 
     The reported maximum trims `margin` boundary rings: the curvature jets
     fall back to one-sided stencils there, and surfaces produced by chained
-    integrations carry reduced edge accuracy.
+    integrations carry reduced edge accuracy.  MaskedNeighbor is raised when
+    no valid node is left inside them.
     """
     ff = fundamental_forms(surface)
-    interior = np.zeros((surface.grid.ny, surface.grid.nx), dtype=bool)
+    ny, nx = surface.grid.ny, surface.grid.nx
+    interior = np.zeros((ny, nx), dtype=bool)
     m = max(1, margin)
     interior[m:-m, m:-m] = True
     interior &= surface.grid.valid() & ff.valid
-    scale = float(np.mean(ff.E[interior])) if interior.any() else 1.0
-    scale = max(scale, 1e-300)
+    if not interior.any():
+        raise MaskedNeighbor(f"isothermic certificate: no valid node of the {ny}x{nx} "
+                             f"grid is left after trimming {m} boundary rings")
+    scale = max(float(np.mean(ff.E[interior])), 1e-300)
     # <df, dn> = -II; its dz^2 coefficient is -( (e - g)/2 - i f )
     rho = -(ff.e - ff.g) / 2.0
     off_real = np.abs(ff.f)
     conf_angle = np.abs(ff.F)
     conf_stretch = 0.5 * np.abs(ff.E - ff.G)
     pieces = np.maximum(off_real, np.maximum(conf_angle, conf_stretch))
-    residual = float(pieces[interior].max() / scale) if interior.any() else np.inf
+    residual = float(pieces[interior].max() / scale)
     return rho, residual
 
 

@@ -69,24 +69,32 @@ def christoffel_form(surface: PolarizedSurface, df: QForm1 | None = None) -> QFo
     return QForm1(grid, inv_x, -inv_y)
 
 
+def _certify_isothermic(surface: PolarizedSurface, tau_iso=TAU_ISOTHERMIC):
+    """Raise NotClosed unless the isothermic certificate passes tau_iso."""
+    _, res = isothermic_certificate(surface)
+    if not res <= tau_iso:
+        raise NotClosed(f"isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}")
+
+
 def christoffel(
     surface: PolarizedSurface,
     p0=None,
     c0=np.zeros(4),
     tau_iso=TAU_ISOTHERMIC,
     tolerance_scale=1.0,
+    cform: QForm1 | None = None,
 ) -> PolarizedSurface:
     """Christoffel transform pinned by Cf(p0) = c0.
 
     The dual is scaled so that df * dCf is the grid polarization dz^2; the
-    transform flips the stored conjugation flag.
+    transform flips the stored conjugation flag.  Supplying cform, the dual
+    form of a surface already certified, skips the certificate.
     """
-    _, res = isothermic_certificate(surface)
-    if not res <= tau_iso:
-        raise NotClosed(f"isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}")
+    if cform is None:
+        _certify_isothermic(surface, tau_iso)
+        cform = christoffel_form(surface)
     p0 = p0 or surface.grid.center_node()
-    omega = christoffel_form(surface)
-    cf = integrate_form(omega, p0, np.asarray(c0, dtype=float), tolerance_scale=tolerance_scale)
+    cf = integrate_form(cform, p0, np.asarray(c0, dtype=float), tolerance_scale=tolerance_scale)
     return surface.derived(cf.values, grid=cf.grid, flip=True, step="christoffel")
 
 
@@ -167,11 +175,7 @@ def canonical_connection(
     p0 = p0 or grid.center_node()
     df = d_field_hi(surface.f)
     if cform is None:
-        _, res = isothermic_certificate(surface)
-        if not res <= tau_iso:
-            raise NotClosed(
-                f"isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}"
-            )
+        _certify_isothermic(surface, tau_iso)
         cform = christoffel_form(surface, df)
     grid = grid.merge_mask(df.grid.valid() & cform.grid.valid())
     shape = (grid.ny, grid.nx, 2, 2, 4)
@@ -333,13 +337,15 @@ def darboux_via_connection(
     provenance=(),
     chain=False,
     tolerance_scale=1.0,
+    frame: FrameField | None = None,
 ) -> DarbouxResult:
     """Darboux transform through an adapted frame family.
 
     Solves 0 = dw + phi(lam) w and projects frame0 * w.  With chain=True the
     output carries its own frame family (the transform parameter of the
     output family is offset so that its own Darboux/T transforms compose
-    with exact initial-condition correspondence).
+    with exact initial-condition correspondence); the chain marches the
+    identity-pinned frame of phi(lam) unless that frame is supplied.
     """
     phi_x, phi_y = conn.phi(lam)
     w0 = np.asarray(w0, dtype=float)
@@ -352,7 +358,7 @@ def darboux_via_connection(
         homog = qm2_matvec(conn.frame0, w)
         out_conn = None
     else:
-        y = integrate_frame(
+        y = frame or integrate_frame(
             phi_x, phi_y, conn.grid, qm2_identity(), conn.p0,
             tolerance_scale=tolerance_scale,
         )
@@ -563,10 +569,14 @@ def permutability_suite(
     p0 = p0 or grid.center_node()
     mu = 0.4 * lam if mu is None else mu
     f0 = surface.f.value_at(p0)
+    # one dual form, one connection family and one frame of phi(lam)
+    cform = christoffel_form(surface)
+    _certify_isothermic(surface)
+    conn = canonical_connection(surface, cform, p0)
 
     # P1
-    tt = t_transform(surface, lam, p0)
-    cs = christoffel(surface, p0)
+    tt = t_transform_via_connection(conn, lam, surface.polarization)
+    cs = christoffel(surface, p0, cform=cform)
     tc = t_transform(cs, lam, p0)
     _, p1 = moebius_equivalent(tt.second_point, tc.surface, seed=seed, tau=tau)
 
@@ -574,7 +584,7 @@ def permutability_suite(
     if d0 is None:
         nrm = normal_field(surface)
         d0 = f0 + nrm.values[p0[0], p0[1]]
-    dar = darboux_riccati(surface, lam, p0, d0)
+    dar = darboux_riccati(surface, lam, p0, d0, cform=cform)
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam
@@ -595,8 +605,7 @@ def permutability_suite(
     v0 = np.zeros((2, 4))
     v0[0, 0] = 1.0
     v0[1] = diff[p0[0], p0[1]]
-    conn = canonical_connection(surface, p0=p0)
-    dar_chain = darboux_via_connection(conn, lam, v0, chain=True)
+    dar_chain = darboux_via_connection(conn, lam, v0, chain=True, frame=tt.frame)
     lhs = t_transform_via_connection(dar_chain.connection, mu).surface
     tt_chain = t_transform_via_connection(conn, mu)
     rhs = darboux_via_connection(tt_chain.connection, lam - mu, v0).surface

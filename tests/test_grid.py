@@ -312,6 +312,53 @@ def test_blowup_named_at_first_column_of_a_block(grid33, monkeypatch, rate, node
     assert info.value.node == node
 
 
+def _blowup_node(grid, monkeypatch, phix, blowup, p0=None):
+    """The node StepBlowup names for the frame march of dF = F phix dx from
+    the identity at p0 (default the centre), in blocks of 3 grid columns; the
+    march runs with warnings as errors, and ungated, since phix may vary
+    along y."""
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid.ny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepBlowup) as info:
+            integrate_frame(phix, np.zeros_like(phix), grid, qm2_identity(),
+                            p0 or grid.center_node(), tau=np.inf, blowup=blowup)
+    return info.value.node
+
+
+@pytest.mark.parametrize("rate, node", [(40.0, (0, 21)), (-40.0, (0, 11))],
+                         ids=["right", "left"])
+def test_blowup_named_in_middle_column_of_a_block(grid33, monkeypatch, rate, node):
+    """Blocks 20-22 and 12-10: an RK4 step at 40 h = 2.5 grows F11 by 10.86,
+    so it passes 1e5 five columns from ix0 = 16, at ix = 21 and 11."""
+    phix = np.zeros((grid33.ny, grid33.nx, 2, 2, 4))
+    phix[..., 0, 0, 0] = rate
+    assert _blowup_node(grid33, monkeypatch, phix, 1e5) == node
+
+
+@pytest.mark.parametrize("sign, node", [(1.0, (20, 21)), (-1.0, (20, 11))],
+                         ids=["right", "left"])
+def test_blowup_names_earlier_column_before_lower_row(grid33, monkeypatch, sign, node):
+    """Row 20 passes 1e5 at the middle column of a block (growth 10.86 per
+    step), row 5 one column later (growth 8.37 at 35.2 h = 2.2): the column
+    reached first is named, although the other bad node has the lower row."""
+    phix = np.zeros((grid33.ny, grid33.nx, 2, 2, 4))
+    phix[20, :, 0, 0, 0] = sign * 40.0
+    phix[5, :, 0, 0, 0] = sign * 35.2
+    assert _blowup_node(grid33, monkeypatch, phix, 1e5) == node
+
+
+@pytest.mark.parametrize("p0, node", [((16, 0), (0, 2)), ((16, 32), (0, 30))],
+                         ids=["right", "left"])
+def test_overflow_inside_a_block_is_a_blowup(grid33, monkeypatch, p0, node):
+    """One step grows F11 by about (rate h)^4 / 24 = 4e158: below the limit
+    1e300 at the first column of the block from an edge base node, infinite
+    at the second, where the overflow raises no RuntimeWarning."""
+    phix = np.zeros((grid33.ny, grid33.nx, 2, 2, 4))
+    phix[..., 0, 0, 0] = 1.6e41
+    assert _blowup_node(grid33, monkeypatch, phix, 1e300, p0) == node
+
+
 def _nan_marches(grid, phi_x, phi_y):
     p0 = grid.center_node()
     v0 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])

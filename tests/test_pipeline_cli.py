@@ -355,6 +355,20 @@ def test_cli_rejects_permutability_at_zero_lambda(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("verify", [{"permutability": True}, {"isothermic": True}],
+                         ids=["permutability", "isothermic"])
+def test_cli_tiny_grid_names_the_trimmed_rings(tmp_path, capsys, verify, n):
+    # no node survives the certificate's four trimmed boundary rings
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, grid_n=n, verify=verify)))
+    assert cli_main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: isothermic certificate: no valid node of "
+                          f"the {n}x{n} grid is left after trimming 4 boundary rings")
+    assert "Traceback" not in err
+
+
 def test_config_accepts_integral_float():
     cfg = config(grid_n=33.0, seed=2.0)
     assert (cfg.grid_nx, cfg.grid_ny, cfg.seed) == (33, 33, 2)

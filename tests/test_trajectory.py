@@ -1,0 +1,44 @@
+"""bench/trajectory.py --compare on hand-made trajectory files."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("trajectory", ROOT / "bench" / "trajectory.py")
+trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trajectory)
+
+NAMES = ("op_s.p50", "nodes_per_s", "setup_s", "peak_rss_mb", "residual_margin")
+
+
+def _tree(op_s, attempted, failed_ops):
+    runs = [{"seed": seed, "order": 0, "attempted": n, "failed": len(bad), "failed_ops": bad,
+             "metrics": dict.fromkeys(NAMES, 1.0) | {"op_s.p50": t}}
+            for seed, t, n, bad in zip((1, 2), op_s, attempted, failed_ops)]
+    end_to_end = {name: {"median": 1.0, "q1": 1.0, "q3": 1.0, "unit": "x"} for name in NAMES}
+    end_to_end["op_s.p50"] = {"median": sum(op_s) / 2, "q1": min(op_s), "q3": max(op_s),
+                              "unit": "s"}
+    per_layer = {"seed": 1, "attempted": 1, "failed": 0,
+                 "metrics": {"grid.integrate_frame.calls": {"value": 5.0, "unit": "count"}}}
+    return {"tree_commit": "abc", "env": {},
+            "workloads": {"permutability": {"seconds": 36, "runs": runs,
+                                            "end_to_end": end_to_end, "per_layer": per_layer}}}
+
+
+def test_compare_counts_failures_on_ops_both_attempted(tmp_path, capsys):
+    """The faster tree B attempts ops 42-44 of seed 1 that A never reached and
+    fails op 44: not counted.  Its failure at op 10 of seed 2, which A also
+    attempted, is."""
+    a = _tree((1.0, 1.2), (42, 40), ([], []))
+    b = _tree((0.8, 0.9), (45, 44), ([44], [10]))
+    b["workloads"]["permutability"]["per_layer"]["metrics"]["grid.integrate_frame.calls"][
+        "value"] = 4.0
+    path = tmp_path / "BENCH_1.json"
+    path.write_text(json.dumps({"pr": 1, "seeds": [1, 2], "trees": {"parent": a, "change": b}}))
+    trajectory.compare(f"{path}:parent", f"{path}")
+    out = capsys.readouterr().out
+    assert "ratios are B/A, base A" in out
+    assert "failed on ops both attempted: A 0, B 1 of 82" in out
+    assert "op_s.p50 [s]: A 1.1 (IQR 0.2)  B 0.85 (IQR 0.1)  B/A 0.7727  B better in 2/2" in out
+    assert "grid.integrate_frame.calls [count]: A 5  B 4  B/A 0.8000" in out

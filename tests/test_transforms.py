@@ -1,3 +1,6 @@
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,7 @@ from isothermic.quaternion import (
 )
 from isothermic.surfaces import fundamental_forms
 
+import reference_permutability
 from conftest import sample_values
 
 
@@ -404,6 +408,85 @@ def test_permutability_p3_nearly_coincident_images(lam, seed, plane129):
     error."""
     rep = permutability_suite(plane129, lam, seed=seed)
     assert rep.p3_residual <= 1e-6, rep.p3_residual
+
+
+_P3_INPUTS = [(1.387875832181368, 196591218), (1.2440018924366578, 1947939405),
+              (1.454273677371302, 1796055005)]
+
+
+@pytest.mark.parametrize("n, lam, seed", [(65, lam, 7) for lam in (0.5, 1.0, 1.5)]
+                         + [(129, lam, seed) for lam, seed in _P3_INPUTS])
+def test_permutability_suite_equals_reference(n, lam, seed, plane65, plane129):
+    """The suite that builds the dual form, certificate, connection and frame
+    of phi(lam) once reports what the reference, which builds each of them
+    per identity, reports, bit for bit."""
+    surface = {65: plane65, 129: plane129}[n]
+    got = permutability_suite(surface, lam, seed=seed)
+    want = reference_permutability.permutability_suite(surface, lam, seed=seed)
+    assert got == want
+
+
+_COUNTED = {
+    "grid": ["integrate_frame", "maurer_cartan_residual"],
+    "surfaces": ["isothermic_certificate", "surface_jets"],
+    "transforms": ["canonical_connection", "t_transform"],
+    "quaternion": ["qm2_mul"],
+}
+
+
+def _count_calls(monkeypatch):
+    """Count calls of the functions in _COUNTED, through every isothermic
+    module namespace that binds them and the reference suite's."""
+    counts = {}
+    for module, names in _COUNTED.items():
+        for name in names:
+            original = getattr(importlib.import_module(f"isothermic.{module}"), name)
+
+            def counted(*args, _key=f"{module}.{name}", _fn=original, **kwargs):
+                counts[_key] = counts.get(_key, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for mod in [m for key, m in sys.modules.items() if key.startswith("isothermic")]:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+            if getattr(reference_permutability, name, None) is original:
+                monkeypatch.setattr(reference_permutability, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("suite, expected", [
+    ("reference", {"grid.integrate_frame": 5, "grid.maurer_cartan_residual": 6,
+                   "surfaces.isothermic_certificate": 5, "surfaces.surface_jets": 6,
+                   "transforms.canonical_connection": 3, "transforms.t_transform": 2,
+                   "quaternion.qm2_mul": 26}),
+    ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 5,
+                "surfaces.isothermic_certificate": 3, "surfaces.surface_jets": 4,
+                "transforms.canonical_connection": 2, "transforms.t_transform": 1,
+                "quaternion.qm2_mul": 24}),
+])
+def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
+    run = {"reference": reference_permutability.permutability_suite,
+           "shared": permutability_suite}[suite]
+    counts = _count_calls(monkeypatch)
+    run(plane65, 1.0)
+    assert counts == expected
+
+
+def test_permutability_suite_rejects_non_isothermic(grid65):
+    """Negative control: the shared certificate rejects what the reference
+    rejects, with the same message."""
+    def wobble(z):
+        return oc.f_plane(z) + Quaternion(0, -1, 0, 0).as_array() * (
+            0.1 * np.sin(3 * z.real) * np.sin(5 * z.imag)
+        )[..., None]
+
+    s = PolarizedSurface.sample(grid65, wobble, "dzbar2")
+    with pytest.raises(NotClosed) as want:
+        reference_permutability.permutability_suite(s, 1.0)
+    with pytest.raises(NotClosed) as got:
+        permutability_suite(s, 1.0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("isothermic certificate residual")
 
 
 def test_permutability_p2_positioning_order(plane65, plane129):
