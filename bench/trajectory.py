@@ -4,13 +4,13 @@
 Measure one or more trees (a checkout with ``src/`` and ``perfbench/``) and
 write ``BENCH_<pr>.json``:
 
-    python3 bench/trajectory.py --pr 13 --tree parent=../parent --tree change=. \\
+    python3 bench/trajectory.py --pr N --tree parent=../parent --tree change=. \\
         --seeds 21 22 23 --seconds 36
 
 For every workload each tree runs ``perfbench/run.py --trace 0`` once per
 seed and ``--trace 1`` once, on the first seed; the trees take turns, and
 which one runs first alternates from seed to seed.  The file keeps, per tree
-and workload, every untimed-trace run (its end-to-end metrics, ops attempted
+and workload, every ``--trace 0`` run (its end-to-end metrics, ops attempted
 and failed, and which ops failed), the median and quartiles of each
 end-to-end metric, and the traced run's per-layer metrics, together with the
 tree's commit and the Python and numpy versions and core count perfbench
@@ -19,7 +19,7 @@ reports.
 Compare two trees, each named FILE:LABEL (LABEL defaults to the file's only
 or last tree):
 
-    python3 bench/trajectory.py --compare BENCH_13.json:parent BENCH_13.json:change
+    python3 bench/trajectory.py --compare BENCH_N.json:parent BENCH_N.json:change
 
 Every ratio is printed as B/A with A as its base.  Runs of the two trees are
 paired by seed.  A run is closed-loop for a fixed time, so a faster tree
@@ -82,11 +82,11 @@ def _quartiles(values):
     return q1, statistics.median(values), q3
 
 
-def measure(trees, workloads, seeds, seconds):
+def measure(trees, seeds, seconds):
     """Run every tree on every workload; returns {label: tree record}."""
     spec = _spec()
     out = {label: {"tree_commit": _commit(path), "workloads": {}} for label, path in trees}
-    for workload in workloads:
+    for workload in WORKLOADS:
         runs = {label: [] for label, _ in trees}
         for i, seed in enumerate(seeds):
             order = trees if i % 2 == 0 else trees[::-1]
@@ -136,6 +136,8 @@ def compare(ref_a, ref_b):
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         pairs = [(ra, rb) for ra in wa["runs"] for rb in wb["runs"] if ra["seed"] == rb["seed"]]
         print(f"\n{workload}: {len(pairs)} pairs by seed")
+        if not pairs:
+            continue
         for name, m in spec.items():
             ea, eb = wa["end_to_end"][name], wb["end_to_end"][name]
             sign = 1 if m["better"] == "higher" else -1
@@ -147,10 +149,12 @@ def compare(ref_a, ref_b):
                   f"  B/A {_ratio(eb['median'], ea['median'])}  B better in {wins}/{len(pairs)}"
                   f"  median gap {abs(eb['median'] - ea['median']):.3g}"
                   + ("  WORSE BEYOND BOUND" if beyond else ""))
+        # ops are numbered in the seed's input order: both runs of a pair
+        # attempted the first min(attempted) of them
         common = [min(ra["attempted"], rb["attempted"]) for ra, rb in pairs]
-        fails = [sum(op < n for op in r["failed_ops"]) for (r, _), n in zip(pairs, common)], \
-                [sum(op < n for op in r["failed_ops"]) for (_, r), n in zip(pairs, common)]
-        print(f"  failed on ops both attempted: A {sum(fails[0])}, B {sum(fails[1])} "
+        fails = [sum(op < n for r, n in zip(side, common) for op in r["failed_ops"])
+                 for side in zip(*pairs)]
+        print(f"  failed on ops both attempted: A {fails[0]}, B {fails[1]} "
               f"of {sum(common)} (attempted in all: A {sum(r['attempted'] for r in wa['runs'])},"
               f" B {sum(r['attempted'] for r in wb['runs'])})")
         la, lb = wa["per_layer"]["metrics"], wb["per_layer"]["metrics"]
@@ -168,9 +172,9 @@ def main(argv=None):
     p.add_argument("--pr", type=int, help="writes BENCH_<pr>.json in the repository root")
     p.add_argument("--tree", action="append", metavar="LABEL=DIR",
                    help="a tree to measure (repeatable; default: change=the repository root)")
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    p.add_argument("--seeds", nargs="+", type=int, default=[1])
-    p.add_argument("--seconds", type=float, default=36.0)
+    p.add_argument("--seeds", nargs="+", type=int, default=[1],
+                   help="one --trace 0 run per seed and tree; the first seed is also traced")
+    p.add_argument("--seconds", type=float, default=36.0, help="perfbench's --seconds")
     args = p.parse_args(argv)
     if args.compare:
         compare(*args.compare)
@@ -183,7 +187,7 @@ def main(argv=None):
         if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
             p.error(f"--tree {spec!r}: expected LABEL=DIR with DIR/perfbench/run.py")
         trees.append((label, str(Path(path).resolve())))
-    trees_out = measure(trees, args.workloads, args.seeds, args.seconds)
+    trees_out = measure(trees, args.seeds, args.seconds)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps({"pr": args.pr, "seeds": args.seeds, "trees": trees_out},
                                indent=1) + "\n")
