@@ -57,13 +57,15 @@ def test_christoffel_plane_exact(plane129, grid129):
     assert cf.polarization == "dz2"  # conjugation flag flips
 
 
-def test_christoffel_requires_isothermic(grid65):
-    def wobble(z):
-        return oc.f_plane(z) + Quaternion(0, -1, 0, 0).as_array() * (
-            0.1 * np.sin(3 * z.real) * np.sin(5 * z.imag)
-        )[..., None]
+def _wobble(z):
+    """The plane bent along i: not isothermic."""
+    return oc.f_plane(z) + Quaternion(0, -1, 0, 0).as_array() * (
+        0.1 * np.sin(3 * z.real) * np.sin(5 * z.imag)
+    )[..., None]
 
-    s = PolarizedSurface.sample(grid65, wobble, "dzbar2")
+
+def test_christoffel_requires_isothermic(grid65):
+    s = PolarizedSurface.sample(grid65, _wobble, "dzbar2")
     with pytest.raises(NotClosed):
         christoffel(s)
 
@@ -397,9 +399,11 @@ def test_permutability_suite_plane(plane129, grid129):
     assert rep.all_pass()
 
 
-@pytest.mark.parametrize("lam, seed", [(1.387875832181368, 196591218),
-                                       (1.2440018924366578, 1947939405),
-                                       (1.454273677371302, 1796055005)])
+_P3_INPUTS = [(1.387875832181368, 196591218), (1.2440018924366578, 1947939405),
+              (1.454273677371302, 1796055005)]
+
+
+@pytest.mark.parametrize("lam, seed", _P3_INPUTS)
 def test_permutability_p3_nearly_coincident_images(lam, seed, plane129):
     """Inputs on which P3, compared in the sampled point order, read 1.0e-5
     to 1.6e-5, above tau: two image points of a quadruple nearly coincide,
@@ -408,10 +412,6 @@ def test_permutability_p3_nearly_coincident_images(lam, seed, plane129):
     error."""
     rep = permutability_suite(plane129, lam, seed=seed)
     assert rep.p3_residual <= 1e-6, rep.p3_residual
-
-
-_P3_INPUTS = [(1.387875832181368, 196591218), (1.2440018924366578, 1947939405),
-              (1.454273677371302, 1796055005)]
 
 
 @pytest.mark.parametrize("n, lam, seed", [(65, lam, 7) for lam in (0.5, 1.0, 1.5)]
@@ -475,12 +475,7 @@ def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
 def test_permutability_suite_rejects_non_isothermic(grid65):
     """Negative control: the shared certificate rejects what the reference
     rejects, with the same message."""
-    def wobble(z):
-        return oc.f_plane(z) + Quaternion(0, -1, 0, 0).as_array() * (
-            0.1 * np.sin(3 * z.real) * np.sin(5 * z.imag)
-        )[..., None]
-
-    s = PolarizedSurface.sample(grid65, wobble, "dzbar2")
+    s = PolarizedSurface.sample(grid65, _wobble, "dzbar2")
     with pytest.raises(NotClosed) as want:
         reference_permutability.permutability_suite(s, 1.0)
     with pytest.raises(NotClosed) as got:
