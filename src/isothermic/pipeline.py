@@ -1,7 +1,11 @@
 """Configuration-driven orchestration: generate, transform, verify, export.
 
-Configs are plain JSON with strict validation (unknown keys are rejected);
-reports are JSON and reproducible bit-for-bit for a fixed config and seed.
+Every config rule is in one table, FIELDS.  PipelineConfig.from_dict walks
+all of it (unknown or missing keys, each value's kind and range, defaults
+filled in), then checks the cross-field rules, before any work runs; the
+CLI flags and every sweep member go through it too.  The generator, the
+transforms and the checks read only validated values.  Reports are JSON and
+reproducible bit-for-bit for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -9,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,60 +43,104 @@ from .transforms import (
 )
 
 DEFAULT_GRID_N = 129
-DEFAULT_DOMAIN = {"x0": -1.0, "y0": -1.0, "width": 2.0, "height": 2.0}
+GENERATOR_KINDS = ("example", "weierstrass", "bryant", "darboux-weierstrass", "file")
+TRANSFORM_OPS = ("christoffel", "goursat", "darboux", "darboux_linear", "t_transform")
+_WEIERSTRASS = ("weierstrass", "bryant", "darboux-weierstrass")
+_V0 = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+REQUIRED = object()  # the default of a field that must be given
 
 
-def finite_float(value, where):
-    """value as a finite float; anything else, a bool too, is invalid input."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ConfigInvalid(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigInvalid(f"{where} must be finite, got {value!r}")
-    return number
+class Field(NamedTuple):
+    """One config field.  section is "" at the top level, else the mapping
+    that holds key ("transforms": each step); kind is a key of KINDS;
+    default None lets the key be absent; only names the generator kinds or
+    transform ops that allow the key, chosen by the first field of section."""
+
+    section: str
+    key: str
+    kind: str
+    default: object = None
+    shape: tuple = ()
+    choices: tuple = ()
+    range: str = ""
+    only: tuple = ()
 
 
-def _integer(value, where):
-    """value as an int; a bool, a number with a fractional part and anything
-    int() cannot convert are invalid input (an integral float such as 33.0
-    is accepted)."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool) or (
-            isinstance(value, float) and number != value):
-        raise ConfigInvalid(f"{where} must be an integer, got {value!r}")
-    return number
+#: every config field; PipelineConfig.from_dict adds the cross-field rules
+FIELDS = (
+    Field("", "domain", "mapping", {}),
+    Field("", "grid_n", "integer", DEFAULT_GRID_N),
+    Field("", "grid_nx", "integer"),
+    Field("", "grid_ny", "integer"),
+    Field("", "generator", "mapping", REQUIRED),
+    Field("", "transforms", "list", []),
+    Field("", "verify", "mapping", {}),
+    Field("", "export", "mapping", {}),
+    Field("", "seed", "integer", 0, range="non-negative"),
+    Field("", "tolerance_scale", "number", 1.0, range="positive"),
+    Field("domain", "x0", "number", -1.0),
+    Field("domain", "y0", "number", -1.0),
+    Field("domain", "width", "number", 2.0, range="positive"),
+    Field("domain", "height", "number", 2.0, range="positive"),
+    Field("generator", "kind", "choice", REQUIRED, choices=GENERATOR_KINDS),
+    Field("generator", "lambda", "number", 1.0),
+    Field("generator", "data", "choice", "plane", choices=("plane", "family"), only=_WEIERSTRASS),
+    Field("generator", "v0", "array", _V0, shape=(2, 4), only=_WEIERSTRASS),
+    Field("generator", "path", "path", REQUIRED, only=("file",)),
+    Field("transforms", "op", "choice", REQUIRED, choices=TRANSFORM_OPS),
+    Field("transforms", "lambda", "number", 1.0),
+    Field("transforms", "m", "array", [1.0, 0.0, 0.0], shape=(3,), only=("goursat",)),
+    Field("transforms", "d0", "array", shape=(4,), only=("darboux",)),
+    Field("transforms", "v0", "array", _V0, shape=(2, 4), only=("darboux_linear",)),
+    *(Field("verify", key, "flag") for key in
+      ("isothermic", "spherical_type", "liouville", "mean_curvature", "permutability")),
+    *(Field("export", key, "file name") for key in ("obj", "surface", "report")),
+)
+
+_RANGES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
 
 
-#: shapes of the array fields of the generator and of transform steps
-_ARRAY_FIELDS = {"m": (3,), "d0": (4,), "v0": (2, 4)}
+def _ok(valid, value):
+    """value, if valid; a kind's converter raises ValueError otherwise."""
+    if not valid:
+        raise ValueError(value)
+    return value
 
 
-def _check_arrays(section, where):
-    """Every array field of section must be finite numbers of its shape."""
-    for key, shape in _ARRAY_FIELDS.items():
-        if key not in section:
-            continue
-        try:
-            array = np.asarray(section[key], dtype=float)
-            ok = array.shape == shape and np.isfinite(array).all()
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigInvalid(f"{where} {key} must be finite numbers of shape {shape}, "
-                                f"got {section[key]!r}")
+def _number(value, entry):
+    number = float(value)
+    return _ok(not isinstance(value, bool) and math.isfinite(number), number)
 
 
-def _check_values(section, valid, description, where):
-    """Every value of section must satisfy valid."""
-    for key, value in section.items():
-        if not valid(value):
-            raise ConfigInvalid(f"{where} {key} must be {description}, got {value!r}")
+def _integer(value, entry):
+    """An integral float such as 33.0 is accepted, 33.9 is not."""
+    number = int(value)
+    integral = number == value or not isinstance(value, float)
+    return _ok(integral and not isinstance(value, bool), number)
+
+
+def _array(value, entry):
+    array = np.asarray(value, dtype=float)
+    return _ok(array.shape == entry.shape and np.isfinite(array).all(), array)
+
+
+def _steps(value, entry):
+    return [_walk(step, entry.key, "transform") for step in _ok(isinstance(value, list), value)]
+
+
+#: kind -> (convert(value, entry), what a valid value is); convert raises
+#: TypeError, ValueError or OverflowError on an invalid value
+KINDS = {
+    "number": (_number, "a finite number"),
+    "integer": (_integer, "an integer"),
+    "flag": (lambda v, e: _ok(isinstance(v, bool), v), "true or false"),
+    "file name": (lambda v, e: _ok(isinstance(v, str) and v != "", v), "a file name"),
+    "path": (lambda v, e: _ok(isinstance(v, str), v), "a string"),
+    "array": (_array, "finite numbers of shape {shape}"),
+    "choice": (lambda v, e: _ok(isinstance(v, str) and v in e.choices, v), "one of {choices}"),
+    "mapping": (lambda v, e: _walk(v, e.key, e.key), "a mapping"),
+    "list": (_steps, "a list"),
+}
 
 
 def _mapping(value, where):
@@ -100,13 +149,39 @@ def _mapping(value, where):
     return value
 
 
-def _require_keys(d, allowed, required=(), where="config"):
+def _require_keys(d, allowed, where):
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigInvalid(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = set(required) - set(d)
-    if missing:
-        raise ConfigInvalid(f"missing keys in {where}: {sorted(missing)}")
+
+
+def _walk(raw, section, name):
+    """The mapping raw checked against the FIELDS of section, defaults filled in."""
+    _mapping(raw, name)
+    entries = [entry for entry in FIELDS if entry.section == section]
+    out = {}
+    for entry in entries:
+        if entry.only and out[entries[0].key] not in entry.only:
+            continue
+        value = raw.get(entry.key, entry.default)
+        if value is REQUIRED:
+            raise ConfigInvalid(f"missing keys in {name}: [{entry.key!r}]")
+        if value is None and entry.key not in raw:
+            continue
+        where = f"{name} {entry.key}" if section else entry.key
+        convert, valid = KINDS[entry.kind]
+        try:
+            out[entry.key] = convert(value, entry)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigInvalid(f"{where} must be {valid.format(**entry._asdict())}, "
+                                f"got {value!r}") from None
+        if entry.range and not _RANGES[entry.range](out[entry.key]):
+            raise ConfigInvalid(f"{where} must be {entry.range}, got {value!r}")
+        if entry.key == "op":  # messages name a step by its op
+            name = f"transform {value}"
+    _require_keys(raw, [entry.key for entry in entries
+                        if not entry.only or out[entries[0].key] in entry.only], name)
+    return out
 
 
 @dataclass
@@ -123,65 +198,27 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        _require_keys(
-            _mapping(raw, "config"),
-            allowed={
-                "domain", "grid_n", "grid_nx", "grid_ny", "generator",
-                "transforms", "verify", "export", "seed", "tolerance_scale",
-            },
-            required={"generator"},
-        )
-        domain = dict(DEFAULT_DOMAIN)
-        domain.update(_mapping(raw.get("domain", {}), "domain"))
-        _require_keys(domain, {"x0", "y0", "width", "height"}, where="domain")
-        domain = {key: finite_float(value, f"domain {key}") for key, value in domain.items()}
-        if not (domain["width"] > 0 and domain["height"] > 0):
-            raise ConfigInvalid("domain width and height must be positive")
-        n = _integer(raw.get("grid_n", DEFAULT_GRID_N), "grid_n")
-        nx = _integer(raw.get("grid_nx", n), "grid_nx")
-        ny = _integer(raw.get("grid_ny", n), "grid_ny")
+        """The validated config of raw: every field of FIELDS, then the
+        cross-field rules, all before any work runs."""
+        c = _walk(raw, "", "config")
+        nx = c.get("grid_nx", c["grid_n"])
+        ny = c.get("grid_ny", c["grid_n"])
         if nx < 4 or ny < 4:
-            raise ConfigInvalid("grid needs at least 4 samples per side")
-        hx = domain["width"] / (nx - 1)
-        hy = domain["height"] / (ny - 1)
+            raise ConfigInvalid(f"grid too small: it needs at least 4 samples per side, "
+                                f"got {nx}x{ny}")
+        hx = c["domain"]["width"] / (nx - 1)
+        hy = c["domain"]["height"] / (ny - 1)
         if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise ConfigInvalid(
                 f"anisotropic spacing hx={hx!r} != hy={hy!r}: conformal "
                 "curvature-line sampling needs a square grid"
             )
-        generator = dict(_mapping(raw["generator"], "generator"))
-        kinds = {"example", "weierstrass", "bryant", "darboux-weierstrass", "file"}
-        if generator.get("kind") not in kinds:
-            raise ConfigInvalid(
-                f"unknown generator kind {generator.get('kind')!r} "
-                f"(expected one of {sorted(kinds)})"
-            )
-        _check_arrays(generator, "generator")
-        if not isinstance(generator.get("path", ""), str):
-            raise ConfigInvalid(f"generator path must be a string, got {generator['path']!r}")
-        transforms = raw.get("transforms", [])
-        if not isinstance(transforms, list):
-            raise ConfigInvalid(f"transforms must be a list, got {transforms!r}")
-        transforms = [dict(_mapping(t, "transform step")) for t in transforms]
-        for step in transforms:
-            _check_arrays(step, f"transform {step.get('op')}")
-        verify = dict(_mapping(raw.get("verify", {}), "verify"))
-        _require_keys(
-            verify,
-            {"isothermic", "spherical_type", "liouville", "mean_curvature",
-             "permutability"},
-            where="verify",
-        )
-        _check_values(verify, lambda v: isinstance(v, bool), "true or false", "verify")
-        export = dict(_mapping(raw.get("export", {}), "export"))
-        _require_keys(export, {"obj", "surface", "report"}, where="export")
-        _check_values(export, lambda v: isinstance(v, str) and v != "", "a file name",
-                      "export")
-        seed = _integer(raw.get("seed", 0), "seed")
-        scale = finite_float(raw.get("tolerance_scale", 1.0), "tolerance_scale")
-        if scale <= 0:
-            raise ConfigInvalid("tolerance_scale must be positive")
-        return cls(domain, nx, ny, generator, transforms, verify, export, seed, scale)
+        for check in ("permutability", "mean_curvature"):  # both divide by lambda
+            if c["verify"].get(check) and c["generator"]["lambda"] == 0.0:
+                raise ConfigInvalid(f"verify {check} needs a nonzero spectral parameter, "
+                                    "got lambda = 0")
+        return cls(c["domain"], nx, ny, c["generator"], c["transforms"], c["verify"],
+                   c["export"], c["seed"], c["tolerance_scale"])
 
     def grid(self):
         return GridSpec(
@@ -259,23 +296,23 @@ def _plane_weierstrass(grid):
 def make_surface(config: PipelineConfig):
     """Run the generator; returns (surface, extras dict)."""
     grid = config.grid()
-    gen = dict(config.generator)
-    kind = gen.pop("kind", None)
-    lam = finite_float(gen.pop("lambda", 1.0), "generator.lambda")
+    gen = config.generator
+    kind, lam = gen["kind"], gen["lambda"]
     extras = {"lambda": lam}
     if kind == "example":
-        _require_keys(gen, set(), where="generator.example")
         surface = PolarizedSurface.sample(grid, oracles.f_plane, "dzbar2",
                                           ("example-plane",))
-    elif kind in ("weierstrass", "bryant", "darboux-weierstrass"):
-        data_name = gen.pop("data", "plane")
-        _require_keys(gen, {"v0"}, where=f"generator.{kind}")
-        if data_name == "plane":
+    elif kind == "file":
+        fld, doc = load_field(gen["path"])
+        _require_keys(doc, {"grid", "values", "polarization", "lambda", "provenance",
+                            "model", "route"}, f"surface file {gen['path']}")
+        surface = PolarizedSurface(fld, doc.get("polarization", "dz2"),
+                                   tuple(doc.get("provenance", ())))
+    else:
+        if gen["data"] == "plane":
             data = _plane_weierstrass(grid)
-        elif data_name == "family":
-            data = _family_weierstrass(grid, lam)
         else:
-            raise ConfigInvalid(f"unknown weierstrass data preset {data_name!r}")
+            data = _family_weierstrass(grid, lam)
         if kind == "weierstrass":
             surface = weierstrass_minimal(data, tolerance_scale=config.tolerance_scale)
         elif kind == "bryant":
@@ -283,60 +320,37 @@ def make_surface(config: PipelineConfig):
             extras["cmc"] = cmc
             surface = PolarizedSurface(cmc.f, "dz2", ("bryant",))
         else:
-            v0 = np.asarray(gen.get("v0", [[1, 0, 0, 0], [0, -1, 0, 0]]), dtype=float)
-            cmc = darboux_weierstrass(data, lam, v0=v0,
+            cmc = darboux_weierstrass(data, lam, v0=gen["v0"],
                                       tolerance_scale=config.tolerance_scale)
             extras["cmc"] = cmc
             surface = PolarizedSurface(cmc.f, "dz2", ("darboux-weierstrass",))
-    elif kind == "file":
-        _require_keys(gen, {"path"}, required={"path"}, where="generator.file")
-        fld, doc = load_field(gen["path"])
-        _require_keys(doc, {"grid", "values", "polarization", "lambda", "provenance",
-                            "model", "route"}, where=f"surface file {gen['path']}")
-        surface = PolarizedSurface(fld, doc.get("polarization", "dz2"),
-                                   tuple(doc.get("provenance", ())))
-    else:
-        raise ConfigInvalid(f"unknown generator kind {kind!r}")
     return surface, extras
 
 
 def apply_transforms(surface: PolarizedSurface, steps, config: PipelineConfig):
     for step in steps:
-        step = dict(step)
-        op = step.pop("op", None)
-        lam = finite_float(step.pop("lambda", 1.0), f"transform {op} lambda")
+        op, lam = step["op"], step["lambda"]
         if op == "christoffel":
-            _require_keys(step, set(), where="transform.christoffel")
             surface = christoffel(surface, tolerance_scale=config.tolerance_scale)
         elif op == "goursat":
-            m = step.pop("m", [1.0, 0.0, 0.0])
-            _require_keys(step, set(), where="transform.goursat")
-            surface = goursat(surface, Quaternion.from_imag(m),
+            surface = goursat(surface, Quaternion.from_imag(step["m"]),
                               tolerance_scale=config.tolerance_scale)
         elif op == "darboux":
-            d0 = step.pop("d0", None)
-            _require_keys(step, set(), where="transform.darboux")
+            d0 = step.get("d0")
             if d0 is None:
                 from .surfaces import normal_field
 
                 p0 = surface.grid.center_node()
                 nrm = normal_field(surface)
                 d0 = surface.f.value_at(p0) + nrm.values[p0[0], p0[1]]
-            else:
-                d0 = np.asarray(d0, dtype=float)
             surface = darboux_riccati(surface, lam, d0=d0,
                                       tolerance_scale=config.tolerance_scale)
         elif op == "darboux_linear":
-            v0 = np.asarray(step.pop("v0", [[1, 0, 0, 0], [0, -1, 0, 0]]), dtype=float)
-            _require_keys(step, set(), where="transform.darboux_linear")
-            surface = darboux_linear(surface, lam, v0=v0,
+            surface = darboux_linear(surface, lam, v0=step["v0"],
                                      tolerance_scale=config.tolerance_scale)
-        elif op == "t_transform":
-            _require_keys(step, set(), where="transform.t_transform")
+        else:
             surface = t_transform(surface, lam,
                                   tolerance_scale=config.tolerance_scale).surface
-        else:
-            raise ConfigInvalid(f"unknown transform op {op!r}")
     return surface
 
 
@@ -383,16 +397,8 @@ def _make_dir(out_dir):
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from None
 
 
-def _check_lambda(verify, lam):
-    """The permutability suite divides by the spectral parameter."""
-    if verify.get("permutability") and finite_float(lam, "generator.lambda") == 0.0:
-        raise ConfigInvalid("verify permutability needs a nonzero spectral parameter, "
-                            "got lambda = 0")
-
-
 def run_pipeline(config: PipelineConfig, out_dir="."):
     """Generate, transform, verify, export; returns (report, artifact paths)."""
-    _check_lambda(config.verify, config.generator.get("lambda", 1.0))
     _make_dir(out_dir)
     report = InvariantReport()
     surface, extras = make_surface(config)
@@ -427,25 +433,22 @@ def sweep(config: PipelineConfig, lambdas, out_dir="."):
 
     If the transform chain carries no spectral step, one is appended, so
     sweeping a bare generator yields the deformation family of its surface.
+    Every member's config is validated, each parameter as the generator
+    lambda, before the first member runs.
     """
-    for lam in lambdas:  # reject the family before any member runs
-        _check_lambda(config.verify, lam)
-    _make_dir(out_dir)
-    steps = [dict(t) for t in config.transforms]
-    if not any(t.get("op") == "t_transform" for t in steps):
+    steps = list(config.transforms)
+    if not any(t["op"] == "t_transform" for t in steps):
         steps.append({"op": "t_transform"})
-    family_report = {"members": []}
+    members = []
     for lam in lambdas:
-        member = PipelineConfig(
-            config.domain, config.grid_nx, config.grid_ny,
-            dict(config.generator, **{"lambda": lam}),
-            [dict(t, **({"lambda": lam} if t.get("op") == "t_transform" else {}))
-             for t in steps],
-            config.verify,
-            {},
-            config.seed,
-            config.tolerance_scale,
-        )
+        spectral = {"lambda": lam}
+        members.append(PipelineConfig.from_dict(dict(
+            asdict(config), export={}, generator=dict(config.generator, **spectral),
+            transforms=[dict(t, **spectral) if t["op"] == "t_transform" else t for t in steps])))
+    _make_dir(out_dir)
+    family_report = {"members": []}
+    for member in members:
+        lam = member.generator["lambda"]
         report, _, surface = run_pipeline(member, out_dir)
         tag = f"{lam:g}".replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"member_{tag}.obj")
@@ -459,10 +462,15 @@ def sweep(config: PipelineConfig, lambdas, out_dir="."):
     return family_report, path
 
 
-def load_config(path) -> PipelineConfig:
+def read_config(path):
+    """The raw config in the JSON file path; PipelineConfig.from_dict validates it."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from None
-    return PipelineConfig.from_dict(raw)
+    return _mapping(raw, "config")
+
+
+def load_config(path) -> PipelineConfig:
+    return PipelineConfig.from_dict(read_config(path))

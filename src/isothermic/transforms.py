@@ -69,11 +69,11 @@ def christoffel_form(surface: PolarizedSurface, df: QForm1 | None = None) -> QFo
     return QForm1(grid, inv_x, -inv_y)
 
 
-def _certify_isothermic(surface: PolarizedSurface, tau_iso=TAU_ISOTHERMIC):
-    """Raise NotClosed unless the isothermic certificate passes tau_iso."""
+def _certify_isothermic(surface: PolarizedSurface, tau_iso=TAU_ISOTHERMIC, what=""):
+    """Raise NotClosed, naming the surface by what, unless its certificate passes tau_iso."""
     _, res = isothermic_certificate(surface)
     if not res <= tau_iso:
-        raise NotClosed(f"isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}")
+        raise NotClosed(f"{what}isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}")
 
 
 def christoffel(
@@ -588,7 +588,8 @@ def permutability_suite(
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam
-    cd = christoffel(dar, p0, c0)
+    _certify_isothermic(dar, what="permutability P2, Darboux transform: ")
+    cd = christoffel(dar, p0, c0, cform=christoffel_form(dar))
     dc = darboux_riccati(cs, lam, p0, Quaternion.from_array(c0))
     sel = (
         grid.interior()

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isothermic import ConfigInvalid, GridSpec, IoError, QField, export_obj
 from isothermic.cli import main as cli_main
-from isothermic.pipeline import PipelineConfig, run_pipeline
+from isothermic.pipeline import FIELDS, GENERATOR_KINDS, REQUIRED, PipelineConfig, run_pipeline
 
 from conftest import sample_values
 from isothermic import oracles as oc
@@ -294,8 +300,8 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     ({"domain": "x"}, "domain must be a mapping"),
     ({"seed": "s"}, "seed must be an integer"),
     ({"generator": [1]}, "generator must be a mapping"),
-    ({"domain": {"x0": "a"}}, "domain x0 must be a number"),
-    ({"domain": {"x0": float("inf")}}, "domain x0 must be finite"),
+    ({"domain": {"x0": "a"}}, "domain x0 must be a finite number, got 'a'"),
+    ({"domain": {"x0": float("inf")}}, "domain x0 must be a finite number, got inf"),
     ({"domain": {"width": -2.0, "height": -2.0}}, "must be positive"),
     ({"grid_n": 33.9}, "grid_n must be an integer, got 33.9"),
     ({"seed": 2.7}, "seed must be an integer, got 2.7"),
@@ -316,18 +322,28 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     ({"generator": {"kind": "file", "path": 5}}, "generator path must be a string, got 5"),
     ({"verify": {"isothermic": "no"}}, "verify isothermic must be true or false, got 'no'"),
     ({"generator": {"kind": "example", "lambda": True}},
-     "generator.lambda must be a number, got True"),
+     "generator lambda must be a finite number, got True"),
     ({"export": {"obj": ""}}, "export obj must be a file name, got ''"),
     ({"generator": {"kind": "file", "path": "no-such-dir/surface.json"}},
      "cannot read field from no-such-dir/surface.json"),
     ({"generator": {"kind": "file", "path": "."}}, "cannot read field from ."),
+    ({"generator": {"kind": []}},
+     "generator kind must be one of ('example', 'weierstrass', 'bryant', "
+     "'darboux-weierstrass', 'file'), got []"),
+    ({"generator": {"kind": {}}},
+     "generator kind must be one of ('example', 'weierstrass', 'bryant', "
+     "'darboux-weierstrass', 'file'), got {}"),
+    ({"seed": -1, "verify": {"permutability": True}}, "seed must be non-negative, got -1"),
+    ({"generator": {"kind": "bryant", "lambda": 0}, "verify": {"mean_curvature": True}},
+     "verify mean_curvature needs a nonzero spectral parameter, got lambda = 0"),
 ], ids=["grid_n", "domain_not_mapping", "seed", "generator_not_mapping",
         "domain_value", "domain_non_finite", "negative_size", "grid_n_fractional",
         "seed_fractional", "seed_bool", "goursat_m_string", "goursat_m_short",
         "goursat_m_non_finite", "darboux_d0_string", "weierstrass_v0_shape",
         "darboux_linear_v0_ragged", "export_path_number", "file_path_number",
         "verify_flag_string", "lambda_bool", "export_path_empty", "file_path_missing",
-        "file_path_directory"])
+        "file_path_directory", "kind_list", "kind_dict", "seed_negative",
+        "mean_curvature_zero_lambda"])
 def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE_CONFIG, **edit)))
@@ -353,6 +369,56 @@ def test_cli_rejects_permutability_at_zero_lambda(tmp_path, capsys):
     assert cli_main(["sweep", "--config", str(p), "--lambdas", "0.5,0",
                      "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, args, message", [
+    ({"verify": {"permutability": True}}, ["verify", "--seed", "-3"],
+     "seed must be non-negative, got -3"),
+    ({"generator": {"kind": "bryant", "lambda": 1.0}, "verify": {"mean_curvature": True}},
+     ["sweep"], "verify mean_curvature needs a nonzero spectral parameter, got lambda = 0"),
+    ({"domain": {"width": 2.0, "height": 4.0}, "grid_nx": 33, "grid_ny": 65},
+     ["generate", "--grid-n", "17"], "anisotropic spacing hx=0.125 != hy=0.25"),
+], ids=["seed_flag_negative", "sweep_default_lambdas_mean_curvature",
+        "grid_n_flag_anisotropic"])
+def test_cli_flags_are_validated_like_config_fields(tmp_path, capsys, edit, args, message):
+    raw = {key: value for key, value in BASE_CONFIG.items() if key != "grid_n"}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(raw, grid_n=17, **edit)))
+    out = tmp_path / "out"
+    assert cli_main(args + ["--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_unknown_last_op_is_rejected_before_the_generator(tmp_path, capsys, monkeypatch):
+    from isothermic import pipeline
+
+    def generator_ran(config):
+        pytest.fail("the generator ran before the whole config was checked")
+
+    monkeypatch.setattr(pipeline, "make_surface", generator_ran)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, grid_n=17, transforms=[
+        {"op": "christoffel"}, {"op": "t_transform", "lambda": 0.5}, {"op": "mystery"}])))
+    out = tmp_path / "out"
+    assert cli_main(["transform", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert "transform op must be one of ('christoffel'," in err and "got 'mystery'" in err
+    assert not out.exists()
+
+
+def test_cli_permutability_names_the_failing_p2_certificate(tmp_path, capsys):
+    # at grid_n 33 the input passes its certificate; P2's Darboux transform does not
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, verify={"permutability": True})))
+    assert cli_main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: permutability P2, Darboux transform: "
+                          "isothermic certificate residual 2.513e-04 exceeds 1.0e-04")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -488,3 +554,107 @@ def test_cli_family_overflow_names_node(tmp_path, capsys):
     assert code == 3
     assert "overflow" in err and "(at node (0, 0))" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs: mutations drawn from the config table
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+#: a valid config of each generator kind; "file" reads the fuzz_surface file,
+#: whose path the test puts in place of SURFACE
+SURFACE = "@surface"
+FUZZ_BASES = {
+    "example": {"generator": {"kind": "example", "lambda": 0.5}},
+    "weierstrass": {"generator": {"kind": "weierstrass", "data": "plane"}},
+    "bryant": {"generator": {"kind": "bryant", "data": "family", "lambda": 0.5},
+               "verify": {"mean_curvature": True}},
+    "darboux-weierstrass": {"generator": {"kind": "darboux-weierstrass", "lambda": 1.0},
+                            "verify": {"mean_curvature": True}},
+    "file": {"generator": {"kind": "file", "path": SURFACE}},
+}
+FUZZ_EXPORT = {"obj": "s.obj", "surface": "s.json", "report": "r.json"}
+WRONG_TYPES = (True, "abc", None, [[1.0]], {"key": 1.0})
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid base config with one field of FIELDS mutated."""
+    entry = draw(st.sampled_from(FIELDS))
+    kinds = entry.only if entry.section == "generator" and entry.only else GENERATOR_KINDS
+    raw = json.loads(json.dumps(FUZZ_BASES[draw(st.sampled_from(kinds))]))
+    raw.setdefault("verify", {"isothermic": True})
+    raw.update(grid_n=draw(st.integers(9, 17)), export=dict(FUZZ_EXPORT))
+    if entry.section == "transforms":
+        box = {"op": entry.only[0] if entry.only else "t_transform"}
+        raw["transforms"] = [box]
+    else:
+        box = raw.setdefault(entry.section, {}) if entry.section else raw
+    how = ["wrong type", "extra key"]
+    how += ["non-finite"] if entry.kind in ("number", "array") else []
+    how += ["wrong length"] if entry.kind == "array" else []
+    how += ["missing"] if entry.default is REQUIRED else []
+    how = draw(st.sampled_from(how))
+    if how == "wrong type":
+        box[entry.key] = draw(st.sampled_from(WRONG_TYPES))
+    elif how == "extra key":
+        box["bogus"] = 1.0
+    elif how == "non-finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        if entry.kind == "number":
+            box[entry.key] = bad
+        else:
+            array = np.full(entry.shape, 0.5)
+            array.flat[draw(st.integers(0, array.size - 1))] = bad
+            box[entry.key] = array.tolist()
+    elif how == "wrong length":
+        rows = entry.shape[0] + draw(st.sampled_from([-1, 1]))
+        box[entry.key] = np.full((rows,) + entry.shape[1:], 0.5).tolist()
+    else:
+        del box[entry.key]
+    return raw
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"a written JSON file holds {name}")
+
+
+def _failed_checks(doc):
+    checks = doc.get("checks", []) + [c for m in doc.get("members", []) for c in m["checks"]]
+    return [c for c in checks if not c["pass"]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_surface(tmp_path_factory):
+    cfg = _surface_file(tmp_path_factory.mktemp("fuzz"), lambda doc: None)
+    return json.loads(open(cfg).read())["generator"]["path"]
+
+
+@FUZZ
+@given(raw=mutated_configs(), command=st.sampled_from(["verify", "generate", "sweep"]))
+def test_cli_fuzzed_config_keeps_the_exit_code_contract(fuzz_surface, raw, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.write(json.dumps(raw).replace(json.dumps(SURFACE), json.dumps(fuzz_surface)))
+        argv = [command, "--config", cfg, "--out", out]
+        argv += ["--lambdas", "0.25,0.5"] if command == "sweep" else []
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        written = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        if code == 2:
+            assert written == [], err.getvalue()
+        docs = []
+        for name in written:
+            text = open(os.path.join(out, name)).read()
+            if text.startswith("{"):
+                docs.append(json.loads(text, parse_constant=_refuse_constant))
+            else:
+                vertices = [line.split()[1:] for line in text.splitlines()
+                            if line.startswith("v ")]
+                assert np.isfinite(np.asarray(vertices, dtype=float)).all()
+        if code == 1:
+            assert any(_failed_checks(doc) for doc in docs)
