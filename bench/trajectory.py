@@ -14,7 +14,9 @@ and workload, every ``--trace 0`` run (its end-to-end metrics, ops attempted
 and failed, and which ops failed), the median and quartiles of each
 end-to-end metric, and the traced run's per-layer metrics, together with the
 tree's commit and the Python and numpy versions and core count perfbench
-reports.
+reports.  It also keeps each tree's acceptance residuals, read from the
+report lines of ``pytest tests/test_acceptance.py -s`` run on the tree: per
+check its residual, tolerance and, where printed, refinement order.
 
 Compare two trees, each named FILE:LABEL (LABEL defaults to the file's only
 or last tree):
@@ -24,13 +26,17 @@ or last tree):
 Every ratio is printed as B/A with A as its base.  Runs of the two trees are
 paired by seed.  A run is closed-loop for a fixed time, so a faster tree
 attempts more of a seed's input sequence than a slower one; failures are
-therefore counted only on the ops both runs of a pair attempted.
+therefore counted only on the ops both runs of a pair attempted.  Every
+acceptance residual that differs between the trees is listed with its
+relative change.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +44,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("permutability", "curvature_frame", "cmc_export")
+
+#: a report line of tests/test_acceptance.py (pytest's progress dots may precede it)
+REPORT_LINE = re.compile(
+    r"(?:PASS|FAIL)  (.+?): residual (\S+) \(tolerance (\S+)\)(?: order (\S+))?")
 
 
 def _spec():
@@ -64,6 +74,32 @@ def run_once(tree, workload, seed, seconds, trace):
     return json.loads(path.read_text())
 
 
+def parse_acceptance(text):
+    """Check name -> {"residual", "tolerance"[, "order"]} from report lines."""
+    out = {}
+    for m in REPORT_LINE.finditer(text):
+        name, residual, tol, order = m.groups()
+        out[name] = {"residual": float(residual), "tolerance": float(tol)}
+        if order is not None:
+            out[name]["order"] = float(order)
+    return out
+
+
+def acceptance(tree):
+    """The acceptance residuals of a tree, run against its own src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(tree) / "src"),
+                                                      env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+           "tests/test_acceptance.py"]
+    run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    found = parse_acceptance(run.stdout)
+    if not found:
+        print(f"trajectory: no acceptance report line from {tree} (pytest exit "
+              f"{run.returncode})", file=sys.stderr)
+    return found
+
+
 def _summary(record, seed, order):
     return {
         "seed": seed,
@@ -86,6 +122,9 @@ def measure(trees, seeds, seconds):
     """Run every tree on every workload; returns {label: tree record}."""
     spec = _spec()
     out = {label: {"tree_commit": _commit(path), "workloads": {}} for label, path in trees}
+    for label, path in trees:
+        print(f"trajectory: {label} acceptance", file=sys.stderr)
+        out[label]["acceptance"] = acceptance(path)
     for workload in WORKLOADS:
         runs = {label: [] for label, _ in trees}
         for i, seed in enumerate(seeds):
@@ -125,13 +164,31 @@ def _ratio(b, a):
     return f"{b / a:.4f}" if a else "n/a"
 
 
+def compare_acceptance(a, b):
+    """Print every acceptance residual that differs between A and B."""
+    if not (a and b):
+        print("acceptance residuals: not recorded in " + " and ".join(
+            side for side, acc in (("A", a), ("B", b)) if not acc))
+        return
+    differ = [name for name in a if name in b and a[name]["residual"] != b[name]["residual"]]
+    print(f"acceptance residuals: {len(differ)} of {len([n for n in a if n in b])} differ")
+    for name in differ:
+        ra, rb = a[name]["residual"], b[name]["residual"]
+        change = f"{(rb - ra) / abs(ra):+.3e}" if ra else "n/a"
+        print(f"  {name}: A {ra!r}  B {rb!r}  relative change {change}")
+    for side, x, y in (("A", a, b), ("B", b, a)):
+        for name in [n for n in x if n not in y]:
+            print(f"  {name}: only in {side}")
+
+
 def compare(ref_a, ref_b):
-    """Print B against A, workload by workload."""
+    """Print B against A: acceptance residuals, then workload by workload."""
     spec = _spec()
     name_a, a = _load(ref_a)
     name_b, b = _load(ref_b)
     print(f"A = {name_a} ({a['tree_commit']}), B = {name_b} ({b['tree_commit']}); "
           "ratios are B/A, base A")
+    compare_acceptance(a.get("acceptance"), b.get("acceptance"))
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         pairs = [(ra, rb) for ra in wa["runs"] for rb in wb["runs"] if ra["seed"] == rb["seed"]]

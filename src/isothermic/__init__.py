@@ -11,7 +11,6 @@ cross-validate them.
 """
 
 from .errors import (
-    AffineEscape,
     BoundaryContact,
     ClosedFormOverflow,
     ConfigInvalid,
@@ -38,20 +37,14 @@ from .errors import (
 )
 from .quaternion import (
     INFINITY,
-    HermitianForm,
     MoebiusMap,
     QMatrix2,
     Quaternion,
-    cross_ratio_class,
+    cross_ratio_class_array,
     herm_apply,
     lorentz,
     moebius_act,
-    plane_form,
     point_form,
-    quat_inv,
-    quat_mul,
-    sphere_form,
-    study_det,
 )
 from .grid import (
     FrameField,

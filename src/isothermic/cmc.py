@@ -42,11 +42,12 @@ from .grid import (
 )
 from .quaternion import (
     INFINITY,
-    HermitianForm,
     MoebiusMap,
     Quaternion,
     cj,
     lorentz,
+    moebius_act,
+    point_form,
     qconj,
     qinv_masked,
     qm2_inv,
@@ -174,16 +175,12 @@ def weierstrass_minimal(
     return PolarizedSurface(f, "dz2", ("weierstrass_minimal",))
 
 
-def stereographic(x: Quaternion) -> Quaternion:
-    """Stereographic projection of the boundary plane Cj onto the unit sphere.
+def stereographic(values):
+    """Stereographic projection of (..., 4) points of the boundary plane Cj
+    onto the unit sphere.
 
     x -> -i - 2 (i + x)^-1; never singular since |i + x|^2 = 1 + |x|^2.
     """
-    return Quaternion(0, -1, 0, 0) - 2.0 * (Quaternion(0, 1, 0, 0) + x).inverse()
-
-
-def stereographic_field(values):
-    """Vectorized stereographic projection of (..., 4) Cj-valued arrays."""
     i_plus = np.array(values, dtype=float, copy=True)
     i_plus[..., 1] += 1.0
     inv = qconj(i_plus) / qnormsq(i_plus)[..., None]
@@ -403,12 +400,6 @@ def central_sphere_congruence(surface: PolarizedSurface, jets: SurfaceJets | Non
     return comps, ff
 
 
-def lorentz_pair_fields(a, b):
-    """Lorentz product of six-component form fields (s11, s22, s12[4])."""
-    dot12 = np.sum(a[..., 2:] * b[..., 2:], axis=-1)
-    return dot12 - 0.5 * (a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0])
-
-
 def spherical_type_certificate(
     surface: PolarizedSurface, umbilic_gap=1e-6, return_fields=False
 ):
@@ -430,7 +421,7 @@ def spherical_type_certificate(
     h = surface.grid.h
     sx = diff_axis4(comps, h, axis=1)
     sy = diff_axis4(comps, h, axis=0)
-    e_s = lorentz_pair_fields(sx, sx)
+    e_s = lorentz(sx, sx)
     ok = e_s > 1e-300
     u = -0.5 * np.log(np.where(ok, e_s, 1.0))
     lap = _laplacian4(u, h)
@@ -753,42 +744,17 @@ def ribaucour_data_extract(frame: FrameField) -> RibaucourData:
 # fundamental forms from frames, isometry check, duality
 # ---------------------------------------------------------------------------
 
-def push_form_field(frame_inv, s11, s22, s12):
-    """Pointwise push of a constant hermitian form along a frame field.
-
-    frame_inv: (ny, nx, 2, 2, 4) inverses N = F^-1; the pushed form is
-    s(N ., N .).  Returns six-component fields (s11, s22, s12[4]).
-    """
-    n = frame_inv
-    col1 = n[..., :, 0, :]
-    col2 = n[..., :, 1, :]
-    s12q = np.zeros(col1.shape[:-2] + (4,))
-    s12q[...] = np.asarray(s12, dtype=float)
-
-    def herm(u, v):
-        u1c = qconj(u[..., 0, :])
-        u2c = qconj(u[..., 1, :])
-        out = s11 * qmul(u1c, v[..., 0, :]) + s22 * qmul(u2c, v[..., 1, :])
-        out = out + qmul(u1c, qmul(s12q, v[..., 1, :]))
-        out = out + qmul(u2c, qmul(qconj(s12q), v[..., 0, :]))
-        return out
-
-    out11 = herm(col1, col1)[..., 0]
-    out22 = herm(col2, col2)[..., 0]
-    out12 = herm(col1, col2)
-    return np.concatenate([out11[..., None], out22[..., None], out12], axis=-1)
-
-
 def frame_point_forms(frame_values):
     """Surface and central-sphere forms carried by a structured frame.
 
     Returns (s_f, s_center): s_f is the lightlike form of the first column
-    in the frame-fixed scaling, s_center the enveloped unit sphere form.
+    in the frame-fixed scaling, s_center the enveloped unit sphere form:
+    the Moebius action of the frame on the point form of infinity and on the
+    form (0, 0, i).
     """
-    inv = qm2_inv(frame_values)
-    s_f = push_form_field(inv, 0.0, 1.0, np.zeros(4))
-    s_center = push_form_field(inv, 0.0, 0.0, np.array([0.0, 1.0, 0.0, 0.0]))
-    return s_f, s_center
+    forms = np.array([point_form(INFINITY), [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]])
+    pushed = moebius_act(frame_values[..., None, :, :, :], forms)
+    return pushed[..., 0, :], pushed[..., 1, :]
 
 
 @dataclass
@@ -807,9 +773,9 @@ def _form_metric(comp_fields, h):
     sx = diff_axis4(comp_fields, h, axis=1)
     sy = diff_axis4(comp_fields, h, axis=0)
     return (
-        lorentz_pair_fields(sx, sx),
-        lorentz_pair_fields(sx, sy),
-        lorentz_pair_fields(sy, sy),
+        lorentz(sx, sx),
+        lorentz(sx, sy),
+        lorentz(sy, sy),
         sx,
         sy,
     )
@@ -849,9 +815,9 @@ def umehara_yamada_check(
         e1, f1, g1, sfx, sfy = _form_metric(s_f, h)
         tx = diff_axis4(t, h, axis=1)
         ty = diff_axis4(t, h, axis=0)
-        ii_e = -lorentz_pair_fields(sfx, tx)
-        ii_f = -0.5 * (lorentz_pair_fields(sfx, ty) + lorentz_pair_fields(sfy, tx))
-        ii_g = -lorentz_pair_fields(sfy, ty)
+        ii_e = -lorentz(sfx, tx)
+        ii_f = -0.5 * (lorentz(sfx, ty) + lorentz(sfy, tx))
+        ii_g = -lorentz(sfy, ty)
         return (e1, f1, g1), (ii_e, ii_f, ii_g)
 
     i0, ii0 = forms(conn.frame0, 0.0)
@@ -997,18 +963,6 @@ def double_dual(pair: DualPair, data: WeierstrassData, lam: float, v0=None,
 # minimal repositioning (for cousin comparisons)
 # ---------------------------------------------------------------------------
 
-LORENTZ_METRIC = np.array(
-    [
-        [0.0, -0.5, 0.0, 0.0, 0.0, 0.0],
-        [-0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-    ]
-)
-
-
 def common_sphere_point(surface: PolarizedSurface):
     """Least-squares common point of the central sphere congruence.
 
@@ -1018,7 +972,8 @@ def common_sphere_point(surface: PolarizedSurface):
     """
     comps, ff = central_sphere_congruence(surface)
     sel = surface.grid.valid() & ff.valid & _interior(surface.grid, 4)
-    rows = comps[sel] @ LORENTZ_METRIC
+    # row k of a node is the Lorentz product of its sphere with basis form k
+    rows = lorentz(comps[sel][:, None, :], np.eye(6))
     # the Re(s12) pairing column vanishes identically (every sphere in the
     # conformal 3-sphere is orthogonal to its form); drop it or the solver
     # returns that trivial kernel
@@ -1028,13 +983,11 @@ def common_sphere_point(surface: PolarizedSurface):
     s0 = np.zeros(6)
     s0[keep] = s5
     incidence = float(svals[-1] / max(svals[0], 1e-300))
-    form = HermitianForm(s0[0], s0[1], Quaternion.from_array(s0[2:]))
-    light = abs(lorentz(form, form)) / float(np.dot(s0, s0))
+    light = float(abs(lorentz(s0, s0))) / float(np.dot(s0, s0))
     # normalize to the point shape (s11 = 1) unless the point is infinity
-    if abs(form.s11) < 1e-8 * np.linalg.norm(s0):
+    if abs(s0[0]) < 1e-8 * np.linalg.norm(s0):
         return INFINITY, light, incidence
-    p = form.s12 * (-1.0 / form.s11)
-    return p, light, incidence
+    return Quaternion.from_array(s0[2:] * (-1.0 / s0[0])), light, incidence
 
 
 def minimal_position(surface: PolarizedSurface, eps=1e-4):

@@ -64,11 +64,6 @@ class SingularityHit(GeometryError):
     """A Darboux transform touched the base surface (difference near zero)."""
 
 
-class AffineEscape(GeometryError):
-    """Homogeneous coordinates cannot be read in the affine chart (point at
-    infinity)."""
-
-
 class NotAdapted(GeometryError):
     """Frame field is not adapted to the given surface."""
 

@@ -31,7 +31,7 @@ from .cmc import (
 from .errors import ConfigInvalid, GeometryError, IoError
 from .grid import GridSpec, load_field, save_field, write_text
 from .objio import export_obj
-from .quaternion import Quaternion
+from .quaternion import from_imag3
 from .surfaces import TAU_ISOTHERMIC, PolarizedSurface, isothermic_certificate
 from .transforms import (
     christoffel,
@@ -333,7 +333,7 @@ def apply_transforms(surface: PolarizedSurface, steps, config: PipelineConfig):
         if op == "christoffel":
             surface = christoffel(surface, tolerance_scale=config.tolerance_scale)
         elif op == "goursat":
-            surface = goursat(surface, Quaternion.from_imag(step["m"]),
+            surface = goursat(surface, from_imag3(step["m"]),
                               tolerance_scale=config.tolerance_scale)
         elif op == "darboux":
             d0 = step.get("d0")
@@ -450,7 +450,9 @@ def sweep(config: PipelineConfig, lambdas, out_dir="."):
     for member in members:
         lam = member.generator["lambda"]
         report, _, surface = run_pipeline(member, out_dir)
-        tag = f"{lam:g}".replace("-", "m").replace(".", "p")
+        # six significant digits name the file unless they lose lam
+        text = f"{lam:g}" if float(f"{lam:g}") == lam else repr(lam)
+        tag = text.replace("-", "m").replace(".", "p")
         path = os.path.join(out_dir, f"member_{tag}.obj")
         export_obj(surface.f, path)
         family_report["members"].append(

@@ -450,14 +450,6 @@ QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 INFINITY = "inf"
 
 
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return a * b
-
-
-def quat_inv(q: Quaternion, eps=EPS_INV) -> Quaternion:
-    return q.inverse(eps=eps)
-
-
 class QMatrix2:
     """2x2 quaternionic matrix [[a, b], [c, d]] acting on column vectors."""
 
@@ -524,117 +516,71 @@ def _as_quat(value):
     return q
 
 
-def study_det(m: QMatrix2) -> float:
-    """Study determinant of a single 2x2 quaternionic matrix."""
-    return m.study_det()
-
-
 # ---------------------------------------------------------------------------
 # hermitian forms and the Minkowski model
 # ---------------------------------------------------------------------------
 
-class HermitianForm:
-    """Quaternionic hermitian form on H^2, stored as (s11, s22, s12).
+# A quaternionic hermitian form s on H^2 is the array (s11, s22, s12.w, s12.x,
+# s12.y, s12.z) on a last axis of length 6: s11 and s22 are real and
+# s21 = conj(s12) is implied, so hermiticity holds by construction.  The six
+# coordinates are a point of the Minkowski model R^(5,1).
 
-    s21 = conj(s12) is implied, so hermiticity holds by construction.  The
-    six real coordinates carry the Lorentz product of signature (5, 1):
-    <s, s> = |s12|^2 - s11*s22.
+def lorentz(s, t):
+    """Polarization of <s, s> = |s12|^2 - s11*s22 on (..., 6) forms; signature (5, 1)."""
+    dot12 = np.sum(s[..., 2:] * t[..., 2:], axis=-1)
+    return dot12 - 0.5 * (s[..., 0] * t[..., 1] + s[..., 1] * t[..., 0])
+
+
+def herm_apply(s, u, v):
+    """Evaluate the (..., 6) forms s on (..., 2, 4) column vectors u, v of H^2."""
+    s12 = s[..., 2:]
+    u1c = qconj(u[..., 0, :])
+    u2c = qconj(u[..., 1, :])
+    out = s[..., 0, None] * qmul(u1c, v[..., 0, :]) + s[..., 1, None] * qmul(u2c, v[..., 1, :])
+    out = out + qmul(u1c, qmul(s12, v[..., 1, :]))
+    out = out + qmul(u2c, qmul(qconj(s12), v[..., 0, :]))
+    return out
+
+
+def moebius_act(m, s):
+    """Push (..., 6) forms along (..., 2, 2, 4) Moebius matrices: s(M^-1 ., M^-1 .).
+
+    Raises SingularMatrix where qm2_inv does.
     """
-
-    __slots__ = ("s11", "s22", "s12")
-
-    def __init__(self, s11, s22, s12):
-        object.__setattr__(self, "s11", float(s11))
-        object.__setattr__(self, "s22", float(s22))
-        object.__setattr__(self, "s12", _as_quat(s12))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianForm is immutable")
-
-    def __repr__(self):
-        return f"HermitianForm(s11={self.s11:.12g}, s22={self.s22:.12g}, s12={self.s12!r})"
-
-    def components(self):
-        """The six real coordinates (s11, s22, s12.w, s12.x, s12.y, s12.z)."""
-        return np.concatenate(([self.s11, self.s22], self.s12.as_array()))
+    n = qm2_inv(m)
+    col1 = n[..., :, 0, :]
+    col2 = n[..., :, 1, :]
+    return np.concatenate([herm_apply(s, col1, col1)[..., :1], herm_apply(s, col2, col2)[..., :1],
+                           herm_apply(s, col1, col2)], axis=-1)
 
 
-def herm_apply(s: HermitianForm, u, v) -> Quaternion:
-    """Evaluate s(u, v) on column vectors u, v of H^2."""
-    u1, u2 = _as_quat(u[0]), _as_quat(u[1])
-    v1, v2 = _as_quat(v[0]), _as_quat(v[1])
-    return (
-        u1.conj() * v1 * s.s11
-        + u1.conj() * s.s12 * v2
-        + u2.conj() * s.s12.conj() * v1
-        + u2.conj() * v2 * s.s22
-    )
-
-
-def lorentz(s: HermitianForm, t: HermitianForm) -> float:
-    """Polarization of <s, s> = |s12|^2 - s11*s22; signature (5, 1)."""
-    dot12 = float(np.dot(s.s12.as_array(), t.s12.as_array()))
-    return dot12 - 0.5 * (s.s11 * t.s22 + s.s22 * t.s11)
-
-
-def point_form(p) -> HermitianForm:
-    """Lightlike form of a point p of Im H (or INFINITY).
+def point_form(p):
+    """Lightlike (..., 6) forms of (..., 4) points p of Im H, or of INFINITY.
 
     Finite p gives s(u, v) = conj(u1 - p u2)(v1 - p v2); the null cone is
     exactly the homogeneous line of p.
     """
     if p is INFINITY:
-        return HermitianForm(0.0, 1.0, Quaternion())
-    p = _as_quat(p)
-    if not p.is_imaginary(tol=1e-10 * max(1.0, p.norm())):
-        raise PNotImaginary(f"point has real part {p.w}")
-    return HermitianForm(1.0, p.normsq(), -p)
+        return np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    p = np.asarray(p, dtype=float)
+    real = np.abs(p[..., 0]) > 1e-10 * np.maximum(1.0, qnorm(p))
+    if np.any(real):
+        raise PNotImaginary(f"point has real part {p[..., 0][real].flat[0]}")
+    out = np.empty(p.shape[:-1] + (6,))
+    out[..., 0] = 1.0
+    out[..., 1] = qnormsq(p)
+    out[..., 2:] = -p
+    return out
 
 
-def sphere_form(center, radius) -> HermitianForm:
-    """Unit spacelike form of the Euclidean sphere |x - center| = radius."""
-    c = _as_quat(center)
-    r = float(radius)
-    return HermitianForm(1.0 / r, (c.normsq() - r * r) / r, -c / r)
-
-
-def plane_form(normal, offset) -> HermitianForm:
-    """Unit spacelike form of the plane <x, normal> = offset, |normal| = 1."""
-    n = _as_quat(normal)
-    return HermitianForm(0.0, -2.0 * float(offset), n)
-
-
-def moebius_act(m: QMatrix2, s: HermitianForm) -> HermitianForm:
-    """Push a hermitian form along a Moebius transformation: s(M^-1 ., M^-1 .)."""
-    det = m.study_det()
-    if det <= EPS_INV:
-        raise SingularMatrix("moebius_act requires study_det > 0")
-    n = m.inverse()
-    col1 = (n.a, n.c)
-    col2 = (n.b, n.d)
-    s11 = herm_apply(s, col1, col1)
-    s22 = herm_apply(s, col2, col2)
-    s12 = herm_apply(s, col1, col2)
-    return HermitianForm(s11.w, s22.w, s12)
-
-
-def cross_ratio_class(a, b, c, d, eps=EPS_INV):
-    """Moebius-invariant pair (Re r, |r|) of r = (a-b)(b-c)^-1(c-d)(d-a)^-1.
+def cross_ratio_class_array(a, b, c, d, eps=EPS_INV):
+    """Moebius-invariant pair (Re r, |r|) of r = (a-b)(b-c)^-1 (c-d)(d-a)^-1
+    for (..., 4) points.
 
     The conjugacy class of the quaternionic cross-ratio is determined by the
     real part and the norm; both are invariant under simultaneous fractional
     linear transformations of the four points.
     """
-    a, b, c, d = (_as_quat(q) for q in (a, b, c, d))
-    for p, q in ((a, b), (b, c), (c, d), (d, a)):
-        if (p - q).norm() < eps:
-            raise DegenerateQuadruple("coincident points in cross-ratio")
-    r = (a - b) * (b - c).inverse(eps) * (c - d) * (d - a).inverse(eps)
-    return r.w, r.norm()
-
-
-def cross_ratio_class_array(a, b, c, d, eps=EPS_INV):
-    """Vectorized cross-ratio class on (..., 4) arrays; returns (re, norm)."""
     ab, bc, cd, da = a - b, b - c, c - d, d - a
     for diff in (ab, bc, cd, da):
         if np.any(qnormsq(diff) < eps * eps):

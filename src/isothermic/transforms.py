@@ -36,7 +36,6 @@ from .grid import (
     integrate_riccati,
 )
 from .quaternion import (
-    Quaternion,
     cross_ratio_class_array,
     qinv_masked,
     qm2_identity,
@@ -590,7 +589,7 @@ def permutability_suite(
     c0 = inv_diff[p0[0], p0[1]] / lam
     _certify_isothermic(dar, what="permutability P2, Darboux transform: ")
     cd = christoffel(dar, p0, c0, cform=christoffel_form(dar))
-    dc = darboux_riccati(cs, lam, p0, Quaternion.from_array(c0))
+    dc = darboux_riccati(cs, lam, p0, c0)
     sel = (
         grid.interior()
         & cd.grid.valid()

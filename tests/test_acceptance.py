@@ -48,7 +48,7 @@ V0_SEED = np.array([[1.0, 0, 0, 0], [0, -1.0, 0, 0]])  # (1, -i)
 
 def report(name, residual, tol, extra=""):
     state = "PASS" if residual <= tol else "FAIL"
-    print(f"{state}  {name}: residual {residual:.3e} (tolerance {tol:.1e}) {extra}")
+    print(f"{state}  {name}: residual {float(residual)!r} (tolerance {tol:.1e}) {extra}")
     assert residual <= tol, f"{name}: {residual:.3e} > {tol:.1e}"
 
 

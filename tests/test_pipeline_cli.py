@@ -235,9 +235,21 @@ def test_cli_sweep(tmp_path, capsys):
     ])
     assert code == 0
     objs = [f for f in os.listdir(tmp_path) if f.endswith(".obj")]
-    assert len(objs) == 4
+    assert sorted(objs) == ["member_0.obj", "member_0p25.obj", "member_0p5.obj", "member_1.obj"]
     family = json.loads((tmp_path / "family_report.json").read_text())
     assert [m["lambda"] for m in family["members"]] == [0.0, 0.25, 0.5, 1.0]
+
+
+def test_cli_sweep_close_lambdas_get_distinct_files(tmp_path, capsys):
+    """Parameters equal to six significant digits are named in full, so
+    neither member's mesh overwrites the other's."""
+    code = cli_main(["sweep", "--grid-n", "17", "--out", str(tmp_path),
+                     "--lambdas", "0.1234567,0.1234568"])
+    assert code == 0
+    family = json.loads((tmp_path / "family_report.json").read_text())
+    names = [m["obj"] for m in family["members"]]
+    assert names == ["member_0p1234567.obj", "member_0p1234568.obj"]
+    assert sorted(f for f in os.listdir(tmp_path) if f.endswith(".obj")) == names
 
 
 def test_cmc_surface_header(tmp_path):

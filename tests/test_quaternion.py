@@ -4,22 +4,31 @@ import pytest
 from isothermic import (
     INFINITY,
     DegenerateQuadruple,
-    HermitianForm,
     MoebiusMap,
     NearZeroQuaternion,
     PNotImaginary,
     QMatrix2,
     Quaternion,
-    cross_ratio_class,
+    SingularMatrix,
+    cross_ratio_class_array,
     herm_apply,
     lorentz,
     moebius_act,
     point_form,
-    quat_inv,
-    quat_mul,
-    study_det,
 )
-from isothermic.quaternion import ONE, QI, QJ, QK, qm2_mul, qmul, study_det_array
+from isothermic.quaternion import (
+    ONE,
+    QI,
+    QJ,
+    QK,
+    qconj,
+    qm2_identity,
+    qm2_mul,
+    qmul,
+    qnorm,
+    qnormsq,
+    study_det_array,
+)
 
 import reference_march as ref
 
@@ -33,6 +42,20 @@ def random_quat(scale=1.0):
 def random_imag():
     v = RNG.normal(size=3)
     return Quaternion.from_imag(v)
+
+
+def random_forms(n):
+    """n hermitian forms (s11, s22, s12) with normal entries, as (n, 6)."""
+    return RNG.normal(size=(n, 6))
+
+
+def column(v1, v2):
+    """The column vector (v1, v2) of H^2 as a (2, 4) array."""
+    return np.array([v1.as_array(), v2.as_array()])
+
+
+def cross_ratio(*points):
+    return cross_ratio_class_array(*(p.as_array() for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +72,7 @@ def test_defining_relations():
 
 def test_identity_and_bilinearity():
     q = random_quat()
-    assert (quat_mul(q, ONE) - q).norm() < 1e-15
+    assert (q * ONE - q).norm() < 1e-15
     # (1+i)(1+j) expands to 1 + j + i + ij = 1 + i + j + k
     assert (ONE + QI) * (ONE + QJ) == Quaternion(1, 1, 1, 1)
 
@@ -61,18 +84,18 @@ def test_conjugation_antihomomorphism():
 
 
 def test_inverse_basic():
-    assert quat_inv(ONE) == ONE
-    assert quat_inv(QJ) == -QJ
+    assert ONE.inverse() == ONE
+    assert QJ.inverse() == -QJ
     # (2i)^-1 = conj(2i)/|2i|^2 = -2i/4 = -i/2
-    assert (quat_inv(2 * QI) - (-0.5) * QI).norm() < 1e-15
+    assert ((2 * QI).inverse() - (-0.5) * QI).norm() < 1e-15
     for _ in range(100):
         q = random_quat()
-        assert (q * quat_inv(q) - ONE).norm() < 4 * np.finfo(float).eps * 8
+        assert (q * q.inverse() - ONE).norm() < 4 * np.finfo(float).eps * 8
 
 
 def test_inverse_near_zero_raises():
     with pytest.raises(NearZeroQuaternion):
-        quat_inv(Quaternion(1e-13, 0, 0, 0))
+        Quaternion(1e-13, 0, 0, 0).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +172,14 @@ def test_qm2_mul_broadcast_and_strided_bit_identical():
 
 
 def test_study_det_examples():
-    assert abs(study_det(QMatrix2.identity()) - 1.0) < 1e-14
+    assert abs(QMatrix2.identity().study_det() - 1.0) < 1e-14
     q = random_quat()
     m = QMatrix2.diag(q, ONE)
     expected = np.linalg.det(_reorder_oracle(_complex_rep_oracle(m))).real
     assert abs(expected - q.normsq()) < 1e-10 * max(1, q.normsq())
-    assert abs(study_det(m) - expected) < 1e-10 * max(1.0, abs(expected))
+    assert abs(m.study_det() - expected) < 1e-10 * max(1.0, abs(expected))
     swap = QMatrix2(Quaternion(), ONE, ONE, Quaternion())
-    assert abs(study_det(swap) - 1.0) < 1e-14
+    assert abs(swap.study_det() - 1.0) < 1e-14
 
 
 def test_study_det_multiplicative():
@@ -164,8 +187,8 @@ def test_study_det_multiplicative():
     for _ in range(1000):
         a = QMatrix2.from_array(RNG.normal(size=(2, 2, 4)))
         b = QMatrix2.from_array(RNG.normal(size=(2, 2, 4)))
-        lhs = study_det(a @ b)
-        rhs = study_det(a) * study_det(b)
+        lhs = (a @ b).study_det()
+        rhs = a.study_det() * b.study_det()
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     assert worst < 1e-10
 
@@ -194,58 +217,58 @@ def test_matrix_inverse():
 # ---------------------------------------------------------------------------
 
 def test_herm_apply_imaginary_points_on_sphere():
-    s3 = HermitianForm(0.0, 0.0, ONE)
+    s3 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     for _ in range(20):
-        h = random_imag()
-        val = herm_apply(s3, (h, ONE), (h, ONE))
-        assert val.norm() < 1e-13  # conj(h) + h = 0
+        h = column(random_imag(), ONE)
+        assert qnorm(herm_apply(s3, h, h)) < 1e-13  # conj(h) + h = 0
 
 
 def test_herm_apply_incidence_and_unit():
     p = random_imag()
-    s = point_form(p)
-    assert herm_apply(s, (p, ONE), (p, ONE)).norm() < 1e-13
-    s_id = HermitianForm(1.0, 1.0, Quaternion())
-    assert (herm_apply(s_id, (ONE, Quaternion()), (ONE, Quaternion())) - ONE).norm() < 1e-15
+    u = column(p, ONE)
+    assert qnorm(herm_apply(point_form(p.as_array()), u, u)) < 1e-13
+    s_id = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    e1 = column(ONE, Quaternion())
+    assert qnorm(herm_apply(s_id, e1, e1) - ONE.as_array()) < 1e-15
 
 
 def test_herm_apply_hermiticity_random():
-    for _ in range(100):
-        s = HermitianForm(RNG.normal(), RNG.normal(), random_quat())
-        u = (random_quat(), random_quat())
-        v = (random_quat(), random_quat())
-        a = herm_apply(s, u, v)
-        b = herm_apply(s, v, u)
-        assert (a - b.conj()).norm() < 1e-12
+    s = random_forms(100)
+    u, v = RNG.normal(size=(2, 100, 2, 4))
+    a = herm_apply(s, u, v)
+    b = herm_apply(s, v, u)
+    assert (qnorm(a - qconj(b)) < 1e-12).all()
 
 
 def test_lorentz_signature_values():
-    s3 = HermitianForm(0.0, 0.0, ONE)
+    s3 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     assert abs(lorentz(s3, s3) - 1.0) < 1e-15
-    s_id = HermitianForm(1.0, 1.0, Quaternion())
+    s_id = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     assert abs(lorentz(s_id, s_id) + 1.0) < 1e-15
-    p = random_imag()
-    assert abs(lorentz(point_form(p), point_form(p))) < 1e-13
+    s = point_form(random_imag().as_array())
+    assert abs(lorentz(s, s)) < 1e-13
 
 
 def test_point_form_examples():
-    s = point_form(Quaternion())
-    assert (s.s11, s.s22) == (1.0, 0.0) and s.s12.norm() == 0.0
-    s = point_form(QI)
-    assert s.s11 == 1.0 and s.s22 == 1.0 and s.s12 == -QI
+    assert point_form(np.zeros(4)).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    s = point_form(QI.as_array())
+    assert s.tolist() == [1.0, 1.0, 0.0, -1.0, 0.0, 0.0]
     assert abs(lorentz(s, s)) < 1e-15
-    s = point_form(INFINITY)
-    assert (s.s11, s.s22) == (0.0, 1.0)
+    assert point_form(INFINITY).tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(PNotImaginary):
-        point_form(Quaternion(0.5, 1, 0, 0))
+        point_form(Quaternion(0.5, 1, 0, 0).as_array())
+    with pytest.raises(PNotImaginary):  # one point of a batch is enough
+        point_form(np.array([QI.as_array(), [1e-3, 0.0, 1.0, 0.0]]))
 
 
 def test_point_form_random_lightlike():
-    for _ in range(1000):
-        p = random_imag()
-        s = point_form(p)
-        assert abs(lorentz(s, s)) < 1e-11 * max(1.0, p.normsq()) ** 2
-        assert herm_apply(s, (p, ONE), (p, ONE)).norm() < 1e-11 * max(1.0, p.normsq())
+    p = np.zeros((1000, 4))
+    p[:, 1:] = RNG.normal(size=(1000, 3))
+    s = point_form(p)
+    scale = np.maximum(1.0, qnormsq(p))
+    assert (np.abs(lorentz(s, s)) < 1e-11 * scale ** 2).all()
+    u = np.stack([p, np.broadcast_to(ONE.as_array(), p.shape)], axis=-2)
+    assert (qnorm(herm_apply(s, u, u)) < 1e-11 * scale).all()
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +276,22 @@ def test_point_form_random_lightlike():
 # ---------------------------------------------------------------------------
 
 def test_moebius_act_identity_and_translation():
-    s = HermitianForm(RNG.normal(), RNG.normal(), random_quat())
-    out = moebius_act(QMatrix2.identity(), s)
-    assert np.abs(out.components() - s.components()).max() < 1e-14
+    s = random_forms(1)[0]
+    out = moebius_act(qm2_identity(), s)
+    assert np.abs(out - s).max() < 1e-14
     m = random_imag()
-    out = moebius_act(MoebiusMap.translation(m).matrix, point_form(Quaternion()))
-    target = point_form(m)
-    scale = out.s11 / target.s11
-    assert np.abs(out.components() - scale * target.components()).max() < 1e-12
+    out = moebius_act(MoebiusMap.translation(m).matrix.as_array(), point_form(np.zeros(4)))
+    target = point_form(m.as_array())
+    scale = out[0] / target[0]
+    assert np.abs(out - scale * target).max() < 1e-12
+
+
+def test_moebius_act_singular_raises():
+    m = RNG.normal(size=(3, 2, 2, 4))
+    m[1, 1] = m[1, 0]  # equal columns: no inverse at node 1
+    with pytest.raises(SingularMatrix) as info:
+        moebius_act(m, random_forms(1)[0])
+    assert info.value.node == (1,)
 
 
 def _unit_det_matrix():
@@ -268,20 +299,22 @@ def _unit_det_matrix():
     return QMatrix2.from_array(a / study_det_array(a) ** 0.25)
 
 
+def _unit_det_matrices(n):
+    a = RNG.normal(size=(n, 2, 2, 4))
+    return a / study_det_array(a)[:, None, None, None] ** 0.25
+
+
 def test_moebius_act_isometry():
-    for _ in range(100):
-        m = _unit_det_matrix()
-        s = HermitianForm(RNG.normal(), RNG.normal(), random_quat())
-        t = HermitianForm(RNG.normal(), RNG.normal(), random_quat())
-        assert abs(lorentz(moebius_act(m, s), moebius_act(m, t)) - lorentz(s, t)) < 1e-9
+    m = _unit_det_matrices(100)
+    s, t = random_forms(100), random_forms(100)
+    assert (np.abs(lorentz(moebius_act(m, s), moebius_act(m, t)) - lorentz(s, t)) < 1e-9).all()
 
 
 def test_moebius_act_preserves_cone():
-    for _ in range(50):
-        m = _unit_det_matrix()
-        s = point_form(random_imag())
-        out = moebius_act(m, s)
-        assert abs(lorentz(out, out)) < 1e-9
+    p = np.zeros((50, 4))
+    p[:, 1:] = RNG.normal(size=(50, 3))
+    out = moebius_act(_unit_det_matrices(50), point_form(p))
+    assert (np.abs(lorentz(out, out)) < 1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +324,7 @@ def test_moebius_act_preserves_cone():
 def test_cross_ratio_square():
     # unit square in span{1, i}: (a-b)(b-c)^-1 (c-d)(d-a)^-1 = -1,
     # matching the complex cross-ratio of the harmonic quadruple
-    re, nm = cross_ratio_class(Quaternion(), ONE, Quaternion(1, 1, 0, 0), QI)
+    re, nm = cross_ratio(Quaternion(), ONE, Quaternion(1, 1, 0, 0), QI)
     assert abs(re + 1.0) < 1e-14
     assert abs(nm - 1.0) < 1e-14
 
@@ -299,8 +332,8 @@ def test_cross_ratio_square():
 def test_cross_ratio_translation_invariance():
     pts = [random_imag() for _ in range(4)]
     m = random_imag()
-    a = cross_ratio_class(*pts)
-    b = cross_ratio_class(*[p + m for p in pts])
+    a = cross_ratio(*pts)
+    b = cross_ratio(*[p + m for p in pts])
     assert abs(a[0] - b[0]) < 1e-12 and abs(a[1] - b[1]) < 1e-12
 
 
@@ -310,8 +343,8 @@ def test_cross_ratio_inversion_invariance():
         m = random_imag()
         inv = MoebiusMap.inversion_about(m)
         try:
-            a = cross_ratio_class(*pts)
-            b = cross_ratio_class(*[inv(p) for p in pts])
+            a = cross_ratio(*pts)
+            b = cross_ratio(*[inv(p) for p in pts])
         except DegenerateQuadruple:
             continue
         assert abs(a[0] - b[0]) < 1e-10 * max(1, abs(a[0]))
@@ -325,11 +358,11 @@ def test_cross_ratio_unit_det_moebius_invariance():
         m = _unit_det_matrix()
         mm = MoebiusMap(m)
         try:
-            a = cross_ratio_class(*pts)
+            a = cross_ratio(*pts)
             images = [mm(p) for p in pts]
             if any(p is INFINITY for p in images):
                 continue
-            b = cross_ratio_class(*images)
+            b = cross_ratio(*images)
         except DegenerateQuadruple:
             continue
         assert abs(a[0] - b[0]) < 1e-8 * max(1, abs(a[0]))
@@ -338,7 +371,16 @@ def test_cross_ratio_unit_det_moebius_invariance():
     assert stable > 50
 
 
+def test_cross_ratio_batch_matches_single_quadruples():
+    quads = np.zeros((4, 8, 4))
+    quads[..., 1:] = RNG.normal(size=(4, 8, 3))
+    re, nm = cross_ratio_class_array(*quads)
+    assert re.shape == nm.shape == (8,)
+    for k in range(8):
+        assert (re[k], nm[k]) == cross_ratio_class_array(*quads[:, k])
+
+
 def test_cross_ratio_degenerate():
     p = random_imag()
     with pytest.raises(DegenerateQuadruple):
-        cross_ratio_class(p, p, random_imag(), random_imag())
+        cross_ratio(p, p, random_imag(), random_imag())

@@ -42,3 +42,45 @@ def test_compare_counts_failures_on_ops_both_attempted(tmp_path, capsys):
     assert "failed on ops both attempted: A 0, B 1 of 82" in out
     assert "op_s.p50 [s]: A 1.1 (IQR 0.2)  B 0.85 (IQR 0.1)  B/A 0.7727  B better in 2/2" in out
     assert "grid.integrate_frame.calls [count]: A 5  B 4  B/A 0.8000" in out
+
+
+def test_compare_lists_every_acceptance_residual_that_differs(tmp_path, capsys):
+    """Only the residual that moved is listed, with its relative change; a
+    file written before residuals were recorded says so."""
+    a = _tree((1.0, 1.2), (42, 40), ([], []))
+    b = _tree((1.0, 1.2), (42, 40), ([], []))
+    a["acceptance"] = {
+        "criterion 1a (spectral surface vs closed form)": {"residual": 1.7e-9, "tolerance": 5e-6},
+        "criterion 5 (group law)": {"residual": 2e-8, "tolerance": 1e-5},
+    }
+    b["acceptance"] = json.loads(json.dumps(a["acceptance"]))
+    b["acceptance"]["criterion 5 (group law)"]["residual"] = 2.5e-8
+    path = tmp_path / "BENCH_2.json"
+    path.write_text(json.dumps({"pr": 2, "seeds": [1, 2], "trees": {"parent": a, "change": b}}))
+    trajectory.compare(f"{path}:parent", f"{path}:change")
+    out = capsys.readouterr().out
+    assert "acceptance residuals: 1 of 2 differ" in out
+    assert "  criterion 5 (group law): A 2e-08  B 2.5e-08  relative change +2.500e-01" in out
+    assert "criterion 1a" not in out
+    del a["acceptance"]
+    path.write_text(json.dumps({"pr": 2, "seeds": [1, 2], "trees": {"parent": a, "change": b}}))
+    trajectory.compare(f"{path}:parent", f"{path}:change")
+    assert "acceptance residuals: not recorded in A" in capsys.readouterr().out
+
+
+def test_parse_acceptance_reads_report_lines():
+    text = (
+        ".PASS  criterion 6 (|H| = 2.0 at parameter 1.0: deviation): residual "
+        "9.310003241961478e-07 (tolerance 1.0e-03) \n"
+        "PASS  criterion 2 wedge(df, dCf) [plane]: residual 9.8e-15 (tolerance 1.0e-04) "
+        "order inf\n"
+        "FAIL  criterion 8 (Gauss residual): residual 0.0012 (tolerance 1.0e-03) order 1.99\n"
+        "PASS  criterion 7 (cylinder negative control): residual 2.500e-01 (required >= 1e-01)\n"
+    )
+    assert trajectory.parse_acceptance(text) == {
+        "criterion 6 (|H| = 2.0 at parameter 1.0: deviation)":
+            {"residual": 9.310003241961478e-07, "tolerance": 1e-3},
+        "criterion 2 wedge(df, dCf) [plane]":
+            {"residual": 9.8e-15, "tolerance": 1e-4, "order": float("inf")},
+        "criterion 8 (Gauss residual)": {"residual": 0.0012, "tolerance": 1e-3, "order": 1.99},
+    }
