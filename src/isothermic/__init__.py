@@ -111,7 +111,7 @@ from .cmc import (
     umehara_yamada_check,
     weierstrass_minimal,
 )
-from .pipeline import InvariantReport, PipelineConfig, load_config, run_pipeline, sweep
+from .pipeline import InvariantReport, PipelineConfig, run_pipeline, sweep
 from .objio import export_obj
 
 __version__ = "0.1.0"

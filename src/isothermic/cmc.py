@@ -36,7 +36,6 @@ from .grid import (
     grid_tolerance,
     integrate_form,
     integrate_frame,
-    integrate_right_rowvec,
     laplacian,
     sample_on_grid,
 )
@@ -50,26 +49,31 @@ from .quaternion import (
     point_form,
     qconj,
     qinv_masked,
-    qm2_inv,
-    qm2_mul,
     qmul,
     qnorm,
     qnormsq,
 )
 from .surfaces import (
+    EPS_IMMERSION,
     PolarizedSurface,
     SurfaceJets,
     fundamental_forms,
     surface_jets,
 )
 from .transforms import (
+    V0,
     FrameConnection,
     canonical_connection,
     darboux_via_connection,
+    t_transform,
     t_transform_via_connection,
 )
 
+#: height above the boundary plane below which a point counts as on it
 EPS_HEIGHT = 1e-6
+
+#: largest deviation of II from dx^2 - dy^2 that a Ribaucour frame accepts
+PATTERN_TOL = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +136,8 @@ class WeierstrassData:
             out.append(np.abs(dbar[sel]).max() / scale)
         return float(np.max(out))  # a NaN in either field propagates
 
-    def check_holomorphic(self, tau=None, tolerance_scale=1.0):
-        tau = tau if tau is not None else grid_tolerance(self.grid, scale=tolerance_scale)
+    def check_holomorphic(self, tolerance_scale=1.0):
+        tau = grid_tolerance(self.grid, scale=tolerance_scale)
         res = self.cr_residual()
         if not res <= tau:
             raise NotClosed(f"Cauchy-Riemann residual {res:.3e} exceeds {tau:.3e}")
@@ -161,14 +165,13 @@ def weierstrass_minimal(
     data: WeierstrassData,
     p0=None,
     f0=np.zeros(4),
-    eps_immersion=1e-8,
     tolerance_scale=1.0,
 ) -> PolarizedSurface:
     """Minimal surface with the given meromorphic data, pinned at f(p0) = f0."""
     data.check_holomorphic(tolerance_scale=tolerance_scale)
     p0 = p0 or data.grid.center_node()
     form = weierstrass_form(data)
-    if float(qnorm(form.px)[data.grid.valid()].max()) < eps_immersion:
+    if float(qnorm(form.px)[data.grid.valid()].max()) < EPS_IMMERSION:
         raise DegenerateTangent("omega vanishes: the data does not immerse")
     f = integrate_form(form, p0, np.asarray(f0, dtype=float),
                        tolerance_scale=tolerance_scale)
@@ -214,8 +217,6 @@ class CmcSurface:
     lam: float
     gauss_hyperbolic: QField
     route: str
-    cousin: PolarizedSurface | None = None
-    connection: FrameConnection | None = None
 
     @property
     def grid(self):
@@ -226,9 +227,7 @@ def darboux_weierstrass(
     data: WeierstrassData,
     lam: float,
     p0=None,
-    v0=((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)),
-    eps_boundary=1e-6,
-    chain=False,
+    v0=V0,
     tolerance_scale=1.0,
 ) -> CmcSurface:
     """cmc surface as a Darboux transform of its boundary map -jg.
@@ -242,20 +241,14 @@ def darboux_weierstrass(
     p0 = p0 or grid.center_node()
     v0 = np.asarray(v0, dtype=float)
     off0, ok0 = _off_boundary(v0[None, None])
-    if not ok0[0, 0] or abs(off0[0, 0, 1]) < eps_boundary:
+    if not ok0[0, 0] or abs(off0[0, 0, 1]) < EPS_HEIGHT:
         raise InitialOnBoundary("v2 v1^-1 must start off the plane Cj")
     conn = boundary_connection(data, p0)
     prov = (f"darboux_weierstrass({lam})",)
-    result = darboux_via_connection(conn, lam, v0, "dz2", prov, chain=chain,
+    result = darboux_via_connection(conn, lam, v0, "dz2", prov,
                                     tolerance_scale=tolerance_scale)
     base = boundary_surface(data)
-    return CmcSurface(
-        result.surface.f,
-        lam,
-        base.f,
-        "darboux-weierstrass",
-        connection=result.connection,
-    )
+    return CmcSurface(result.surface.f, lam, base.f, "darboux-weierstrass")
 
 
 def _off_boundary(v):
@@ -289,7 +282,6 @@ def bryant_system(
     p0=None,
     f0=np.zeros(4),
     fh0=(1.0, 0.0, 0.0, 0.0),
-    tolerance_scale=1.0,
 ):
     """Integrate the coupled first-order system of the perturbed representation.
 
@@ -300,6 +292,13 @@ def bryant_system(
     frame), not points of Im H; see bryant_candidates for the projections
     compared against the unambiguous routes.
     """
+    frame = _bryant_frame(data, lam, p0, f0, fh0, 1.0)
+    return QField(data.grid, frame[..., 0, 0, :]), QField(data.grid, frame[..., 0, 1, :])
+
+
+def _bryant_frame(data, lam, p0, f0, fh0, tolerance_scale):
+    """Frame of the coupled system, F(p0) = [[f0, fh0], [1, 0]]: its first
+    row is the pair (f, fh) of bryant_system, its second the companion row."""
     data.check_holomorphic(tolerance_scale=tolerance_scale)
     grid = data.grid
     p0 = p0 or grid.center_node()
@@ -317,10 +316,11 @@ def bryant_system(
     phi_y[..., 1, 0, :] = alpha.py
     phi_x[..., 0, 1, :] = beta_x
     phi_y[..., 0, 1, :] = beta_y
-    w0 = np.stack([np.asarray(f0, dtype=float), np.asarray(fh0, dtype=float)])
-    w = integrate_right_rowvec(phi_x, phi_y, grid, w0, p0,
-                               tolerance_scale=tolerance_scale)
-    return QField(grid, w[..., 0, :]), QField(grid, w[..., 1, :])
+    frame0 = np.zeros((2, 2, 4))
+    frame0[0] = (f0, fh0)
+    frame0[1, 0, 0] = 1.0
+    return integrate_frame(phi_x, phi_y, grid, frame0, p0,
+                           tolerance_scale=tolerance_scale).values
 
 
 def bryant_candidates(f_lam: QField, fh_lam: QField):
@@ -342,7 +342,7 @@ def bryant_candidates(f_lam: QField, fh_lam: QField):
 # half-space mean curvature oracle
 # ---------------------------------------------------------------------------
 
-def mean_curvature_hyperbolic(f: QField, lam: float, eps_height=EPS_HEIGHT):
+def mean_curvature_hyperbolic(f: QField, lam: float):
     """Hyperbolic mean curvature via the independent half-space oracle.
 
     Treats f as a Euclidean surface, measures its Euclidean mean curvature
@@ -363,7 +363,7 @@ def mean_curvature_hyperbolic(f: QField, lam: float, eps_height=EPS_HEIGHT):
     ff = fundamental_forms(surf)
     t = vals[..., 1]
     sel = sel0 & ff.valid & grid.interior()
-    if (t[sel] < eps_height).any():
+    if (t[sel] < EPS_HEIGHT).any():
         raise BoundaryContact("surface touches the boundary plane")
     h_e = ff.mean_curvature()
     n_i = ff.normal[..., 1]
@@ -400,21 +400,21 @@ def central_sphere_congruence(surface: PolarizedSurface, jets: SurfaceJets | Non
     return comps, ff
 
 
-def spherical_type_certificate(
-    surface: PolarizedSurface, umbilic_gap=1e-6, return_fields=False
-):
+def spherical_type_certificate(surface: PolarizedSurface):
     """Liouville-equation residual of the central-sphere-congruence metric.
 
     The congruence metric is <ds, ds> = e^{-2u}(dx^2 + dy^2) exactly when
     the surface is isothermic of spherical type; the certificate reads u
     from the x-direction coefficient and returns max |Delta u - e^{-2u}|
-    over the interior (fourth-order stencils throughout).
+    over the interior (fourth-order stencils throughout).  Nodes whose
+    principal gap is at most 1e-6 max(|H|, 1) count as umbilic and are left
+    out.
     """
     jets = surface_jets(surface)
     ff = fundamental_forms(surface, jets)
     gap = ff.principal_gap()
     scale = np.maximum(np.abs(ff.mean_curvature()), 1.0)
-    not_umbilic = gap > umbilic_gap * scale
+    not_umbilic = gap > 1e-6 * scale
     if not not_umbilic.any():
         raise UmbilicRegion("surface is umbilic everywhere on the patch")
     comps, _ = central_sphere_congruence(surface, jets)
@@ -437,10 +437,7 @@ def spherical_type_certificate(
     )
     if not valid.any():
         raise UmbilicRegion("no valid non-umbilic interior nodes")
-    residual = float(residual_field[valid].max())
-    if return_fields:
-        return u, residual, residual_field, valid
-    return u, residual
+    return u, float(residual_field[valid].max())
 
 
 def _interior(grid, rings):
@@ -585,9 +582,7 @@ def _ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
     return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)
 
 
-def ribaucour_connection(
-    surface: PolarizedSurface, p0=None, pattern_tol=1e-2
-) -> FrameConnection:
+def ribaucour_connection(surface: PolarizedSurface, p0=None) -> FrameConnection:
     """Ribaucour frame family of a minimal surface normalized to II = dx^2 - dy^2.
 
     Straightens the orthonormal frame (f_x/e^u, f_y/e^u, n) to (j, k, i) by a
@@ -608,8 +603,8 @@ def ribaucour_connection(
     u = 0.5 * np.log(np.where(sel, e2u, 1.0))
     dev_minimal = float(np.abs(ff.e + ff.g)[sel].max())
     dev_norm = float(np.abs(ff.e - 1.0)[sel].max())
-    if dev_norm > pattern_tol:
-        if float(np.abs(ff.e + 1.0)[sel].max()) < pattern_tol:
+    if dev_norm > PATTERN_TOL:
+        if float(np.abs(ff.e + 1.0)[sel].max()) < PATTERN_TOL:
             raise PatternMismatch(
                 "surface normalized to the conjugate chart (II_xx = -1); "
                 "resample with x and y exchanged"
@@ -617,7 +612,7 @@ def ribaucour_connection(
         raise PatternMismatch(
             f"second fundamental form is not dx^2 - dy^2 (|e - 1| up to {dev_norm:.2e})"
         )
-    if dev_minimal > pattern_tol:
+    if dev_minimal > PATTERN_TOL:
         raise PatternMismatch(f"surface is not minimal (|e + g| up to {dev_minimal:.2e})")
     e_u = np.exp(u)
     t1 = jets.fx[..., 1:] / e_u[..., None]
@@ -668,9 +663,7 @@ def ribaucour_data_extract(frame: FrameField) -> RibaucourData:
     """
     grid = frame.grid
     h = grid.h
-    inv = qm2_inv(frame.values)
-    phi_x = qm2_mul(inv, diff_axis4(frame.values, h, axis=1))
-    phi_y = qm2_mul(inv, diff_axis4(frame.values, h, axis=0))
+    phi_x, phi_y = frame.connection_form()
     sel = dilate_invalid(grid.valid(), rings=2)
 
     eu_x = phi_x[..., 1, 0, 2]
@@ -781,12 +774,7 @@ def _form_metric(comp_fields, h):
     )
 
 
-def umehara_yamada_check(
-    minimal: PolarizedSurface,
-    lam: float,
-    p0=None,
-    connection: FrameConnection | None = None,
-) -> IsometryReport:
+def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> IsometryReport:
     """Verify the isometric deformation identities of the spectral family.
 
     Extracts I and II from the structured frames at parameters 0 and lam
@@ -795,12 +783,10 @@ def umehara_yamada_check(
     and II_lam = II_0 - 2 lam I_0 nodewise.
     """
     p0 = p0 or minimal.grid.center_node()
-    if connection is None:
-        try:
-            connection = ribaucour_connection(minimal, p0)
-        except PatternMismatch as exc:
-            raise FrameUnavailable(f"no structured frame for this surface: {exc}") from None
-    conn = connection
+    try:
+        conn = ribaucour_connection(minimal, p0)
+    except PatternMismatch as exc:
+        raise FrameUnavailable(f"no structured frame for this surface: {exc}") from None
     grid = conn.grid
     h = grid.h
     if lam == 0:
@@ -848,22 +834,19 @@ def bryant_surface(
     """Surface and Gauss map assembled from the coupled first-order system.
 
     The quaternion pair of bryant_system is one component row of rescaled
-    homogeneous coordinates; integrating the companion row with initial
-    (1, 0) completes them, and the surface is the ratio of the first
-    components (Gauss map: ratio of the second).
+    homogeneous coordinates; the companion row, with initial (1, 0),
+    completes them, and the surface is the ratio of the first components
+    (Gauss map: ratio of the second).  Both rows are the rows of one frame.
     """
     grid = data.grid
-    p0 = p0 or grid.center_node()
     if f0 is None:
         f0 = np.zeros(4)
-    top_f, top_h = bryant_system(data, lam, p0, f0=f0, fh0=(1, 0, 0, 0),
-                                 tolerance_scale=tolerance_scale)
-    bot_f, bot_h = bryant_system(data, lam, p0, f0=(1, 0, 0, 0), fh0=(0, 0, 0, 0),
-                                 tolerance_scale=tolerance_scale)
-    inv_f, ok_f = qinv_masked(bot_f.values)
-    inv_h, ok_h = qinv_masked(bot_h.values)
-    surf = QField(grid.merge_mask(ok_f), qmul(top_f.values, inv_f))
-    gauss = QField(grid.merge_mask(ok_h), qmul(top_h.values, inv_h))
+    frame = _bryant_frame(data, lam, p0, f0, (1.0, 0.0, 0.0, 0.0), tolerance_scale)
+    top, bottom = frame[..., 0, :, :], frame[..., 1, :, :]
+    inv_f, ok_f = qinv_masked(bottom[..., 0, :])
+    inv_h, ok_h = qinv_masked(bottom[..., 1, :])
+    surf = QField(grid.merge_mask(ok_f), qmul(top[..., 0, :], inv_f))
+    gauss = QField(grid.merge_mask(ok_h), qmul(top[..., 1, :], inv_h))
     return CmcSurface(surf, lam, gauss, "bryant")
 
 
@@ -875,17 +858,15 @@ class DualPair:
     dual: CmcSurface
     cousin: PolarizedSurface
     dual_cousin: PolarizedSurface
-    secondary_gauss: PolarizedSurface
-    chain: dict
+    ns_connection: FrameConnection  # family of the secondary Gauss map
 
 
 def dual_cmc(
     data: WeierstrassData,
     lam: float,
     p0=None,
-    v0=((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)),
+    v0=V0,
     v0_dual=None,
-    tolerance_scale=1.0,
 ) -> DualPair:
     """Construct a cmc surface and a dual by exchanging its two Gauss maps.
 
@@ -900,44 +881,26 @@ def dual_cmc(
     v0_dual = v0 if v0_dual is None else np.asarray(v0_dual, dtype=float)
     conn = boundary_connection(data, p0)
 
-    fres = darboux_via_connection(conn, lam, v0, "dz2", ("dual_cmc.f",), chain=True,
-                                  tolerance_scale=tolerance_scale)
+    fres = darboux_via_connection(conn, lam, v0, "dz2", ("dual_cmc.f",), chain=True)
     base = boundary_surface(data)
-    f = CmcSurface(fres.surface.f, lam, base.f, "darboux-weierstrass",
-                   connection=fres.connection)
+    f = CmcSurface(fres.surface.f, lam, base.f, "darboux-weierstrass")
 
-    ns_res = t_transform_via_connection(conn, lam, "dz2", ("dual_cmc.ns",),
-                                        tolerance_scale=tolerance_scale)
-    n_s = ns_res.surface
+    ns_res = t_transform_via_connection(conn, lam, "dz2", ("dual_cmc.ns",))
 
     dual_res = darboux_via_connection(ns_res.connection, -lam, v0_dual, "dz2",
-                                      ("dual_cmc.dual",), chain=True,
-                                      tolerance_scale=tolerance_scale)
-    dual = CmcSurface(dual_res.surface.f, lam, n_s.f, "dual",
-                      connection=dual_res.connection)
+                                      ("dual_cmc.dual",), chain=True)
+    dual = CmcSurface(dual_res.surface.f, lam, ns_res.surface.f, "dual")
 
     # minimal cousins from scratch: the chained families carry the exact
     # initial-condition correspondences but a rescaled spectral parameter,
     # so the cousins use the canonical (grid-polarization) transform of the
     # sampled surfaces
-    from .transforms import t_transform
-
-    cousin = t_transform(fres.surface, lam, p0,
-                         tolerance_scale=tolerance_scale).surface
-    dual_cousin = t_transform(dual_res.surface, -lam, p0,
-                              tolerance_scale=tolerance_scale).surface
-    f.cousin = cousin
-    dual.cousin = dual_cousin
-    chain = {
-        "f_connection": fres.connection,
-        "ns_connection": ns_res.connection,
-        "dual_connection": dual_res.connection,
-    }
-    return DualPair(f, dual, cousin, dual_cousin, n_s, chain)
+    cousin = t_transform(fres.surface, lam, p0).surface
+    dual_cousin = t_transform(dual_res.surface, -lam, p0).surface
+    return DualPair(f, dual, cousin, dual_cousin, ns_res.connection)
 
 
-def double_dual(pair: DualPair, data: WeierstrassData, lam: float, v0=None,
-                tolerance_scale=1.0) -> PolarizedSurface:
+def double_dual(pair: DualPair, data: WeierstrassData, lam: float, v0=V0) -> PolarizedSurface:
     """The dual of the dual: exchange the Gauss-map roles once more.
 
     Mirrors the dual construction with (n_h, lam) replaced by (n_s, -lam):
@@ -946,16 +909,10 @@ def double_dual(pair: DualPair, data: WeierstrassData, lam: float, v0=None,
     matching initial data the chain correspondences make it Moebius
     equivalent to the original surface.
     """
-    v0 = np.asarray(
-        v0 if v0 is not None else ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)),
-        dtype=float,
-    )
-    nsh_res = t_transform_via_connection(pair.chain["ns_connection"], -lam,
-                                         "dz2", ("double_dual.nsh",),
-                                         tolerance_scale=tolerance_scale)
-    back = darboux_via_connection(nsh_res.connection, lam, v0, "dz2",
-                                  ("double_dual",),
-                                  tolerance_scale=tolerance_scale)
+    nsh_res = t_transform_via_connection(pair.ns_connection, -lam, "dz2",
+                                         ("double_dual.nsh",))
+    back = darboux_via_connection(nsh_res.connection, lam, np.asarray(v0, dtype=float),
+                                  "dz2", ("double_dual",))
     return back.surface
 
 
@@ -990,16 +947,16 @@ def common_sphere_point(surface: PolarizedSurface):
     return Quaternion.from_array(s0[2:] * (-1.0 / s0[0])), light, incidence
 
 
-def minimal_position(surface: PolarizedSurface, eps=1e-4):
+def minimal_position(surface: PolarizedSurface):
     """Moebius representative of a minimal-class surface with flat duals.
 
     Moves the common point of the central sphere congruence to infinity by
     an inversion (plus nothing if it is already there).  Raises
-    PatternMismatch when the congruence has no common point (the class is
-    not minimal).
+    PatternMismatch when the congruence has no common point, an incidence
+    residual above 1e-4 (the class is not minimal).
     """
     p, light, incidence = common_sphere_point(surface)
-    if incidence > eps:
+    if incidence > 1e-4:
         raise PatternMismatch(
             f"central spheres share no common point (residual {incidence:.2e})"
         )

@@ -31,6 +31,7 @@ from .quaternion import (
     _pair_matmul,
     _pair_planes,
     _pair_view,
+    qm2_inv,
     qm2_mul,
     qm2_norm,
     qmul,
@@ -197,10 +198,17 @@ class FrameField:
         if self.values.shape != (self.grid.ny, self.grid.nx, 2, 2, 4):
             raise ValueError("frame values must have shape (ny, nx, 2, 2, 4)")
 
-    def study_det_drift(self, reference=1.0):
+    def connection_form(self):
+        """(phi_x, phi_y) of Phi = F^-1 dF, entrywise fourth-order differences."""
+        inv = qm2_inv(self.values)
+        return (qm2_mul(inv, diff_axis4(self.values, self.grid.h, axis=1)),
+                qm2_mul(inv, diff_axis4(self.values, self.grid.h, axis=0)))
+
+    def study_det_drift(self):
+        """Largest deviation of the Study determinant from 1 over valid nodes."""
         dets = study_det_array(self.values)
         sel = self.grid.valid()
-        return float(np.abs(dets[sel] - reference).max())
+        return float(np.abs(dets[sel] - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,6 @@ def integrate_form(
     omega: QForm1,
     p0,
     v0,
-    tau=None,
     tolerance_scale=1.0,
 ) -> QField:
     """Potential F with F(p0) = v0 and dF ~ omega (column spine, then rows).
@@ -423,8 +430,7 @@ def integrate_form(
     """
     grid = omega.grid
     iy0, ix0 = _spine_rows_order(grid, p0)
-    if tau is None:
-        tau = grid_tolerance(grid, TAU_CLOSED, tolerance_scale)
+    tau = grid_tolerance(grid, TAU_CLOSED, tolerance_scale)
     _gate(closedness_residual(omega), tau, "closedness", NotClosed,
           partial(_closedness_point, omega))
 
@@ -617,11 +623,6 @@ def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, tolerance_
                   _linear_steps(product, left), blowup)
 
 
-def _row_product(w, m):
-    """Row vectors w = (w1, w2), pair arrays (2, 2, b), times matrices m."""
-    return _pair_matmul(w[:, None], m)[:, 0]
-
-
 def _column_row(v):
     """Column vectors v, pair arrays (2, 2, b), as column 0 (a1, a2 | -conj b1,
     -conj b2) of their representation, taken as a row; its own inverse."""
@@ -629,8 +630,8 @@ def _column_row(v):
 
 
 def _column_product(v, m):
-    """The row product of _row_product on columns v taken as rows."""
-    return _column_row(_row_product(_column_row(v), m))
+    """Columns v, pair arrays (2, 2, b), taken as rows, times matrices m."""
+    return _column_row(_pair_matmul(_column_row(v)[:, None], m)[:, 0])
 
 
 def _maurer_cartan_point(phi_x, phi_y, grid):
@@ -692,28 +693,11 @@ def integrate_left_vector(
     p0,
     tau=None,
     tolerance_scale=1.0,
-    blowup=BLOWUP_LIMIT,
 ):
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
     v0 = _pair_planes(v0, 1)
     return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
-                         tolerance_scale, blowup)
-
-
-def integrate_right_rowvec(
-    phi_x,
-    phi_y,
-    grid: GridSpec,
-    w0,
-    p0,
-    tau=None,
-    tolerance_scale=1.0,
-    blowup=BLOWUP_LIMIT,
-):
-    """Solve dW = W Phi for a row vector (w1, w2) of quaternions."""
-    w0 = _pair_planes(w0, 1)
-    return _linear_march(phi_x, phi_y, grid, p0, w0, _row_product, False, tau,
-                         tolerance_scale, blowup)
+                         tolerance_scale, BLOWUP_LIMIT)
 
 
 def integrate_riccati(
@@ -724,7 +708,6 @@ def integrate_riccati(
     grid: GridSpec,
     delta0,
     p0,
-    blowup=BLOWUP_LIMIT,
 ):
     """Solve d(delta) = delta A delta - B for a quaternion field.
 
@@ -743,7 +726,7 @@ def integrate_riccati(
                                                 pb[..., i, :], s[i], mul)
 
     delta0 = _pair_planes(delta0, 0)
-    return _march(grid, p0, coef_x, coef_y, delta0, steps, blowup)
+    return _march(grid, p0, coef_x, coef_y, delta0, steps, BLOWUP_LIMIT)
 
 
 def laplacian(u, grid: GridSpec):

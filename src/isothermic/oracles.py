@@ -29,7 +29,7 @@ from .quaternion import cj, from_complex, qinv, qmul, qnorm
 #: switch to series evaluation when |lam * z^2| falls below this
 SERIES_CUTOFF = 1e-4
 
-#: default margin (in the sqrt(lam) z plane) kept from the tanh/cosh poles
+#: margin (in the sqrt(lam) z plane) kept from the tanh/cosh poles
 POLE_MARGIN = 0.1
 
 #: largest |Re(sqrt(lam) z)| at which cosh(sqrt(lam) z)^2 stays finite (355)
@@ -62,10 +62,10 @@ def _first_node(bad):
     return node or None
 
 
-def check_pole_margin(z, lam, margin=POLE_MARGIN):
+def check_pole_margin(z, lam):
     """Distance guard from the poles of tanh and 1/cosh at w = i(pi/2 + m pi).
 
-    Raises PoleProximity at the first node (row-major) closer than margin.
+    Raises PoleProximity at the first node (row-major) closer than POLE_MARGIN.
     """
     w = _sqrt_lambda(lam) * _z(z)
     a = np.abs(w.imag)
@@ -75,7 +75,7 @@ def check_pole_margin(z, lam, margin=POLE_MARGIN):
          for k in (np.maximum(0.0, m - 1), m, m + 1)],
         axis=0,
     )
-    _raise_at_first(dist < margin, w, PoleProximity, f"within {margin} of a pole")
+    _raise_at_first(dist < POLE_MARGIN, w, PoleProximity, f"within {POLE_MARGIN} of a pole")
 
 
 def check_overflow(z, lam):
@@ -90,7 +90,7 @@ def _raise_at_first(bad, w, error, what):
     if bad.any():
         node = _first_node(bad)
         w_bad = complex(w[node] if node else w)
-        raise error(f"sqrt(lam) z = {w_bad:.4f} {what}", node=node)
+        raise error(f"sqrt(lam) z = {w_bad:.4g} {what}", node=node)
 
 
 def _branches(z, lam, series, closed):
@@ -181,12 +181,12 @@ def cf_plane(z):
     return cj(_z(z))
 
 
-def t_frame(z, lam, margin=POLE_MARGIN):
+def t_frame(z, lam):
     """Spectral frame of the plane with frame(0) = Id, shape z.shape + (2, 2, 4).
 
     diag(1,-j) [[cosh(sl z), sl sinh(sl z)], [sinh(sl z)/sl, cosh(sl z)]] diag(1, j)
     """
-    check_pole_margin(z, lam, margin)
+    check_pole_margin(z, lam)
     c = cosh_sl(z, lam)
     return np.stack([
         np.stack([from_complex(c), cj(sqrt_sinh_sl(z, lam))], axis=-2),
@@ -194,25 +194,25 @@ def t_frame(z, lam, margin=POLE_MARGIN):
     ], axis=-3)
 
 
-def t_plane(z, lam, margin=POLE_MARGIN):
+def t_plane(z, lam):
     """Spectral transform of the plane: -j tanh(sqrt(lam) z)/sqrt(lam)."""
-    check_pole_margin(z, lam, margin)
+    check_pole_margin(z, lam)
     return cj(-tanhc_sl(z, lam).conjugate())
 
 
-def ct_plane(z, lam, margin=POLE_MARGIN):
+def ct_plane(z, lam):
     """Dual of the spectral transform: (z + sinh(2 sl z)/(2 sl)) j / 2."""
-    check_pole_margin(z, lam, margin)
+    check_pole_margin(z, lam)
     return cj(0.5 * (_z(z) + sinh2c_sl(z, lam)))
 
 
-def minimal_family(z, lam, margin=POLE_MARGIN):
+def minimal_family(z, lam):
     """Minimal surface family: catenoid at lam = 1, Enneper as lam -> 0.
 
     1/4 { Re[(cosh(2 sl z) - 1)/lam] i + [z + sinh(2 sl z)/(2 sl)] j
           + j (1/lam)[z - sinh(2 sl z)/(2 sl)] }
     """
-    check_pole_margin(z, lam, margin)
+    check_pole_margin(z, lam)
     z = _z(z)
     third = _branches(
         z, lam,
@@ -226,12 +226,12 @@ def minimal_family(z, lam, margin=POLE_MARGIN):
     return out
 
 
-def darboux_plane(z, lam, margin=POLE_MARGIN):
+def darboux_plane(z, lam):
     """Darboux transform of the plane seeded by v0 = (1, -i)^t.
 
     -j { z - [sinh(sl z)/sl - cosh(sl z) k][cosh(sl z) - sl sinh(sl z) k]^-1 }
     """
-    check_pole_margin(z, lam, margin)
+    check_pole_margin(z, lam)
     z = _z(z)
     c = cosh_sl(z, lam)
     num = from_complex(sinhc_sl(z, lam)) - _ck(c)
@@ -240,12 +240,12 @@ def darboux_plane(z, lam, margin=POLE_MARGIN):
     return qmul(MINUS_J, from_complex(z) - qmul(num, qinv(den)))
 
 
-def darboux_of_t_plane(z, lam, margin=POLE_MARGIN):
+def darboux_of_t_plane(z, lam):
     """The simultaneous Darboux transform of the spectral surface.
 
     -j { tanh(sl z)/sl - (1/cosh(sl z)) [z - k][cosh(sl z) - sl sinh(sl z)(z - k)]^-1 }
     """
-    check_pole_margin(z, lam, margin)
+    check_pole_margin(z, lam)
     z = _z(z)
     c = cosh_sl(z, lam)
     zk = from_complex(z) - _K

@@ -34,6 +34,7 @@ from .objio import export_obj
 from .quaternion import from_imag3
 from .surfaces import TAU_ISOTHERMIC, PolarizedSurface, isothermic_certificate
 from .transforms import (
+    V0,
     christoffel,
     darboux_linear,
     darboux_riccati,
@@ -46,7 +47,6 @@ DEFAULT_GRID_N = 129
 GENERATOR_KINDS = ("example", "weierstrass", "bryant", "darboux-weierstrass", "file")
 TRANSFORM_OPS = ("christoffel", "goursat", "darboux", "darboux_linear", "t_transform")
 _WEIERSTRASS = ("weierstrass", "bryant", "darboux-weierstrass")
-_V0 = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
 REQUIRED = object()  # the default of a field that must be given
 
 
@@ -85,13 +85,13 @@ FIELDS = (
     Field("generator", "kind", "choice", REQUIRED, choices=GENERATOR_KINDS),
     Field("generator", "lambda", "number", 1.0),
     Field("generator", "data", "choice", "plane", choices=("plane", "family"), only=_WEIERSTRASS),
-    Field("generator", "v0", "array", _V0, shape=(2, 4), only=_WEIERSTRASS),
+    Field("generator", "v0", "array", V0, shape=(2, 4), only=_WEIERSTRASS),
     Field("generator", "path", "path", REQUIRED, only=("file",)),
     Field("transforms", "op", "choice", REQUIRED, choices=TRANSFORM_OPS),
     Field("transforms", "lambda", "number", 1.0),
     Field("transforms", "m", "array", [1.0, 0.0, 0.0], shape=(3,), only=("goursat",)),
     Field("transforms", "d0", "array", shape=(4,), only=("darboux",)),
-    Field("transforms", "v0", "array", _V0, shape=(2, 4), only=("darboux_linear",)),
+    Field("transforms", "v0", "array", V0, shape=(2, 4), only=("darboux_linear",)),
     *(Field("verify", key, "flag") for key in
       ("isothermic", "spherical_type", "liouville", "mean_curvature", "permutability")),
     *(Field("export", key, "file name") for key in ("obj", "surface", "report")),
@@ -235,19 +235,15 @@ class CheckResult:
     tolerance: float
     grid_h: float
     passed: bool
-    convergence_order: float | None = None
 
     def to_dict(self):
-        d = {
+        return {
             "name": self.name,
             "residual": float(self.residual),
             "tolerance": float(self.tolerance),
             "grid_h": float(self.grid_h),
             "pass": bool(self.passed),
         }
-        if self.convergence_order is not None:
-            d["convergence_order"] = float(self.convergence_order)
-        return d
 
 
 @dataclass
@@ -255,13 +251,11 @@ class InvariantReport:
     checks: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
 
-    def add(self, name, residual, tolerance, grid_h, order=None):
+    def add(self, name, residual, tolerance, grid_h):
         residual = float(residual)
         if not np.isfinite(residual):
             raise GeometryError(f"check {name} produced a non-finite residual")
-        self.checks.append(
-            CheckResult(name, residual, tolerance, grid_h, residual <= tolerance, order)
-        )
+        self.checks.append(CheckResult(name, residual, tolerance, grid_h, residual <= tolerance))
 
     def all_passed(self):
         """True when at least one check ran and every check passed."""
@@ -472,7 +466,3 @@ def read_config(path):
     except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from None
     return _mapping(raw, "config")
-
-
-def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(read_config(path))

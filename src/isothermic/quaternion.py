@@ -417,20 +417,14 @@ class Quaternion:
     def norm(self):
         return float(qnorm(self._a))
 
-    def inverse(self, eps=EPS_INV):
-        return Quaternion.from_array(qinv(self._a, eps=eps))
+    def inverse(self):
+        return Quaternion.from_array(qinv(self._a))
 
     def real(self):
         return self.w
 
     def imag(self):
         return np.array(self._a[1:])
-
-    def is_imaginary(self, tol=1e-12):
-        return abs(self.w) <= tol
-
-    def to_complex(self):
-        return complex(self.w, self.x)
 
 
 def _coerce(value):
@@ -640,10 +634,10 @@ class MoebiusMap:
             return INFINITY
         return num * den.inverse()
 
-    def apply_array(self, values, eps=EPS_INV):
+    def apply_array(self, values):
         """Apply to a (..., 4) array of points; returns (values, valid mask)."""
         m = self.matrix.as_array()
         num = qmul(m[0, 0] , values) + m[0, 1]
         den = qmul(m[1, 0], values) + m[1, 1]
-        inv, ok = qinv_masked(den, eps)
+        inv, ok = qinv_masked(den)
         return qmul(num, inv), ok

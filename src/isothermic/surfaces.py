@@ -74,7 +74,7 @@ class SurfaceJets:
     valid: np.ndarray  # nodes with trustworthy two-ring stencils
 
 
-def surface_jets(surface: PolarizedSurface, eps=EPS_IMMERSION) -> SurfaceJets:
+def surface_jets(surface: PolarizedSurface) -> SurfaceJets:
     """Differentiate the immersion twice and build the unit normal.
 
     Uses fourth-order stencils: curvature-level quantities (certificates,
@@ -94,6 +94,7 @@ def surface_jets(surface: PolarizedSurface, eps=EPS_IMMERSION) -> SurfaceJets:
     fyy = diff_axis4(fy, h, axis=0)
     cr = cross3(fx, fy)
     n2 = qnorm(cr)
+    eps = EPS_IMMERSION
     ok = (n2 > eps * eps) & (qnorm(fx) > eps) & (qnorm(fy) > eps)
     if not ok.any():
         raise DegenerateTangent("immersion degenerate everywhere")
@@ -144,24 +145,24 @@ def fundamental_forms(surface: PolarizedSurface, jets: SurfaceJets | None = None
     return FundamentalForms(E, F, G, e, f, g, jets.normal, jets.valid)
 
 
-def isothermic_certificate(surface: PolarizedSurface, tau=None, margin=4):
+def isothermic_certificate(surface: PolarizedSurface):
     """Measure how far the sampling is from conformal curvature-line form.
 
     Returns (rho, residual): rho is the real Hopf coefficient field (the
     dz^2 component of <df, dn>), residual the largest relative deviation
     among the off-real Hopf part and the conformality defects.  The surface
-    is accepted as isothermic when residual <= tau (default 1e-4); this is
-    a certificate, not a gate, so no exception is raised for a large residual.
+    is accepted as isothermic when residual <= TAU_ISOTHERMIC; this is a
+    certificate, not a gate, so no exception is raised for a large residual.
 
-    The reported maximum trims `margin` boundary rings: the curvature jets
-    fall back to one-sided stencils there, and surfaces produced by chained
+    The reported maximum trims 4 boundary rings: the curvature jets fall
+    back to one-sided stencils there, and surfaces produced by chained
     integrations carry reduced edge accuracy.  MaskedNeighbor is raised when
     no valid node is left inside them.
     """
     ff = fundamental_forms(surface)
     ny, nx = surface.grid.ny, surface.grid.nx
     interior = np.zeros((ny, nx), dtype=bool)
-    m = max(1, margin)
+    m = 4
     interior[m:-m, m:-m] = True
     interior &= surface.grid.valid() & ff.valid
     if not interior.any():

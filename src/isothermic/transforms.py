@@ -54,6 +54,15 @@ from .surfaces import (
 
 EPS_ESCAPE = 1e-9
 
+#: norm of Df - f below which a Darboux point counts as on the surface
+EPS_ON_SURFACE = 1e-8
+
+#: residual threshold of the three permutability checks
+TAU_PERMUTABILITY = 1e-5
+
+#: the homogeneous column (1, -i) that seeds the closed-form Darboux family
+V0 = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0))
+
 
 # ---------------------------------------------------------------------------
 # Christoffel and Goursat
@@ -68,18 +77,19 @@ def christoffel_form(surface: PolarizedSurface, df: QForm1 | None = None) -> QFo
     return QForm1(grid, inv_x, -inv_y)
 
 
-def _certify_isothermic(surface: PolarizedSurface, tau_iso=TAU_ISOTHERMIC, what=""):
-    """Raise NotClosed, naming the surface by what, unless its certificate passes tau_iso."""
+def _certify_isothermic(surface: PolarizedSurface, what=""):
+    """Raise NotClosed, naming the surface by what, unless its certificate
+    passes TAU_ISOTHERMIC."""
     _, res = isothermic_certificate(surface)
-    if not res <= tau_iso:
-        raise NotClosed(f"{what}isothermic certificate residual {res:.3e} exceeds {tau_iso:.1e}")
+    if not res <= TAU_ISOTHERMIC:
+        raise NotClosed(f"{what}isothermic certificate residual {res:.3e} "
+                        f"exceeds {TAU_ISOTHERMIC:.1e}")
 
 
 def christoffel(
     surface: PolarizedSurface,
     p0=None,
     c0=np.zeros(4),
-    tau_iso=TAU_ISOTHERMIC,
     tolerance_scale=1.0,
     cform: QForm1 | None = None,
 ) -> PolarizedSurface:
@@ -90,7 +100,7 @@ def christoffel(
     form of a surface already certified, skips the certificate.
     """
     if cform is None:
-        _certify_isothermic(surface, tau_iso)
+        _certify_isothermic(surface)
         cform = christoffel_form(surface)
     p0 = p0 or surface.grid.center_node()
     cf = integrate_form(cform, p0, np.asarray(c0, dtype=float), tolerance_scale=tolerance_scale)
@@ -163,7 +173,6 @@ def canonical_connection(
     surface: PolarizedSurface,
     cform: QForm1 | None = None,
     p0=None,
-    tau_iso=TAU_ISOTHERMIC,
 ) -> FrameConnection:
     """Connection family of the canonical Euclidean frame [[f, 1], [1, 0]].
 
@@ -174,7 +183,7 @@ def canonical_connection(
     p0 = p0 or grid.center_node()
     df = d_field_hi(surface.f)
     if cform is None:
-        _certify_isothermic(surface, tau_iso)
+        _certify_isothermic(surface)
         cform = christoffel_form(surface, df)
     grid = grid.merge_mask(df.grid.valid() & cform.grid.valid())
     shape = (grid.ny, grid.nx, 2, 2, 4)
@@ -190,9 +199,9 @@ def canonical_connection(
     return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)
 
 
-def affine_chart(vec, eps=EPS_ESCAPE):
+def affine_chart(vec):
     """Affine point v1 v2^-1 of homogeneous columns (..., 2, 4) plus mask."""
-    inv, ok = qinv_masked(vec[..., 1, :], eps)
+    inv, ok = qinv_masked(vec[..., 1, :], EPS_ESCAPE)
     return qmul(vec[..., 0, :], inv), ok
 
 
@@ -237,7 +246,6 @@ def t_transform(
     surface: PolarizedSurface,
     lam: float,
     p0=None,
-    cform: QForm1 | None = None,
     tolerance_scale=1.0,
 ) -> TTransformResult:
     """Spectral transform from the canonical Euclidean frame, F(p0) = Id.
@@ -246,7 +254,7 @@ def t_transform(
     the surface representative is the affine projection of the canonical
     frame translate (so lam = 0 returns the surface itself).
     """
-    conn = canonical_connection(surface, cform, p0)
+    conn = canonical_connection(surface, p0=p0)
     prov = surface.provenance + (f"t_transform({lam})",)
     return t_transform_via_connection(
         conn, lam, surface.polarization, prov, tolerance_scale
@@ -258,8 +266,6 @@ def t_transform_gauged(
     lam: float,
     frame: FrameField | FrameConnection,
     p0=None,
-    adapted_tol=1e-5,
-    tolerance_scale=1.0,
 ) -> TTransformResult:
     """Spectral transform from an arbitrary adapted frame.
 
@@ -271,23 +277,13 @@ def t_transform_gauged(
     if isinstance(frame, FrameConnection):
         conn = frame
     else:
-        conn = frame_connection_from_field(surface, frame, p0, adapted_tol)
+        conn = frame_connection_from_field(surface, frame, p0)
     prov = surface.provenance + (f"t_transform_gauged({lam})",)
-    return t_transform_via_connection(
-        conn, lam, surface.polarization, prov, tolerance_scale
-    )
-
-
-def _dframe(frame: FrameField):
-    """d of a frame field, entrywise (fourth-order, as for coefficient forms)."""
-    from .grid import diff_axis4
-
-    h = frame.grid.h
-    return diff_axis4(frame.values, h, axis=1), diff_axis4(frame.values, h, axis=0)
+    return t_transform_via_connection(conn, lam, surface.polarization, prov)
 
 
 def frame_connection_from_field(
-    surface: PolarizedSurface, frame: FrameField, p0=None, adapted_tol=1e-5
+    surface: PolarizedSurface, frame: FrameField, p0=None
 ) -> FrameConnection:
     """Numeric connection family of an adapted frame field.
 
@@ -303,12 +299,9 @@ def frame_connection_from_field(
         raise NotAdapted("frame projects nowhere")
     dev = float(qnorm(proj - surface.f.values)[sel].max())
     scale = max(1.0, float(qnorm(surface.f.values)[sel].max()))
-    if dev > adapted_tol * scale:
+    if dev > 1e-5 * scale:
         raise NotAdapted(f"frame does not project onto the surface (max dev {dev:.3e})")
-    dfx, dfy = _dframe(frame)
-    inv = qm2_inv(frame.values)
-    const_x = qm2_mul(inv, dfx)
-    const_y = qm2_mul(inv, dfy)
+    const_x, const_y = frame.connection_form()
     psi_x = const_x[..., 1, 0, :]
     psi_y = const_y[..., 1, 0, :]
     star_x, ok_x = qinv_masked(psi_x)
@@ -392,23 +385,20 @@ def darboux_linear(
     surface: PolarizedSurface,
     lam: float,
     p0=None,
-    v0=((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)),
-    cform: QForm1 | None = None,
-    chain=False,
+    v0=V0,
     tolerance_scale=1.0,
 ) -> PolarizedSurface:
     """Darboux transform via the linear system 0 = dv + Phi_lam v.
 
-    The transform is f + v2 v1^-1; the default v0 = (1, -i) matches the
-    seeded closed-form family.
+    The transform is f + v2 v1^-1; the default v0 = V0 matches the seeded
+    closed-form family.
     """
-    conn = canonical_connection(surface, cform, p0)
+    conn = canonical_connection(surface, p0=p0)
     prov = surface.provenance + (f"darboux_linear({lam})",)
-    res = darboux_via_connection(
+    return darboux_via_connection(
         conn, lam, np.asarray(v0, dtype=float), surface.polarization, prov,
-        chain=chain, tolerance_scale=tolerance_scale,
-    )
-    return res if chain else res.surface
+        tolerance_scale=tolerance_scale,
+    ).surface
 
 
 def darboux_riccati(
@@ -417,7 +407,6 @@ def darboux_riccati(
     p0=None,
     d0=None,
     cform: QForm1 | None = None,
-    eps_singular=1e-8,
     tolerance_scale=1.0,
 ) -> PolarizedSurface:
     """Darboux transform via the Riccati equation for delta = Df - f.
@@ -433,12 +422,12 @@ def darboux_riccati(
         raise ValueError("darboux_riccati needs an initial value d0 off the surface")
     d0 = np.asarray(d0.as_array() if hasattr(d0, "as_array") else d0, dtype=float)
     delta0 = d0 - surface.f.value_at(p0)
-    if qnorm(delta0) < eps_singular:
+    if qnorm(delta0) < EPS_ON_SURFACE:
         raise SingularityHit("initial point lies on the surface", node=p0)
     delta = integrate_riccati(
         lam * cform.px, lam * cform.py, df.px, df.py, grid, delta0, p0
     )
-    ok = qnorm(delta) > eps_singular
+    ok = qnorm(delta) > EPS_ON_SURFACE
     out_grid = grid.merge_mask(ok & df.grid.valid() & cform.grid.valid())
     prov = surface.provenance + (f"darboux_riccati({lam})",)
     return PolarizedSurface(
@@ -450,14 +439,14 @@ def darboux_riccati(
 # Moebius equivalence testing
 # ---------------------------------------------------------------------------
 
-def sample_quadruples(grid: GridSpec, n_quads, seed=0, min_sep=None, extra_valid=None):
-    """Seeded node quadruples, pairwise separated, inside the valid set."""
+def sample_quadruples(grid: GridSpec, n_quads, seed=0, extra_valid=None):
+    """Seeded node quadruples, pairwise a fifth of the grid apart (at least
+    2 nodes), inside the valid set."""
     valid = grid.valid() if extra_valid is None else (grid.valid() & extra_valid)
     nodes = np.argwhere(valid)
     if len(nodes) < 16:
         raise DegenerateQuadruple("not enough valid nodes to sample")
-    if min_sep is None:
-        min_sep = max(2, min(grid.nx, grid.ny) // 5)
+    min_sep = max(2, min(grid.nx, grid.ny) // 5)
     rng = np.random.default_rng(seed)
     quads = []
     attempts = 0
@@ -487,7 +476,6 @@ def moebius_equivalent(
     n_quads=20,
     seed=0,
     tau=1e-5,
-    retries=40,
 ):
     """Compare cross-ratio classes of seeded node quadruples.
 
@@ -495,7 +483,8 @@ def moebius_equivalent(
     orders on a, the one with |log |r|| least, and b is read in that same
     order (Moebius equivalence in one order implies it in all six).  Returns
     (equivalent, residual): residual is the largest absolute discrepancy in
-    (Re r, |r|) over the sampled quadruples.
+    (Re r, |r|) over the sampled quadruples.  Sampling gives up after 40
+    degenerate quadruples.
     """
     fa = a.f if isinstance(a, PolarizedSurface) else a
     fb = b.f if isinstance(b, PolarizedSurface) else b
@@ -504,6 +493,7 @@ def moebius_equivalent(
     common = fa.grid.valid() & fb.grid.valid()
     residual = 0.0
     done = 0
+    retries = 40
     seed_k = seed
     while done < n_quads and retries > 0:
         quads = sample_quadruples(fa.grid, n_quads - done, seed_k, extra_valid=common)
@@ -550,7 +540,6 @@ def permutability_suite(
     mu: float | None = None,
     p0=None,
     d0=None,
-    tau=1e-5,
     seed=7,
 ) -> PermutabilityReport:
     """Run the three permutability checks on a surface.
@@ -577,7 +566,7 @@ def permutability_suite(
     tt = t_transform_via_connection(conn, lam, surface.polarization)
     cs = christoffel(surface, p0, cform=cform)
     tc = t_transform(cs, lam, p0)
-    _, p1 = moebius_equivalent(tt.second_point, tc.surface, seed=seed, tau=tau)
+    _, p1 = moebius_equivalent(tt.second_point, tc.surface, seed=seed)
 
     # P2  (positioning lam (CDf - Cf) = (Df - f)^-1)
     if d0 is None:
@@ -609,7 +598,7 @@ def permutability_suite(
     lhs = t_transform_via_connection(dar_chain.connection, mu).surface
     tt_chain = t_transform_via_connection(conn, mu)
     rhs = darboux_via_connection(tt_chain.connection, lam - mu, v0).surface
-    _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1, tau=tau)
+    _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1)
 
-    return PermutabilityReport(p1, float(point_res), float(trans_res), p3, tau)
+    return PermutabilityReport(p1, float(point_res), float(trans_res), p3, TAU_PERMUTABILITY)
 

@@ -3,8 +3,8 @@
 This is the generic march the package used before its linear systems went
 through step propagators: four quaternionic products per RK4 stage, with
 the Hamilton product written through ``moveaxis`` and ``stack``.  It is kept
-here, unchanged, as the independent reference that ``integrate_frame``,
-``integrate_left_vector`` and ``integrate_right_rowvec`` are tested against
+here, unchanged, as the independent reference that ``integrate_frame`` and
+``integrate_left_vector`` are tested against
 (tests/test_march_equivalence.py), together with the Riccati march on real
 quaternion components that ``integrate_riccati`` ran before its states and
 coefficients became complex pairs.  The cubic midpoint samples are shared
@@ -59,15 +59,6 @@ def qm2_matvec(m, v):
         )
     return out
 
-
-def row_mul(state, p):
-    """Row vector (w1, w2) times a (..., 2, 2, 4) matrix."""
-    cols = [
-        qmul(state[..., 0, :], p[..., 0, c, :])
-        + qmul(state[..., 1, :], p[..., 1, c, :])
-        for c in range(2)
-    ]
-    return np.stack(cols, axis=-2)
 
 
 def left_mul(state, p):
@@ -126,11 +117,6 @@ def frame(phi_x, phi_y, grid, f0, p0, spine="column"):
 def left_vector(phi_x, phi_y, grid, v0, p0):
     """dv = -Phi v for a column vector with v(p0) = v0."""
     return march(grid, p0, phi_x, phi_y, np.asarray(v0, dtype=float), left_mul)
-
-
-def right_rowvec(phi_x, phi_y, grid, w0, p0):
-    """dW = W Phi for a row vector with W(p0) = w0."""
-    return march(grid, p0, phi_x, phi_y, np.asarray(w0, dtype=float), row_mul)
 
 
 def riccati(a_x, a_y, b_x, b_y, grid, delta0, p0):

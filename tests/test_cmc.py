@@ -353,7 +353,7 @@ def test_dual_pair_structure(grid129):
     # boundary map
     from isothermic import t_transform_via_connection
 
-    nsd = t_transform_via_connection(pair.chain["ns_connection"], -lam).surface
+    nsd = t_transform_via_connection(pair.ns_connection, -lam).surface
     eq, res = moebius_equivalent(nsd, boundary_surface(data), seed=9, tau=1e-4)
     assert eq, res
     # cousins: the surface's cousin is the closed-form minimal member, the

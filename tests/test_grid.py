@@ -28,7 +28,6 @@ from isothermic.grid import (
     grid_tolerance,
     integrate_left_vector,
     integrate_riccati,
-    integrate_right_rowvec,
 )
 from isothermic import grid as grid_module
 from isothermic.quaternion import cj, qm2_identity
@@ -263,6 +262,24 @@ def test_integrate_frame_blowup(grid33):
     assert info.value.node == (0, 22)
 
 
+@pytest.mark.parametrize("peak, blows", [(1e13, True), (1e11, False)])
+def test_default_blowup_limit(peak, blows):
+    """With the default limit, 1e12, a march whose state reaches 1e13 blows
+    up and one whose state peaks at 1e11 does not."""
+    grid = GridSpec.square(1.0, 129)
+    phiy = np.zeros((grid.ny, grid.nx, 2, 2, 4))
+    phiy[..., 0, 0, 0] = np.log(peak)  # F11 = peak^y on the spine column
+    phix = np.zeros_like(phiy)
+    p0 = grid.center_node()
+    top = integrate_frame(phix, phiy, grid, qm2_identity(), p0, blowup=np.inf).values
+    assert 0.9 * peak < np.abs(top).max() < 1.1 * peak
+    if blows:
+        with pytest.raises(StepBlowup):
+            integrate_frame(phix, phiy, grid, qm2_identity(), p0)
+    else:
+        integrate_frame(phix, phiy, grid, qm2_identity(), p0)
+
+
 def _smooth_connection(grid):
     """A connection that varies over the grid; not flat, so marched with tau=inf."""
     z = grid.zgrid()
@@ -285,7 +302,6 @@ def test_march_blocks_agree_with_default_block(monkeypatch):
         "frame_row": lambda: integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf,
                                              spine="row").values,
         "left_vector": lambda: integrate_left_vector(phi_x, phi_y, grid, v0, p0, tau=np.inf),
-        "right_rowvec": lambda: integrate_right_rowvec(phi_x, phi_y, grid, v0, p0, tau=np.inf),
         "riccati": lambda: integrate_riccati(0.2 * phi_x[..., 0, 1, :], 0.2 * phi_y[..., 1, 0, :],
                                              phi_x[..., 1, 1, :], phi_y[..., 0, 0, :], grid,
                                              delta0, p0),
@@ -367,12 +383,11 @@ def _nan_marches(grid, phi_x, phi_y):
     return {
         "frame": lambda: integrate_frame(phi_x, phi_y, grid, qm2_identity(), p0),
         "left_vector": lambda: integrate_left_vector(phi_x, phi_y, grid, v0, p0),
-        "right_rowvec": lambda: integrate_right_rowvec(phi_x, phi_y, grid, v0, p0),
         "riccati": lambda: integrate_riccati(a_x, a_y, b, b, grid, v0[0], p0),
     }
 
 
-@pytest.mark.parametrize("march", ["frame", "left_vector", "right_rowvec", "riccati"])
+@pytest.mark.parametrize("march", ["frame", "left_vector", "riccati"])
 @pytest.mark.parametrize("bad, gate_node, march_node", [
     # a row: the cubic midpoint reads one node ahead
     (("x", 5, 25), (4, 25), (5, 24)),
@@ -414,6 +429,20 @@ def test_maurer_cartan_gate(grid65):
     assert maurer_cartan_residual(phix, phiy, grid65) > grid_tolerance(grid65)
     with pytest.raises(NotIntegrable):
         integrate_frame(phix, phiy, grid65, qm2_identity(), grid65.center_node())
+
+
+def test_maurer_cartan_gate_threshold(grid33):
+    """A constant connection whose coefficients do not commute, scaled so that
+    its residual lies between the gate's threshold and ten times it, is
+    rejected."""
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 2, 2, 4))
+    shape = (grid33.ny, grid33.nx, 2, 2, 4)
+    phix, phiy = np.broadcast_to(0.3 * a, shape), np.broadcast_to(0.3 * b, shape)
+    tau = grid_tolerance(grid33)
+    assert tau < maurer_cartan_residual(phix, phiy, grid33) < 10 * tau
+    with pytest.raises(NotIntegrable):
+        integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node())
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,21 @@ def test_exactly_singular_raises():
         ref.qm2_inv(repeated_row)
 
 
+@pytest.mark.parametrize("ratio, singular", [(1e-13, True), (1e-11, False)])
+def test_singular_threshold_is_relative(ratio, singular):
+    """[[1, 1], [1, 1 + e]] has Study determinant e^2 against a bound of about
+    4: at 1e-13 of its bound qm2_inv refuses it, at 1e-11 it inverts it."""
+    m = np.zeros((2, 2, 4))
+    m[..., 0] = 1.0
+    m[1, 1, 0] += np.sqrt(4.0 * ratio)
+    assert 0.9 * ratio < study_det_array(m) / _bound(m) < 1.1 * ratio
+    if singular:
+        with pytest.raises(SingularMatrix):
+            qm2_inv(m)
+    else:
+        assert np.abs(qm2_mul(qm2_inv(m), m) - qm2_identity()).max() < 1e-4
+
+
 def test_near_singular_raises_at_relative_threshold():
     rng = np.random.default_rng(11)
     a, b, q = rng.normal(size=(3, 4))

@@ -1,10 +1,10 @@
 """The package's marches against the reference marches in tests/reference_march.py.
 
-integrate_frame (both spines), integrate_left_vector and
-integrate_right_rowvec must reproduce the generic RK4 loop they replaced to
-1e-13 relative to the field's largest entry, on n = 33, 65 and 129, for the
-reference family's flat connection and for a constant connection whose two
-coefficients do not commute, from a base node off the grid centre; so must
+integrate_frame (both spines) and integrate_left_vector must reproduce the
+generic RK4 loop they replaced to 1e-13 relative to the field's largest
+entry, on n = 33, 65 and 129, for the reference family's flat connection and
+for a constant connection whose two coefficients do not commute, from a base
+node off the grid centre; so must
 integrate_riccati the real-component Riccati loop, for coefficients that
 vary over the grid and do not commute.  The cubic midpoints of a block of
 grid columns equal the whole-grid ones bit for bit, and so does every march
@@ -20,7 +20,6 @@ from isothermic.grid import (
     integrate_frame,
     integrate_left_vector,
     integrate_riccati,
-    integrate_right_rowvec,
 )
 from isothermic.quaternion import qm2_mul, qmul
 
@@ -69,8 +68,6 @@ def test_linear_integrators_match_reference(n, connection):
         _assert_close(got.values, ref.frame(phi_x, phi_y, grid, f0, p0, spine))
     _assert_close(integrate_left_vector(phi_x, phi_y, grid, v0, p0, tau=tau),
                   ref.left_vector(phi_x, phi_y, grid, v0, p0))
-    _assert_close(integrate_right_rowvec(phi_x, phi_y, grid, v0, p0, tau=tau),
-                  ref.right_rowvec(phi_x, phi_y, grid, v0, p0))
 
 
 def riccati_coefficients(grid):

@@ -192,6 +192,14 @@ def test_family_overflow_guard(name, lam, node):
     assert info.value.node == node
 
 
+def test_overflow_message_is_short():
+    # a fixed-point format printed sqrt(lam) z = 1e150 with all 151 digits
+    with pytest.raises(ClosedFormOverflow) as info:
+        oc.check_overflow(1e150, 1.0)
+    message = str(info.value)
+    assert "sqrt(lam) z = 1e+150+0j beyond" in message and len(message) < 80
+
+
 def test_spin_rotates_standard_frame():
     for z, lam in [(0.3 + 0.2j, 1.0), (0.5 - 0.25j, 0.5), (-0.4 + 0.6j, 1.0)]:
         r = oc.family_spin(z, lam)
