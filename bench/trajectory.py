@@ -13,8 +13,9 @@ which one runs first alternates from seed to seed.  The file keeps, per tree
 and workload, every ``--trace 0`` run (its end-to-end metrics, ops attempted
 and failed, and which ops failed), the median and quartiles of each
 end-to-end metric, and the traced run's per-layer metrics, together with the
-tree's commit and the Python and numpy versions and core count perfbench
-reports.  It also keeps each tree's acceptance residuals, read from the
+tree's commit, the Python and numpy versions and core count perfbench
+reports, the CPU model, and the SIMD features numpy found and did not
+disable (``NPY_DISABLE_CPU_FEATURES``), which pick its kernels.  It also keeps each tree's acceptance residuals, read from the
 report lines of ``pytest tests/test_acceptance.py -s`` run on the tree: per
 check its residual, tolerance and, where printed, refinement order.
 
@@ -28,7 +29,9 @@ paired by seed.  A run is closed-loop for a fixed time, so a faster tree
 attempts more of a seed's input sequence than a slower one; failures are
 therefore counted only on the ops both runs of a pair attempted.  Every
 acceptance residual that differs between the trees is listed with its
-relative change.
+relative change, unless the trees ran at different SIMD dispatch: residual
+reprs differ between dispatch levels by rounding, so then only the count is
+printed.
 """
 
 from __future__ import annotations
@@ -63,6 +66,29 @@ def _commit(tree):
 
     head = git("rev-parse", "--short", "HEAD") or "unknown"
     return head + ("+dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
+def dispatch_env():
+    """The CPU model and the SIMD features numpy found and did not disable;
+    perfbench's processes inherit this process's interpreter and environment,
+    so they dispatch the same."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"cpu_model": _cpu_model(),
+            "cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}
 
 
 def run_once(tree, workload, seed, seconds, trace):
@@ -121,6 +147,7 @@ def _quartiles(values):
 def measure(trees, seeds, seconds):
     """Run every tree on every workload; returns {label: tree record}."""
     spec = _spec()
+    dispatch = dispatch_env()
     out = {label: {"tree_commit": _commit(path), "workloads": {}} for label, path in trees}
     for label, path in trees:
         print(f"trajectory: {label} acceptance", file=sys.stderr)
@@ -134,6 +161,7 @@ def measure(trees, seeds, seconds):
                 record = run_once(path, workload, seed, seconds, 0)
                 runs[label].append(_summary(record, seed, position))
                 out[label]["env"] = {k: record["env"][k] for k in ("python", "numpy", "nproc")}
+                out[label]["env"].update(dispatch)
         for label, path in trees:
             traced = run_once(path, workload, seeds[0], seconds, 1)
             end_to_end = {}
@@ -164,14 +192,38 @@ def _ratio(b, a):
     return f"{b / a:.4f}" if a else "n/a"
 
 
-def compare_acceptance(a, b):
-    """Print every acceptance residual that differs between A and B."""
+def compare_dispatch(env_a, env_b):
+    """Print the CPU and SIMD dispatch of A and B; False when both recorded
+    their features and these differ."""
+    missing = [side for side, env in (("A", env_a), ("B", env_b)) if not env.get("cpu_features")]
+    if missing:
+        print("SIMD dispatch: not recorded in " + " and ".join(missing))
+        return True
+    cpus = {env_a.get("cpu_model"), env_b.get("cpu_model")}
+    cpu = (f"CPU {cpus.pop()}" if len(cpus) == 1 else
+           f"CPU A {env_a.get('cpu_model')}, B {env_b.get('cpu_model')}")
+    fa, fb = set(env_a["cpu_features"]), set(env_b["cpu_features"])
+    if fa == fb:
+        print(f"SIMD dispatch: same ({cpu}; {len(fa)} features)")
+        return True
+    print(f"SIMD dispatch differs ({cpu}): only A has {' '.join(sorted(fa - fb)) or '-'};"
+          f" only B has {' '.join(sorted(fb - fa)) or '-'}")
+    return False
+
+
+def compare_acceptance(a, b, same_dispatch=True):
+    """Print every acceptance residual that differs between A and B; at
+    different SIMD dispatch only their count."""
     if not (a and b):
         print("acceptance residuals: not recorded in " + " and ".join(
             side for side, acc in (("A", a), ("B", b)) if not acc))
         return
     differ = [name for name in a if name in b and a[name]["residual"] != b[name]["residual"]]
     print(f"acceptance residuals: {len(differ)} of {len([n for n in a if n in b])} differ")
+    if not same_dispatch:
+        print("  not listed: the trees ran at different SIMD dispatch, where residual "
+              "reprs differ by rounding")
+        return
     for name in differ:
         ra, rb = a[name]["residual"], b[name]["residual"]
         change = f"{(rb - ra) / abs(ra):+.3e}" if ra else "n/a"
@@ -188,7 +240,8 @@ def compare(ref_a, ref_b):
     name_b, b = _load(ref_b)
     print(f"A = {name_a} ({a['tree_commit']}), B = {name_b} ({b['tree_commit']}); "
           "ratios are B/A, base A")
-    compare_acceptance(a.get("acceptance"), b.get("acceptance"))
+    same_dispatch = compare_dispatch(a.get("env", {}), b.get("env", {}))
+    compare_acceptance(a.get("acceptance"), b.get("acceptance"), same_dispatch)
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         pairs = [(ra, rb) for ra in wa["runs"] for rb in wb["runs"] if ra["seed"] == rb["seed"]]

@@ -37,9 +37,6 @@ from .errors import (
 )
 from .quaternion import (
     INFINITY,
-    MoebiusMap,
-    QMatrix2,
-    Quaternion,
     cross_ratio_class_array,
     herm_apply,
     lorentz,

@@ -41,8 +41,6 @@ from .grid import (
 )
 from .quaternion import (
     INFINITY,
-    MoebiusMap,
-    Quaternion,
     cj,
     lorentz,
     moebius_act,
@@ -881,14 +879,14 @@ def dual_cmc(
     v0_dual = v0 if v0_dual is None else np.asarray(v0_dual, dtype=float)
     conn = boundary_connection(data, p0)
 
-    fres = darboux_via_connection(conn, lam, v0, "dz2", ("dual_cmc.f",), chain=True)
+    fres = darboux_via_connection(conn, lam, v0, "dz2", ("dual_cmc.f",))
     base = boundary_surface(data)
     f = CmcSurface(fres.surface.f, lam, base.f, "darboux-weierstrass")
 
     ns_res = t_transform_via_connection(conn, lam, "dz2", ("dual_cmc.ns",))
 
     dual_res = darboux_via_connection(ns_res.connection, -lam, v0_dual, "dz2",
-                                      ("dual_cmc.dual",), chain=True)
+                                      ("dual_cmc.dual",))
     dual = CmcSurface(dual_res.surface.f, lam, ns_res.surface.f, "dual")
 
     # minimal cousins from scratch: the chained families carry the exact
@@ -924,8 +922,8 @@ def common_sphere_point(surface: PolarizedSurface):
     """Least-squares common point of the central sphere congruence.
 
     For a surface Moebius-equivalent to a minimal one, all central spheres
-    pass through one point (the image of infinity).  Returns (point or
-    INFINITY, lightlike deviation, incidence residual).
+    pass through one point (the image of infinity).  Returns (the point as
+    a (4,) array, or INFINITY; lightlike deviation; incidence residual).
     """
     comps, ff = central_sphere_congruence(surface)
     sel = surface.grid.valid() & ff.valid & _interior(surface.grid, 4)
@@ -944,14 +942,15 @@ def common_sphere_point(surface: PolarizedSurface):
     # normalize to the point shape (s11 = 1) unless the point is infinity
     if abs(s0[0]) < 1e-8 * np.linalg.norm(s0):
         return INFINITY, light, incidence
-    return Quaternion.from_array(s0[2:] * (-1.0 / s0[0])), light, incidence
+    return s0[2:] * (-1.0 / s0[0]), light, incidence
 
 
 def minimal_position(surface: PolarizedSurface):
     """Moebius representative of a minimal-class surface with flat duals.
 
-    Moves the common point of the central sphere congruence to infinity by
-    an inversion (plus nothing if it is already there).  Raises
+    Moves the common point p of the central sphere congruence to infinity
+    by the inversion x -> (x - p)^-1 (plus nothing if it is already there)
+    and returns the moved surface.  Raises
     PatternMismatch when the congruence has no common point, an incidence
     residual above 1e-4 (the class is not minimal).
     """
@@ -961,12 +960,9 @@ def minimal_position(surface: PolarizedSurface):
             f"central spheres share no common point (residual {incidence:.2e})"
         )
     if p is INFINITY:
-        return surface, None
-    mm = MoebiusMap.inversion_about(p)
-    vals, ok = mm.apply_array(surface.f.values)
-    grid = surface.grid.merge_mask(ok)
-    moved = PolarizedSurface(
-        QField(grid, vals), surface.polarization,
+        return surface
+    vals, ok = qinv_masked(surface.f.values - p)
+    return PolarizedSurface(
+        QField(surface.grid.merge_mask(ok), vals), surface.polarization,
         surface.provenance + ("minimal_position",),
     )
-    return moved, mm

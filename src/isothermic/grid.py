@@ -642,14 +642,22 @@ def _maurer_cartan_point(phi_x, phi_y, grid):
 
 
 def maurer_cartan_residual(phi_x, phi_y, grid) -> float:
-    """Normalized residual of d(Phi) + Phi^Phi over interior plaquettes."""
-    point, valid = _maurer_cartan_point(phi_x, phi_y, grid)
-    scale = 1.0 + max(
-        qm2_norm(phi_x)[grid.valid()].max(), qm2_norm(phi_y)[grid.valid()].max()
-    )
-    if not valid.any():
-        raise MaskedNeighbor("no interior plaquettes")
-    return float(grid.h * point[valid].max() / scale)
+    """Normalized residual of d(Phi) + Phi^Phi over interior plaquettes.
+
+    Raises NotIntegrable where the residual overflows the float range.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            point, valid = _maurer_cartan_point(phi_x, phi_y, grid)
+            scale = 1.0 + max(
+                qm2_norm(phi_x)[grid.valid()].max(), qm2_norm(phi_y)[grid.valid()].max()
+            )
+            if not valid.any():
+                raise MaskedNeighbor("no interior plaquettes")
+            return float(grid.h * point[valid].max() / scale)
+    except FloatingPointError:
+        raise NotIntegrable("Maurer-Cartan residual overflows: the connection is "
+                            "beyond the float range") from None
 
 
 def integrate_frame(

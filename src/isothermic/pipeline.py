@@ -44,6 +44,13 @@ from .transforms import (
 )
 
 DEFAULT_GRID_N = 129
+#: tracemalloc peak per grid node of the heaviest run, a permutability verify
+#: (4.5-4.6 kB at n = 129 and 257), rounded up
+PEAK_BYTES_PER_NODE = 4700
+MEMORY_BUDGET = 2**31
+#: samples per grid side whose square grid stays within MEMORY_BUDGET
+MAX_GRID_N = math.isqrt(MEMORY_BUDGET // PEAK_BYTES_PER_NODE)
+GRID_N_RANGE = f"at most {MAX_GRID_N} (a {MEMORY_BUDGET >> 30} GiB memory estimate)"
 GENERATOR_KINDS = ("example", "weierstrass", "bryant", "darboux-weierstrass", "file")
 TRANSFORM_OPS = ("christoffel", "goursat", "darboux", "darboux_linear", "t_transform")
 _WEIERSTRASS = ("weierstrass", "bryant", "darboux-weierstrass")
@@ -69,9 +76,9 @@ class Field(NamedTuple):
 #: every config field; PipelineConfig.from_dict adds the cross-field rules
 FIELDS = (
     Field("", "domain", "mapping", {}),
-    Field("", "grid_n", "integer", DEFAULT_GRID_N),
-    Field("", "grid_nx", "integer"),
-    Field("", "grid_ny", "integer"),
+    Field("", "grid_n", "integer", DEFAULT_GRID_N, range=GRID_N_RANGE),
+    Field("", "grid_nx", "integer", range=GRID_N_RANGE),
+    Field("", "grid_ny", "integer", range=GRID_N_RANGE),
     Field("", "generator", "mapping", REQUIRED),
     Field("", "transforms", "list", []),
     Field("", "verify", "mapping", {}),
@@ -97,7 +104,8 @@ FIELDS = (
     *(Field("export", key, "file name") for key in ("obj", "surface", "report")),
 )
 
-_RANGES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+_RANGES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
+           GRID_N_RANGE: lambda v: v <= MAX_GRID_N}
 
 
 def _ok(valid, value):

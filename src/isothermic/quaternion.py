@@ -9,8 +9,10 @@ Conventions, fixed once for the whole package:
   right, and homogeneous coordinates (v1, v2) represent the affine point
   v1 * v2^-1.
 
-Arrays with a trailing axis of length 4 hold quaternion components in the
-order (w, x, y, z); all array helpers broadcast over leading axes.
+Float arrays are the only representation: a trailing axis of length 4 holds
+quaternion components in the order (w, x, y, z), trailing axes (2, 2, 4) a
+2x2 quaternionic matrix, and a trailing axis of length 6 a hermitian form;
+all helpers broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -291,223 +293,8 @@ def study_det_array(m):
     return _study(m, False)[0][()]
 
 
-# ---------------------------------------------------------------------------
-# scalar wrapper classes
-# ---------------------------------------------------------------------------
-
-class Quaternion:
-    """Immutable scalar quaternion."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, w=0.0, x=0.0, y=0.0, z=0.0):
-        arr = np.array([w, x, y, z], dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "_a", arr)
-
-    # construction helpers
-    @classmethod
-    def from_array(cls, a):
-        a = np.asarray(a, dtype=float)
-        return cls(a[0], a[1], a[2], a[3])
-
-    @classmethod
-    def from_complex(cls, c):
-        c = complex(c)
-        return cls(c.real, c.imag, 0.0, 0.0)
-
-    @classmethod
-    def cj(cls, c):
-        """The quaternion c*j for complex c (a point of the plane Cj)."""
-        c = complex(c)
-        return cls(0.0, 0.0, c.real, c.imag)
-
-    @classmethod
-    def from_imag(cls, v):
-        return cls(0.0, v[0], v[1], v[2])
-
-    @property
-    def w(self):
-        return float(self._a[0])
-
-    @property
-    def x(self):
-        return float(self._a[1])
-
-    @property
-    def y(self):
-        return float(self._a[2])
-
-    @property
-    def z(self):
-        return float(self._a[3])
-
-    def as_array(self):
-        return np.array(self._a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    def __repr__(self):
-        return "Quaternion({:.12g}, {:.12g}, {:.12g}, {:.12g})".format(*self._a)
-
-    def __eq__(self, other):
-        if isinstance(other, Quaternion):
-            return bool(np.all(self._a == other._a))
-        if isinstance(other, (int, float)):
-            return self == Quaternion(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self._a))
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion.from_array(self._a + other._a)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion.from_array(self._a - other._a)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion.from_array(other._a - self._a)
-
-    def __neg__(self):
-        return Quaternion.from_array(-self._a)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self._a * other)
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion.from_array(qmul(self._a, other._a))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self._a * other)
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Quaternion.from_array(qmul(other._a, self._a))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion.from_array(self._a / other)
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def conj(self):
-        return Quaternion.from_array(qconj(self._a))
-
-    def normsq(self):
-        return float(qnormsq(self._a))
-
-    def norm(self):
-        return float(qnorm(self._a))
-
-    def inverse(self):
-        return Quaternion.from_array(qinv(self._a))
-
-    def real(self):
-        return self.w
-
-    def imag(self):
-        return np.array(self._a[1:])
-
-
-def _coerce(value):
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(value)
-    return None
-
-
-ONE = Quaternion(1.0)
-QI = Quaternion(0.0, 1.0, 0.0, 0.0)
-QJ = Quaternion(0.0, 0.0, 1.0, 0.0)
-QK = Quaternion(0.0, 0.0, 0.0, 1.0)
-
 #: marker for the point at infinity of Im H (the homogeneous line (1, 0)).
 INFINITY = "inf"
-
-
-class QMatrix2:
-    """2x2 quaternionic matrix [[a, b], [c, d]] acting on column vectors."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", _as_quat(a))
-        object.__setattr__(self, "b", _as_quat(b))
-        object.__setattr__(self, "c", _as_quat(c))
-        object.__setattr__(self, "d", _as_quat(d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix2 is immutable")
-
-    @classmethod
-    def identity(cls):
-        return cls(ONE, Quaternion(), Quaternion(), ONE)
-
-    @classmethod
-    def diag(cls, a, d):
-        return cls(a, Quaternion(), Quaternion(), d)
-
-    @classmethod
-    def from_array(cls, m):
-        return cls(
-            Quaternion.from_array(m[0, 0]),
-            Quaternion.from_array(m[0, 1]),
-            Quaternion.from_array(m[1, 0]),
-            Quaternion.from_array(m[1, 1]),
-        )
-
-    def as_array(self):
-        out = np.empty((2, 2, 4))
-        out[0, 0] = self.a.as_array()
-        out[0, 1] = self.b.as_array()
-        out[1, 0] = self.c.as_array()
-        out[1, 1] = self.d.as_array()
-        return out
-
-    def __repr__(self):
-        return f"QMatrix2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-    def __matmul__(self, other):
-        if isinstance(other, QMatrix2):
-            return QMatrix2.from_array(qm2_mul(self.as_array(), other.as_array()))
-        return NotImplemented
-
-    def matvec(self, v):
-        """Apply to a column vector (v1, v2) of quaternions."""
-        v1, v2 = _as_quat(v[0]), _as_quat(v[1])
-        return (self.a * v1 + self.b * v2, self.c * v1 + self.d * v2)
-
-    def inverse(self):
-        return QMatrix2.from_array(qm2_inv(self.as_array()))
-
-    def study_det(self):
-        return float(study_det_array(self.as_array()))
-
-
-def _as_quat(value):
-    q = _coerce(value)
-    if q is None:
-        raise TypeError(f"expected Quaternion, got {type(value).__name__}")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -581,63 +368,3 @@ def cross_ratio_class_array(a, b, c, d, eps=EPS_INV):
             raise DegenerateQuadruple("coincident points in cross-ratio")
     r = qmul(qmul(ab, qinv(bc, eps)), qmul(cd, qinv(da, eps)))
     return r[..., 0], qnorm(r)
-
-
-# ---------------------------------------------------------------------------
-# Moebius transformations in affine coordinates
-# ---------------------------------------------------------------------------
-
-class MoebiusMap:
-    """Fractional linear transformation x -> (a x + b)(c x + d)^-1."""
-
-    def __init__(self, matrix: QMatrix2):
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls):
-        return cls(QMatrix2.identity())
-
-    @classmethod
-    def translation(cls, m):
-        return cls(QMatrix2(ONE, _as_quat(m), Quaternion(), ONE))
-
-    @classmethod
-    def rotation(cls, r):
-        """Conjugation x -> r x r^-1 by a unit quaternion r."""
-        r = _as_quat(r)
-        return cls(QMatrix2.diag(r, r))
-
-    @classmethod
-    def scaling(cls, t):
-        return cls(QMatrix2.diag(Quaternion(float(t)), ONE))
-
-    @classmethod
-    def inversion_about(cls, m):
-        """The essential map x -> (x - m)^-1."""
-        m = _as_quat(m)
-        return cls(QMatrix2(Quaternion(), ONE, ONE, -m))
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap(self.matrix @ other.matrix)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.matrix.inverse())
-
-    def __call__(self, x):
-        if x is INFINITY:
-            num, den = self.matrix.a, self.matrix.c
-        else:
-            x = _as_quat(x)
-            num = self.matrix.a * x + self.matrix.b
-            den = self.matrix.c * x + self.matrix.d
-        if den.norm() < EPS_INV:
-            return INFINITY
-        return num * den.inverse()
-
-    def apply_array(self, values):
-        """Apply to a (..., 4) array of points; returns (values, valid mask)."""
-        m = self.matrix.as_array()
-        num = qmul(m[0, 0] , values) + m[0, 1]
-        den = qmul(m[1, 0], values) + m[1, 1]
-        inv, ok = qinv_masked(den)
-        return qmul(num, inv), ok

@@ -83,19 +83,24 @@ def surface_jets(surface: PolarizedSurface) -> SurfaceJets:
 
     The normal is cross(f_x, f_y)/|..| under Im H = R^3, which matches the
     complex structure df(J dx) = n df(dx) for the ij = k convention.
+    Raises DegenerateTangent where a derivative overflows the float range.
     """
     grid = surface.grid
     h = grid.h
     v = surface.f.values
-    fx = diff_axis4(v, h, axis=1)
-    fy = diff_axis4(v, h, axis=0)
-    fxx = diff_axis4(fx, h, axis=1)
-    fxy = diff_axis4(fx, h, axis=0)
-    fyy = diff_axis4(fy, h, axis=0)
-    cr = cross3(fx, fy)
-    n2 = qnorm(cr)
-    eps = EPS_IMMERSION
-    ok = (n2 > eps * eps) & (qnorm(fx) > eps) & (qnorm(fy) > eps)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fx = diff_axis4(v, h, axis=1)
+            fy = diff_axis4(v, h, axis=0)
+            fxx = diff_axis4(fx, h, axis=1)
+            fxy = diff_axis4(fx, h, axis=0)
+            fyy = diff_axis4(fy, h, axis=0)
+            cr = cross3(fx, fy)
+            n2 = qnorm(cr)
+            eps = EPS_IMMERSION
+            ok = (n2 > eps * eps) & (qnorm(fx) > eps) & (qnorm(fy) > eps)
+    except FloatingPointError:
+        raise DegenerateTangent(f"immersion derivatives overflow at grid spacing {h:.3e}") from None
     if not ok.any():
         raise DegenerateTangent("immersion degenerate everywhere")
     normal = cr / np.where(ok, n2, 1.0)[..., None]

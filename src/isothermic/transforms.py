@@ -115,7 +115,7 @@ def goursat(
     c0=np.zeros(4),
     tolerance_scale=1.0,
 ) -> PolarizedSurface:
-    """Goursat transform for the essential map x -> (x - m)^-1.
+    """Goursat transform for the essential map x -> (x - m)^-1, m a (4,) array.
 
     Integrates -(Cf - m) df (Cf - m); equivalent to Christoffel, Moebius
     map, Christoffel but in a single integration.
@@ -123,8 +123,7 @@ def goursat(
     p0 = p0 or surface.grid.center_node()
     cf = christoffel(surface, p0, c0, tolerance_scale=tolerance_scale)
     df = d_field_hi(surface.f)
-    marr = m.as_array() if hasattr(m, "as_array") else np.asarray(m, dtype=float)
-    factor = cf.f.values - marr
+    factor = cf.f.values - np.asarray(m, dtype=float)
     px = -qmul(factor, qmul(df.px, factor))
     py = -qmul(factor, qmul(df.py, factor))
     grid = df.grid.merge_mask(cf.grid.valid())
@@ -411,7 +410,8 @@ def darboux_riccati(
 ) -> PolarizedSurface:
     """Darboux transform via the Riccati equation for delta = Df - f.
 
-    d(delta) = delta (lam dCf) delta - df, delta(p0) = d0 - f(p0).
+    d(delta) = delta (lam dCf) delta - df, delta(p0) = d0 - f(p0), d0 a (4,)
+    array.
     """
     grid = surface.grid
     p0 = p0 or grid.center_node()
@@ -420,8 +420,7 @@ def darboux_riccati(
         cform = christoffel_form(surface, df)
     if d0 is None:
         raise ValueError("darboux_riccati needs an initial value d0 off the surface")
-    d0 = np.asarray(d0.as_array() if hasattr(d0, "as_array") else d0, dtype=float)
-    delta0 = d0 - surface.f.value_at(p0)
+    delta0 = np.asarray(d0, dtype=float) - surface.f.value_at(p0)
     if qnorm(delta0) < EPS_ON_SURFACE:
         raise SingularityHit("initial point lies on the surface", node=p0)
     delta = integrate_riccati(

@@ -3,6 +3,7 @@ import pytest
 
 from isothermic import GridSpec, PolarizedSurface, QField
 from isothermic import oracles
+from isothermic.quaternion import qinv_masked, qmul
 
 
 def sample_values(grid, fn):
@@ -17,6 +18,23 @@ def cylinder(z):
 
 def sample_field(grid, fn):
     return QField(grid, sample_values(grid, fn))
+
+
+def inversion(m):
+    """The (2, 2, 4) matrix [[0, 1], [1, -m]] of the essential map x -> (x - m)^-1."""
+    out = np.zeros((2, 2, 4))
+    out[0, 1, 0] = out[1, 0, 0] = 1.0
+    out[1, 1] = -np.asarray(m, dtype=float)
+    return out
+
+
+def moebius_image(m, values):
+    """(a x + b)(c x + d)^-1 of (..., 4) points x under the (2, 2, 4) matrix
+    [[a, b], [c, d]], with the mask of points whose image is finite."""
+    num = qmul(m[0, 0], values) + m[0, 1]
+    den = qmul(m[1, 0], values) + m[1, 1]
+    inv, ok = qinv_masked(den)
+    return qmul(num, inv), ok
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from isothermic.quaternion import Quaternion, qinv_masked, qnorm
+from isothermic.quaternion import qinv_masked, qnorm
 from isothermic.surfaces import PolarizedSurface, normal_field
 from isothermic.transforms import (
     PermutabilityReport,
@@ -66,7 +66,7 @@ def permutability_suite(
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam
     cd = christoffel(dar, p0, c0)
-    dc = darboux_riccati(cs, lam, p0, Quaternion.from_array(c0))
+    dc = darboux_riccati(cs, lam, p0, c0)
     sel = (
         grid.interior()
         & cd.grid.valid()

@@ -16,7 +16,7 @@ import numpy as np
 
 from isothermic.errors import NearZeroQuaternion, PoleProximity
 from isothermic.oracles import POLE_MARGIN, SERIES_CUTOFF
-from isothermic.quaternion import QMatrix2, Quaternion
+from scalar_quaternion import QMatrix2, Quaternion
 
 
 def _sqrt_lambda(lam):

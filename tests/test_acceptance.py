@@ -13,7 +13,6 @@ from isothermic import (
     GridSpec,
     PolarizedSurface,
     QField,
-    Quaternion,
     WeierstrassData,
     bryant_surface,
     christoffel,
@@ -122,7 +121,7 @@ def test_criterion_3_darboux_route_equivalence(grid129):
     s = plane_surface(grid129)
     target = sample_values(grid129, lambda z: oc.darboux_plane(z, 1.0))
     lin = darboux_linear(s, 1.0, p0, V0_SEED)
-    ric = darboux_riccati(s, 1.0, p0, Quaternion(0, -1, 0, 0))
+    ric = darboux_riccati(s, 1.0, p0, np.array([0.0, -1.0, 0.0, 0.0]))
     sel = lin.grid.valid() & ric.grid.valid()
     pairs = {
         "linear vs closed form": float(qnorm(lin.f.values - target)[sel].max()),
@@ -246,7 +245,7 @@ def test_criterion_10_duality(grid129):
 
     def cousin_dual_preimage(cousin):
         trimmed = PolarizedSurface(crop_field(cousin.f, 12), cousin.polarization)
-        positioned, _ = minimal_position(trimmed)
+        positioned = minimal_position(trimmed)
         return christoffel(positioned)
 
     c1 = cousin_dual_preimage(pair.dual_cousin)

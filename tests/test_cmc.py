@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isothermic import (
+    INFINITY,
     BoundaryContact,
     DegenerateTangent,
     FrameField,
@@ -11,7 +12,6 @@ from isothermic import (
     PatternMismatch,
     PolarizedSurface,
     QField,
-    Quaternion,
     UmbilicRegion,
     WeierstrassData,
     boundary_surface,
@@ -37,10 +37,10 @@ from isothermic import (
 )
 from isothermic import oracles as oc
 from isothermic.grid import crop_field
-from isothermic.quaternion import QI, cj, qmul, qnorm
+from isothermic.quaternion import cj, qmul, qnorm
 from isothermic.surfaces import fundamental_forms
 
-from conftest import cylinder, sample_values
+from conftest import cylinder, inversion, moebius_image, sample_values
 
 V0_SEED = np.array([[1.0, 0, 0, 0], [0, -1.0, 0, 0]])
 
@@ -98,7 +98,7 @@ def test_zero_differential_rejected(grid65):
 
 
 def test_stereographic_values():
-    assert qnorm(stereographic(np.zeros(4)) - QI.as_array()) < 1e-15
+    assert qnorm(stereographic(np.zeros(4)) - np.array([0.0, 1.0, 0.0, 0.0])) < 1e-15
     rng = np.random.default_rng(0)
     xy = rng.normal(size=(1000, 2))
     s = stereographic(cj(xy[:, 0] + 1j * xy[:, 1]))
@@ -133,8 +133,8 @@ def test_darboux_representation_superposition(grid65):
     data = plane_data(grid65)
     a = darboux_weierstrass(data, 1.0, v0=((1, 0, 0, 0), (0, -1, 0, 0)))
     b = darboux_weierstrass(data, 1.0, v0=((0, 0, 1, 0), (0, 0, 0, 1)))
-    lam_a = Quaternion(0.3, 0.2, -0.5, 0.1).as_array()
-    lam_b = Quaternion(-0.6, 0.1, 0.4, 0.9).as_array()
+    lam_a = np.array([0.3, 0.2, -0.5, 0.1])
+    lam_b = np.array([-0.6, 0.1, 0.4, 0.9])
     v0c = np.stack([
         qmul(np.array([1.0, 0, 0, 0]), lam_a) + qmul(np.array([0.0, 0, 1, 0]), lam_b),
         qmul(np.array([0.0, -1, 0, 0]), lam_a) + qmul(np.array([0.0, 0, 0, 1]), lam_b),
@@ -310,10 +310,9 @@ def test_coupled_system_lambda_zero(grid129):
     assert qnorm(fl.values - minimal.f.values).max() < 1e-6
     assert np.abs(fh.values - fh.values[0, 0]).max() < 1e-14
 
-    q = Quaternion(0.4, -0.3, 0.8, 0.1)
-    fl2, fh2 = bryant_system(data, 0.0, f0=(q * Quaternion.from_array(f0)).as_array(),
-                             fh0=q.as_array())
-    spun = qmul(np.broadcast_to(q.as_array(), fl.values.shape), fl.values)
+    q = np.array([0.4, -0.3, 0.8, 0.1])
+    fl2, fh2 = bryant_system(data, 0.0, f0=qmul(q, f0), fh0=q)
+    spun = qmul(np.broadcast_to(q, fl.values.shape), fl.values)
     assert qnorm(fl2.values - spun).max() < 1e-6
 
 
@@ -377,15 +376,16 @@ def test_double_dual_returns(grid129):
 
 def test_minimal_position(grid129):
     enneper = weierstrass_minimal(plane_data(grid129))
-    center = Quaternion(0, 1.5, 0.5, -0.5)
-    from isothermic import MoebiusMap
-
-    mm = MoebiusMap.inversion_about(center)
-    vals, ok = mm.apply_array(enneper.f.values)
+    center = np.array([0.0, 1.5, 0.5, -0.5])
+    vals, ok = moebius_image(inversion(center), enneper.f.values)
     moved = PolarizedSurface(QField(grid129.merge_mask(ok), vals), "dz2")
     pt, light, incidence = common_sphere_point(moved)
     assert incidence < 1e-4
-    repositioned, _ = minimal_position(moved)
+    # the inversion x -> (x - center)^-1 moves the point at infinity to 0
+    assert pt.shape == (4,) and qnorm(pt) < 1e-5
+    assert common_sphere_point(enneper)[0] is INFINITY
+    assert minimal_position(enneper) is enneper
+    repositioned = minimal_position(moved)
     ff = fundamental_forms(repositioned)
     sel = repositioned.grid.valid() & ff.valid
     sel[:8, :] = sel[-8:, :] = sel[:, :8] = sel[:, -8:] = False

@@ -4,12 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from isothermic import ClosedFormOverflow, GridSpec, PoleProximity, QMatrix2, Quaternion
+from isothermic import ClosedFormOverflow, GridSpec, PoleProximity
 from isothermic import oracles as oc
 from isothermic.quaternion import (
-    QI,
-    QJ,
-    QK,
+    cj,
     qinv,
     qm2_identity,
     qm2_matvec,
@@ -20,21 +18,23 @@ from isothermic.quaternion import (
 )
 
 RNG = np.random.default_rng(7)
+ONE, QI, QJ, QK = np.eye(4)
+ZERO = np.zeros(4)
 
 
 def _weierstrass_px(g, w):
     """dx coefficient (i - jg) w j (i - jg) / 2 of the minimal integrand."""
-    q1 = Quaternion(0, 1, -g.real, g.imag)
-    return (0.5 * q1 * Quaternion.cj(w) * q1).as_array()
+    q1 = np.array([0, 1, -g.real, g.imag])
+    return 0.5 * qmul(qmul(q1, cj(w)), q1)
 
 
 def test_plane_values():
     assert qnorm(oc.f_plane(0)) < 1e-15
-    assert np.array_equal(oc.f_plane(1.0), (-QJ).as_array())
-    assert np.array_equal(oc.cf_plane(1.0), QJ.as_array())
+    assert np.array_equal(oc.f_plane(1.0), -QJ)
+    assert np.array_equal(oc.cf_plane(1.0), QJ)
     # -j i = k under ij = k
-    assert np.array_equal(oc.f_plane(1j), QK.as_array())
-    assert np.array_equal(oc.cf_plane(1j), QK.as_array())
+    assert np.array_equal(oc.f_plane(1j), QK)
+    assert np.array_equal(oc.cf_plane(1j), QK)
 
 
 def test_frame_base_and_entries():
@@ -43,10 +43,10 @@ def test_frame_base_and_entries():
     # explicit entries at z = 1, lam = 1 (all arguments real)
     f = oc.t_frame(1.0, 1.0)
     ch, sh = np.cosh(1.0), np.sinh(1.0)
-    assert qnorm(f[0, 0] - Quaternion(ch).as_array()) < 1e-13
-    assert qnorm(f[0, 1] - (sh * QJ).as_array()) < 1e-13
-    assert qnorm(f[1, 0] + (sh * QJ).as_array()) < 1e-13
-    assert qnorm(f[1, 1] - Quaternion(ch).as_array()) < 1e-13
+    assert qnorm(f[0, 0] - ch * ONE) < 1e-13
+    assert qnorm(f[0, 1] - sh * QJ) < 1e-13
+    assert qnorm(f[1, 0] + sh * QJ) < 1e-13
+    assert qnorm(f[1, 1] - ch * ONE) < 1e-13
 
 
 def test_frame_unit_study_det():
@@ -61,12 +61,12 @@ def test_frame_unit_study_det():
 
 
 def _phi_x(lam):
-    return QMatrix2(Quaternion(), Quaternion.cj(lam), -QJ, Quaternion())
+    return np.array([[ZERO, cj(lam)], [-QJ, ZERO]])
 
 
 def _phi_y(lam):
     # dz(dy) = i: upper entry lam*i*j = lam k, lower -j i = k
-    return QMatrix2(Quaternion(), lam * QK, QK, Quaternion())
+    return np.array([[ZERO, lam * QK], [QK, ZERO]])
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.4, -0.6])
@@ -75,9 +75,9 @@ def test_frame_satisfies_connection_equation(lam):
     eps = 1e-5
     fc = oc.t_frame(z, lam)
     dfx = (oc.t_frame(z + eps, lam) - oc.t_frame(z - eps, lam)) / (2 * eps)
-    assert np.abs(dfx - qm2_mul(fc, _phi_x(lam).as_array())).max() < 1e-8
+    assert np.abs(dfx - qm2_mul(fc, _phi_x(lam))).max() < 1e-8
     dfy = (oc.t_frame(z + eps * 1j, lam) - oc.t_frame(z - eps * 1j, lam)) / (2 * eps)
-    assert np.abs(dfy - qm2_mul(fc, _phi_y(lam).as_array())).max() < 1e-8
+    assert np.abs(dfy - qm2_mul(fc, _phi_y(lam))).max() < 1e-8
 
 
 def test_frame_column_projects_to_spectral_transform():
@@ -90,14 +90,14 @@ def test_frame_column_projects_to_spectral_transform():
 def test_spectral_transform_values():
     assert qnorm(oc.t_plane(0.0, 0.7)) < 1e-15
     got = oc.t_plane(1.0, 1.0)
-    assert qnorm(got + (np.tanh(1.0) * QJ).as_array()) < 1e-13
+    assert qnorm(got + np.tanh(1.0) * QJ) < 1e-13
 
 
 def test_dual_spectral_value():
     assert qnorm(oc.ct_plane(0.0, 1.0)) < 1e-15
     got = oc.ct_plane(1.0, 1.0)
     expected = 0.5 * (1.0 + np.sinh(2.0) / 2.0)
-    assert qnorm(got - (expected * QJ).as_array()) < 1e-12
+    assert qnorm(got - expected * QJ) < 1e-12
 
 
 def test_series_limits_match_small_lambda():
@@ -120,8 +120,8 @@ def test_minimal_family_enneper_limit():
         got = oc.minimal_family(z, 1e-10)
         zz = complex(z)
         cjpart = 0.5 * zz - (zz**3 / 6).conjugate()
-        expected = Quaternion(0, 0.5 * (zz * zz).real, cjpart.real, cjpart.imag)
-        assert qnorm(got - expected.as_array()) < 1e-7
+        expected = np.array([0, 0.5 * (zz * zz).real, cjpart.real, cjpart.imag])
+        assert qnorm(got - expected) < 1e-7
 
 
 def test_minimal_family_derivative_is_weierstrass_integrand():
@@ -140,8 +140,8 @@ def test_family_data_normalization():
 
 def test_darboux_base_values():
     # at z = 0: -j { 0 - [-k][1]^-1 } = -j k = -i
-    assert qnorm(oc.darboux_plane(0.0, 1.0) + QI.as_array()) < 1e-14
-    assert qnorm(oc.darboux_of_t_plane(0.0, 1.0) + QI.as_array()) < 1e-14
+    assert qnorm(oc.darboux_plane(0.0, 1.0) + QI) < 1e-14
+    assert qnorm(oc.darboux_of_t_plane(0.0, 1.0) + QI) < 1e-14
     v = oc.darboux_plane(0.5, 1.0)
     assert abs(v[0]) < 1e-14  # stays imaginary
 
@@ -210,8 +210,8 @@ def test_spin_rotates_standard_frame():
         py = _weierstrass_px(g, 1j * w)
         t1 = px / qnorm(px)
         t2 = py / qnorm(py)
-        assert qnorm(qmul(qmul(r, QJ.as_array()), qinv(r)) - t1) < 1e-11
-        assert qnorm(qmul(qmul(r, QK.as_array()), qinv(r)) - t2) < 1e-11
+        assert qnorm(qmul(qmul(r, QJ), qinv(r)) - t1) < 1e-11
+        assert qnorm(qmul(qmul(r, QK), qinv(r)) - t2) < 1e-11
 
 
 def test_log_metric_derivative():

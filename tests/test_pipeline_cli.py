@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,14 @@ from hypothesis import strategies as st
 
 from isothermic import ConfigInvalid, GridSpec, IoError, QField, export_obj
 from isothermic.cli import main as cli_main
-from isothermic.pipeline import FIELDS, GENERATOR_KINDS, REQUIRED, PipelineConfig, run_pipeline
+from isothermic.pipeline import (
+    FIELDS,
+    GENERATOR_KINDS,
+    MAX_GRID_N,
+    REQUIRED,
+    PipelineConfig,
+    run_pipeline,
+)
 
 from conftest import sample_values
 from isothermic import oracles as oc
@@ -459,6 +467,56 @@ def test_cli_rejects_grid_n_zero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "grid too small" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_grid_n_bound_admits_the_sizes_in_use():
+    assert MAX_GRID_N >= 257  # the largest grid of the tests and the benchmark
+    assert config(grid_n=MAX_GRID_N).grid_nx == MAX_GRID_N
+
+
+@pytest.mark.parametrize("args", [["--grid-n", str(MAX_GRID_N + 1)], []],
+                         ids=["flag", "grid_ny"])
+def test_cli_rejects_grid_n_above_the_memory_bound(tmp_path, capsys, args):
+    """The first size above the bound exits 2 from the config check, before
+    any grid exists."""
+    raw = dict(BASE_CONFIG, grid_ny=MAX_GRID_N + 1) if not args else BASE_CONFIG
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli_main(["generate", "--config", str(cfg), "--out", str(out)] + args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    key = "grid_n" if args else "grid_ny"
+    assert err.startswith("configuration error")
+    assert f"{key} must be at most {MAX_GRID_N} " in err and f"got {MAX_GRID_N + 1}" in err
+    assert peak < 2**20  # one grid of the bound would be (MAX_GRID_N + 1)**2 * 32 bytes
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"grid_n": 17, "domain": {"x0": -1, "y0": -1, "width": 1e-300, "height": 1e-300},
+      "generator": {"kind": "example"}, "verify": {"isothermic": True}},
+     "immersion derivatives overflow at grid spacing 6.250e-302"),
+    ({"grid_n": 17, "generator": {"kind": "bryant", "lambda": 1e300}},
+     "Maurer-Cartan residual overflows"),
+], ids=["spacing_1e-300", "bryant_lambda_1e300"])
+def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    command = "verify" if "verify" in raw else "generate"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure") and message in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_json_writers_refuse_non_finite(tmp_path):

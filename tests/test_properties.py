@@ -8,10 +8,11 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isothermic import MoebiusMap, QMatrix2, Quaternion, cross_ratio_class_array
+from isothermic import cross_ratio_class_array
 from isothermic import oracles as oc
 from isothermic.quaternion import (
     _cayley_dickson,
+    from_imag3,
     qconj,
     qm2_matvec,
     qm2_mul,
@@ -22,6 +23,7 @@ from isothermic.quaternion import (
 )
 
 import reference_march as ref
+from conftest import moebius_image
 from test_quaternion import qm2_close
 from test_oracle_equivalence import LAMBDAS, ORACLES, as_array, oracle_args, scalar_values
 
@@ -125,7 +127,7 @@ def test_array_oracle_matches_scalar_at_random_points(x, y, lam, name):
     assert np.abs(got - want).max() <= 1e-13 * max(1.0, float(np.abs(want).max()))
 
 
-points = st.lists(_floats(1.0), min_size=3, max_size=3).map(Quaternion.from_imag)
+points = st.lists(_floats(1.0), min_size=3, max_size=3).map(from_imag3)
 
 
 @PROPERTY
@@ -136,10 +138,9 @@ def test_cross_ratio_class_moebius_invariant(m, quad):
     det = study_det_array(m)
     assume(det > 1e-2)
     m = m / det**0.25
-    mob = MoebiusMap(QMatrix2.from_array(m))
-    assume(min((p - q).norm() for i, p in enumerate(quad) for q in quad[:i]) > 0.2)
-    den = [mob.matrix.c * p + mob.matrix.d for p in quad]
-    assume(min(d.norm() for d in den) > 0.2)
-    before = np.array(cross_ratio_class_array(*(p.as_array() for p in quad)))
-    after = np.array(cross_ratio_class_array(*(mob(p).as_array() for p in quad)))
+    quad = np.array(quad)
+    assume(min(qnorm(p - q) for i, p in enumerate(quad) for q in quad[:i]) > 0.2)
+    assume(qnorm(qmul(m[1, 0], quad) + m[1, 1]).min() > 0.2)
+    before = np.array(cross_ratio_class_array(*quad))
+    after = np.array(cross_ratio_class_array(*moebius_image(m, quad)[0]))
     assert np.abs(after - before).max() <= 1e-11 * (1.0 + np.abs(before).max())

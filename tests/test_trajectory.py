@@ -84,3 +84,48 @@ def test_parse_acceptance_reads_report_lines():
             {"residual": 9.8e-15, "tolerance": 1e-4, "order": float("inf")},
         "criterion 8 (Gauss residual)": {"residual": 0.0012, "tolerance": 1e-3, "order": 1.99},
     }
+
+
+def _dispatch_file(tmp_path, features_a, features_b):
+    """Two trees whose criterion 5 residuals differ, with the given SIMD
+    features (None: not recorded)."""
+    trees = {}
+    for label, features, residual in (("parent", features_a, 2e-8), ("change", features_b, 4e-8)):
+        tree = _tree((1.0, 1.2), (42, 40), ([], []))
+        tree["acceptance"] = {"criterion 5 (group law)": {"residual": residual, "tolerance": 1e-5}}
+        if features is not None:
+            tree["env"] = {"cpu_model": "Test CPU", "cpu_features": features}
+        trees[label] = tree
+    path = tmp_path / "BENCH_3.json"
+    path.write_text(json.dumps({"pr": 3, "seeds": [1, 2], "trees": trees}))
+    return path
+
+
+def test_compare_does_not_list_residuals_across_dispatch_levels(tmp_path, capsys):
+    """At different SIMD dispatch the moved residual is counted, not listed."""
+    path = _dispatch_file(tmp_path, ["AVX2", "SSE2", "X86_V3"], ["SSE2"])
+    trajectory.compare(f"{path}:parent", f"{path}:change")
+    out = capsys.readouterr().out
+    assert "SIMD dispatch differs (CPU Test CPU): only A has AVX2 X86_V3; only B has -" in out
+    assert "acceptance residuals: 1 of 1 differ" in out
+    assert "not listed: the trees ran at different SIMD dispatch" in out
+    assert "criterion 5" not in out
+
+
+def test_compare_lists_residuals_at_the_same_dispatch(tmp_path, capsys):
+    path = _dispatch_file(tmp_path, ["SSE2", "AVX2"], ["AVX2", "SSE2"])
+    trajectory.compare(f"{path}:parent", f"{path}:change")
+    out = capsys.readouterr().out
+    assert "SIMD dispatch: same (CPU Test CPU; 2 features)" in out
+    assert "  criterion 5 (group law): A 2e-08  B 4e-08  relative change +1.000e+00" in out
+    path = _dispatch_file(tmp_path, None, ["SSE2"])
+    trajectory.compare(f"{path}:parent", f"{path}:change")
+    out = capsys.readouterr().out
+    assert "SIMD dispatch: not recorded in A" in out
+    assert "  criterion 5 (group law): A 2e-08" in out
+
+
+def test_dispatch_env_lists_enabled_features():
+    env = trajectory.dispatch_env()
+    assert env["cpu_model"] and env["cpu_features"] == sorted(env["cpu_features"])
+    assert all(isinstance(name, str) for name in env["cpu_features"])

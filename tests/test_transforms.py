@@ -7,12 +7,10 @@ import pytest
 from isothermic import (
     FrameField,
     GridSpec,
-    MoebiusMap,
     NotClosed,
     PolarizedSurface,
     QField,
     QForm1,
-    Quaternion,
     canonical_connection,
     christoffel,
     christoffel_form,
@@ -29,7 +27,9 @@ from isothermic import (
 )
 from isothermic import oracles as oc
 from isothermic.quaternion import (
+    qinv,
     qinv_masked,
+    qm2_identity,
     qm2_inv,
     qm2_matvec,
     qm2_mul,
@@ -39,10 +39,11 @@ from isothermic.quaternion import (
 from isothermic.surfaces import fundamental_forms
 
 import reference_permutability
-from conftest import sample_values
+from conftest import inversion, moebius_image, sample_values
 
 
 V0_SEED = np.array([[1.0, 0, 0, 0], [0, -1.0, 0, 0]])  # (1, -i)
+MINUS_I = np.array([0.0, -1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,7 @@ def test_christoffel_plane_exact(plane129, grid129):
 
 def _wobble(z):
     """The plane bent along i: not isothermic."""
-    return oc.f_plane(z) + Quaternion(0, -1, 0, 0).as_array() * (
+    return oc.f_plane(z) + MINUS_I * (
         0.1 * np.sin(3 * z.real) * np.sin(5 * z.imag)
     )[..., None]
 
@@ -125,11 +126,10 @@ def test_christoffel_of_minimal_is_totally_umbilic(grid129):
 
 def test_goursat_matches_dual_moebius_dual_route(plane129, grid129):
     p0 = grid129.center_node()
-    m = Quaternion(0, 1.0, 0, 0)
+    m = np.array([0.0, 1.0, 0.0, 0.0])
     direct = goursat(plane129, m, p0)
     cs = christoffel(plane129, p0)
-    mm = MoebiusMap.inversion_about(m)
-    vals, ok = mm.apply_array(cs.f.values)
+    vals, ok = moebius_image(inversion(m), cs.f.values)
     mcs = PolarizedSurface(QField(cs.grid.merge_mask(ok), vals), cs.polarization)
     twostep = christoffel(mcs, p0)
     diff = direct.f.values - twostep.f.values
@@ -139,12 +139,12 @@ def test_goursat_matches_dual_moebius_dual_route(plane129, grid129):
 
 def test_goursat_inverse_composition(plane129, grid129):
     p0 = grid129.center_node()
-    m = Quaternion(0, 1.0, 0, 0)
-    mm = MoebiusMap.inversion_about(m)
+    m = np.array([0.0, 1.0, 0.0, 0.0])
+    mm = inversion(m)
     g1 = goursat(plane129, m, p0)
-    c0 = mm(Quaternion.from_array(christoffel(plane129, p0).f.value_at(p0)))
-    cg = christoffel(g1, p0, c0.as_array())
-    vals, ok = mm.inverse().apply_array(cg.f.values)
+    c0, _ = moebius_image(mm, christoffel(plane129, p0).f.value_at(p0))
+    cg = christoffel(g1, p0, c0)
+    vals, ok = moebius_image(qm2_inv(mm), cg.f.values)
     mcg = PolarizedSurface(QField(cg.grid.merge_mask(ok), vals), cg.polarization)
     back = christoffel(mcg, p0)
     diff = back.f.values - plane129.f.values
@@ -159,9 +159,8 @@ def test_goursat_large_m_similarity_trend(plane129, grid129):
     f0 = plane129.f.value_at(p0)
     devs = []
     for mag in (3.0, 10.0, 30.0):
-        mq = Quaternion(0, mag, 0, 0)
-        gm = goursat(plane129, mq, p0)
-        marr = mq.as_array()
+        marr = np.array([0.0, mag, 0.0, 0.0])
+        gm = goursat(plane129, marr, p0)
         sim = -qmul(
             np.broadcast_to(marr, plane129.f.values.shape),
             qmul(plane129.f.values - f0, np.broadcast_to(marr, plane129.f.values.shape)),
@@ -180,7 +179,7 @@ def test_darboux_routes_match_closed_form(plane129, grid129):
     p0 = grid129.center_node()
     target = sample_values(grid129, lambda z: oc.darboux_plane(z, 1.0))
     lin = darboux_linear(plane129, 1.0, p0, V0_SEED)
-    ric = darboux_riccati(plane129, 1.0, p0, Quaternion(0, -1, 0, 0))
+    ric = darboux_riccati(plane129, 1.0, p0, MINUS_I)
     sel = lin.grid.valid() & ric.grid.valid()
     assert qnorm(lin.f.values - target)[sel].max() < 5e-6
     assert qnorm(ric.f.values - target)[sel].max() < 5e-6
@@ -189,7 +188,7 @@ def test_darboux_routes_match_closed_form(plane129, grid129):
 
 def test_darboux_lambda_zero_degenerates(plane129, grid129):
     p0 = grid129.center_node()
-    out = darboux_riccati(plane129, 0.0, p0, Quaternion(0, -1, 0, 0))
+    out = darboux_riccati(plane129, 0.0, p0, MINUS_I)
     spread = qnorm(out.f.values - out.f.values[p0[0], p0[1]])[out.grid.valid()].max()
     assert spread < 1e-10  # transform collapses to the seed point
 
@@ -198,7 +197,7 @@ def test_darboux_reconstructs_dual_form(plane129, grid129):
     # lam dCf = (Df - f)^-1 dDf (Df - f)^-1 pointwise at O(h^2)
     p0 = grid129.center_node()
     lam = 1.0
-    d = darboux_riccati(plane129, lam, p0, Quaternion(0, -1, 0, 0))
+    d = darboux_riccati(plane129, lam, p0, MINUS_I)
     diff = d.f.values - plane129.f.values
     inv, ok = qinv_masked(diff)
     dd = d_field(d.f)
@@ -212,7 +211,7 @@ def test_darboux_reconstructs_dual_form(plane129, grid129):
 def test_darboux_curvature_line_correspondence(plane129, grid129):
     # wedge(df, (f - Df)^-1 dDf) vanishes
     p0 = grid129.center_node()
-    d = darboux_riccati(plane129, 1.0, p0, Quaternion(0, -1, 0, 0))
+    d = darboux_riccati(plane129, 1.0, p0, MINUS_I)
     diff = d.f.values - plane129.f.values
     inv, ok = qinv_masked(diff)
     dd = d_field(d.f)
@@ -238,17 +237,16 @@ def test_darboux_moebius_equivariance(plane129, grid129):
     checked = 0
     for _ in range(10):
         kind = rng.integers(0, 3)
+        mm = qm2_identity()
         if kind == 0:
-            mm = MoebiusMap.translation(Quaternion.from_imag(rng.normal(size=3)))
+            mm[0, 1, 1:] = rng.normal(size=3)  # translation [[1, m], [0, 1]]
         elif kind == 1:
             r = rng.normal(size=4)
             r /= np.linalg.norm(r)
-            mm = MoebiusMap.rotation(Quaternion.from_array(r))
+            mm[0, 0] = mm[1, 1] = r  # rotation x -> r x r^-1
         else:
-            mm = MoebiusMap.inversion_about(
-                Quaternion.from_imag(rng.normal(size=3) + np.array([0, 2.0, 0]))
-            )
-        vals, ok = mm.apply_array(plane129.f.values)
+            mm = inversion(np.concatenate([[0.0], rng.normal(size=3) + np.array([0, 2.0, 0])]))
+        vals, ok = moebius_image(mm, plane129.f.values)
         if not ok.all():
             continue
         ms = PolarizedSurface(QField(grid129, vals), plane129.polarization)
@@ -258,11 +256,11 @@ def test_darboux_moebius_equivariance(plane129, grid129):
             continue  # inversion center too close: curvature outruns the grid
         transport = qm2_mul(
             qm2_inv(_euclidean_frame(ms.f.value_at(p0))),
-            qm2_mul(mm.matrix.as_array(), _euclidean_frame(plane129.f.value_at(p0))),
+            qm2_mul(mm, _euclidean_frame(plane129.f.value_at(p0))),
         )
         v0t = qm2_matvec(transport, V0_SEED)
         dm = darboux_linear(ms, lam, p0, v0t)
-        image_vals, ok2 = mm.apply_array(base.f.values)
+        image_vals, ok2 = moebius_image(mm, base.f.values)
         image = QField(grid129.merge_mask(ok2), image_vals)
         eq, res = moebius_equivalent(image, dm.f, n_quads=10, seed=7, tau=1e-4)
         assert eq, res
@@ -346,20 +344,19 @@ def test_moebius_equivalent_self(plane129):
 
 
 def test_moebius_equivalent_similarity(catenoid129, grid129):
-    r = Quaternion(np.cos(0.3), np.sin(0.3), 0, 0)
+    r = np.array([np.cos(0.3), np.sin(0.3), 0, 0])
     vals = qmul(
-        np.broadcast_to(r.as_array(), catenoid129.f.values.shape),
-        qmul(1.7 * catenoid129.f.values, np.broadcast_to(r.inverse().as_array(), catenoid129.f.values.shape)),
+        np.broadcast_to(r, catenoid129.f.values.shape),
+        qmul(1.7 * catenoid129.f.values, np.broadcast_to(qinv(r), catenoid129.f.values.shape)),
     )
-    vals = vals + Quaternion(0, 0.4, -0.2, 1.0).as_array()
+    vals = vals + np.array([0, 0.4, -0.2, 1.0])
     moved = QField(grid129, vals)
     eq, res = moebius_equivalent(catenoid129.f, moved, seed=2)
     assert eq, res
 
 
 def test_moebius_equivalent_essential_image(catenoid129, grid129):
-    mm = MoebiusMap.inversion_about(Quaternion(0, 1.0, 0, 0))
-    vals, ok = mm.apply_array(catenoid129.f.values)
+    vals, ok = moebius_image(inversion([0.0, 1.0, 0.0, 0.0]), catenoid129.f.values)
     eq, res = moebius_equivalent(
         catenoid129.f, QField(grid129.merge_mask(ok), vals), seed=2, tau=1e-6
     )
@@ -381,7 +378,7 @@ def test_moebius_equivalent_negative_control(name, plane129, catenoid129, grid12
     bumped = QField(grid129, f.values + 1e-4 / np.sqrt(3) * bump)
     eq, res = moebius_equivalent(f, bumped, seed=2)
     assert not eq and res > 5e-5, res
-    vals, ok = MoebiusMap.inversion_about(Quaternion(0, 0.3, 0.2, 0.1)).apply_array(bumped.values)
+    vals, ok = moebius_image(inversion([0.0, 0.3, 0.2, 0.1]), bumped.values)
     eq, res = moebius_equivalent(bumped, QField(grid129.merge_mask(ok), vals), seed=2)
     assert eq and res < 1e-12, res
 
