@@ -792,13 +792,6 @@ def grid_from_dict(d):
     return GridSpec(d["x0"], d["y0"], d["h"], d["nx"], d["ny"], mask)
 
 
-def field_to_dict(f: QField):
-    return {
-        "grid": grid_to_dict(f.grid),
-        "values": [[float(c) for c in row] for row in f.values.reshape(-1, 4)],
-    }
-
-
 def field_from_dict(d):
     """QField of a field document; a malformed document is invalid input."""
     try:
@@ -813,14 +806,14 @@ def field_from_dict(d):
     return QField(grid, vals.reshape(grid.ny, grid.nx, 4))
 
 
-def write_text(path, text, what):
-    """Write text to path atomically: into a temporary file next to it, then
-    os.replace, so that a failed write leaves no partial file; an OSError is
-    an IoError naming what was written."""
+def write_text(path, pieces, what):
+    """Write the strings pieces to path atomically: into a temporary file
+    next to it, then os.replace, so that a failed write leaves no partial
+    file; an OSError is an IoError naming what was written."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:
         if os.path.isfile(tmp):
@@ -828,15 +821,39 @@ def write_text(path, text, what):
         raise IoError(f"cannot write {what} to {path}: {exc}") from None
 
 
-def save_field(f: QField, path, header=None):
-    doc = field_to_dict(f)
-    if header:
-        doc.update(header)
+def surface_texts(f: QField):
+    """The values of f, each float formatted once by float.__repr__, as the
+    JSON text of its [w, x, y, z] records and as OBJ vertex lines, each in
+    pieces of 1024 nodes (no whole-file buffer); a NaN or infinity is an IoError."""
+    if not np.isfinite(f.values).all():
+        raise IoError("cannot write surface: its values hold a NaN or infinity")
+    rows = f.values.reshape(-1, 4)
+    records, vertices = [], []
+    for start in range(0, len(rows), 1024):
+        block, lines = [], []
+        for w, x, y, z in rows[start:start + 1024].tolist():
+            x, y, z = repr(x), repr(y), repr(z)
+            block.append(f"[{w!r}, {x}, {y}, {z}]")
+            lines.append(f"v {x} {y} {z}\n")
+        records += [", ", ", ".join(block)]
+        vertices.append("".join(lines))
+    return ["[", *records[1:], "]"], vertices
+
+
+def save_field(f: QField, path, header=None, texts=None):
+    """Write {"grid", "values"} plus header atomically as json.dumps(doc, sort_keys=True,
+    allow_nan=False) does, with the pieces of texts (surface_texts(f) if None) as values."""
+    values = (texts or surface_texts(f))[0]
+    doc = {"grid": grid_to_dict(f.grid), **(header or {}), "values": None}
+    pieces = []
     try:
-        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+        for key in sorted(doc):
+            pieces += [", " if pieces else "{", json.dumps(key), ": "]
+            pieces += values if key == "values" else [
+                json.dumps(doc[key], sort_keys=True, allow_nan=False)]
     except ValueError as exc:
         raise IoError(f"cannot write field to {path}: {exc}") from None
-    write_text(path, text, "field")
+    write_text(path, pieces + ["}"], "field")
 
 
 def load_field(path):

@@ -29,7 +29,7 @@ from .cmc import (
     weierstrass_minimal,
 )
 from .errors import ConfigInvalid, GeometryError, IoError
-from .grid import GridSpec, load_field, save_field, write_text
+from .grid import GridSpec, load_field, save_field, surface_texts, write_text
 from .objio import export_obj
 from .quaternion import from_imag3
 from .surfaces import TAU_ISOTHERMIC, PolarizedSurface, isothermic_certificate
@@ -214,13 +214,18 @@ class PipelineConfig:
         if nx < 4 or ny < 4:
             raise ConfigInvalid(f"grid too small: it needs at least 4 samples per side, "
                                 f"got {nx}x{ny}")
-        hx = c["domain"]["width"] / (nx - 1)
-        hy = c["domain"]["height"] / (ny - 1)
+        d = c["domain"]
+        hx, hy = d["width"] / (nx - 1), d["height"] / (ny - 1)
         if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise ConfigInvalid(
                 f"anisotropic spacing hx={hx!r} != hy={hy!r}: conformal "
                 "curvature-line sampling needs a square grid"
             )
+        # x0 + i*h are distinct floats only if h exceeds the ulp of the largest |x|
+        for x0, size, h in ((d["x0"], d["width"], hx), (d["y0"], d["height"], hy)):
+            if not h > (ulp := math.ulp(max(abs(x0), abs(x0 + size)))):
+                raise ConfigInvalid(f"domain spacing {h!r} does not resolve its "
+                                    f"coordinates, whose ulp is {ulp!r}")
         for check in ("permutability", "mean_curvature"):  # both divide by lambda
             if c["verify"].get(check) and c["generator"]["lambda"] == 0.0:
                 raise ConfigInvalid(f"verify {check} needs a nonzero spectral parameter, "
@@ -389,7 +394,7 @@ def _write_json(path, doc):
         text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     except ValueError as exc:
         raise IoError(f"cannot write {path}: {exc}") from None
-    write_text(path, text, "JSON")
+    write_text(path, (text,), "JSON")
 
 
 def _make_dir(out_dir):
@@ -407,6 +412,8 @@ def run_pipeline(config: PipelineConfig, out_dir="."):
     surface = apply_transforms(surface, config.transforms, config)
     run_verifications(surface, extras, config, report)
     artifacts = {}
+    # one repr pass serves both files, and a non-finite value fails before either
+    texts = surface_texts(surface.f) if config.export.keys() & {"surface", "obj"} else None
     if config.export.get("surface"):
         path = os.path.join(out_dir, config.export["surface"])
         header = {
@@ -417,11 +424,11 @@ def run_pipeline(config: PipelineConfig, out_dir="."):
         if "cmc" in extras and not config.transforms:
             cmc = extras["cmc"]
             header.update({"model": "halfspace", "route": cmc.route})
-        save_field(surface.f, path, header)
+        save_field(surface.f, path, header, texts)
         artifacts["surface"] = path
     if config.export.get("obj"):
         path = os.path.join(out_dir, config.export["obj"])
-        export_obj(surface.f, path)
+        export_obj(surface.f, path, texts)
         artifacts["obj"] = path
     if config.export.get("report"):
         path = os.path.join(out_dir, config.export["report"])

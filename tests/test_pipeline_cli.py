@@ -7,13 +7,15 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isothermic import ConfigInvalid, GridSpec, IoError, QField, export_obj
+from isothermic import (ConfigInvalid, DegenerateTangent, GridSpec, IoError, QField,
+                        export_obj)
 from isothermic.cli import main as cli_main
 from isothermic.pipeline import (
     FIELDS,
@@ -498,14 +500,19 @@ def test_cli_rejects_grid_n_above_the_memory_bound(tmp_path, capsys, args):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("raw, message", [
-    ({"grid_n": 17, "domain": {"x0": -1, "y0": -1, "width": 1e-300, "height": 1e-300},
+UNRESOLVED_DOMAIN = {"x0": -1, "y0": -1, "width": 1e-300, "height": 1e-300}
+
+
+@pytest.mark.parametrize("raw, expected, message", [
+    # every node of this domain rounds to -1: a configuration error
+    ({"grid_n": 17, "domain": UNRESOLVED_DOMAIN,
       "generator": {"kind": "example"}, "verify": {"isothermic": True}},
-     "immersion derivatives overflow at grid spacing 6.250e-302"),
+     2, "domain spacing 6.25e-302 does not resolve its coordinates"),
     ({"grid_n": 17, "generator": {"kind": "bryant", "lambda": 1e300}},
-     "Maurer-Cartan residual overflows"),
+     3, "Maurer-Cartan residual overflows"),
 ], ids=["spacing_1e-300", "bryant_lambda_1e300"])
-def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, raw, message):
+def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, raw, expected,
+                                                            message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     command = "verify" if "verify" in raw else "generate"
@@ -513,10 +520,57 @@ def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, ra
         warnings.simplefilter("always")
         code = cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("numerical failure") and message in err
+    assert code == expected
+    prefix = {2: "configuration error", 3: "numerical failure"}[expected]
+    assert err.startswith(prefix) and message in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_surface_jets_overflow_without_runtime_warnings(tmp_path):
+    """The engine's own guard, behind the config check: an unresolved domain
+    built without from_dict fails in surface_jets, not with a warning."""
+    cfg = replace(PipelineConfig.from_dict(dict(BASE_CONFIG, grid_n=17)),
+                  domain=dict(UNRESOLVED_DOMAIN))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTangent,
+                           match="immersion derivatives overflow at grid spacing 6.250e-302"):
+            run_pipeline(cfg, str(tmp_path))
+
+
+def test_unresolved_domain_spacing_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "grid_n": 17, "domain": UNRESOLVED_DOMAIN, "generator": {"kind": "weierstrass"},
+        "export": {"surface": "surface.json", "obj": "surface.obj", "report": "report.json"}}))
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: domain spacing 6.25e-302 does not resolve")
+    assert "ulp is 2.220446049250313e-16" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, generator, expected, message", [
+    ("verify", {"kind": "example"}, 0, "pass  isothermic_certificate"),
+    ("generate", {"kind": "weierstrass"}, 3, "Cauchy-Riemann residual 7.071e-01"),
+], ids=["example", "weierstrass"])
+def test_tiny_resolved_domain_runs_as_before(tmp_path, capsys, command, generator, expected,
+                                            message):
+    """At x0 = y0 = 0 the same 1e-300 width is resolved (the ulp of 1e-300 is
+    about 1.5e-316): the config passes and the engine runs as it did before
+    the spacing rule.  The weierstrass run still fails there: diff_axis4's
+    edge coefficients do not sum to zero in floats, so the constant w gets
+    an edge derivative of about 2.2e-16 / h."""
+    raw = {"grid_n": 17, "domain": dict(UNRESOLVED_DOMAIN, x0=0, y0=0), "generator": generator,
+           "verify": {"isothermic": True} if command == "verify" else {}}
+    PipelineConfig.from_dict(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == expected
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
 
 
 def test_json_writers_refuse_non_finite(tmp_path):
@@ -530,6 +584,16 @@ def test_json_writers_refuse_non_finite(tmp_path):
         save_field(QField(g, vals), str(tmp_path / "nan.json"))
     with pytest.raises(IoError):
         _write_json(str(tmp_path / "inf.json"), {"residual": float("inf")})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_obj_writer_refuses_non_finite(tmp_path, bad):
+    g = GridSpec.square(1.0, 5)
+    vals = np.zeros((5, 5, 4))
+    vals[2, 3, 1] = bad
+    with pytest.raises(IoError, match="NaN or infinity"):
+        export_obj(QField(g, vals), str(tmp_path / "mesh.obj"))
     assert list(tmp_path.iterdir()) == []
 
 
