@@ -4,10 +4,10 @@ Subcommands are thin wrappers over the pipeline: generate / transform /
 verify / export run one configuration; sweep iterates the spectral
 parameter over a list, producing the deformation family as a file series.
 
-Exit codes: 0 pass, 1 check failed (verify: a check failed or none ran;
-sweep: a member failed a check), 2 invalid configuration or an unreadable
-input, 3 numerical singularity, or an output directory or artifact that
-cannot be written.
+Exit codes, the same for every command: 0 pass, 1 a configured check
+failed (sweep: in any member; verify also when it ran no check), 2 invalid
+configuration or an unreadable input, 3 numerical singularity, or an output
+directory or artifact that cannot be written.
 """
 
 import argparse
@@ -40,8 +40,6 @@ def build_parser():
         p.add_argument("--lambda", dest="lam", type=float,
                        help="spectral parameter override")
         p.add_argument("--seed", type=int, help="seed for sampled certificates")
-        p.add_argument("--tolerance-scale", type=float,
-                       help="scale factor on integrability gates")
         if name == "sweep":
             p.add_argument("--lambdas", default="0,0.25,0.5,1",
                            help="comma-separated spectral parameters")
@@ -61,8 +59,6 @@ def _config_from_args(args):
         raw["generator"] = dict(raw["generator"], **{"lambda": args.lam})
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.tolerance_scale is not None:
-        raw["tolerance_scale"] = args.tolerance_scale
     return PipelineConfig.from_dict(raw)
 
 
@@ -95,8 +91,9 @@ def main(argv=None):
                   f"(tol {check.tolerance:.1e})")
         for kind, path in artifacts.items():
             print(f"wrote {kind}: {path}")
-        if args.command == "verify" and not report.all_passed():
-            return 1
+        # a failed check fails every command; verify fails also when none ran
+        if report.checks or args.command == "verify":
+            return int(not report.all_passed())
         return 0
     except ConfigInvalid as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -134,8 +134,8 @@ class WeierstrassData:
             out.append(np.abs(dbar[sel]).max() / scale)
         return float(np.max(out))  # a NaN in either field propagates
 
-    def check_holomorphic(self, tolerance_scale=1.0):
-        tau = grid_tolerance(self.grid, scale=tolerance_scale)
+    def check_holomorphic(self):
+        tau = grid_tolerance(self.grid)
         res = self.cr_residual()
         if not res <= tau:
             raise NotClosed(f"Cauchy-Riemann residual {res:.3e} exceeds {tau:.3e}")
@@ -152,27 +152,29 @@ def _q1_field(g):
 
 
 def weierstrass_form(data: WeierstrassData) -> QForm1:
-    """The minimal-surface integrand (i - jg) omega j (i - jg) / 2."""
+    """The minimal-surface integrand (i - jg) omega j (i - jg) / 2.
+
+    Raises DegenerateTangent where it overflows the float range.
+    """
     q1 = _q1_field(data.g)
-    px = 0.5 * qmul(q1, qmul(cj(data.w), q1))
-    py = 0.5 * qmul(q1, qmul(cj(1j * data.w), q1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            px = 0.5 * qmul(q1, qmul(cj(data.w), q1))
+            py = 0.5 * qmul(q1, qmul(cj(1j * data.w), q1))
+    except FloatingPointError:
+        raise DegenerateTangent("Weierstrass form overflows at grid spacing "
+                                f"{data.grid.h:.3e}") from None
     return QForm1(data.grid, px, py)
 
 
-def weierstrass_minimal(
-    data: WeierstrassData,
-    p0=None,
-    f0=np.zeros(4),
-    tolerance_scale=1.0,
-) -> PolarizedSurface:
+def weierstrass_minimal(data: WeierstrassData, p0=None, f0=np.zeros(4)) -> PolarizedSurface:
     """Minimal surface with the given meromorphic data, pinned at f(p0) = f0."""
-    data.check_holomorphic(tolerance_scale=tolerance_scale)
+    data.check_holomorphic()
     p0 = p0 or data.grid.center_node()
     form = weierstrass_form(data)
     if float(qnorm(form.px)[data.grid.valid()].max()) < EPS_IMMERSION:
         raise DegenerateTangent("omega vanishes: the data does not immerse")
-    f = integrate_form(form, p0, np.asarray(f0, dtype=float),
-                       tolerance_scale=tolerance_scale)
+    f = integrate_form(form, p0, np.asarray(f0, dtype=float))
     return PolarizedSurface(f, "dz2", ("weierstrass_minimal",))
 
 
@@ -226,7 +228,6 @@ def darboux_weierstrass(
     lam: float,
     p0=None,
     v0=V0,
-    tolerance_scale=1.0,
 ) -> CmcSurface:
     """cmc surface as a Darboux transform of its boundary map -jg.
 
@@ -234,7 +235,7 @@ def darboux_weierstrass(
     returns f = -jg + v2 v1^-1; requires the initial point off the boundary
     plane.
     """
-    data.check_holomorphic(tolerance_scale=tolerance_scale)
+    data.check_holomorphic()
     grid = data.grid
     p0 = p0 or grid.center_node()
     v0 = np.asarray(v0, dtype=float)
@@ -243,8 +244,7 @@ def darboux_weierstrass(
         raise InitialOnBoundary("v2 v1^-1 must start off the plane Cj")
     conn = boundary_connection(data, p0)
     prov = (f"darboux_weierstrass({lam})",)
-    result = darboux_via_connection(conn, lam, v0, "dz2", prov,
-                                    tolerance_scale=tolerance_scale)
+    result = darboux_via_connection(conn, lam, v0, "dz2", prov)
     base = boundary_surface(data)
     return CmcSurface(result.surface.f, lam, base.f, "darboux-weierstrass")
 
@@ -290,14 +290,14 @@ def bryant_system(
     frame), not points of Im H; see bryant_candidates for the projections
     compared against the unambiguous routes.
     """
-    frame = _bryant_frame(data, lam, p0, f0, fh0, 1.0)
+    frame = _bryant_frame(data, lam, p0, f0, fh0)
     return QField(data.grid, frame[..., 0, 0, :]), QField(data.grid, frame[..., 0, 1, :])
 
 
-def _bryant_frame(data, lam, p0, f0, fh0, tolerance_scale):
+def _bryant_frame(data, lam, p0, f0, fh0):
     """Frame of the coupled system, F(p0) = [[f0, fh0], [1, 0]]: its first
     row is the pair (f, fh) of bryant_system, its second the companion row."""
-    data.check_holomorphic(tolerance_scale=tolerance_scale)
+    data.check_holomorphic()
     grid = data.grid
     p0 = p0 or grid.center_node()
     alpha = weierstrass_form(data)
@@ -317,8 +317,7 @@ def _bryant_frame(data, lam, p0, f0, fh0, tolerance_scale):
     frame0 = np.zeros((2, 2, 4))
     frame0[0] = (f0, fh0)
     frame0[1, 0, 0] = 1.0
-    return integrate_frame(phi_x, phi_y, grid, frame0, p0,
-                           tolerance_scale=tolerance_scale).values
+    return integrate_frame(phi_x, phi_y, grid, frame0, p0).values
 
 
 def bryant_candidates(f_lam: QField, fh_lam: QField):
@@ -426,23 +425,10 @@ def spherical_type_certificate(surface: PolarizedSurface):
     residual_field = np.abs(lap - np.exp(-2.0 * u))
     # three chained stencil levels (jets, ds, laplacian): an 8-ring margin
     # keeps the reported maximum on centered stencils only
-    valid = (
-        surface.grid.valid()
-        & jets.valid
-        & not_umbilic
-        & ok
-        & _interior(surface.grid, 8)
-    )
+    valid = surface.grid.interior(8) & jets.valid & not_umbilic & ok
     if not valid.any():
         raise UmbilicRegion("no valid non-umbilic interior nodes")
     return u, float(residual_field[valid].max())
-
-
-def _interior(grid, rings):
-    out = np.ones((grid.ny, grid.nx), dtype=bool)
-    out[:rings, :] = out[-rings:, :] = False
-    out[:, :rings] = out[:, -rings:] = False
-    return out
 
 
 def _laplacian4(u, h):
@@ -712,7 +698,7 @@ def ribaucour_data_extract(frame: FrameField) -> RibaucourData:
         - 4.0 * np.exp(2 * u) * lamhat
     )
     # residual maxima over nodes whose extraction used centered stencils only
-    valid = sel & lap_valid & _interior(grid, 3)
+    valid = sel & lap_valid & grid.interior(3)
     gauss = float(gauss_field[valid].max())
 
     def wirtinger_bar(fld):
@@ -806,7 +792,7 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> Isom
 
     i0, ii0 = forms(conn.frame0, 0.0)
     il, iil = forms(frame_lam, lam)
-    sel = _interior(grid, 4) & grid.valid()
+    sel = grid.interior(4)
     scale = float(np.mean(i0[0][sel]))
     first_dev = max(float(np.abs(il[k] - i0[k])[sel].max()) for k in range(3))
     second_dev = max(
@@ -827,7 +813,6 @@ def bryant_surface(
     lam: float,
     p0=None,
     f0=None,
-    tolerance_scale=1.0,
 ) -> CmcSurface:
     """Surface and Gauss map assembled from the coupled first-order system.
 
@@ -839,7 +824,7 @@ def bryant_surface(
     grid = data.grid
     if f0 is None:
         f0 = np.zeros(4)
-    frame = _bryant_frame(data, lam, p0, f0, (1.0, 0.0, 0.0, 0.0), tolerance_scale)
+    frame = _bryant_frame(data, lam, p0, f0, (1.0, 0.0, 0.0, 0.0))
     top, bottom = frame[..., 0, :, :], frame[..., 1, :, :]
     inv_f, ok_f = qinv_masked(bottom[..., 0, :])
     inv_h, ok_h = qinv_masked(bottom[..., 1, :])
@@ -926,7 +911,7 @@ def common_sphere_point(surface: PolarizedSurface):
     a (4,) array, or INFINITY; lightlike deviation; incidence residual).
     """
     comps, ff = central_sphere_congruence(surface)
-    sel = surface.grid.valid() & ff.valid & _interior(surface.grid, 4)
+    sel = surface.grid.interior(4) & ff.valid
     # row k of a node is the Lorentz product of its sphere with basis form k
     rows = lorentz(comps[sel][:, None, :], np.eye(6))
     # the Re(s12) pairing column vanishes identically (every sphere in the

@@ -47,7 +47,7 @@ TAU_MC = 1e-6
 BLOWUP_LIMIT = 1e12
 
 
-def grid_tolerance(grid, base=TAU_CLOSED, scale=1.0):
+def grid_tolerance(grid, base=TAU_CLOSED):
     """Effective residual threshold at spacing h.
 
     Sampled analytic pipelines carry O(h^2) curl noise, so their normalized
@@ -56,7 +56,7 @@ def grid_tolerance(grid, base=TAU_CLOSED, scale=1.0):
     max(base, 0.2 h) admits any form whose curl is small relative to its
     magnitude while still rejecting genuinely non-closed forms (ratio ~1).
     """
-    return max(base, 0.2 * grid.h) * scale
+    return max(base, 0.2 * grid.h)
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,11 @@ class GridSpec:
         """New grid whose mask is the AND of the current one and extra_valid."""
         return self.with_mask(self.valid() & extra_valid)
 
-    def interior(self):
-        """Validity restricted to non-boundary nodes."""
+    def interior(self, rings=1):
+        """Validity with the outer `rings` rings of nodes removed."""
         v = self.valid().copy()
-        v[0, :] = v[-1, :] = False
-        v[:, 0] = v[:, -1] = False
+        v[:rings, :] = v[-rings:, :] = False
+        v[:, :rings] = v[:, -rings:] = False
         return v
 
 
@@ -417,12 +417,7 @@ def cumulative_simpson(values, h, axis, origin):
     return np.moveaxis(out, 0, axis)
 
 
-def integrate_form(
-    omega: QForm1,
-    p0,
-    v0,
-    tolerance_scale=1.0,
-) -> QField:
+def integrate_form(omega: QForm1, p0, v0) -> QField:
     """Potential F with F(p0) = v0 and dF ~ omega (column spine, then rows).
 
     Requires omega to be discretely closed; path independence then holds up
@@ -430,8 +425,7 @@ def integrate_form(
     """
     grid = omega.grid
     iy0, ix0 = _spine_rows_order(grid, p0)
-    tau = grid_tolerance(grid, TAU_CLOSED, tolerance_scale)
-    _gate(closedness_residual(omega), tau, "closedness", NotClosed,
+    _gate(closedness_residual(omega), grid_tolerance(grid), "closedness", NotClosed,
           partial(_closedness_point, omega))
 
     px = omega.px
@@ -500,6 +494,7 @@ def _lines(first, count, d):
     return slice(first, stop if stop >= 0 else None, d)
 
 
+@np.errstate(all="ignore")
 def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
     """March a per-node state along the spine column, then along rows.
 
@@ -513,7 +508,9 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
     states advance one grid line at a time.  Each spine node is checked when
     it is reached and each block of rows after its last column: StepBlowup
     names the first node, in march order, whose state is not finite or
-    exceeds blowup.
+    exceeds blowup.  Floating-point exceptions are not reported as they
+    occur: an overflow or invalid operation, in the step preparation or in
+    a step, leaves a non-finite or over-limit state that these checks name.
     """
     iy0, ix0 = _spine_rows_order(grid, p0)
     h = grid.h
@@ -560,12 +557,9 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
             advance = steps(*(np.swapaxes(c, 0, 1) for c in (
                 coef_x[:, _lines(ix1 - d, k, d)], _block_midpoints(coef_x, first, k)[:, ::d],
                 coef_x[:, _lines(ix1, k, d)])), np.full(k, d * h))
-            # a floating-point exception leaves a non-finite or over-limit
-            # state in its column, which the block's check then reports
-            with np.errstate(all="ignore"):
-                for i in range(k):
-                    state = advance(i, state)
-                    _pair_view(out[:, ix1 + d * i])[...] = state
+            for i in range(k):
+                state = advance(i, state)
+                _pair_view(out[:, ix1 + d * i])[...] = state
             check(out[:, _lines(ix1, k, d)], 0, ix1, d)
     return out
 
@@ -611,12 +605,11 @@ def _linear_steps(product, left):
     return steps
 
 
-def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, tolerance_scale,
-                  blowup):
+def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup):
     """Maurer-Cartan gate, then _march of a linear system by RK4 step matrices
     (see _linear_steps)."""
     if tau is None:
-        tau = grid_tolerance(grid, TAU_MC, tolerance_scale)
+        tau = grid_tolerance(grid, TAU_MC)
     _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
           NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
     return _march(grid, p0, phi_x, phi_y, state0,
@@ -667,7 +660,6 @@ def integrate_frame(
     f0,
     p0,
     tau=None,
-    tolerance_scale=1.0,
     blowup=BLOWUP_LIMIT,
     spine="column",
 ) -> FrameField:
@@ -680,7 +672,7 @@ def integrate_frame(
     """
     if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
-    args = (_pair_planes(f0, 2), _pair_matmul, False, tau, tolerance_scale, blowup)
+    args = (_pair_planes(f0, 2), _pair_matmul, False, tau, blowup)
     if spine == "column":
         return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, *args))
     swapped = replace(grid, nx=grid.ny, ny=grid.nx, x0=grid.y0, y0=grid.x0,
@@ -693,19 +685,11 @@ def integrate_frame(
     return FrameField(grid, np.swapaxes(vals, 0, 1))
 
 
-def integrate_left_vector(
-    phi_x,
-    phi_y,
-    grid: GridSpec,
-    v0,
-    p0,
-    tau=None,
-    tolerance_scale=1.0,
-):
+def integrate_left_vector(phi_x, phi_y, grid: GridSpec, v0, p0, tau=None):
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
     v0 = _pair_planes(v0, 1)
     return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
-                         tolerance_scale, BLOWUP_LIMIT)
+                         BLOWUP_LIMIT)
 
 
 def integrate_riccati(

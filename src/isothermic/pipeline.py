@@ -84,7 +84,6 @@ FIELDS = (
     Field("", "verify", "mapping", {}),
     Field("", "export", "mapping", {}),
     Field("", "seed", "integer", 0, range="non-negative"),
-    Field("", "tolerance_scale", "number", 1.0, range="positive"),
     Field("domain", "x0", "number", -1.0),
     Field("domain", "y0", "number", -1.0),
     Field("domain", "width", "number", 2.0, range="positive"),
@@ -202,7 +201,6 @@ class PipelineConfig:
     verify: dict
     export: dict
     seed: int = 0
-    tolerance_scale: float = 1.0
 
     @classmethod
     def from_dict(cls, raw):
@@ -231,7 +229,7 @@ class PipelineConfig:
                 raise ConfigInvalid(f"verify {check} needs a nonzero spectral parameter, "
                                     "got lambda = 0")
         return cls(c["domain"], nx, ny, c["generator"], c["transforms"], c["verify"],
-                   c["export"], c["seed"], c["tolerance_scale"])
+                   c["export"], c["seed"])
 
     def grid(self):
         return GridSpec(
@@ -321,27 +319,25 @@ def make_surface(config: PipelineConfig):
         else:
             data = _family_weierstrass(grid, lam)
         if kind == "weierstrass":
-            surface = weierstrass_minimal(data, tolerance_scale=config.tolerance_scale)
+            surface = weierstrass_minimal(data)
         elif kind == "bryant":
-            cmc = bryant_surface(data, lam, tolerance_scale=config.tolerance_scale)
+            cmc = bryant_surface(data, lam)
             extras["cmc"] = cmc
             surface = PolarizedSurface(cmc.f, "dz2", ("bryant",))
         else:
-            cmc = darboux_weierstrass(data, lam, v0=gen["v0"],
-                                      tolerance_scale=config.tolerance_scale)
+            cmc = darboux_weierstrass(data, lam, v0=gen["v0"])
             extras["cmc"] = cmc
             surface = PolarizedSurface(cmc.f, "dz2", ("darboux-weierstrass",))
     return surface, extras
 
 
-def apply_transforms(surface: PolarizedSurface, steps, config: PipelineConfig):
+def apply_transforms(surface: PolarizedSurface, steps):
     for step in steps:
         op, lam = step["op"], step["lambda"]
         if op == "christoffel":
-            surface = christoffel(surface, tolerance_scale=config.tolerance_scale)
+            surface = christoffel(surface)
         elif op == "goursat":
-            surface = goursat(surface, from_imag3(step["m"]),
-                              tolerance_scale=config.tolerance_scale)
+            surface = goursat(surface, from_imag3(step["m"]))
         elif op == "darboux":
             d0 = step.get("d0")
             if d0 is None:
@@ -350,14 +346,11 @@ def apply_transforms(surface: PolarizedSurface, steps, config: PipelineConfig):
                 p0 = surface.grid.center_node()
                 nrm = normal_field(surface)
                 d0 = surface.f.value_at(p0) + nrm.values[p0[0], p0[1]]
-            surface = darboux_riccati(surface, lam, d0=d0,
-                                      tolerance_scale=config.tolerance_scale)
+            surface = darboux_riccati(surface, lam, d0=d0)
         elif op == "darboux_linear":
-            surface = darboux_linear(surface, lam, v0=step["v0"],
-                                     tolerance_scale=config.tolerance_scale)
+            surface = darboux_linear(surface, lam, v0=step["v0"])
         else:
-            surface = t_transform(surface, lam,
-                                  tolerance_scale=config.tolerance_scale).surface
+            surface = t_transform(surface, lam).surface
     return surface
 
 
@@ -365,26 +358,28 @@ def run_verifications(surface, extras, config: PipelineConfig, report: Invariant
     grid = surface.grid
     h = grid.h
     verify = config.verify
+    lam = extras.get("lambda", 1.0)
+    perm = None
+    if verify.get("permutability"):
+        # the suite certifies its input: that residual is the isothermic check's
+        perm = permutability_suite(surface, lam, seed=config.seed)
     if verify.get("isothermic"):
-        _, res = isothermic_certificate(surface)
+        res = perm.isothermic_residual if perm else isothermic_certificate(surface)[1]
         report.add("isothermic_certificate", res, TAU_ISOTHERMIC, h)
     if verify.get("spherical_type") or verify.get("liouville"):
         _, res = spherical_type_certificate(surface)
         report.add("liouville_residual", res, 1e-3, h)
     if verify.get("mean_curvature"):
-        lam = extras.get("lambda", 1.0)
         _, mean, std, _ = mean_curvature_hyperbolic(surface.f, lam)
         report.add("mean_curvature_std", std, 1e-3, h)
         report.add(
             "mean_curvature_value", abs(abs(mean) - 2.0 * abs(lam)), 1e-3, h
         )
         report.notes["mean_curvature"] = mean
-    if verify.get("permutability"):
-        lam = extras.get("lambda", 1.0)
-        rep = permutability_suite(surface, lam, seed=config.seed)
-        report.add("permutability_p1", rep.p1_residual, rep.tau, h)
-        report.add("permutability_p2_positioning", rep.p2_pointwise, 100 * rep.tau, h)
-        report.add("permutability_p3", rep.p3_residual, rep.tau, h)
+    if perm:
+        report.add("permutability_p1", perm.p1_residual, perm.tau, h)
+        report.add("permutability_p2_positioning", perm.p2_pointwise, 100 * perm.tau, h)
+        report.add("permutability_p3", perm.p3_residual, perm.tau, h)
     return report
 
 
@@ -409,7 +404,7 @@ def run_pipeline(config: PipelineConfig, out_dir="."):
     _make_dir(out_dir)
     report = InvariantReport()
     surface, extras = make_surface(config)
-    surface = apply_transforms(surface, config.transforms, config)
+    surface = apply_transforms(surface, config.transforms)
     run_verifications(surface, extras, config, report)
     artifacts = {}
     # one repr pass serves both files, and a non-finite value fails before either

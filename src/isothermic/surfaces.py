@@ -165,14 +165,11 @@ def isothermic_certificate(surface: PolarizedSurface):
     no valid node is left inside them.
     """
     ff = fundamental_forms(surface)
-    ny, nx = surface.grid.ny, surface.grid.nx
-    interior = np.zeros((ny, nx), dtype=bool)
-    m = 4
-    interior[m:-m, m:-m] = True
-    interior &= surface.grid.valid() & ff.valid
+    grid = surface.grid
+    interior = grid.interior(4) & ff.valid
     if not interior.any():
-        raise MaskedNeighbor(f"isothermic certificate: no valid node of the {ny}x{nx} "
-                             f"grid is left after trimming {m} boundary rings")
+        raise MaskedNeighbor(f"isothermic certificate: no valid node of the {grid.ny}x"
+                             f"{grid.nx} grid is left after trimming 4 boundary rings")
     scale = max(float(np.mean(ff.E[interior])), 1e-300)
     # <df, dn> = -II; its dz^2 coefficient is -( (e - g)/2 - i f )
     rho = -(ff.e - ff.g) / 2.0

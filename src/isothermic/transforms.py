@@ -78,19 +78,19 @@ def christoffel_form(surface: PolarizedSurface, df: QForm1 | None = None) -> QFo
 
 
 def _certify_isothermic(surface: PolarizedSurface, what=""):
-    """Raise NotClosed, naming the surface by what, unless its certificate
-    passes TAU_ISOTHERMIC."""
+    """The certificate residual of surface; raise NotClosed, naming the
+    surface by what, unless it passes TAU_ISOTHERMIC."""
     _, res = isothermic_certificate(surface)
     if not res <= TAU_ISOTHERMIC:
         raise NotClosed(f"{what}isothermic certificate residual {res:.3e} "
                         f"exceeds {TAU_ISOTHERMIC:.1e}")
+    return res
 
 
 def christoffel(
     surface: PolarizedSurface,
     p0=None,
     c0=np.zeros(4),
-    tolerance_scale=1.0,
     cform: QForm1 | None = None,
 ) -> PolarizedSurface:
     """Christoffel transform pinned by Cf(p0) = c0.
@@ -103,7 +103,7 @@ def christoffel(
         _certify_isothermic(surface)
         cform = christoffel_form(surface)
     p0 = p0 or surface.grid.center_node()
-    cf = integrate_form(cform, p0, np.asarray(c0, dtype=float), tolerance_scale=tolerance_scale)
+    cf = integrate_form(cform, p0, np.asarray(c0, dtype=float))
     return surface.derived(cf.values, grid=cf.grid, flip=True, step="christoffel")
 
 
@@ -113,7 +113,6 @@ def goursat(
     p0=None,
     g0=np.zeros(4),
     c0=np.zeros(4),
-    tolerance_scale=1.0,
 ) -> PolarizedSurface:
     """Goursat transform for the essential map x -> (x - m)^-1, m a (4,) array.
 
@@ -121,14 +120,13 @@ def goursat(
     map, Christoffel but in a single integration.
     """
     p0 = p0 or surface.grid.center_node()
-    cf = christoffel(surface, p0, c0, tolerance_scale=tolerance_scale)
+    cf = christoffel(surface, p0, c0)
     df = d_field_hi(surface.f)
     factor = cf.f.values - np.asarray(m, dtype=float)
     px = -qmul(factor, qmul(df.px, factor))
     py = -qmul(factor, qmul(df.py, factor))
     grid = df.grid.merge_mask(cf.grid.valid())
-    gf = integrate_form(QForm1(grid, px, py), p0, np.asarray(g0, dtype=float),
-                        tolerance_scale=tolerance_scale)
+    gf = integrate_form(QForm1(grid, px, py), p0, np.asarray(g0, dtype=float))
     return surface.derived(gf.values, grid=gf.grid, step="goursat")
 
 
@@ -223,12 +221,9 @@ def t_transform_via_connection(
     lam: float,
     polarization="dz2",
     provenance=(),
-    tolerance_scale=1.0,
 ) -> TTransformResult:
     phi_x, phi_y = conn.phi(lam)
-    frame_id = integrate_frame(
-        phi_x, phi_y, conn.grid, qm2_identity(), conn.p0, tolerance_scale=tolerance_scale
-    )
+    frame_id = integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0)
     composed = qm2_mul(conn.frame0_at_p0(), frame_id.values)
     surf_vals, ok1 = affine_chart(composed[..., :, 0, :])
     second_vals, ok2 = affine_chart(composed[..., :, 1, :])
@@ -241,12 +236,7 @@ def t_transform_via_connection(
     return TTransformResult(surface, frame_id, second, out_conn)
 
 
-def t_transform(
-    surface: PolarizedSurface,
-    lam: float,
-    p0=None,
-    tolerance_scale=1.0,
-) -> TTransformResult:
+def t_transform(surface: PolarizedSurface, lam: float, p0=None) -> TTransformResult:
     """Spectral transform from the canonical Euclidean frame, F(p0) = Id.
 
     The returned frame is the identity-pinned solution of dF = F Phi_lam;
@@ -255,9 +245,7 @@ def t_transform(
     """
     conn = canonical_connection(surface, p0=p0)
     prov = surface.provenance + (f"t_transform({lam})",)
-    return t_transform_via_connection(
-        conn, lam, surface.polarization, prov, tolerance_scale
-    )
+    return t_transform_via_connection(conn, lam, surface.polarization, prov)
 
 
 def t_transform_gauged(
@@ -327,7 +315,6 @@ def darboux_via_connection(
     polarization="dz2",
     provenance=(),
     chain=False,
-    tolerance_scale=1.0,
     frame: FrameField | None = None,
 ) -> DarbouxResult:
     """Darboux transform through an adapted frame family.
@@ -343,16 +330,11 @@ def darboux_via_connection(
     if w0.shape != (2, 4):
         raise ValueError("w0 must be a homogeneous column (2, 4)")
     if not chain:
-        w = integrate_left_vector(
-            phi_x, phi_y, conn.grid, w0, conn.p0, tolerance_scale=tolerance_scale
-        )
+        w = integrate_left_vector(phi_x, phi_y, conn.grid, w0, conn.p0)
         homog = qm2_matvec(conn.frame0, w)
         out_conn = None
     else:
-        y = frame or integrate_frame(
-            phi_x, phi_y, conn.grid, qm2_identity(), conn.p0,
-            tolerance_scale=tolerance_scale,
-        )
+        y = frame or integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0)
         y_inv = qm2_inv(y.values)
         w = qm2_matvec(y_inv, w0)
         homog = qm2_matvec(conn.frame0, w)
@@ -385,7 +367,6 @@ def darboux_linear(
     lam: float,
     p0=None,
     v0=V0,
-    tolerance_scale=1.0,
 ) -> PolarizedSurface:
     """Darboux transform via the linear system 0 = dv + Phi_lam v.
 
@@ -395,8 +376,7 @@ def darboux_linear(
     conn = canonical_connection(surface, p0=p0)
     prov = surface.provenance + (f"darboux_linear({lam})",)
     return darboux_via_connection(
-        conn, lam, np.asarray(v0, dtype=float), surface.polarization, prov,
-        tolerance_scale=tolerance_scale,
+        conn, lam, np.asarray(v0, dtype=float), surface.polarization, prov
     ).surface
 
 
@@ -406,7 +386,6 @@ def darboux_riccati(
     p0=None,
     d0=None,
     cform: QForm1 | None = None,
-    tolerance_scale=1.0,
 ) -> PolarizedSurface:
     """Darboux transform via the Riccati equation for delta = Df - f.
 
@@ -519,6 +498,7 @@ def moebius_equivalent(
 
 @dataclass
 class PermutabilityReport:
+    isothermic_residual: float  # the certificate of the input surface
     p1_residual: float
     p2_pointwise: float
     p2_translation: float
@@ -558,7 +538,7 @@ def permutability_suite(
     f0 = surface.f.value_at(p0)
     # one dual form, one connection family and one frame of phi(lam)
     cform = christoffel_form(surface)
-    _certify_isothermic(surface)
+    iso = _certify_isothermic(surface)
     conn = canonical_connection(surface, cform, p0)
 
     # P1
@@ -599,5 +579,6 @@ def permutability_suite(
     rhs = darboux_via_connection(tt_chain.connection, lam - mu, v0).surface
     _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1)
 
-    return PermutabilityReport(p1, float(point_res), float(trans_res), p3, TAU_PERMUTABILITY)
+    return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p3,
+                               TAU_PERMUTABILITY)
 

@@ -3,9 +3,10 @@
 This is the suite as it was before it shared its whole-grid work: each of
 P1, P2 and P3 builds the input surface's dual form, certificate, canonical
 connection and identity-pinned frame of phi(lam) for itself, through the
-public transforms.  It is kept here, unchanged, as the reference that
+public transforms.  It is kept here as the reference that
 ``permutability_suite`` is tested against bit for bit
-(tests/test_transforms.py).
+(tests/test_transforms.py), unchanged but for one more certificate of the
+input surface at the end, whose residual the report now carries.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from isothermic.quaternion import qinv_masked, qnorm
-from isothermic.surfaces import PolarizedSurface, normal_field
+from isothermic.surfaces import PolarizedSurface, isothermic_certificate, normal_field
 from isothermic.transforms import (
     PermutabilityReport,
     canonical_connection,
@@ -89,4 +90,5 @@ def permutability_suite(
     rhs = darboux_via_connection(tt_chain.connection, lam - mu, v0).surface
     _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1, tau=tau)
 
-    return PermutabilityReport(p1, float(point_res), float(trans_res), p3, tau)
+    _, iso = isothermic_certificate(surface)
+    return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p3, tau)

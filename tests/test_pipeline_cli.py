@@ -200,21 +200,64 @@ def test_cli_verify_failure_exit_code(tmp_path, capsys):
     assert code == 3  # umbilic patch surfaces as a numerical-domain error
 
 
+#: at grid_n 33 the Liouville residual of this cmc surface misses its 1e-3 bound
+FAILING_CHECK = {
+    "grid_n": 33,
+    "generator": {"kind": "darboux-weierstrass", "data": "plane", "lambda": 0.5},
+    "verify": {"spherical_type": True},
+    "export": {"report": "report.json"},
+}
+
+
 def test_cli_failing_check_returns_one(tmp_path, capsys):
-    # wildly loose grid so the spectral surface misses the flat certificate
-    cfg = {
-        "grid_n": 33,
-        "generator": {"kind": "darboux-weierstrass", "data": "plane",
-                      "lambda": 1.0},
-        "verify": {"mean_curvature": True},
-        "tolerance_scale": 1.0,
-    }
+    """A configured check that fails gives exit 1 from every command that runs it."""
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg))
-    code = cli_main(["verify", "--config", str(p), "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code in (0, 1)  # coarse grid may or may not clear 1e-3
-    assert "mean_curvature" in out
+    p.write_text(json.dumps(FAILING_CHECK))
+    for command in ("verify", "generate"):
+        out_dir = tmp_path / command
+        assert cli_main([command, "--config", str(p), "--out", str(out_dir)]) == 1, command
+        assert "FAIL  liouville_residual: residual 2.440e-03 (tol 1.0e-03)" in \
+            capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["all_passed"] is False
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+            ("liouville_residual", False)]
+
+
+def test_cli_rejects_the_removed_tolerance_scale_key(tmp_path, capsys):
+    """The gates take their threshold from the grid spacing alone; a config
+    that still sets a scale on them is invalid like any unknown key."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, tolerance_scale=1.0,
+                                 export={"report": "report.json"})))
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown keys in config: ['tolerance_scale']")
+    assert not out.exists()
+
+
+def test_verify_certifies_the_input_surface_once(tmp_path, monkeypatch):
+    """With verify.isothermic and verify.permutability the isothermic check
+    reads the certificate the permutability suite computed for its input."""
+    from isothermic import pipeline, surfaces, transforms
+
+    original = surfaces.isothermic_certificate
+    certified = []
+
+    def counted(surface):
+        certified.append(surface)
+        return original(surface)
+
+    for module in (pipeline, transforms):
+        monkeypatch.setattr(module, "isothermic_certificate", counted)
+    report, _, surface = run_pipeline(
+        config(grid_n=65, verify={"isothermic": True, "permutability": True}), str(tmp_path))
+    assert sum(s is surface for s in certified) == 1
+    assert [c.name for c in report.checks] == [
+        "isothermic_certificate", "permutability_p1", "permutability_p2_positioning",
+        "permutability_p3"]
+    assert report.checks[0].residual == original(surface)[1]
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -501,6 +544,7 @@ def test_cli_rejects_grid_n_above_the_memory_bound(tmp_path, capsys, args):
 
 
 UNRESOLVED_DOMAIN = {"x0": -1, "y0": -1, "width": 1e-300, "height": 1e-300}
+HUGE_DOMAIN = {"x0": -1, "y0": -1, "width": 1e300, "height": 1e300}
 
 
 @pytest.mark.parametrize("raw, expected, message", [
@@ -510,7 +554,13 @@ UNRESOLVED_DOMAIN = {"x0": -1, "y0": -1, "width": 1e-300, "height": 1e-300}
      2, "domain spacing 6.25e-302 does not resolve its coordinates"),
     ({"grid_n": 17, "generator": {"kind": "bryant", "lambda": 1e300}},
      3, "Maurer-Cartan residual overflows"),
-], ids=["spacing_1e-300", "bryant_lambda_1e300"])
+    # the Weierstrass form overflows; the march's step matrices overflow
+    ({"grid_n": 17, "domain": HUGE_DOMAIN, "generator": {"kind": "weierstrass"}},
+     3, "Weierstrass form overflows at grid spacing 6.250e+298"),
+    ({"grid_n": 17, "domain": HUGE_DOMAIN, "generator": {"kind": "darboux-weierstrass"}},
+     3, "state norm nan exceeds 1.0e+12 (at node (1, 0))"),
+], ids=["spacing_1e-300", "bryant_lambda_1e300", "weierstrass_width_1e300",
+        "darboux_weierstrass_width_1e300"])
 def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, raw, expected,
                                                             message):
     cfg = tmp_path / "cfg.json"

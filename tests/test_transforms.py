@@ -453,7 +453,7 @@ def _count_calls(monkeypatch):
 
 @pytest.mark.parametrize("suite, expected", [
     ("reference", {"grid.integrate_frame": 5, "grid.maurer_cartan_residual": 6,
-                   "surfaces.isothermic_certificate": 5, "surfaces.surface_jets": 6,
+                   "surfaces.isothermic_certificate": 6, "surfaces.surface_jets": 7,
                    "transforms.canonical_connection": 3, "transforms.t_transform": 2,
                    "quaternion.qm2_mul": 26}),
     ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 5,
