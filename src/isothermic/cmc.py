@@ -27,6 +27,7 @@ from .errors import (
     UmbilicRegion,
 )
 from .grid import (
+    _walk_path,
     FrameField,
     GridSpec,
     QField,
@@ -515,21 +516,8 @@ def quat_from_rotation(r3):
 
 def _sign_continuity(r, p0):
     """Flip quaternion signs so the field is continuous along the path scheme."""
-    out = np.array(r, copy=True)
-    iy0, ix0 = p0
-    for iy in range(iy0 + 1, out.shape[0]):
-        if np.sum(out[iy, ix0] * out[iy - 1, ix0]) < 0:
-            out[iy, ix0] = -out[iy, ix0]
-    for iy in range(iy0 - 1, -1, -1):
-        if np.sum(out[iy, ix0] * out[iy + 1, ix0]) < 0:
-            out[iy, ix0] = -out[iy, ix0]
-    for ix in range(ix0 + 1, out.shape[1]):
-        flip = np.sum(out[:, ix] * out[:, ix - 1], axis=-1) < 0
-        out[flip, ix] = -out[flip, ix]
-    for ix in range(ix0 - 1, -1, -1):
-        flip = np.sum(out[:, ix] * out[:, ix + 1], axis=-1) < 0
-        out[flip, ix] = -out[flip, ix]
-    return out
+    return _walk_path(r, p0, lambda prev, q: np.where(
+        np.sum(q * prev, axis=-1, keepdims=True) < 0, -q, q))
 
 
 def _ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):

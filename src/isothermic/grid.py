@@ -376,25 +376,29 @@ def _spine_rows_order(grid, p0):
     return iy0, ix0
 
 
+def _walk_path(values, p0, step):
+    """A copy of values (ny, nx, ...) in which every node but p0 is replaced,
+    in march order, by step(value of the node before it on its path, its
+    own value): up and down the base column, then along the rows."""
+    out = np.array(values, copy=True)
+
+    def lines(v, i0):  # v walked along its first axis, outwards from i0
+        for d, end in ((1, len(v)), (-1, -1)):
+            for i in range(i0 + d, end, d):
+                v[i] = step(v[i - d], v[i])
+
+    lines(out[:, p0[1]], p0[0])
+    lines(np.swapaxes(out, 0, 1), p0[1])
+    return out
+
+
 def _path_valid_mask(grid, p0):
     """Nodes reachable from p0 along the spine-then-rows path scheme."""
     valid = grid.valid()
     iy0, ix0 = p0
     if not valid[iy0, ix0]:
         raise MaskedRegion("base node is masked", node=p0)
-    reach_spine = np.zeros(grid.ny, dtype=bool)
-    reach_spine[iy0] = True
-    for iy in range(iy0 + 1, grid.ny):
-        reach_spine[iy] = reach_spine[iy - 1] and valid[iy, ix0]
-    for iy in range(iy0 - 1, -1, -1):
-        reach_spine[iy] = reach_spine[iy + 1] and valid[iy, ix0]
-    reach = np.zeros((grid.ny, grid.nx), dtype=bool)
-    reach[:, ix0] = reach_spine
-    for ix in range(ix0 + 1, grid.nx):
-        reach[:, ix] = reach[:, ix - 1] & valid[:, ix]
-    for ix in range(ix0 - 1, -1, -1):
-        reach[:, ix] = reach[:, ix + 1] & valid[:, ix]
-    return reach
+    return _walk_path(valid, p0, np.logical_and)
 
 
 def cumulative_simpson(values, h, axis, origin):
@@ -495,72 +499,61 @@ def _lines(first, count, d):
 
 
 @np.errstate(all="ignore")
-def _march(grid, p0, coef_x, coef_y, state0, steps, blowup):
-    """March a per-node state along the spine column, then along rows.
+def _march(grid, p0, coef_x, coef_y, state0, steps, blowup, spine):
+    """March a per-node state along the spine through p0, then along the
+    lines that cross it: the base column, then the rows (spine="column"),
+    or the base row, then the columns (spine="row").
 
     A state is the pair array (2, ..., b) of a batch of b nodes whose real
     (b, ..., 4) components the returned (ny, nx, ..., 4) field holds.
     steps(pa, pm, pb, s) prepares k grid steps of signed lengths s (k,) from
     the coefficients at their starts, midpoints and ends, (k, b, ...) for
     batches of b nodes, and returns advance(i, state), which takes a batch
-    of states over step i.  The whole spine line is prepared in one call and
-    the rows in blocks of grid columns of about _MARCH_BLOCK nodes; the
-    states advance one grid line at a time.  Each spine node is checked when
-    it is reached and each block of rows after its last column: StepBlowup
-    names the first node, in march order, whose state is not finite or
-    exceeds blowup.  Floating-point exceptions are not reported as they
-    occur: an overflow or invalid operation, in the step preparation or in
-    a step, leaves a non-finite or over-limit state that these checks name.
+    of states over step i.  The spine is marched as a batch of one node, the
+    lines batched over the spine's nodes, each outwards from p0 in blocks of
+    grid lines of about _MARCH_BLOCK nodes; the states advance one grid line
+    at a time.  Each block is checked after its last line: StepBlowup names
+    the first node, in march order, whose state is not finite or exceeds
+    blowup.  Floating-point exceptions are not reported as they occur: an
+    overflow or invalid operation, in the step preparation or in a step,
+    leaves a non-finite or over-limit state that these checks name.
     """
     iy0, ix0 = _spine_rows_order(grid, p0)
-    h = grid.h
     out = np.empty((grid.ny, grid.nx) + state0.shape[1:] + (4,))
-    state0 = state0[..., None]
-    _pair_view(out[iy0:iy0 + 1, ix0])[...] = state0
+    _pair_view(out[iy0:iy0 + 1, ix0])[...] = state0[..., None]
 
-    def check(vals, iy, ix, d=1):
-        """Raise at the first bad node of vals, rows iy, iy + 1, ... of the
-        grid lines ix, ix + d, ...: its first bad line, then its first row."""
-        norm = np.abs(vals).max(axis=tuple(range(2, vals.ndim)))
-        bad = ~(norm <= blowup)
-        if bad.any():
-            j = int(bad.any(axis=0).argmax())
-            k = int(bad[:, j].argmax())
-            raise StepBlowup(f"state norm {norm[k, j]:.3e} exceeds {blowup:.1e}",
-                             node=(iy + k, ix + d * j))
+    def lines(coef, vals, i0, node):
+        """March vals (b, n, ..., 4) by coef (b, n, ...) from line i0 to the
+        lines above it, then below it; node(r, i) is the grid node of batch
+        member r on line i.  The steps of a block span the intervals
+        first .. first + k - 1, walked in order d."""
+        width = max(1, _MARCH_BLOCK // len(coef))
+        for d, end in ((1, coef.shape[1]), (-1, -1)):
+            state = _pair_view(vals[:, i0]).copy()
+            for i1 in range(i0 + d, end, d * width):
+                k = min(width, abs(end - i1))
+                first = i1 - 1 if d > 0 else i1 - k + 1
+                advance = steps(*(np.swapaxes(c, 0, 1) for c in (
+                    coef[:, _lines(i1 - d, k, d)], _block_midpoints(coef, first, k)[:, ::d],
+                    coef[:, _lines(i1, k, d)])), np.full(k, d * grid.h))
+                for i in range(k):
+                    state = advance(i, state)
+                    _pair_view(vals[:, i1 + d * i])[...] = state
+                # the first bad line of the block, then its first bad member
+                norm = np.abs(vals[:, _lines(i1, k, d)]).max(axis=tuple(range(2, vals.ndim)))
+                bad = ~(norm <= blowup)
+                if bad.any():
+                    j = int(bad.any(axis=0).argmax())
+                    r = int(bad[:, j].argmax())
+                    raise StepBlowup(f"state norm {norm[r, j]:.3e} exceeds {blowup:.1e}",
+                                     node=node(r, i1 + d * j))
 
-    # spine: vary iy at fixed ix0, in batches of one node; (target, start,
-    # midpoint, step) up from iy0, then down from it
-    cy = coef_y[:, ix0, None]
-    my = midpoint_samples(cy, axis=0)
-    rise = [(iy, iy - 1, iy - 1, h) for iy in range(iy0 + 1, grid.ny)]
-    fall = [(iy, iy + 1, iy, -h) for iy in range(iy0 - 1, -1, -1)]
-    target, start, mid, s = (list(v) for v in zip(*rise, *fall))
-    advance = steps(cy[start], my[mid], cy[target], np.array(s))
-    spine = np.empty(state0.shape[:-1] + (grid.ny,), state0.dtype)
-    spine[..., iy0] = state0[..., 0]
-    state = state0
-    for i, iy in enumerate(target):
-        state = advance(i, state0 if i == len(rise) else state)
-        _pair_view(out[iy:iy + 1, ix0])[...] = state
-        check(out[iy:iy + 1, ix0:ix0 + 1], iy, ix0)
-        spine[..., iy] = state[..., 0]
-
-    # rows: vary ix, batched over iy, right of ix0 then left of it; the steps
-    # of a block span the intervals first .. first + k - 1, walked in order d
-    width = max(1, _MARCH_BLOCK // grid.ny)
-    for d, end in ((1, grid.nx), (-1, -1)):
-        state = spine
-        for ix1 in range(ix0 + d, end, d * width):
-            k = min(width, abs(end - ix1))
-            first = ix1 - 1 if d > 0 else ix1 - k + 1
-            advance = steps(*(np.swapaxes(c, 0, 1) for c in (
-                coef_x[:, _lines(ix1 - d, k, d)], _block_midpoints(coef_x, first, k)[:, ::d],
-                coef_x[:, _lines(ix1, k, d)])), np.full(k, d * h))
-            for i in range(k):
-                state = advance(i, state)
-                _pair_view(out[:, ix1 + d * i])[...] = state
-            check(out[:, _lines(ix1, k, d)], 0, ix1, d)
+    if spine == "column":
+        lines(coef_y[:, ix0][None], out[:, ix0][None], iy0, lambda r, i: (i, ix0))
+        lines(coef_x, out, ix0, lambda r, i: (r, i))
+    else:
+        lines(coef_x[iy0][None], out[iy0][None], ix0, lambda r, i: (iy0, i))
+        lines(np.swapaxes(coef_y, 0, 1), np.swapaxes(out, 0, 1), iy0, lambda r, i: (i, r))
     return out
 
 
@@ -605,7 +598,7 @@ def _linear_steps(product, left):
     return steps
 
 
-def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup):
+def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup, spine):
     """Maurer-Cartan gate, then _march of a linear system by RK4 step matrices
     (see _linear_steps)."""
     if tau is None:
@@ -613,7 +606,7 @@ def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup):
     _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
           NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
     return _march(grid, p0, phi_x, phi_y, state0,
-                  _linear_steps(product, left), blowup)
+                  _linear_steps(product, left), blowup, spine)
 
 
 def _column_row(v):
@@ -667,29 +660,21 @@ def integrate_frame(
 
     phi_x, phi_y: (ny, nx, 2, 2, 4) connection coefficients; midpoint values
     are cubic interpolations of the samples.  The default path scheme runs
-    down the base column then along rows; spine="row" transposes it, which
-    is useful for certifying path independence.
+    down the base column then along rows; spine="row" runs along the base
+    row then down the columns, which is useful for certifying path
+    independence.
     """
     if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
-    args = (_pair_planes(f0, 2), _pair_matmul, False, tau, blowup)
-    if spine == "column":
-        return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, *args))
-    swapped = replace(grid, nx=grid.ny, ny=grid.nx, x0=grid.y0, y0=grid.x0,
-                      mask=None if grid.mask is None else grid.mask.T)
-    try:
-        vals = _linear_march(np.swapaxes(phi_y, 0, 1), np.swapaxes(phi_x, 0, 1), swapped,
-                             (p0[1], p0[0]), *args)
-    except StepBlowup as exc:  # name the node in the grid's own (iy, ix) order
-        raise StepBlowup(exc.args[0].rsplit(" (at node", 1)[0], node=exc.node[::-1]) from None
-    return FrameField(grid, np.swapaxes(vals, 0, 1))
+    return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, _pair_planes(f0, 2),
+                                          _pair_matmul, False, tau, blowup, spine))
 
 
 def integrate_left_vector(phi_x, phi_y, grid: GridSpec, v0, p0, tau=None):
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
     v0 = _pair_planes(v0, 1)
     return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
-                         BLOWUP_LIMIT)
+                         BLOWUP_LIMIT, "column")
 
 
 def integrate_riccati(
@@ -718,7 +703,7 @@ def integrate_riccati(
                                                 pb[..., i, :], s[i], mul)
 
     delta0 = _pair_planes(delta0, 0)
-    return _march(grid, p0, coef_x, coef_y, delta0, steps, BLOWUP_LIMIT)
+    return _march(grid, p0, coef_x, coef_y, delta0, steps, BLOWUP_LIMIT, "column")
 
 
 def laplacian(u, grid: GridSpec):

@@ -339,14 +339,7 @@ def apply_transforms(surface: PolarizedSurface, steps):
         elif op == "goursat":
             surface = goursat(surface, from_imag3(step["m"]))
         elif op == "darboux":
-            d0 = step.get("d0")
-            if d0 is None:
-                from .surfaces import normal_field
-
-                p0 = surface.grid.center_node()
-                nrm = normal_field(surface)
-                d0 = surface.f.value_at(p0) + nrm.values[p0[0], p0[1]]
-            surface = darboux_riccati(surface, lam, d0=d0)
+            surface = darboux_riccati(surface, lam, d0=step.get("d0"))
         elif op == "darboux_linear":
             surface = darboux_linear(surface, lam, v0=step["v0"])
         else:

@@ -390,7 +390,7 @@ def darboux_riccati(
     """Darboux transform via the Riccati equation for delta = Df - f.
 
     d(delta) = delta (lam dCf) delta - df, delta(p0) = d0 - f(p0), d0 a (4,)
-    array.
+    array; by default f(p0) plus the unit normal at p0.
     """
     grid = surface.grid
     p0 = p0 or grid.center_node()
@@ -398,7 +398,7 @@ def darboux_riccati(
     if cform is None:
         cform = christoffel_form(surface, df)
     if d0 is None:
-        raise ValueError("darboux_riccati needs an initial value d0 off the surface")
+        d0 = surface.f.value_at(p0) + normal_field(surface).values[p0[0], p0[1]]
     delta0 = np.asarray(d0, dtype=float) - surface.f.value_at(p0)
     if qnorm(delta0) < EPS_ON_SURFACE:
         raise SingularityHit("initial point lies on the surface", node=p0)
@@ -535,7 +535,6 @@ def permutability_suite(
     grid = surface.grid
     p0 = p0 or grid.center_node()
     mu = 0.4 * lam if mu is None else mu
-    f0 = surface.f.value_at(p0)
     # one dual form, one connection family and one frame of phi(lam)
     cform = christoffel_form(surface)
     iso = _certify_isothermic(surface)
@@ -548,9 +547,6 @@ def permutability_suite(
     _, p1 = moebius_equivalent(tt.second_point, tc.surface, seed=seed)
 
     # P2  (positioning lam (CDf - Cf) = (Df - f)^-1)
-    if d0 is None:
-        nrm = normal_field(surface)
-        d0 = f0 + nrm.values[p0[0], p0[1]]
     dar = darboux_riccati(surface, lam, p0, d0, cform=cform)
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)

@@ -9,6 +9,11 @@ here, unchanged, as the independent reference that ``integrate_frame`` and
 quaternion components that ``integrate_riccati`` ran before its states and
 coefficients became complex pairs.  The cubic midpoint samples are shared
 with the package; the gates and the blow-up check are not part of it.
+
+The path-scheme walks the package ran as loops of their own before they
+shared the march order of ``grid._walk_path`` are kept here too: the reach
+mask of ``grid._path_valid_mask`` and the sign continuation of
+``cmc._sign_continuity``.
 """
 
 from __future__ import annotations
@@ -128,3 +133,41 @@ def riccati(a_x, a_y, b_x, b_y, grid, delta0, p0):
         return qmul(qmul(state, p[..., 0, :]), state) - p[..., 1, :]
 
     return march(grid, p0, coef_x, coef_y, np.asarray(delta0, dtype=float), mul)
+
+
+def path_valid_mask(grid, p0):
+    """Nodes reachable from p0 along the spine-then-rows path scheme."""
+    valid = grid.valid()
+    iy0, ix0 = p0
+    reach_spine = np.zeros(grid.ny, dtype=bool)
+    reach_spine[iy0] = True
+    for iy in range(iy0 + 1, grid.ny):
+        reach_spine[iy] = reach_spine[iy - 1] and valid[iy, ix0]
+    for iy in range(iy0 - 1, -1, -1):
+        reach_spine[iy] = reach_spine[iy + 1] and valid[iy, ix0]
+    reach = np.zeros((grid.ny, grid.nx), dtype=bool)
+    reach[:, ix0] = reach_spine
+    for ix in range(ix0 + 1, grid.nx):
+        reach[:, ix] = reach[:, ix - 1] & valid[:, ix]
+    for ix in range(ix0 - 1, -1, -1):
+        reach[:, ix] = reach[:, ix + 1] & valid[:, ix]
+    return reach
+
+
+def sign_continuity(r, p0):
+    """Flip quaternion signs so the field is continuous along the path scheme."""
+    out = np.array(r, copy=True)
+    iy0, ix0 = p0
+    for iy in range(iy0 + 1, out.shape[0]):
+        if np.sum(out[iy, ix0] * out[iy - 1, ix0]) < 0:
+            out[iy, ix0] = -out[iy, ix0]
+    for iy in range(iy0 - 1, -1, -1):
+        if np.sum(out[iy, ix0] * out[iy + 1, ix0]) < 0:
+            out[iy, ix0] = -out[iy, ix0]
+    for ix in range(ix0 + 1, out.shape[1]):
+        flip = np.sum(out[:, ix] * out[:, ix - 1], axis=-1) < 0
+        out[flip, ix] = -out[flip, ix]
+    for ix in range(ix0 - 1, -1, -1):
+        flip = np.sum(out[:, ix] * out[:, ix + 1], axis=-1) < 0
+        out[flip, ix] = -out[flip, ix]
+    return out

@@ -419,6 +419,21 @@ def test_row_spine_names_node_in_grid_orientation(grid33):
                         spine="row", blowup=1e6)
     # e^(40 y) passes 1e6 at iy = 22, as in test_integrate_frame_blowup; column 0 first
     assert info.value.node == (22, 0)
+    assert str(info.value).count("(at node") == 1
+
+
+@pytest.mark.parametrize("spine", ["column", "row"])
+def test_gate_names_node_in_grid_orientation(spine):
+    """A NaN in phi_x at (4, 25) of a 29 x 37 grid: for either spine the
+    Maurer-Cartan gate names the first row-major node of the grid whose
+    residual is not finite, (3, 25), through the y-difference stencil."""
+    grid = GridSpec(-1.0, -0.75, 1.0 / 16, 37, 29)
+    phi_x = np.zeros((29, 37, 2, 2, 4))
+    phi_x[4, 25, 0, 0, 1] = np.nan
+    with pytest.raises(NotIntegrable) as info:
+        integrate_frame(phi_x, np.zeros_like(phi_x), grid, qm2_identity(), (14, 18),
+                        spine=spine)
+    assert info.value.node == (3, 25)
 
 
 def test_maurer_cartan_gate(grid65):

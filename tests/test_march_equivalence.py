@@ -8,7 +8,10 @@ node off the grid centre; so must
 integrate_riccati the real-component Riccati loop, for coefficients that
 vary over the grid and do not commute.  The cubic midpoints of a block of
 grid columns equal the whole-grid ones bit for bit, and so does every march
-whatever the width of its column blocks.
+whatever the width of its column blocks.  From a corner base node, where
+the spine and the lines each march in one direction only, the marches match
+the reference too; and the path-scheme walks (reach mask, sign
+continuation) equal the loops they replaced bit for bit.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 from isothermic import GridSpec, family_ribaucour_connection
 from isothermic import grid as grid_module
+from isothermic.cmc import _sign_continuity
 from isothermic.grid import (
     integrate_frame,
     integrate_left_vector,
@@ -118,3 +122,51 @@ def test_march_blocks_bit_identical(monkeypatch):
     monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid.ny)
     for got, want in zip(march(), whole):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("corner", ["first", "last"])
+def test_marches_from_a_corner_match_reference(corner):
+    # no step up from the last node, none down from the first, on either spine
+    grid = GridSpec(-1.0, -0.75, 1.0 / 16, 29, 37)
+    p0 = (0, 0) if corner == "first" else (grid.ny - 1, grid.nx - 1)
+    phi_x, phi_y, f0, _ = noncommuting(grid)
+    v0 = np.random.default_rng(6).normal(size=(2, 4))
+    for spine in ("column", "row"):
+        got = integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf, spine=spine)
+        _assert_close(got.values, ref.frame(phi_x, phi_y, grid, f0, p0, spine))
+    _assert_close(integrate_left_vector(phi_x, phi_y, grid, v0, p0, tau=np.inf),
+                  ref.left_vector(phi_x, phi_y, grid, v0, p0))
+    a_x, a_y, b_x, b_y, delta0 = riccati_coefficients(grid)
+    _assert_close(integrate_riccati(a_x, a_y, b_x, b_y, grid, delta0, p0),
+                  ref.riccati(a_x, a_y, b_x, b_y, grid, delta0, p0))
+
+
+# a 23 x 31 grid: its four corners, a node on each edge, two inside
+WALK_GRID = GridSpec(-1.0, -0.7, 1.0 / 16, 31, 23)
+WALK_BASES = ((0, 0), (0, 30), (22, 0), (22, 30), (0, 13), (9, 0), (22, 17), (15, 30),
+              (7, 19), (11, 15))
+
+
+@pytest.mark.parametrize("p0", WALK_BASES)
+def test_path_valid_mask_matches_reference(p0):
+    rng = np.random.default_rng(p0[0] * 31 + p0[1])
+    for density in (0.97, 0.9, 0.6):
+        mask = rng.random((WALK_GRID.ny, WALK_GRID.nx)) < density
+        mask[p0] = True
+        grid = WALK_GRID.with_mask(mask)
+        assert np.array_equal(grid_module._path_valid_mask(grid, p0),
+                              ref.path_valid_mask(grid, p0))
+
+
+@pytest.mark.parametrize("p0", WALK_BASES)
+def test_sign_continuity_matches_reference(p0):
+    # a smooth unit field under random sign flips, and a field of noise
+    rng = np.random.default_rng(p0[0] * 31 + p0[1])
+    z = WALK_GRID.zgrid()[..., None]
+    smooth = np.concatenate([np.cos(z.real), np.sin(z.real), np.cos(z.imag), np.sin(z.imag)],
+                            axis=-1) / np.sqrt(2.0)
+    flips = rng.choice((-1.0, 1.0), size=smooth.shape[:2] + (1,))
+    for r in (flips * smooth, rng.normal(size=smooth.shape)):
+        got = _sign_continuity(r, p0)
+        assert np.array_equal(got, ref.sign_continuity(r, p0))
+        assert not np.array_equal(got, r)

@@ -36,7 +36,7 @@ from isothermic.quaternion import (
     qmul,
     qnorm,
 )
-from isothermic.surfaces import fundamental_forms
+from isothermic.surfaces import fundamental_forms, normal_field
 
 import reference_permutability
 from conftest import inversion, moebius_image, sample_values
@@ -184,6 +184,18 @@ def test_darboux_routes_match_closed_form(plane129, grid129):
     assert qnorm(lin.f.values - target)[sel].max() < 5e-6
     assert qnorm(ric.f.values - target)[sel].max() < 5e-6
     assert qnorm(ric.f.values - lin.f.values)[sel].max() < 5e-6
+
+
+@pytest.mark.parametrize("p0", [None, (70, 50)], ids=["centre", "off_centre"])
+def test_darboux_riccati_default_start_point(catenoid129, p0):
+    """Without d0 the Riccati march starts one unit normal off f(p0): the
+    same transform, bit for bit, as the call with that point given."""
+    node = p0 or catenoid129.grid.center_node()
+    d0 = catenoid129.f.value_at(node) + normal_field(catenoid129).values[node]
+    want = darboux_riccati(catenoid129, 0.5, p0, d0)
+    got = darboux_riccati(catenoid129, 0.5, p0)
+    assert np.array_equal(got.f.values, want.f.values)
+    assert np.array_equal(got.grid.valid(), want.grid.valid())
 
 
 def test_darboux_lambda_zero_degenerates(plane129, grid129):
