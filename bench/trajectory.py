@@ -29,9 +29,11 @@ paired by seed.  A run is closed-loop for a fixed time, so a faster tree
 attempts more of a seed's input sequence than a slower one; failures are
 therefore counted only on the ops both runs of a pair attempted.  Every
 acceptance residual that differs between the trees is listed with its
-relative change, unless the trees ran at different SIMD dispatch: residual
-reprs differ between dispatch levels by rounding, so then only the count is
-printed.
+relative change and its B/A ratio, unless the trees ran at different SIMD
+dispatch: residual reprs differ between dispatch levels by rounding, so then
+only the count is printed.  At the same dispatch a residual whose ratio is
+above RESIDUAL_GROWTH is marked RESIDUAL GREW, and --compare exits 1: a
+change that costs accuracy shows even where every tolerance still passes.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("permutability", "curvature_frame", "cmc_export")
+
+#: B/A ratio above which an acceptance residual counts as grown; rounding
+#: alone has moved residuals by a few per cent
+RESIDUAL_GROWTH = 2.0
 
 #: a report line of tests/test_acceptance.py (pytest's progress dots may precede it)
 REPORT_LINE = re.compile(
@@ -212,36 +218,50 @@ def compare_dispatch(env_a, env_b):
 
 
 def compare_acceptance(a, b, same_dispatch=True):
-    """Print every acceptance residual that differs between A and B; at
-    different SIMD dispatch only their count."""
+    """Print every acceptance residual that differs between A and B, with its
+    B/A ratio, marking one above RESIDUAL_GROWTH (a residual of 0 in A has no
+    ratio); at different SIMD dispatch only their count.  Returns the names
+    of the residuals that grew."""
     if not (a and b):
         print("acceptance residuals: not recorded in " + " and ".join(
             side for side, acc in (("A", a), ("B", b)) if not acc))
-        return
+        return []
     differ = [name for name in a if name in b and a[name]["residual"] != b[name]["residual"]]
     print(f"acceptance residuals: {len(differ)} of {len([n for n in a if n in b])} differ")
     if not same_dispatch:
         print("  not listed: the trees ran at different SIMD dispatch, where residual "
               "reprs differ by rounding")
-        return
+        return []
+    grew = []
     for name in differ:
         ra, rb = a[name]["residual"], b[name]["residual"]
         change = f"{(rb - ra) / abs(ra):+.3e}" if ra else "n/a"
-        print(f"  {name}: A {ra!r}  B {rb!r}  relative change {change}")
+        mark = ""
+        if ra and rb / ra > RESIDUAL_GROWTH:
+            grew.append(name)
+            mark = "  RESIDUAL GREW"
+        print(f"  {name}: A {ra!r}  B {rb!r}  relative change {change}"
+              f"  B/A {_ratio(rb, ra)}{mark}")
     for side, x, y in (("A", a, b), ("B", b, a)):
         for name in [n for n in x if n not in y]:
             print(f"  {name}: only in {side}")
+    if grew:
+        print(f"RESIDUAL GREW: {len(grew)} acceptance residual(s) above "
+              f"{RESIDUAL_GROWTH:g} times A")
+    return grew
 
 
 def compare(ref_a, ref_b):
-    """Print B against A: acceptance residuals, then workload by workload."""
+    """Print B against A: acceptance residuals, then workload by workload.
+    Returns the names of the acceptance residuals that grew (see
+    compare_acceptance)."""
     spec = _spec()
     name_a, a = _load(ref_a)
     name_b, b = _load(ref_b)
     print(f"A = {name_a} ({a['tree_commit']}), B = {name_b} ({b['tree_commit']}); "
           "ratios are B/A, base A")
     same_dispatch = compare_dispatch(a.get("env", {}), b.get("env", {}))
-    compare_acceptance(a.get("acceptance"), b.get("acceptance"), same_dispatch)
+    grew = compare_acceptance(a.get("acceptance"), b.get("acceptance"), same_dispatch)
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         pairs = [(ra, rb) for ra in wa["runs"] for rb in wb["runs"] if ra["seed"] == rb["seed"]]
@@ -273,12 +293,14 @@ def compare(ref_a, ref_b):
         for name in [n for n in la if n in lb and (la[n]["value"] or lb[n]["value"])]:
             va, vb = la[name]["value"], lb[name]["value"]
             print(f"    {name} [{la[name]['unit']}]: A {va:.6g}  B {vb:.6g}  B/A {_ratio(vb, va)}")
+    return grew
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
-                   help="compare two measured trees, each FILE[:LABEL]")
+                   help="compare two measured trees, each FILE[:LABEL]; exits 1 when an "
+                        "acceptance residual grew")
     p.add_argument("--pr", type=int, help="writes BENCH_<pr>.json in the repository root")
     p.add_argument("--tree", action="append", metavar="LABEL=DIR",
                    help="a tree to measure (repeatable; default: change=the repository root)")
@@ -287,8 +309,7 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=36.0, help="perfbench's --seconds")
     args = p.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return 0
+        return 1 if compare(*args.compare) else 0
     if args.pr is None:
         p.error("--pr is needed to measure (or give --compare)")
     trees = []

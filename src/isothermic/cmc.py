@@ -22,6 +22,7 @@ from .errors import (
     DegenerateTangent,
     FrameUnavailable,
     InitialOnBoundary,
+    MaskedRegion,
     NotClosed,
     PatternMismatch,
     UmbilicRegion,
@@ -348,19 +349,25 @@ def mean_curvature_hyperbolic(f: QField, lam: float):
     conformal factor 1/(2|lam| t): H = 2|lam| (t H_e + n_i), with the
     global orientation sign of the normal field left as reported.
 
-    Returns (field, mean, std) over the valid interior.
+    Returns (field, mean, std) over the valid interior; MaskedRegion where
+    no valid interior node is left.
     """
     if lam == 0:
         raise ValueError("hyperbolic oracle needs lam != 0")
     grid = f.grid
     heights = f.values[..., 1]
     sel0 = grid.valid()
+    empty = MaskedRegion("mean curvature: no valid interior node is left")
+    if not sel0.any():
+        raise empty
     sign = 1.0 if np.median(heights[sel0]) >= 0 else -1.0
     vals = f.values if sign > 0 else _reflect_i(f.values)
     surf = PolarizedSurface(QField(grid, vals), "dz2")
     ff = fundamental_forms(surf)
     t = vals[..., 1]
     sel = sel0 & ff.valid & grid.interior()
+    if not sel.any():
+        raise empty
     if (t[sel] < EPS_HEIGHT).any():
         raise BoundaryContact("surface touches the boundary plane")
     h_e = ff.mean_curvature()

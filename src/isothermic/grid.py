@@ -347,11 +347,11 @@ def closedness_residual(omega: QForm1) -> float:
     """
     grid = omega.grid
     point, valid = _closedness_point(omega)
+    if not valid.any():
+        raise MaskedNeighbor("no interior plaquettes")
     scale = max(qnorm(omega.px)[grid.valid()].max(), qnorm(omega.py)[grid.valid()].max())
     if scale < 1e-300:
         return 0.0
-    if not valid.any():
-        raise MaskedNeighbor("no interior plaquettes")
     return float(point[valid].max() / scale)
 
 
@@ -598,13 +598,17 @@ def _linear_steps(product, left):
     return steps
 
 
-def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup, spine):
+def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup, spine,
+                  curvature_norm):
     """Maurer-Cartan gate, then _march of a linear system by RK4 step matrices
-    (see _linear_steps)."""
+    (see _linear_steps).  A known pointwise curvature norm (ny, nx) of Phi
+    can pass the gate (see _curvature_residual); where it does not, the gate
+    computes maurer_cartan_residual and decides by that."""
     if tau is None:
         tau = grid_tolerance(grid, TAU_MC)
-    _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
-          NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
+    if not _curvature_residual(curvature_norm, phi_x, phi_y, grid) <= tau:
+        _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
+              NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
     return _march(grid, p0, phi_x, phi_y, state0,
                   _linear_steps(product, left), blowup, spine)
 
@@ -627,6 +631,13 @@ def _maurer_cartan_point(phi_x, phi_y, grid):
     return qm2_norm(d + comm), dilate_invalid(grid.valid())
 
 
+def _connection_scale(phi_x, phi_y, grid):
+    """1 + the largest entry norm of Phi over the valid nodes; nan where a
+    valid node of either coefficient holds a nan."""
+    valid = grid.valid()
+    return 1.0 + np.maximum(qm2_norm(phi_x)[valid].max(), qm2_norm(phi_y)[valid].max())
+
+
 def maurer_cartan_residual(phi_x, phi_y, grid) -> float:
     """Normalized residual of d(Phi) + Phi^Phi over interior plaquettes.
 
@@ -635,15 +646,26 @@ def maurer_cartan_residual(phi_x, phi_y, grid) -> float:
     try:
         with np.errstate(over="raise", invalid="raise"):
             point, valid = _maurer_cartan_point(phi_x, phi_y, grid)
-            scale = 1.0 + max(
-                qm2_norm(phi_x)[grid.valid()].max(), qm2_norm(phi_y)[grid.valid()].max()
-            )
             if not valid.any():
                 raise MaskedNeighbor("no interior plaquettes")
-            return float(grid.h * point[valid].max() / scale)
+            return float(grid.h * point[valid].max() / _connection_scale(phi_x, phi_y, grid))
     except FloatingPointError:
         raise NotIntegrable("Maurer-Cartan residual overflows: the connection is "
                             "beyond the float range") from None
+
+
+@np.errstate(all="ignore")
+def _curvature_residual(point, phi_x, phi_y, grid):
+    """maurer_cartan_residual of Phi read from its pointwise curvature norm
+    point (ny, nx); nan where point is None, no plaquette is gated or the
+    scale is not finite (an overflow that maurer_cartan_residual reports)."""
+    if point is None:
+        return np.nan
+    valid = dilate_invalid(grid.valid())
+    if not valid.any():
+        return np.nan
+    scale = _connection_scale(phi_x, phi_y, grid)
+    return grid.h * point[valid].max() / scale if np.isfinite(scale) else np.nan
 
 
 def integrate_frame(
@@ -655,6 +677,7 @@ def integrate_frame(
     tau=None,
     blowup=BLOWUP_LIMIT,
     spine="column",
+    curvature_norm=None,
 ) -> FrameField:
     """Solve dF = F Phi along grid lines by RK4: F(p0) = f0.
 
@@ -662,19 +685,24 @@ def integrate_frame(
     are cubic interpolations of the samples.  The default path scheme runs
     down the base column then along rows; spine="row" runs along the base
     row then down the columns, which is useful for certifying path
-    independence.
+    independence.  curvature_norm, the pointwise norm (ny, nx) of d(Phi) +
+    Phi^Phi where it is known in closed form, lets the Maurer-Cartan gate
+    pass without computing the curvature from phi.
     """
     if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
     return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, _pair_planes(f0, 2),
-                                          _pair_matmul, False, tau, blowup, spine))
+                                          _pair_matmul, False, tau, blowup, spine,
+                                          curvature_norm))
 
 
-def integrate_left_vector(phi_x, phi_y, grid: GridSpec, v0, p0, tau=None):
-    """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field."""
+def integrate_left_vector(phi_x, phi_y, grid: GridSpec, v0, p0, tau=None,
+                          curvature_norm=None):
+    """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field;
+    curvature_norm as for integrate_frame."""
     v0 = _pair_planes(v0, 1)
     return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
-                         BLOWUP_LIMIT, "column")
+                         BLOWUP_LIMIT, "column", curvature_norm)
 
 
 def integrate_riccati(

@@ -29,11 +29,13 @@ from .grid import (
     GridSpec,
     QField,
     QForm1,
+    curl,
     d_field_hi,
     integrate_form,
     integrate_frame,
     integrate_left_vector,
     integrate_riccati,
+    wedge,
 )
 from .quaternion import (
     cross_ratio_class_array,
@@ -44,6 +46,7 @@ from .quaternion import (
     qm2_mul,
     qmul,
     qnorm,
+    qnormsq,
 )
 from .surfaces import (
     TAU_ISOTHERMIC,
@@ -139,7 +142,10 @@ class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 
     phi(lam) = const + lam * slope entrywise; frame0 projects to the
-    underlying surface in the chart v1 v2^-1.
+    underlying surface in the chart v1 v2^-1.  A family whose Maurer-Cartan
+    curvature is known in closed form carries it as curvature = (n0, n1,
+    shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2 =
+    n0 + (shift + lam)^2 n1 at every node (see canonical_connection).
     """
 
     grid: GridSpec
@@ -149,9 +155,23 @@ class FrameConnection:
     slope_x: np.ndarray
     slope_y: np.ndarray
     p0: tuple
+    curvature: tuple | None = None
 
     def phi(self, lam):
         return self.const_x + lam * self.slope_x, self.const_y + lam * self.slope_y
+
+    def shifted_curvature(self, lam):
+        """The curvature of the family mu -> phi(lam + mu), or None."""
+        if self.curvature is not None:
+            n0, n1, shift = self.curvature
+            return n0, n1, shift + lam
+
+    def curvature_norm(self, lam):
+        """Pointwise curvature norm (ny, nx) of phi(lam), or None."""
+        if self.curvature is not None:
+            n0, n1, t = self.shifted_curvature(lam)
+            with np.errstate(all="ignore"):
+                return np.sqrt(n0 + t * t * n1)
 
     def frame0_at_p0(self):
         return self.frame0[self.p0[0], self.p0[1]]
@@ -175,6 +195,9 @@ def canonical_connection(
 
     phi(lam) = [[0, lam dCf], [df, 0]]; supplying cform (e.g. an analytic
     dual form) skips the internal Christoffel certificate and gains accuracy.
+    With a = dCf and b = df its curvature is [[lam a^b, lam da], [db,
+    lam b^a]], whose lam-free and lam-linear parts share no entry: the
+    family carries n0 = |db|^2 and n1 = |da|^2 + |a^b|^2 + |b^a|^2.
     """
     grid = surface.grid
     p0 = p0 or grid.center_node()
@@ -193,7 +216,12 @@ def canonical_connection(
     frame0[..., 0, 0, :] = surface.f.values
     frame0[..., 0, 1, 0] = 1.0
     frame0[..., 1, 0, 0] = 1.0
-    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)
+    with np.errstate(all="ignore"):
+        n0 = qnormsq(curl(df))
+        n1 = (qnormsq(curl(cform)) + qnormsq(wedge(cform, df).values)
+              + qnormsq(wedge(df, cform).values))
+    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0,
+                           (n0, n1, 0.0))
 
 
 def affine_chart(vec):
@@ -223,16 +251,16 @@ def t_transform_via_connection(
     provenance=(),
 ) -> TTransformResult:
     phi_x, phi_y = conn.phi(lam)
-    frame_id = integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0)
+    frame_id = integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0,
+                               curvature_norm=conn.curvature_norm(lam))
     composed = qm2_mul(conn.frame0_at_p0(), frame_id.values)
     surf_vals, ok1 = affine_chart(composed[..., :, 0, :])
     second_vals, ok2 = affine_chart(composed[..., :, 1, :])
     grid1 = conn.grid.merge_mask(ok1)
     surface = PolarizedSurface(QField(grid1, surf_vals), polarization, provenance)
     second = QField(conn.grid.merge_mask(ok2), second_vals)
-    out_conn = FrameConnection(
-        conn.grid, composed, phi_x, phi_y, conn.slope_x, conn.slope_y, conn.p0
-    )
+    out_conn = FrameConnection(conn.grid, composed, phi_x, phi_y, conn.slope_x,
+                               conn.slope_y, conn.p0, conn.shifted_curvature(lam))
     return TTransformResult(surface, frame_id, second, out_conn)
 
 
@@ -330,11 +358,13 @@ def darboux_via_connection(
     if w0.shape != (2, 4):
         raise ValueError("w0 must be a homogeneous column (2, 4)")
     if not chain:
-        w = integrate_left_vector(phi_x, phi_y, conn.grid, w0, conn.p0)
+        w = integrate_left_vector(phi_x, phi_y, conn.grid, w0, conn.p0,
+                                  curvature_norm=conn.curvature_norm(lam))
         homog = qm2_matvec(conn.frame0, w)
         out_conn = None
     else:
-        y = frame or integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0)
+        y = frame or integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0,
+                                     curvature_norm=conn.curvature_norm(lam))
         y_inv = qm2_inv(y.values)
         w = qm2_matvec(y_inv, w0)
         homog = qm2_matvec(conn.frame0, w)

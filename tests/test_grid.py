@@ -6,6 +6,7 @@ import pytest
 
 from isothermic import (
     GridSpec,
+    MaskedNeighbor,
     MaskedRegion,
     NotClosed,
     NotIntegrable,
@@ -458,6 +459,22 @@ def test_maurer_cartan_gate_threshold(grid33):
     assert tau < maurer_cartan_residual(phix, phiy, grid33) < 10 * tau
     with pytest.raises(NotIntegrable):
         integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node())
+
+
+@pytest.mark.parametrize("gate", [
+    lambda phi, form, grid: maurer_cartan_residual(phi, phi, grid),
+    lambda phi, form, grid: closedness_residual(form),
+    lambda phi, form, grid: integrate_frame(phi, phi, grid, qm2_identity(), (8, 8)),
+    lambda phi, form, grid: integrate_form(form, (8, 8), np.zeros(4)),
+], ids=["maurer_cartan_residual", "closedness_residual", "integrate_frame", "integrate_form"])
+def test_all_masked_grid_has_no_plaquettes(gate):
+    """On a grid whose every node is masked the gates find no plaquette to
+    gate and say so, before any scale is taken over the empty selection."""
+    grid = GridSpec.square(1.0, 17).with_mask(np.zeros((17, 17), dtype=bool))
+    phi = np.zeros((17, 17, 2, 2, 4))
+    form = QForm1(grid, *_zero_form(grid))
+    with pytest.raises(MaskedNeighbor, match="no interior plaquettes"):
+        gate(phi, form, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -725,6 +726,27 @@ def test_cli_rejects_malformed_surface_file(tmp_path, capsys, edit, message):
     assert code == 2
     assert err.startswith("configuration error") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("valid", [0, 1], ids=["all_masked", "one_valid_node"])
+def test_cli_mean_curvature_on_a_masked_surface(tmp_path, capsys, valid):
+    """A surface file with no valid interior node left fails the mean
+    curvature check as a masked region, not with a non-finite residual."""
+    def edit(doc):
+        doc["grid"]["mask"] = [0] * 289
+        doc["grid"]["mask"][144] = valid
+
+    cfg = _surface_file(tmp_path, edit)
+    raw = json.loads(Path(cfg).read_text())
+    raw["verify"] = {"mean_curvature": True}
+    Path(cfg).write_text(json.dumps(raw))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: mean curvature: no valid interior node is left")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_family_overflow_names_node(tmp_path, capsys):

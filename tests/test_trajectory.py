@@ -129,3 +129,30 @@ def test_dispatch_env_lists_enabled_features():
     env = trajectory.dispatch_env()
     assert env["cpu_model"] and env["cpu_features"] == sorted(env["cpu_features"])
     assert all(isinstance(name, str) for name in env["cpu_features"])
+
+
+def test_compare_gates_residual_growth_at_the_same_dispatch(tmp_path, capsys):
+    """A residual that grew by more than RESIDUAL_GROWTH is marked and makes
+    --compare exit 1; growth by exactly that factor is not marked."""
+    path = _dispatch_file(tmp_path, ["SSE2"], ["SSE2"])
+    assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 0
+    out = capsys.readouterr().out
+    assert "  criterion 5 (group law): A 2e-08  B 4e-08  relative change +1.000e+00  B/A 2.0000\n" in out
+    assert "RESIDUAL GREW" not in out
+    doc = json.loads(path.read_text())
+    doc["trees"]["change"]["acceptance"]["criterion 5 (group law)"]["residual"] = 4.2e-8
+    path.write_text(json.dumps(doc))
+    assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 1
+    out = capsys.readouterr().out
+    assert "B/A 2.1000  RESIDUAL GREW" in out
+    assert "RESIDUAL GREW: 1 acceptance residual(s) above 2 times A" in out
+
+
+def test_compare_does_not_gate_residuals_across_dispatch_levels(tmp_path, capsys):
+    """Across dispatch levels residuals differ by rounding: growth is not gated."""
+    path = _dispatch_file(tmp_path, ["AVX2", "SSE2"], ["SSE2"])
+    doc = json.loads(path.read_text())
+    doc["trees"]["change"]["acceptance"]["criterion 5 (group law)"]["residual"] = 1e-6
+    path.write_text(json.dumps(doc))
+    assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 0
+    assert "RESIDUAL GREW" not in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import importlib
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from isothermic import (
     FrameField,
     GridSpec,
     NotClosed,
+    NotIntegrable,
     PolarizedSurface,
     QField,
     QForm1,
+    WeierstrassData,
+    boundary_connection,
     canonical_connection,
     christoffel,
     christoffel_form,
@@ -19,13 +23,23 @@ from isothermic import (
     darboux_riccati,
     darboux_via_connection,
     goursat,
+    integrate_frame,
     moebius_equivalent,
     permutability_suite,
     t_transform,
     t_transform_gauged,
+    t_transform_via_connection,
     wedge,
+    weierstrass_minimal,
 )
 from isothermic import oracles as oc
+from isothermic.grid import (
+    _connection_scale,
+    _curvature_residual,
+    _maurer_cartan_point,
+    integrate_left_vector,
+    maurer_cartan_residual,
+)
 from isothermic.quaternion import (
     qinv,
     qinv_masked,
@@ -464,16 +478,20 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("suite, expected", [
-    ("reference", {"grid.integrate_frame": 5, "grid.maurer_cartan_residual": 6,
+    ("reference", {"grid.integrate_frame": 5, "grid.maurer_cartan_residual": 1,
                    "surfaces.isothermic_certificate": 6, "surfaces.surface_jets": 7,
                    "transforms.canonical_connection": 3, "transforms.t_transform": 2,
-                   "quaternion.qm2_mul": 26}),
-    ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 5,
+                   "quaternion.qm2_mul": 16}),
+    ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 1,
                 "surfaces.isothermic_certificate": 3, "surfaces.surface_jets": 4,
                 "transforms.canonical_connection": 2, "transforms.t_transform": 1,
-                "quaternion.qm2_mul": 24}),
+                "quaternion.qm2_mul": 16}),
 ])
 def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
+    """Every march of a canonical family, or of a family a spectral transform
+    inherits from one, passes its Maurer-Cartan gate on the curvature
+    polynomial; only the gauged Darboux-chain family is gated by
+    maurer_cartan_residual and its two qm2_mul calls."""
     run = {"reference": reference_permutability.permutability_suite,
            "shared": permutability_suite}[suite]
     counts = _count_calls(monkeypatch)
@@ -512,3 +530,97 @@ def test_distinct_darboux_members_differ(plane129, grid129):
     rhs = darboux_via_connection(conn, 1.0, v0b).surface
     eq, res = moebius_equivalent(lhs, rhs, seed=11)
     assert not eq and res > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the Maurer-Cartan gate of a canonical family, from its curvature polynomial
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def canonical_families(grid65):
+    """Canonical families on the example plane, on Enneper's surface and on
+    the boundary map -jg of the family Weierstrass data (analytic dual)."""
+    plane = WeierstrassData.sample(grid65, lambda z: z, lambda z: 1.0 + 0j,
+                                   lambda z: 1.0 + 0j)
+    family = WeierstrassData.sample(grid65, lambda z: oc.family_g(z, 0.5),
+                                    lambda z: oc.family_w(z, 0.5),
+                                    lambda z: oc.family_dg(z, 0.5))
+    return {
+        "example": canonical_connection(PolarizedSurface.sample(grid65, oc.f_plane, "dzbar2")),
+        "weierstrass": canonical_connection(weierstrass_minimal(plane)),
+        "boundary": boundary_connection(family),
+    }
+
+
+@pytest.mark.parametrize("inherited", [False, True], ids=["canonical", "inherited"])
+@pytest.mark.parametrize("lam", [-1.3, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("name", ["example", "weierstrass", "boundary"])
+def test_curvature_polynomial_equals_maurer_cartan(canonical_families, name, lam, inherited):
+    """The pointwise curvature norm sqrt(n0 + t^2 n1) and the residual read
+    from it equal the Maurer-Cartan curvature computed from phi(lam), to
+    1e-15 on the gate's normalised scale h |.| / (1 + max |phi|); so does
+    the family a spectral transform at mu returns, at lam - mu."""
+    conn = canonical_families[name]
+    if inherited:
+        mu = 0.4
+        conn, lam = t_transform_via_connection(conn, mu).connection, lam - mu
+    grid = conn.grid
+    phi_x, phi_y = conn.phi(lam)
+    point, valid = _maurer_cartan_point(phi_x, phi_y, grid)
+    poly = conn.curvature_norm(lam)
+    scale = _connection_scale(phi_x, phi_y, grid)
+    assert (np.abs(poly - point)[valid] * grid.h / scale).max() <= 1e-15
+    got = _curvature_residual(poly, phi_x, phi_y, grid)
+    assert abs(got - maurer_cartan_residual(phi_x, phi_y, grid)) <= 1e-15
+
+
+def _failure(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value), getattr(info.value, "node", None)
+
+
+@pytest.mark.parametrize("coef", ["const_x", "const_y"])
+def test_curvature_gate_falls_back_on_a_nan(grid33, coef):
+    """A NaN planted in df after the family is built is not in its curvature
+    polynomial: the gate falls back to maurer_cartan_residual and fails as
+    the raw arrays do, with the same error, message and node."""
+    conn = canonical_connection(PolarizedSurface.sample(grid33, oc.f_plane, "dzbar2"))
+    getattr(conn, coef)[20, 11, 1, 0, 2] = np.nan
+    phi_x, phi_y = conn.phi(0.7)
+    want = _failure(lambda: integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0))
+    assert want[0] is NotIntegrable and want[2] is not None
+    assert _failure(lambda: t_transform_via_connection(conn, 0.7)) == want
+    want = _failure(lambda: integrate_left_vector(phi_x, phi_y, conn.grid, V0_SEED, conn.p0))
+    assert _failure(lambda: darboux_via_connection(conn, 0.7, V0_SEED)) == want
+
+
+@pytest.mark.parametrize("size, lam", [(1.0, 1e300), (0.5, 1e154)])
+def test_curvature_gate_falls_back_on_overflow(grid33, size, lam):
+    """The gate reports maurer_cartan_residual's overflow, with no
+    RuntimeWarning, where the curvature polynomial overflows (lam = 1e300)
+    and where only the scale 1 + max |phi| does: on the plane f = z / 2, at
+    lam = 1e154, |phi|^2 = 4 lam^2 + 1/4 is beyond the float range while
+    the curvature is rounding."""
+    surface = PolarizedSurface.sample(grid33, lambda z: size * oc.f_plane(z), "dzbar2")
+    conn = canonical_connection(surface)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi_x, phi_y = conn.phi(lam)
+        want = _failure(lambda: integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(),
+                                                conn.p0))
+        got = _failure(lambda: t_transform_via_connection(conn, lam))
+    assert got == want
+    assert want[0] is NotIntegrable and want[1].startswith("Maurer-Cartan residual overflows")
+
+
+def test_curvature_gate_decides_only_a_pass(grid33):
+    """A curvature norm above the threshold does not fail the march: the gate
+    computes maurer_cartan_residual, which passes this flat family, and the
+    frame is bit for bit the one marched without a curvature norm."""
+    conn = canonical_connection(PolarizedSurface.sample(grid33, oc.f_plane, "dzbar2"))
+    phi_x, phi_y = conn.phi(0.7)
+    want = integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0).values
+    got = integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0,
+                          curvature_norm=np.full((grid33.ny, grid33.nx), 1e6)).values
+    assert np.array_equal(got, want)
