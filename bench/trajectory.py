@@ -34,6 +34,12 @@ dispatch: residual reprs differ between dispatch levels by rounding, so then
 only the count is printed.  At the same dispatch a residual whose ratio is
 above RESIDUAL_GROWTH is marked RESIDUAL GREW, and --compare exits 1: a
 change that costs accuracy shows even where every tolerance still passes.
+Every refinement order both trees print is listed too, at any dispatch (it
+prints with two decimals); one that dropped by more than ORDER_DROP is marked
+ORDER DROPPED, and --compare exits 1.  The orders of criteria 1-4 are
+labelled not order evidence and not gated: their marches run on the plane,
+whose canonical connection has constant coefficients, so no march's midpoint
+order shows in them (criterion 2's Enneper lines march nothing at all).
 """
 
 from __future__ import annotations
@@ -53,6 +59,13 @@ WORKLOADS = ("permutability", "curvature_frame", "cmc_export")
 #: B/A ratio above which an acceptance residual counts as grown; rounding
 #: alone has moved residuals by a few per cent
 RESIDUAL_GROWTH = 2.0
+
+#: drop of a printed refinement order that counts as lost order; rounding
+#: moves a printed order by a few hundredths
+ORDER_DROP = 0.3
+
+#: acceptance lines that run on the plane (criteria 1-4, not 10)
+PLANE_LINE = re.compile(r"criterion [1-4](?!\d)")
 
 #: a report line of tests/test_acceptance.py (pytest's progress dots may precede it)
 REPORT_LINE = re.compile(
@@ -251,10 +264,36 @@ def compare_acceptance(a, b, same_dispatch=True):
     return grew
 
 
+def compare_orders(a, b):
+    """Print every refinement order that A and B both record, marking a drop
+    of more than ORDER_DROP on a line outside criteria 1-4; those are
+    labelled not order evidence.  Returns the names of the lines whose order
+    dropped."""
+    both = [n for n in a if n in b and "order" in a[n] and "order" in b[n]]
+    if not both:
+        return []
+    print(f"refinement orders: {len(both)} lines")
+    dropped = []
+    for name in both:
+        oa, ob = a[name]["order"], b[name]["order"]
+        mark = ""
+        if PLANE_LINE.match(name):
+            mark = "  not order evidence (criteria 1-4)"
+        elif ob < oa - ORDER_DROP:
+            dropped.append(name)
+            mark = "  ORDER DROPPED"
+        print(f"  {name}: A {oa!r}  B {ob!r}{mark}")
+    if dropped:
+        print(f"ORDER DROPPED: {len(dropped)} refinement order(s) more than "
+              f"{ORDER_DROP:g} below A")
+    return dropped
+
+
 def compare(ref_a, ref_b):
-    """Print B against A: acceptance residuals, then workload by workload.
-    Returns the names of the acceptance residuals that grew (see
-    compare_acceptance)."""
+    """Print B against A: acceptance residuals and refinement orders, then
+    workload by workload.  Returns the names of the acceptance lines whose
+    residual grew or whose order dropped (see compare_acceptance and
+    compare_orders)."""
     spec = _spec()
     name_a, a = _load(ref_a)
     name_b, b = _load(ref_b)
@@ -262,6 +301,7 @@ def compare(ref_a, ref_b):
           "ratios are B/A, base A")
     same_dispatch = compare_dispatch(a.get("env", {}), b.get("env", {}))
     grew = compare_acceptance(a.get("acceptance"), b.get("acceptance"), same_dispatch)
+    grew += compare_orders(a.get("acceptance") or {}, b.get("acceptance") or {})
     for workload in [w for w in a["workloads"] if w in b["workloads"]]:
         wa, wb = a["workloads"][workload], b["workloads"][workload]
         pairs = [(ra, rb) for ra in wa["runs"] for rb in wb["runs"] if ra["seed"] == rb["seed"]]
@@ -300,7 +340,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="compare two measured trees, each FILE[:LABEL]; exits 1 when an "
-                        "acceptance residual grew")
+                        "acceptance residual grew or a refinement order dropped")
     p.add_argument("--pr", type=int, help="writes BENCH_<pr>.json in the repository root")
     p.add_argument("--tree", action="append", metavar="LABEL=DIR",
                    help="a tree to measure (repeatable; default: change=the repository root)")

@@ -611,9 +611,8 @@ def family_ribaucour_connection(grid: GridSpec, lam: float, p0=None) -> FrameCon
 
     p0 = p0 or grid.center_node()
     zs = grid.zgrid()
-    fvals = oracles.minimal_family(zs, lam)
-    spin = _sign_continuity(oracles.family_spin(zs, lam), p0)
-    u, dzu = oracles.family_log_metric(zs, lam)
+    fvals, spin, (u, dzu) = oracles.family_frame_parts(zs, lam)
+    spin = _sign_continuity(spin, p0)
     return _ribaucour_from_parts(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
 
 

@@ -477,18 +477,29 @@ def midpoint_samples(coef, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def _block_lines(stencil, values, axis, first, count, reach):
+    """stencil(values)[first:first + count] along axis, bit for bit, from the
+    lines of values it reads.  reach = (before, after, width): the stencil
+    reads `before` lines before the block and `after` lines after it, and
+    `width` lines where its one-sided formulas meet an edge of the grid."""
+    before, after, width = reach
+    n = values.shape[axis]
+    lo = max(0, min(first - before, n - width))
+    hi = min(n, max(first + count + after, lo + width))
+    lead = (slice(None),) * axis
+    out = stencil(values[lead + (slice(lo, hi),)])
+    return out[lead + (slice(first - lo, first - lo + count),)]
+
+
 def _block_midpoints(coef, first, count):
-    """midpoint_samples(coef, axis=1)[:, first:first + count], bit for bit,
-    from the columns its stencils read: a halo of one column before the
-    block and two after it, widened to the four columns the one-sided
-    formulas read where the block meets a grid edge."""
-    n = coef.shape[1]
-    lo = max(0, min(first - 1, n - 4))
-    hi = min(n, max(first + count + 2, lo + 4))
-    return midpoint_samples(coef[:, lo:hi], axis=1)[:, first - lo:first - lo + count]
+    """midpoint_samples(coef, axis=1)[:, first:first + count], bit for bit:
+    the cubic stencils read one column before a block and two after it, and
+    the four columns at a grid edge."""
+    return _block_lines(partial(midpoint_samples, axis=1), coef, 1, first, count, (1, 2, 4))
 
 
-#: nodes per block of grid columns whose RK4 steps a march prepares at once
+#: nodes per block of grid columns whose RK4 steps a march prepares at once,
+#: and per block of grid rows whose Maurer-Cartan curvature a gate computes
 _MARCH_BLOCK = 4096
 
 
@@ -625,10 +636,21 @@ def _column_product(v, m):
 
 
 def _maurer_cartan_point(phi_x, phi_y, grid):
-    """Pointwise |d(Phi) + Phi^Phi| and the nodes whose plaquettes are gated."""
-    d = diff_x(phi_y, grid.h) - diff_y(phi_x, grid.h)
-    comm = qm2_mul(phi_x, phi_y) - qm2_mul(phi_y, phi_x)
-    return qm2_norm(d + comm), dilate_invalid(grid.valid())
+    """Pointwise |d(Phi) + Phi^Phi| and the nodes whose plaquettes are gated.
+
+    Computed over blocks of grid rows of about _MARCH_BLOCK nodes, so that no
+    temporary spans the whole grid; the y-derivative of a block reads one row
+    on either side of it, and three rows at a grid edge.
+    """
+    point = np.empty((grid.ny, grid.nx))
+    rows = max(1, _MARCH_BLOCK // grid.nx)
+    for first in range(0, grid.ny, rows):
+        block = slice(first, first + rows)
+        px, py = phi_x[block], phi_y[block]
+        d = diff_x(py, grid.h) - _block_lines(partial(diff_y, h=grid.h), phi_x, 0, first,
+                                              len(px), (1, 1, 3))
+        point[block] = qm2_norm(d + (qm2_mul(px, py) - qm2_mul(py, px)))
+    return point, dilate_invalid(grid.valid())
 
 
 def _connection_scale(phi_x, phi_y, grid):

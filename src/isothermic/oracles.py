@@ -41,7 +41,7 @@ EPS_DENOMINATOR = 1e-14
 _FACT2K = [1.0, 2.0, 24.0, 720.0, 40320.0, 3628800.0, 479001600.0]
 _FACT2K1 = [1.0, 6.0, 120.0, 5040.0, 362880.0, 39916800.0]
 # tanh(w)/w = 1 - w^2/3 + 2 w^4/15 - 17 w^6/315 + 62 w^8/2835 - 1382 w^10/155925
-_TANHC = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0, -1382.0 / 155925.0)
+_TANHC_SERIES = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0, -1382.0 / 155925.0)
 
 MINUS_J = np.array([0.0, 0.0, -1.0, 0.0])
 _K = np.array([0.0, 0.0, 0.0, 1.0])
@@ -93,39 +93,72 @@ def _raise_at_first(bad, w, error, what):
         raise error(f"sqrt(lam) z = {w_bad:.4g} {what}", node=node)
 
 
-def _branches(z, lam, series, closed):
-    """series(z, lam z^2) where |lam z^2| < SERIES_CUTOFF, closed(z, sqrt(lam)) elsewhere.
+class _Split:
+    """The nodes of z on either side of |lam z^2| = SERIES_CUTOFF: the near
+    ones take a Taylor series in (z, w2 = lam z^2), the far ones a closed form
+    in (z, sqrt(lam), lam).
 
     Each branch sees only its own nodes, so at lam = 0 the closed forms
-    (which divide by lam or sqrt(lam)) are never evaluated.
+    (which divide by lam or sqrt(lam)) are never evaluated.  One split serves
+    every form evaluated at the same (z, lam).
     """
-    z = _z(z)
-    w2 = complex(lam) * z * z
-    near = np.abs(w2) < SERIES_CUTOFF
-    out = np.empty(z.shape, dtype=complex)
-    out[near] = series(z[near], w2[near])
-    far = ~near
-    if far.any():
-        out[far] = closed(z[far], _sqrt_lambda(lam))
-    return out
+
+    def __init__(self, z, lam):
+        self.z = _z(z)
+        w2 = complex(lam) * self.z * self.z
+        self.near = np.abs(w2) < SERIES_CUTOFF
+        self.far = ~self.near
+        self.series_args = (self.z[self.near], w2[self.near])
+        self.closed_args = (self.z[self.far], _sqrt_lambda(lam), lam)
+
+    def halves(self, form):
+        """A (series, closed) pair evaluated on the near and on the far nodes."""
+        series, closed = form
+        return series(*self.series_args), closed(*self.closed_args)
+
+    def join(self, near_values, far_values):
+        """The array holding near_values on the near nodes, far_values on the others."""
+        out = np.empty(self.z.shape, dtype=complex)
+        out[self.near] = near_values
+        out[self.far] = far_values
+        return out
+
+    def __call__(self, form):
+        """A (series, closed) pair evaluated on the whole split."""
+        return self.join(*self.halves(form))
+
+
+# (series, closed) pairs of the entire functions of lam below
+_COSH = (
+    lambda z, w2: sum(w2**k / _FACT2K[k] for k in range(6)),
+    lambda z, sl, lam: np.cosh(sl * z),
+)
+_SINHC = (
+    lambda z, w2: z * sum(w2**k / _FACT2K1[k] for k in range(6)),
+    lambda z, sl, lam: np.sinh(sl * z) / sl,
+)
+_TANHC = (
+    lambda z, w2: z * sum(c * w2**k for k, c in enumerate(_TANHC_SERIES)),
+    lambda z, sl, lam: np.tanh(sl * z) / sl,
+)
+_SINH2C = (
+    lambda z, w2: z * sum((4.0 * w2) ** k / _FACT2K1[k] for k in range(6)),
+    lambda z, sl, lam: np.sinh(2.0 * sl * z) / (2.0 * sl),
+)
+_COSH2M1 = (
+    lambda z, w2: 4.0 * z * z * sum((4.0 * w2) ** k / _FACT2K[k + 1] for k in range(6)),
+    lambda z, sl, lam: (np.cosh(2.0 * sl * z) - 1.0) / lam,
+)
 
 
 def cosh_sl(z, lam):
     """cosh(sqrt(lam) z), series-stable near lam = 0."""
-    return _branches(
-        z, lam,
-        lambda z, w2: sum(w2**k / _FACT2K[k] for k in range(6)),
-        lambda z, sl: np.cosh(sl * z),
-    )
+    return _Split(z, lam)(_COSH)
 
 
 def sinhc_sl(z, lam):
     """sinh(sqrt(lam) z)/sqrt(lam), an entire function of lam."""
-    return _branches(
-        z, lam,
-        lambda z, w2: z * sum(w2**k / _FACT2K1[k] for k in range(6)),
-        lambda z, sl: np.sinh(sl * z) / sl,
-    )
+    return _Split(z, lam)(_SINHC)
 
 
 def sqrt_sinh_sl(z, lam):
@@ -135,29 +168,17 @@ def sqrt_sinh_sl(z, lam):
 
 def tanhc_sl(z, lam):
     """tanh(sqrt(lam) z)/sqrt(lam)."""
-    return _branches(
-        z, lam,
-        lambda z, w2: z * sum(c * w2**k for k, c in enumerate(_TANHC)),
-        lambda z, sl: np.tanh(sl * z) / sl,
-    )
+    return _Split(z, lam)(_TANHC)
 
 
 def sinh2c_sl(z, lam):
     """sinh(2 sqrt(lam) z)/(2 sqrt(lam))."""
-    return _branches(
-        z, lam,
-        lambda z, w2: z * sum((4.0 * w2) ** k / _FACT2K1[k] for k in range(6)),
-        lambda z, sl: np.sinh(2.0 * sl * z) / (2.0 * sl),
-    )
+    return _Split(z, lam)(_SINH2C)
 
 
 def cosh2m1_over_lam(z, lam):
     """(cosh(2 sqrt(lam) z) - 1)/lam."""
-    return _branches(
-        z, lam,
-        lambda z, w2: 4.0 * z * z * sum((4.0 * w2) ** k / _FACT2K[k + 1] for k in range(6)),
-        lambda z, sl: (np.cosh(2.0 * sl * z) - 1.0) / lam,
-    )
+    return _Split(z, lam)(_COSH2M1)
 
 
 def _ck(c):
@@ -213,17 +234,22 @@ def minimal_family(z, lam):
           + j (1/lam)[z - sinh(2 sl z)/(2 sl)] }
     """
     check_pole_margin(z, lam)
-    z = _z(z)
-    third = _branches(
-        z, lam,
-        lambda z, w2: -(z**3) * sum(
-            4.0 ** (k + 1) * w2**k / _FACT2K1[k + 1] for k in range(5)
-        ),
-        lambda z, sl: (z - sinh2c_sl(z, lam)) / lam,
+    return _minimal_family(_Split(z, lam), lam)[0]
+
+
+def _minimal_family(split, lam):
+    """minimal_family on a split, and the sinh2c_sl it reads; the far nodes'
+    sinh2c values serve the closed form of the third term as well."""
+    s2_near, s2_far = split.halves(_SINH2C)
+    s2 = split.join(s2_near, s2_far)
+    zn, w2 = split.series_args
+    third = split.join(
+        -(zn**3) * sum(4.0 ** (k + 1) * w2**k / _FACT2K1[k + 1] for k in range(5)),
+        (split.closed_args[0] - s2_far) / lam,
     )
-    out = cj(0.25 * ((z + sinh2c_sl(z, lam)) + third.conjugate()))
-    out[..., 1] = 0.25 * cosh2m1_over_lam(z, lam).real
-    return out
+    out = cj(0.25 * ((split.z + s2) + third.conjugate()))
+    out[..., 1] = 0.25 * split(_COSH2M1).real
+    return out, s2
 
 
 def darboux_plane(z, lam):
@@ -287,13 +313,20 @@ def family_log_metric(z, lam):
     Returns (u, du/dz) where du/dz = u_x/2 - i u_y/2 ... specifically the
     Wirtinger derivative such that u_x - i u_y = 2 du/dz.
     """
-    g = family_g(z, lam)
-    w = family_w(z, lam)
-    dg = family_dg(z, lam)
+    check_overflow(z, lam)
+    split = _Split(z, lam)
+    return _log_metric(split(_TANHC), split(_COSH), split(_SINH2C), lam)
+
+
+def _log_metric(g, c, s2, lam):
+    """family_log_metric from g = tanhc_sl, c = cosh_sl and s2 = sinh2c_sl."""
+    w = c * c
+    dg = 1.0 / w
     # w = cosh^2 has w' = sqrt(lam) sinh(2 sqrt(lam) z) = 2 lam sinh2c
-    wprime = 2.0 * complex(lam) * sinh2c_sl(z, lam)
-    u = np.log(0.5 * (1.0 + np.abs(g) ** 2) * np.abs(w))
-    dz_u = (dg * g.conjugate()) / (1.0 + np.abs(g) ** 2) + wprime / (2.0 * w)
+    wprime = 2.0 * complex(lam) * s2
+    m = 1.0 + np.abs(g) ** 2
+    u = np.log(0.5 * m * np.abs(w))
+    dz_u = (dg * g.conjugate()) / m + wprime / (2.0 * w)
     return u, dz_u
 
 
@@ -304,9 +337,29 @@ def family_spin(z, lam):
     branch taken as cosh(sqrt(lam) z)/|cosh(sqrt(lam) z)| (nonvanishing on
     the pole-safe patch).
     """
-    g = family_g(z, lam)
-    c = cosh_sl(z, lam)
+    check_overflow(z, lam)
+    split = _Split(z, lam)
+    return _spin(split(_TANHC), split(_COSH))
+
+
+def _spin(g, c):
+    """family_spin from g = tanhc_sl and c = cosh_sl."""
     q1 = cj(-g.conjugate())  # -jg
     q1[..., 1] = 1.0
     r = qmul(qmul(q1, _I), from_complex(c / np.abs(c)))
     return r * (1.0 / np.sqrt(1.0 + np.abs(g) ** 2))[..., None]
+
+
+def family_frame_parts(z, lam):
+    """minimal_family, family_spin and family_log_metric of the same (z, lam),
+    bit for bit, from one evaluation of each closed form they read.
+
+    Guards as the three do in that order: PoleProximity before
+    ClosedFormOverflow, both before any closed form is evaluated.
+    """
+    check_pole_margin(z, lam)
+    check_overflow(z, lam)
+    split = _Split(z, lam)
+    f, s2 = _minimal_family(split, lam)
+    g, c = split(_TANHC), split(_COSH)
+    return f, _spin(g, c), _log_metric(g, c, s2, lam)

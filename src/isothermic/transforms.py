@@ -236,12 +236,17 @@ def affine_chart(vec):
 
 @dataclass
 class TTransformResult:
-    """Spectral transform output: surface, pinned frame, second point."""
+    """Spectral transform output: surface, pinned frame, chainable family."""
 
     surface: PolarizedSurface
     frame: FrameField
-    second_point: QField
     connection: FrameConnection  # chainable family of the output frame
+
+    @property
+    def second_point(self) -> QField:
+        """The affine point of the frame's second column, computed on each read."""
+        vals, ok = affine_chart(self.connection.frame0[..., :, 1, :])
+        return QField(self.connection.grid.merge_mask(ok), vals)
 
 
 def t_transform_via_connection(
@@ -255,13 +260,11 @@ def t_transform_via_connection(
                                curvature_norm=conn.curvature_norm(lam))
     composed = qm2_mul(conn.frame0_at_p0(), frame_id.values)
     surf_vals, ok1 = affine_chart(composed[..., :, 0, :])
-    second_vals, ok2 = affine_chart(composed[..., :, 1, :])
     grid1 = conn.grid.merge_mask(ok1)
     surface = PolarizedSurface(QField(grid1, surf_vals), polarization, provenance)
-    second = QField(conn.grid.merge_mask(ok2), second_vals)
     out_conn = FrameConnection(conn.grid, composed, phi_x, phi_y, conn.slope_x,
                                conn.slope_y, conn.p0, conn.shifted_curvature(lam))
-    return TTransformResult(surface, frame_id, second, out_conn)
+    return TTransformResult(surface, frame_id, out_conn)
 
 
 def t_transform(surface: PolarizedSurface, lam: float, p0=None) -> TTransformResult:

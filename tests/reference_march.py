@@ -14,6 +14,10 @@ The path-scheme walks the package ran as loops of their own before they
 shared the march order of ``grid._walk_path`` are kept here too: the reach
 mask of ``grid._path_valid_mask`` and the sign continuation of
 ``cmc._sign_continuity``.
+
+So is the whole-grid Maurer-Cartan point that ``grid._maurer_cartan_point``
+computed before it went over blocks of grid rows; it shares the package's
+difference operators and matrix product, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from isothermic.grid import midpoint_samples
+from isothermic.grid import diff_x, diff_y, dilate_invalid, midpoint_samples
+from isothermic.quaternion import qm2_mul as package_qm2_mul
+from isothermic.quaternion import qm2_norm
 
 
 def qmul(a, b):
@@ -171,3 +177,11 @@ def sign_continuity(r, p0):
         flip = np.sum(out[:, ix] * out[:, ix + 1], axis=-1) < 0
         out[flip, ix] = -out[flip, ix]
     return out
+
+
+def maurer_cartan_point(phi_x, phi_y, grid):
+    """Pointwise |d(Phi) + Phi^Phi| over the whole grid at once, and the
+    nodes whose plaquettes are gated."""
+    d = diff_x(phi_y, grid.h) - diff_y(phi_x, grid.h)
+    comm = package_qm2_mul(phi_x, phi_y) - package_qm2_mul(phi_y, phi_x)
+    return qm2_norm(d + comm), dilate_invalid(grid.valid())

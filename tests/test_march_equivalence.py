@@ -11,21 +11,24 @@ grid columns equal the whole-grid ones bit for bit, and so does every march
 whatever the width of its column blocks.  From a corner base node, where
 the spine and the lines each march in one direction only, the marches match
 the reference too; and the path-scheme walks (reach mask, sign
-continuation) equal the loops they replaced bit for bit.
+continuation) equal the loops they replaced bit for bit.  The Maurer-Cartan
+point, computed over blocks of grid rows, equals the whole-grid formula bit
+for bit, and fails where it fails.
 """
 
 import numpy as np
 import pytest
 
-from isothermic import GridSpec, family_ribaucour_connection
+from isothermic import GridSpec, NotIntegrable, family_ribaucour_connection
 from isothermic import grid as grid_module
 from isothermic.cmc import _sign_continuity
 from isothermic.grid import (
     integrate_frame,
     integrate_left_vector,
     integrate_riccati,
+    maurer_cartan_residual,
 )
-from isothermic.quaternion import qm2_mul, qmul
+from isothermic.quaternion import qm2_identity, qm2_mul, qmul
 
 import reference_march as ref
 
@@ -122,6 +125,71 @@ def test_march_blocks_bit_identical(monkeypatch):
     monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid.ny)
     for got, want in zip(march(), whole):
         assert np.array_equal(got, want)
+
+
+def _random_connection(ny, nx, seed):
+    phi_x, phi_y = 0.5 * np.random.default_rng(seed).normal(size=(2, ny, nx, 2, 2, 4))
+    return phi_x, phi_y
+
+
+def _assert_point_equal(got, want):
+    assert np.array_equal(got[0], want[0], equal_nan=True)
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("ny", [4, 5, 6])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_maurer_cartan_point_blocks_equal_whole_grid(ny, masked, monkeypatch):
+    """Blocks of every row count from 1 to ny + 1 (most of them not dividing
+    ny), against the whole-grid formula, bit for bit."""
+    nx = 7
+    phi_x, phi_y = _random_connection(ny, nx, ny)
+    mask = np.random.default_rng(ny + 10).random((ny, nx)) > 0.25 if masked else None
+    grid = GridSpec(-1.0, -0.5, 0.25, nx, ny, mask)
+    want = ref.maurer_cartan_point(phi_x, phi_y, grid)
+    for rows in range(1, ny + 2):
+        monkeypatch.setattr(grid_module, "_MARCH_BLOCK", rows * nx)
+        _assert_point_equal(grid_module._maurer_cartan_point(phi_x, phi_y, grid), want)
+
+
+def test_maurer_cartan_point_default_blocks_equal_whole_grid():
+    """The reference family at n = 65 takes blocks of 63 rows and one of 2."""
+    grid = GridSpec.square(1.0, 65)
+    phi_x, phi_y, _, _ = family(grid)
+    assert grid.ny % (grid_module._MARCH_BLOCK // grid.nx) != 0
+    _assert_point_equal(grid_module._maurer_cartan_point(phi_x, phi_y, grid),
+                        ref.maurer_cartan_point(phi_x, phi_y, grid))
+
+
+@pytest.mark.parametrize("coef", ["x", "y"])
+def test_maurer_cartan_gate_names_the_whole_grid_nan_node(coef, monkeypatch):
+    """A NaN on the first row of a block: the y-derivative carries it to the
+    last row of the block before, which reads it as its halo; the gate names
+    the node the whole-grid point names first."""
+    grid = GridSpec(-1.0, -1.0, 0.25, 9, 6)
+    phi_x, phi_y = _random_connection(grid.ny, grid.nx, 7)
+    {"x": phi_x, "y": phi_y}[coef][4, 3, 1, 0, 2] = np.nan
+    point, valid = ref.maurer_cartan_point(phi_x, phi_y, grid)
+    want = tuple(int(i) for i in np.argwhere(valid & ~np.isfinite(point))[0])
+    assert want == {"x": (3, 3), "y": (4, 2)}[coef]
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 2 * grid.nx)
+    with pytest.raises(NotIntegrable) as info:
+        integrate_frame(phi_x, phi_y, grid, qm2_identity(), (2, 2))
+    assert info.value.node == want
+
+
+def test_maurer_cartan_residual_overflow_in_a_block(monkeypatch):
+    """An overflow in the last block, of one row, raises NotIntegrable, as the
+    whole-grid formula overflows."""
+    grid = GridSpec(-1.0, -1.0, 0.25, 7, 5)
+    phi_x, phi_y = _random_connection(grid.ny, grid.nx, 8)
+    phi_x[4, 3] *= 1e200
+    phi_y[4, 3] *= 1e200
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        ref.maurer_cartan_point(phi_x, phi_y, grid)
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 2 * grid.nx)
+    with pytest.raises(NotIntegrable, match="overflows"):
+        maurer_cartan_residual(phi_x, phi_y, grid)
 
 
 @pytest.mark.parametrize("corner", ["first", "last"])

@@ -224,3 +224,36 @@ def test_log_metric_derivative():
         ux = (oc.family_log_metric(z + eps, lam)[0] - oc.family_log_metric(z - eps, lam)[0]) / (2 * eps)
         uy = (oc.family_log_metric(z + eps * 1j, lam)[0] - oc.family_log_metric(z - eps * 1j, lam)[0]) / (2 * eps)
         assert abs(complex(ux, -uy) - 2 * dzu) < 1e-7
+
+
+@pytest.mark.parametrize("lam", [-0.3, 1e-9, 2e-4, 0.25, 0.6, 1.0])
+def test_family_frame_parts_equal_the_three_oracles(lam):
+    """One evaluation of each closed form gives minimal_family, family_spin
+    and family_log_metric bit for bit; at lam = 2e-4, just above the series
+    cutoff, the grid holds nodes of both branches."""
+    zs = GridSpec.square(1.0, 33).zgrid()
+    near = np.abs(lam * zs * zs) < oc.SERIES_CUTOFF
+    if lam == 2e-4:
+        assert near.any() and not near.all()
+    f, r, (u, dzu) = oc.family_frame_parts(zs, lam)
+    want_u, want_dzu = oc.family_log_metric(zs, lam)
+    for got, want in ((f, oc.minimal_family(zs, lam)), (r, oc.family_spin(zs, lam)),
+                      (u, want_u), (dzu, want_dzu)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_family_frame_parts_guard_order():
+    """PoleProximity at the node minimal_family names comes before an overflow
+    at an earlier node; an overflow alone is reported at the node family_g
+    names, before any closed form overflows."""
+    zs = np.array([[0.1, 400.0], [1j * cmath.pi / 2, 0.2]])
+    with pytest.raises(PoleProximity) as want:
+        oc.minimal_family(zs, 1.0)
+    with pytest.raises(PoleProximity) as got:
+        oc.family_frame_parts(zs, 1.0)
+    assert got.value.node == want.value.node == (1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ClosedFormOverflow) as got:
+            oc.family_frame_parts(zs[:1], 1.0)
+    assert got.value.node == (0, 1)

@@ -157,3 +157,36 @@ def test_compare_does_not_gate_residuals_across_dispatch_levels(tmp_path, capsys
     path.write_text(json.dumps(doc))
     assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 0
     assert "RESIDUAL GREW" not in capsys.readouterr().out
+
+
+def test_compare_gates_refinement_order_drops(tmp_path, capsys):
+    """An order that dropped by more than ORDER_DROP is marked and makes
+    --compare exit 1, at any dispatch; a drop of 0.18 is not, and neither is
+    any drop on the plane lines of criteria 1-4 (criterion 10 is not one)."""
+    orders = {"criterion 2 wedge(df, dCf) [plane]": (float("inf"), 2.0),
+              "criterion 2 C^2 identity [enneper]": (3.98, 3.8),
+              "criterion 4b (Darboux member)": (3.9, 2.0),
+              "criterion 8 (Gauss residual)": (1.99, 1.99),
+              "criterion 10 (double dual vs original)": (4.0, 4.0)}
+    path = _dispatch_file(tmp_path, ["AVX2", "SSE2"], ["SSE2"])
+    doc = json.loads(path.read_text())
+    for label, k in (("parent", 0), ("change", 1)):
+        acc = doc["trees"][label]["acceptance"]
+        for name, pair in orders.items():
+            acc[name] = {"residual": 1e-8, "tolerance": 1e-4, "order": pair[k]}
+    path.write_text(json.dumps(doc))
+    assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 0
+    out = capsys.readouterr().out
+    assert "refinement orders: 5 lines" in out
+    assert ("  criterion 2 wedge(df, dCf) [plane]: A inf  B 2.0"
+            "  not order evidence (criteria 1-4)\n") in out
+    assert "  criterion 2 C^2 identity [enneper]: A 3.98  B 3.8  not order evidence" in out
+    assert "ORDER DROPPED" not in out
+    doc["trees"]["change"]["acceptance"]["criterion 8 (Gauss residual)"]["order"] = 1.6
+    doc["trees"]["change"]["acceptance"]["criterion 10 (double dual vs original)"]["order"] = 3.5
+    path.write_text(json.dumps(doc))
+    assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 1
+    out = capsys.readouterr().out
+    assert "  criterion 8 (Gauss residual): A 1.99  B 1.6  ORDER DROPPED\n" in out
+    assert "  criterion 10 (double dual vs original): A 4.0  B 3.5  ORDER DROPPED\n" in out
+    assert "ORDER DROPPED: 2 refinement order(s) more than 0.3 below A" in out
