@@ -31,6 +31,7 @@ from .quaternion import (
     _pair_matmul,
     _pair_planes,
     _pair_view,
+    _put_planes,
     qm2_inv,
     qm2_mul,
     qm2_norm,
@@ -517,47 +518,82 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup, spine):
 
     A state is the pair array (2, ..., b) of a batch of b nodes whose real
     (b, ..., 4) components the returned (ny, nx, ..., 4) field holds.
-    steps(pa, pm, pb, s) prepares k grid steps of signed lengths s (k,) from
-    the coefficients at their starts, midpoints and ends, (k, b, ...) for
-    batches of b nodes, and returns advance(i, state), which takes a batch
-    of states over step i.  The spine is marched as a batch of one node, the
-    lines batched over the spine's nodes, each outwards from p0 in blocks of
-    grid lines of about _MARCH_BLOCK nodes; the states advance one grid line
-    at a time.  Each block is checked after its last line: StepBlowup names
-    the first node, in march order, whose state is not finite or exceeds
-    blowup.  Floating-point exceptions are not reported as they occur: an
-    overflow or invalid operation, in the step preparation or in a step,
-    leaves a non-finite or over-limit state that these checks name.
+    steps(pa, pm, pb, s) prepares k grid steps of signed lengths s (k, b)
+    from the coefficients at their starts, midpoints and ends, pair arrays
+    (2, <coefficient axes>, k, b) that it may overwrite, and returns
+    advance(i, state), which takes a batch of states over step i.  The spine
+    is marched as one node, the lines batched over the spine's nodes, each
+    outwards from p0 on both sides at once: the b members of the half above
+    p0 and the b of the half below it are one batch of 2b, with steps of +h
+    and -h, until the shorter half ends; the rest of the longer half is then
+    marched alone.  The steps are prepared in blocks of grid lines of about
+    _MARCH_BLOCK nodes, and the states advance one grid line at a time.
+
+    Each block is checked after its last line.  StepBlowup names the node
+    that a march of the upper half and then the lower half reaches first
+    whose state is not finite or exceeds blowup: its first bad line, then
+    that line's first bad member.  So a bad node of the lower half is named
+    only once the upper half has ended without one.  Floating-point
+    exceptions are not reported as they occur: an overflow or invalid
+    operation, in the step preparation or in a step, leaves a non-finite or
+    over-limit state that these checks name.
     """
     iy0, ix0 = _spine_rows_order(grid, p0)
     out = np.empty((grid.ny, grid.nx) + state0.shape[1:] + (4,))
     _pair_view(out[iy0:iy0 + 1, ix0])[...] = state0[..., None]
+    ndim = coef_x.ndim - 3  # the matrix axes of a coefficient
 
     def lines(coef, vals, i0, node):
         """March vals (b, n, ..., 4) by coef (b, n, ...) from line i0 to the
-        lines above it, then below it; node(r, i) is the grid node of batch
-        member r on line i.  The steps of a block span the intervals
-        first .. first + k - 1, walked in order d."""
-        width = max(1, _MARCH_BLOCK // len(coef))
-        for d, end in ((1, coef.shape[1]), (-1, -1)):
-            state = _pair_view(vals[:, i0]).copy()
-            for i1 in range(i0 + d, end, d * width):
-                k = min(width, abs(end - i1))
-                first = i1 - 1 if d > 0 else i1 - k + 1
-                advance = steps(*(np.swapaxes(c, 0, 1) for c in (
-                    coef[:, _lines(i1 - d, k, d)], _block_midpoints(coef, first, k)[:, ::d],
-                    coef[:, _lines(i1, k, d)])), np.full(k, d * grid.h))
+        lines above and below it; node(r, i) is the grid node of batch member
+        r on line i.  A run marches the halves dirs (1 above, -1 below) over
+        their lines j0 + 1 .. j1 away from i0, in blocks whose steps span the
+        intervals first .. first + k - 1 of each half, walked in order d."""
+        b, n = coef.shape[:2]
+        up, down = n - 1 - i0, i0
+        state = np.concatenate(2 * (_pair_view(vals[:, i0]),), axis=-1)
+        pending = None  # the first bad node of the lower half
+        for dirs, j0, j1 in (((1, -1), 0, min(up, down)),
+                             ((1,) if up > down else (-1,), min(up, down), max(up, down))):
+            if dirs == (-1,) and pending is not None:
+                raise pending
+            if len(dirs) == 1:
+                state = state[..., :b] if dirs == (1,) else state[..., b:]
+            halves = [(d, np.s_[..., h * b:(h + 1) * b]) for h, d in enumerate(dirs)]
+            s = np.repeat(np.array(dirs) * grid.h, b)
+            width = max(1, _MARCH_BLOCK // len(s))
+            for j in range(j0, j1, width):
+                k = min(width, j1 - j)
+                pa, pm, pb = (np.empty((2,) + coef.shape[2:-1] + (k, len(s)), complex)
+                              for _ in range(3))
+                for d, half in halves:
+                    i1 = i0 + d * (j + 1)
+                    first = i1 - 1 if d > 0 else i1 - k + 1
+                    for buf, c in zip((pa, pm, pb), (
+                            coef[:, _lines(i1 - d, k, d)],
+                            _block_midpoints(coef, first, k)[:, ::d],
+                            coef[:, _lines(i1, k, d)])):
+                        _put_planes(buf[half], np.swapaxes(c, 0, 1), ndim)
+                advance = steps(pa, pm, pb, np.broadcast_to(s, (k, len(s))))
                 for i in range(k):
                     state = advance(i, state)
-                    _pair_view(vals[:, i1 + d * i])[...] = state
-                # the first bad line of the block, then its first bad member
-                norm = np.abs(vals[:, _lines(i1, k, d)]).max(axis=tuple(range(2, vals.ndim)))
-                bad = ~(norm <= blowup)
-                if bad.any():
-                    j = int(bad.any(axis=0).argmax())
-                    r = int(bad[:, j].argmax())
-                    raise StepBlowup(f"state norm {norm[r, j]:.3e} exceeds {blowup:.1e}",
-                                     node=node(r, i1 + d * j))
+                    for d, half in halves:
+                        _pair_view(vals[:, i0 + d * (j + 1 + i)])[...] = state[half]
+                # each half's first bad line of the block, then its first bad member
+                for d, _ in halves:
+                    i1 = i0 + d * (j + 1)
+                    norm = np.abs(vals[:, _lines(i1, k, d)]).max(axis=tuple(range(2, vals.ndim)))
+                    bad = ~(norm <= blowup)
+                    if bad.any():
+                        line = int(bad.any(axis=0).argmax())
+                        r = int(bad[:, line].argmax())
+                        err = StepBlowup(f"state norm {norm[r, line]:.3e} exceeds {blowup:.1e}",
+                                         node=node(r, i1 + d * line))
+                        if d > 0:
+                            raise err
+                        pending = err if pending is None else pending
+        if pending is not None:
+            raise pending
 
     if spine == "column":
         lines(coef_y[:, ix0][None], out[:, ix0][None], iy0, lambda r, i: (i, ix0))
@@ -576,17 +612,6 @@ def _eye_plus(c, x):
     return out
 
 
-def _step_pairs(p, left):
-    """Real (..., 2, 2, 4) coefficients P as the pair array of rep(P), or
-    with left=True of -rep(P)^T, the pair (-A^T, conj(B)^T)."""
-    if not left:
-        return _pair_planes(p, 2)
-    x = _pair_planes(np.swapaxes(p, -3, -2), 2)
-    np.negative(x[0], out=x[0])
-    np.conjugate(x[1], out=x[1])
-    return x
-
-
 def _linear_steps(product, left):
     """steps of _march for dx = x P on the rows x of a state's representation,
     or with left=True for dv = -P v on its columns, taken as rows.
@@ -595,11 +620,14 @@ def _linear_steps(product, left):
     K2 = (I + s/2 Pa) Pm, K3 = (I + s/2 K2) Pm, K4 = (I + s K3) Pb for all
     k steps at once, as contiguous pair arrays (2, 2, 2, k, b); a step is
     product(state, M).  With left=True the steps use -rep(P)^T in place of
-    rep(P), so that the same row product applies.
+    rep(P), so that the same row product applies: _linear_march passes the
+    coefficients P^T, whose pair planes (A^T, B^T) become (-A^T, conj(B)^T).
     """
     def steps(pa, pm, pb, s):
-        pa, pm, pb = (_step_pairs(p, left) for p in (pa, pm, pb))
-        s = s[:, None]
+        if left:
+            for p in (pa, pm, pb):
+                np.negative(p[0], out=p[0])
+                np.conjugate(p[1], out=p[1])
         k2 = _pair_matmul(_eye_plus(0.5 * s, pa), pm)
         k3 = _pair_matmul(_eye_plus(0.5 * s, k2), pm)
         k4 = _pair_matmul(_eye_plus(s, k3), pb)
@@ -620,6 +648,8 @@ def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup, sp
     if not _curvature_residual(curvature_norm, phi_x, phi_y, grid) <= tau:
         _gate(maurer_cartan_residual(phi_x, phi_y, grid), tau, "Maurer-Cartan",
               NotIntegrable, partial(_maurer_cartan_point, phi_x, phi_y, grid))
+    if left:
+        phi_x, phi_y = (np.swapaxes(p, -3, -2) for p in (phi_x, phi_y))
     return _march(grid, p0, phi_x, phi_y, state0,
                   _linear_steps(product, left), blowup, spine)
 
@@ -744,11 +774,9 @@ def integrate_riccati(
     coef_y = np.stack([a_y, b_y], axis=2)
 
     def mul(state, p):  # delta A delta - B; states and p = (A, B) as pair arrays
-        delta_a = _cayley_dickson(*state, *p[:, 0])
-        return np.array(_cayley_dickson(*delta_a, *state)) - p[:, 1]
+        return _cayley_dickson(_cayley_dickson(state, p[:, 0]), state) - p[:, 1]
 
     def steps(pa, pm, pb, s):
-        pa, pm, pb = (_pair_planes(p, 1) for p in (pa, pm, pb))
         return lambda i, state: _rk4_step_right(state, pa[..., i, :], pm[..., i, :],
                                                 pb[..., i, :], s[i], mul)
 

@@ -47,9 +47,10 @@ def qmul(a, b):
     is when viewed as complex; integer operands come back as float.
     """
     a, b = _pairs(a), _pairs(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
-    out[..., 0], out[..., 1] = _cayley_dickson(a[..., 0], a[..., 1], b[..., 0], b[..., 1])
-    return out.view(float)
+    ndim = max(a.ndim, b.ndim)
+    # reversed-axes views (2, ...), padded to one rank so that they broadcast
+    a, b = (x.reshape((1,) * (ndim - x.ndim) + x.shape).T for x in (a, b))
+    return np.ascontiguousarray(_cayley_dickson(a, b).T).view(float)
 
 
 def qconj(a):
@@ -134,16 +135,27 @@ def cross3(a, b):
 # at [0] and beta at [1], then any matrix axes, then the nodes last, so that
 # each (alpha or beta) entry is one contiguous plane over the nodes
 
-def _cayley_dickson(a1, b1, a2, b2):
-    """Product (a1 + b1 j)(a2 + b2 j) of quaternions held as complex pairs.
+def _cayley_dickson(x, y):
+    """Product (a1 + b1 j)(a2 + b2 j) of the pair arrays x = (a1, b1) and
+    y = (a2, b2), of equal rank and broadcasting after their first axis.
 
-    Broadcasts over complex arrays and returns the pair
-    (a1 a2 - conj(b2) b1, a1 b2 + conj(a2) b1); the one place the product
-    is written down.  The conjugate temporaries stand on the left: numpy may
-    reuse a large right-hand temporary as the output and swap the operands,
-    and its fused complex multiply is not commutative bit for bit.
+    Returns the pair (a1 a2 - conj(b2) b1, a1 b2 + conj(a2) b1); the one
+    place the product is written down.  Both halves of y are multiplied at
+    once, so that the four complex products take two ufunc calls.  The
+    conjugate temporary stands on the left: numpy may reuse a large
+    right-hand temporary as the output and swap the operands, and its fused
+    complex multiply is not commutative bit for bit.
     """
-    return a1 * a2 - np.conj(b2) * b1, a1 * b2 + np.conj(a2) * b1
+    p = x[0] * y
+    q = np.conj(y[::-1]) * x[1]
+    p[0] -= q[0]
+    p[1] += q[1]
+    return p
+
+
+def _pair_conj(x):
+    """Conjugate (conj(alpha), -beta) of the quaternions of a pair array."""
+    return np.array((np.conj(x[0]), -x[1]))
 
 
 def _pairs(x):
@@ -160,10 +172,17 @@ def _pair_planes(p, ndim):
     pair array (2, <matrix axes>, ...)."""
     p = np.asarray(p, dtype=float)
     lead = p.ndim - 1 - ndim
-    comp = p.transpose((p.ndim - 1, *range(lead, p.ndim - 1), *range(lead)))
-    out = np.empty((2,) + comp.shape[1:], complex)
-    out.real[0], out.imag[0], out.real[1], out.imag[1] = comp
+    out = np.empty((2,) + p.shape[lead:-1] + p.shape[:lead], complex)
+    _put_planes(out, p, ndim)
     return out
+
+
+def _put_planes(out, p, ndim):
+    """Write real (..., <ndim matrix axes>, 4) components p into the pair
+    array out (2, <matrix axes>, ...), which may be a view of a larger one."""
+    lead = p.ndim - 1 - ndim
+    comp = p.transpose((p.ndim - 1, *range(lead, p.ndim - 1), *range(lead)))
+    out.real[0], out.imag[0], out.real[1], out.imag[1] = comp
 
 
 def _pair_view(x):
@@ -178,10 +197,9 @@ def _pair_matmul(x, y):
     and (2, 2, c, ...): entrywise Cayley-Dickson products summed over the
     inner index k, as in the product of the representations
     [[A, B], [-conj(B), conj(A)]]."""
-    (a0, b0), (a1, b1) = (
-        _cayley_dickson(x[0, :, k, None], x[1, :, k, None], y[0, None, k], y[1, None, k])
-        for k in range(2))
-    return np.array((a0 + a1, b0 + b1))
+    p, q = (_cayley_dickson(x[:, :, k, None], y[:, None, k]) for k in range(2))
+    p += q
+    return p
 
 
 def _qm2_blocks(x, lead):
@@ -247,13 +265,13 @@ def _study(m, inverse):
     for start in range(0, len(rows), _QM2_BLOCK):
         block = slice(start, start + _QM2_BLOCK)
         x = _pair_planes(rows[block], 2)  # x[:, r, c] is entry (r, c)
-        xc = np.array((np.conj(x[0]), -x[1]))  # the conjugate entries
+        xc = _pair_conj(x)  # the conjugate entries
         sq = x.real ** 2 + x.imag ** 2
         (na, nb), (nc, nd) = sq[0] + sq[1]
-        cd = _cayley_dickson(*xc[:, 1, 0], *x[:, 1, 1])  # c' d
-        cdb = _cayley_dickson(*cd, *xc[:, 0, 1])
+        cd = _cayley_dickson(xc[:, 1, 0], x[:, 1, 1])  # c' d
+        cdb = _cayley_dickson(cd, xc[:, 0, 1])
         d = det[block]
-        d[...] = na * nd + nb * nc - 2.0 * _cayley_dickson(*x[:, 0, 0], *cdb)[0].real
+        d[...] = na * nd + nb * nc - 2.0 * _cayley_dickson(x[:, 0, 0], cdb)[0].real
         if not inverse:
             continue
         bad = np.flatnonzero(d <= EPS_SINGULAR * (na + nb) * (nc + nd))
@@ -261,12 +279,12 @@ def _study(m, inverse):
             node = tuple(int(i) for i in np.unravel_index(start + bad[0], lead))
             raise SingularMatrix(f"singular matrix: Study determinant {d[bad[0]]:.3e} is "
                                  f"at most {EPS_SINGULAR:g} of its bound", node=node or None)
-        ab = _cayley_dickson(*xc[:, 0, 0], *x[:, 0, 1])  # a' b
+        ab = _cayley_dickson(xc[:, 0, 0], x[:, 0, 1])  # a' b
         for (r, c), norm, triple in (
                 ((0, 0), nd, cdb),
-                ((0, 1), nb, _cayley_dickson(*ab, *xc[:, 1, 1])),
-                ((1, 0), nc, _cayley_dickson(np.conj(cd[0]), -cd[1], *xc[:, 0, 0])),
-                ((1, 1), na, _cayley_dickson(np.conj(ab[0]), -ab[1], *xc[:, 1, 0]))):
+                ((0, 1), nb, _cayley_dickson(ab, xc[:, 1, 1])),
+                ((1, 0), nc, _cayley_dickson(_pair_conj(cd), xc[:, 0, 0])),
+                ((1, 1), na, _cayley_dickson(_pair_conj(ab), xc[:, 1, 0]))):
             _pair_view(out[block])[:, r, c] = (norm * xc[:, c, r] - triple) / d
     return det.reshape(lead), None if out is None else out.reshape(m.shape)
 

@@ -15,6 +15,10 @@ shared the march order of ``grid._walk_path`` are kept here too: the reach
 mask of ``grid._path_valid_mask`` and the sign continuation of
 ``cmc._sign_continuity``.
 
+So is the tuple form of the Cayley-Dickson product that
+``quaternion._cayley_dickson`` had before it took stacked pair arrays: the
+same four complex products, with the conjugate factor on the left.
+
 So is the whole-grid Maurer-Cartan point that ``grid._maurer_cartan_point``
 computed before it went over blocks of grid rows; it shares the package's
 difference operators and matrix product, so the two agree bit for bit.
@@ -44,6 +48,12 @@ def qmul(a, b):
         ],
         axis=-1,
     )
+
+
+def cayley_dickson(a1, b1, a2, b2):
+    """Product (a1 + b1 j)(a2 + b2 j) of quaternions held as complex pairs,
+    broadcasting over complex arrays."""
+    return a1 * a2 - np.conj(b2) * b1, a1 * b2 + np.conj(a2) * b1
 
 
 def qm2_mul(a, b):

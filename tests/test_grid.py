@@ -376,6 +376,41 @@ def test_overflow_inside_a_block_is_a_blowup(grid33, monkeypatch, p0, node):
     assert _blowup_node(grid33, monkeypatch, phix, 1e300, p0) == node
 
 
+@pytest.mark.parametrize("p0", [(16, 16), (10, 10)], ids=["centre", "off_centre"])
+@pytest.mark.parametrize("block", [6, 4096])
+@pytest.mark.parametrize("along", ["spine", "lines"])
+def test_blowup_names_upper_half_before_nearer_lower_half(grid33, monkeypatch, along, block,
+                                                          p0):
+    """The halves above and below p0 march as one batch, yet StepBlowup names
+    the node a march of the upper half, then the lower, reaches first.  F11
+    grows by about e^(20 h) per step marching up (to higher rows on the
+    spine, to higher columns on the lines), F22 by about e^(35 h) marching
+    down: the lower half passes 1e6 seven lines from p0, the upper half
+    twelve, and the upper node is named.  Block 6 checks the spine every 3
+    lines and the lines every line, so the lower half goes bad a block
+    before the upper half; block 4096 checks both in one block.  From
+    (10, 10) the lower half has 10 lines, so the upper half goes bad in its
+    tail, marched alone after the lower half has ended."""
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", block)
+    axis = 0 if along == "spine" else 1  # the spine marches by phi_y, the lines by phi_x
+
+    def blowup_node(up, down):
+        phi = np.zeros((2, grid33.ny, grid33.nx, 2, 2, 4))
+        phi[1 - axis, ..., 0, 0, 0] = up
+        phi[1 - axis, ..., 1, 1, 0] = -down
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepBlowup) as info:
+                integrate_frame(phi[0], phi[1], grid33, qm2_identity(), p0, tau=np.inf,
+                                blowup=1e6)
+        return info.value.node
+
+    upper, lower = blowup_node(20.0, 0.0), blowup_node(0.0, 35.0)
+    assert (upper[axis] - p0[axis], p0[axis] - lower[axis]) == (12, 7)
+    assert upper[1 - axis] == lower[1 - axis] == (p0[1] if along == "spine" else 0)
+    assert blowup_node(20.0, 35.0) == upper
+
+
 def _nan_marches(grid, phi_x, phi_y):
     p0 = grid.center_node()
     v0 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])

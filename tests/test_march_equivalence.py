@@ -8,9 +8,11 @@ node off the grid centre; so must
 integrate_riccati the real-component Riccati loop, for coefficients that
 vary over the grid and do not commute.  The cubic midpoints of a block of
 grid columns equal the whole-grid ones bit for bit, and so does every march
-whatever the width of its column blocks.  From a corner base node, where
-the spine and the lines each march in one direction only, the marches match
-the reference too; and the path-scheme walks (reach mask, sign
+whatever the width of its column blocks, in the phase where both halves of
+the lines march as one batch and in the tail where the longer half marches
+alone.  From a corner or an edge base node, where the spine or the lines
+march in one direction only, and from base nodes that split the lines into
+unequal halves, the marches match the reference too; and the path-scheme walks (reach mask, sign
 continuation) equal the loops they replaced bit for bit.  The Maurer-Cartan
 point, computed over blocks of grid rows, equals the whole-grid formula bit
 for bit, and fails where it fails.
@@ -127,6 +129,52 @@ def test_march_blocks_bit_identical(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def _marches(grid, p0, seed):
+    """The four marches from p0 on an ungated non-commuting connection and
+    non-constant Riccati coefficients, as functions of no argument."""
+    phi_x, phi_y, f0, _ = noncommuting(grid)
+    v0 = np.random.default_rng(seed).normal(size=(2, 4))
+    a_x, a_y, b_x, b_y, delta0 = riccati_coefficients(grid)
+    return {
+        "frame": lambda: integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf).values,
+        "frame_row": lambda: integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf,
+                                             spine="row").values,
+        "left_vector": lambda: integrate_left_vector(phi_x, phi_y, grid, v0, p0, tau=np.inf),
+        "riccati": lambda: integrate_riccati(a_x, a_y, b_x, b_y, grid, delta0, p0),
+    }, {
+        "frame": lambda: ref.frame(phi_x, phi_y, grid, f0, p0, "column"),
+        "frame_row": lambda: ref.frame(phi_x, phi_y, grid, f0, p0, "row"),
+        "left_vector": lambda: ref.left_vector(phi_x, phi_y, grid, v0, p0),
+        "riccati": lambda: ref.riccati(a_x, a_y, b_x, b_y, grid, delta0, p0),
+    }
+
+
+@pytest.mark.parametrize("p0", [(32, 32), (13, 47)], ids=["centre", "off_centre"])
+def test_marches_with_unequal_halves_match_reference(p0):
+    """On n = 64 the centre node splits every line 31/32, so the longer half
+    marches its last line alone; off the centre the lone tail is long, above
+    p0 on the spine and below it on the lines."""
+    grid = GridSpec.square(1.0, 64)
+    marches, want = _marches(grid, p0, 8)
+    for name, march in marches.items():
+        _assert_close(march(), want[name]())
+
+
+@pytest.mark.parametrize("block", [6, 150, 300])
+def test_march_blocks_bit_identical_in_both_phases(block, monkeypatch):
+    """Blocks of a few grid lines against one whole-grid block, bit for bit:
+    on the 37 x 29 grid from (9, 20) the halves of a march along a column
+    take 9 and 27 lines and those along a row 20 and 8, so the two halves
+    marched together and the tail of the longer half both cross block edges;
+    block 6 cuts the spine too, into blocks of 3 lines, then 6."""
+    grid = GridSpec(-1.0, -0.75, 1.0 / 16, 29, 37)
+    marches, _ = _marches(grid, (9, 20), 10)
+    whole = {name: march() for name, march in marches.items()}
+    monkeypatch.setattr(grid_module, "_MARCH_BLOCK", block)
+    for name, march in marches.items():
+        assert np.array_equal(march(), whole[name]), name
+
+
 def _random_connection(ny, nx, seed):
     phi_x, phi_y = 0.5 * np.random.default_rng(seed).normal(size=(2, ny, nx, 2, 2, 4))
     return phi_x, phi_y
@@ -197,16 +245,22 @@ def test_marches_from_a_corner_match_reference(corner):
     # no step up from the last node, none down from the first, on either spine
     grid = GridSpec(-1.0, -0.75, 1.0 / 16, 29, 37)
     p0 = (0, 0) if corner == "first" else (grid.ny - 1, grid.nx - 1)
-    phi_x, phi_y, f0, _ = noncommuting(grid)
-    v0 = np.random.default_rng(6).normal(size=(2, 4))
-    for spine in ("column", "row"):
-        got = integrate_frame(phi_x, phi_y, grid, f0, p0, tau=np.inf, spine=spine)
-        _assert_close(got.values, ref.frame(phi_x, phi_y, grid, f0, p0, spine))
-    _assert_close(integrate_left_vector(phi_x, phi_y, grid, v0, p0, tau=np.inf),
-                  ref.left_vector(phi_x, phi_y, grid, v0, p0))
-    a_x, a_y, b_x, b_y, delta0 = riccati_coefficients(grid)
-    _assert_close(integrate_riccati(a_x, a_y, b_x, b_y, grid, delta0, p0),
-                  ref.riccati(a_x, a_y, b_x, b_y, grid, delta0, p0))
+    marches, want = _marches(grid, p0, 6)
+    for name, march in marches.items():
+        _assert_close(march(), want[name]())
+
+
+# the two corners that test leaves out, and a node on each edge: one half of
+# the spine or of the lines is empty
+EDGE_BASES = ((0, 28), (36, 0), (0, 11), (36, 17), (20, 0), (9, 28))
+
+
+@pytest.mark.parametrize("p0", EDGE_BASES)
+def test_marches_from_an_edge_match_reference(p0):
+    grid = GridSpec(-1.0, -0.75, 1.0 / 16, 29, 37)
+    marches, want = _marches(grid, p0, 9)
+    for name, march in marches.items():
+        _assert_close(march(), want[name]())
 
 
 # a 23 x 31 grid: its four corners, a node on each edge, two inside

@@ -64,11 +64,13 @@ def _pairs(a):
 @given(st.lists(quaternions, min_size=1, max_size=6), quaternions)
 def test_pair_product_equals_qmul(ps, q):
     # qmul runs the pair product on a complex view of its operands; on pairs
-    # assembled by hand the same product gives the same bits, for operands
-    # whose last axis is strided (Fortran order) or integer too
+    # assembled by hand, stacked at one rank, the same product gives the same
+    # bits, for operands whose last axis is strided (Fortran order) or
+    # integer too
     p = np.array(ps)
     for a, b in ((p, q), (q, p), (np.asfortranarray(p), q), (p.astype(int), q.astype(int))):
-        alpha, beta = _cayley_dickson(*_pairs(a), *_pairs(b))
+        x, y = (np.stack(_pairs(v)) for v in np.broadcast_arrays(a, b))
+        alpha, beta = _cayley_dickson(x, y)
         want = np.stack((alpha.real, alpha.imag, beta.real, beta.imag), axis=-1)
         assert np.array_equal(qmul(a, b), want)
 

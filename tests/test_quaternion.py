@@ -14,6 +14,7 @@ from isothermic import (
     point_form,
 )
 from isothermic.quaternion import (
+    _cayley_dickson,
     from_imag3,
     qconj,
     qinv,
@@ -101,6 +102,58 @@ def test_inverse_basic():
 def test_inverse_near_zero_raises():
     with pytest.raises(NearZeroQuaternion):
         qinv(np.array([1e-13, 0.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the Cayley-Dickson kernel on stacked pairs
+# ---------------------------------------------------------------------------
+
+# signed zeros, infinities, a NaN, subnormals of both signs, normal values
+SPECIAL_PARTS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.0, -3.5])
+
+
+def _special_pairs(shape, rng):
+    """A pair array (2,) + shape whose real and imaginary parts are drawn
+    from SPECIAL_PARTS, set part by part so that no product mixes them."""
+    x = np.empty((2,) + shape, complex)
+    x.real, x.imag = rng.choice(SPECIAL_PARTS, size=(2, 2) + shape)
+    return x
+
+
+def _assert_same_bits(got, want):
+    got, want = (np.ascontiguousarray(x).view(float) for x in (got, want))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("shapes", [
+    ((), ()), ((7,), (7,)), ((3, 1, 4), (1, 5, 4)), ((1, 1), (6, 7)), ((6, 7), (1, 1)),
+    ((2, 1, 9), (1, 3, 1)), ((2, 40000), (2, 40000)), ((1, 40000), (2, 1))],
+    ids=str)
+def test_stacked_kernel_equals_tuple_formula(shapes):
+    """_cayley_dickson on stacked pairs equals the tuple formula it replaced
+    bit for bit, signs of zeros and NaNs included, on broadcast shapes and on
+    operands past numpy's temporary-elision size."""
+    rng = np.random.default_rng(sum(map(sum, shapes)) + len(shapes[0]))
+    x, y = (_special_pairs(shape, rng) for shape in shapes)
+    with np.errstate(all="ignore"):
+        got = _cayley_dickson(x, y)
+        want = np.array(ref.cayley_dickson(x[0], x[1], y[0], y[1]))
+    _assert_same_bits(got, want)
+
+
+def test_stacked_kernel_on_strided_views():
+    """Views with reversed and strided node axes, as the marches and qmul pass
+    them, give the bits of contiguous copies."""
+    rng = np.random.default_rng(23)
+    x, y = _special_pairs((5, 8), rng), _special_pairs((5, 16), rng)
+    with np.errstate(all="ignore"):
+        for a, b in ((x[:, ::-1], y[:, :, ::2]),
+                     (x.transpose(0, 2, 1), y[:, :, 8:].transpose(0, 2, 1))):
+            want = np.array(ref.cayley_dickson(*np.ascontiguousarray(a),
+                                               *np.ascontiguousarray(b)))
+            _assert_same_bits(_cayley_dickson(a, b), want)
 
 
 # ---------------------------------------------------------------------------
