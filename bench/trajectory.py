@@ -8,23 +8,28 @@ write ``BENCH_<pr>.json``:
         --seeds 21 22 23 --seconds 36
 
 For every workload each tree runs ``perfbench/run.py --trace 0`` once per
-seed and ``--trace 1`` once, on the first seed; the trees take turns, and
-which one runs first alternates from seed to seed.  The file keeps, per tree
-and workload, every ``--trace 0`` run (its end-to-end metrics, ops attempted
-and failed, and which ops failed), the median and quartiles of each
-end-to-end metric, and the traced run's per-layer metrics, together with the
-tree's commit, the Python and numpy versions and core count perfbench
-reports, the CPU model, and the SIMD features numpy found and did not
-disable (``NPY_DISABLE_CPU_FEATURES``), which pick its kernels.  It also keeps each tree's acceptance residuals, read from the
-report lines of ``pytest tests/test_acceptance.py -s`` run on the tree: per
-check its residual, tolerance and, where printed, refinement order.
+seed, then ``--trace 1`` once on each of the first TRACED_SEEDS seeds; the
+trees take turns, and which one runs first alternates from seed to seed.
+The file keeps, per tree and workload, every ``--trace 0`` run (its
+end-to-end metrics, ops attempted and failed, and which ops failed), the
+median and quartiles of each end-to-end metric, and the median, min and max
+of each per-layer metric over the traced runs (one traced run alone reads
+host drift as a per-layer change), together with the tree's commit, the
+Python and numpy versions and core count perfbench reports, the CPU model,
+and the SIMD features numpy found and did not disable
+(``NPY_DISABLE_CPU_FEATURES``), which pick its kernels.  It also keeps each
+tree's acceptance residuals, read from the report lines of
+``pytest tests/test_acceptance.py -s`` run on the tree: per check its
+residual, tolerance and, where printed, refinement order.
 
 Compare two trees, each named FILE:LABEL (LABEL defaults to the file's only
 or last tree):
 
     python3 bench/trajectory.py --compare BENCH_N.json:parent BENCH_N.json:change
 
-Every ratio is printed as B/A with A as its base.  Runs of the two trees are
+Every ratio is printed as B/A with A as its base; a per-layer ratio is that
+of the medians (a file written before per-layer ranges were kept has one
+traced run, whose value stands for its median).  Runs of the two trees are
 paired by seed.  A run is closed-loop for a fixed time, so a faster tree
 attempts more of a seed's input sequence than a slower one; failures are
 therefore counted only on the ops both runs of a pair attempted.  Every
@@ -55,6 +60,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("permutability", "curvature_frame", "cmc_export")
+
+#: traced runs per tree and workload, on the first seeds
+TRACED_SEEDS = 3
 
 #: B/A ratio above which an acceptance residual counts as grown; rounding
 #: alone has moved residuals by a few per cent
@@ -163,6 +171,29 @@ def _quartiles(values):
     return q1, statistics.median(values), q3
 
 
+def _alternating(trees, seeds):
+    """(seed, position, label, path) with the trees taking turns and the
+    first of them alternating from seed to seed."""
+    for i, seed in enumerate(seeds):
+        order = trees if i % 2 == 0 else trees[::-1]
+        for position, (label, path) in enumerate(order):
+            yield seed, position, label, path
+
+
+def per_layer_summary(traced):
+    """The per-layer record of a tree's traced runs: their seeds, ops
+    attempted and failed, and each metric's median, min and max."""
+    names = [n for n in traced[0]["metrics"] if all(n in r["metrics"] for r in traced)]
+    metrics = {}
+    for name in names:
+        values = [r["metrics"][name]["value"] for r in traced]
+        metrics[name] = {"median": statistics.median(values), "min": min(values),
+                         "max": max(values), "unit": traced[0]["metrics"][name]["unit"]}
+    return {"seeds": [r["seed"] for r in traced],
+            "attempted": [r["attempted"] for r in traced],
+            "failed": [r["failed"] for r in traced], "metrics": metrics}
+
+
 def measure(trees, seeds, seconds):
     """Run every tree on every workload; returns {label: tree record}."""
     spec = _spec()
@@ -173,16 +204,17 @@ def measure(trees, seeds, seconds):
         out[label]["acceptance"] = acceptance(path)
     for workload in WORKLOADS:
         runs = {label: [] for label, _ in trees}
-        for i, seed in enumerate(seeds):
-            order = trees if i % 2 == 0 else trees[::-1]
-            for position, (label, path) in enumerate(order):
-                print(f"trajectory: {label} {workload} seed {seed}", file=sys.stderr)
-                record = run_once(path, workload, seed, seconds, 0)
-                runs[label].append(_summary(record, seed, position))
-                out[label]["env"] = {k: record["env"][k] for k in ("python", "numpy", "nproc")}
-                out[label]["env"].update(dispatch)
+        for seed, position, label, path in _alternating(trees, seeds):
+            print(f"trajectory: {label} {workload} seed {seed}", file=sys.stderr)
+            record = run_once(path, workload, seed, seconds, 0)
+            runs[label].append(_summary(record, seed, position))
+            out[label]["env"] = {k: record["env"][k] for k in ("python", "numpy", "nproc")}
+            out[label]["env"].update(dispatch)
+        traced = {label: [] for label, _ in trees}
+        for seed, _, label, path in _alternating(trees, seeds[:TRACED_SEEDS]):
+            print(f"trajectory: {label} {workload} seed {seed} traced", file=sys.stderr)
+            traced[label].append(dict(run_once(path, workload, seed, seconds, 1), seed=seed))
         for label, path in trees:
-            traced = run_once(path, workload, seeds[0], seconds, 1)
             end_to_end = {}
             for name in spec:
                 q1, med, q3 = _quartiles([r["metrics"][name] for r in runs[label]])
@@ -192,8 +224,7 @@ def measure(trees, seeds, seconds):
                 "seconds": seconds,
                 "runs": runs[label],
                 "end_to_end": end_to_end,
-                "per_layer": {"seed": seeds[0], "attempted": traced["attempted"],
-                              "failed": traced["failed"], "metrics": traced["metrics"]},
+                "per_layer": per_layer_summary(traced[label]),
             }
     return out
 
@@ -209,6 +240,25 @@ def _load(ref):
 
 def _ratio(b, a):
     return f"{b / a:.4f}" if a else "n/a"
+
+
+def _layers(per_layer):
+    """Per-layer metrics as {name: {median, min, max, unit}}; a file with one
+    traced run keeps {value, unit}, which stands for all three."""
+    return {name: m if "median" in m else
+            {"median": m["value"], "min": m["value"], "max": m["value"], "unit": m["unit"]}
+            for name, m in per_layer["metrics"].items()}
+
+
+def _seeds(per_layer):
+    return " ".join(str(s) for s in per_layer.get("seeds", [per_layer.get("seed")]))
+
+
+def _spread(m):
+    """A metric's median, with its range where the traced runs differ."""
+    if m["min"] == m["max"]:
+        return f"{m['median']:.6g}"
+    return f"{m['median']:.6g} ({m['min']:.6g}-{m['max']:.6g})"
 
 
 def compare_dispatch(env_a, env_b):
@@ -327,12 +377,13 @@ def compare(ref_a, ref_b):
         print(f"  failed on ops both attempted: A {fails[0]}, B {fails[1]} "
               f"of {sum(common)} (attempted in all: A {sum(r['attempted'] for r in wa['runs'])},"
               f" B {sum(r['attempted'] for r in wb['runs'])})")
-        la, lb = wa["per_layer"]["metrics"], wb["per_layer"]["metrics"]
-        print(f"  per layer, traced run of seed {wa['per_layer']['seed']} (A) and "
-              f"{wb['per_layer']['seed']} (B), per op:")
-        for name in [n for n in la if n in lb and (la[n]["value"] or lb[n]["value"])]:
-            va, vb = la[name]["value"], lb[name]["value"]
-            print(f"    {name} [{la[name]['unit']}]: A {va:.6g}  B {vb:.6g}  B/A {_ratio(vb, va)}")
+        la, lb = (_layers(w["per_layer"]) for w in (wa, wb))
+        print(f"  per layer, median (min-max) of the traced runs of seeds "
+              f"{_seeds(wa['per_layer'])} (A) and {_seeds(wb['per_layer'])} (B), per op:")
+        for name in [n for n in la if n in lb and (la[n]["median"] or lb[n]["median"])]:
+            ma, mb = la[name]["median"], lb[name]["median"]
+            print(f"    {name} [{la[name]['unit']}]: A {_spread(la[name])}  "
+                  f"B {_spread(lb[name])}  B/A {_ratio(mb, ma)}")
     return grew
 
 
@@ -345,7 +396,8 @@ def main(argv=None):
     p.add_argument("--tree", action="append", metavar="LABEL=DIR",
                    help="a tree to measure (repeatable; default: change=the repository root)")
     p.add_argument("--seeds", nargs="+", type=int, default=[1],
-                   help="one --trace 0 run per seed and tree; the first seed is also traced")
+                   help="one --trace 0 run per seed and tree; the first "
+                        f"{TRACED_SEEDS} seeds are also traced")
     p.add_argument("--seconds", type=float, default=36.0, help="perfbench's --seconds")
     args = p.parse_args(argv)
     if args.compare:

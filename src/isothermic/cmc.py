@@ -43,7 +43,9 @@ from .grid import (
 )
 from .quaternion import (
     INFINITY,
+    _dot,
     cj,
+    dot3,
     lorentz,
     moebius_act,
     point_form,
@@ -399,7 +401,7 @@ def central_sphere_congruence(surface: PolarizedSurface, jets: SurfaceJets | Non
     fvals = surface.f.values
     n = jets.normal
     s11 = h_e
-    s22 = h_e * qnormsq(fvals) + 2.0 * np.sum(fvals[..., 1:] * n[..., 1:], axis=-1)
+    s22 = h_e * qnormsq(fvals) + 2.0 * dot3(fvals, n)
     s12 = -(h_e[..., None] * fvals + n)
     comps = np.concatenate([s11[..., None], s22[..., None], s12], axis=-1)
     return comps, ff
@@ -416,13 +418,12 @@ def spherical_type_certificate(surface: PolarizedSurface):
     out.
     """
     jets = surface_jets(surface)
-    ff = fundamental_forms(surface, jets)
+    comps, ff = central_sphere_congruence(surface, jets)
     gap = ff.principal_gap()
     scale = np.maximum(np.abs(ff.mean_curvature()), 1.0)
     not_umbilic = gap > 1e-6 * scale
     if not not_umbilic.any():
         raise UmbilicRegion("surface is umbilic everywhere on the patch")
-    comps, _ = central_sphere_congruence(surface, jets)
     h = surface.grid.h
     sx = diff_axis4(comps, h, axis=1)
     sy = diff_axis4(comps, h, axis=0)
@@ -517,14 +518,14 @@ def quat_from_rotation(r3):
             np.where((choice == 2)[..., None], cand_c, cand_d),
         ),
     )
-    norm = np.sqrt(np.sum(out * out, axis=-1))
+    norm = qnorm(out)
     return out / np.where(norm > 1e-300, norm, 1.0)[..., None]
 
 
 def _sign_continuity(r, p0):
     """Flip quaternion signs so the field is continuous along the path scheme."""
     return _walk_path(r, p0, lambda prev, q: np.where(
-        np.sum(q * prev, axis=-1, keepdims=True) < 0, -q, q))
+        (_dot(q, prev, 0) < 0)[..., None], -q, q))
 
 
 def _ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
@@ -661,30 +662,32 @@ def ribaucour_data_extract(frame: FrameField) -> RibaucourData:
     big_h = (q_j - p_k) * e_mu
     big_hhat = -(q_j + p_k) * e_u
 
-    # off-pattern pieces: everything the structured form says must vanish
     scale = 1.0 + max(
         float(np.abs(phi_x[sel]).max()), float(np.abs(phi_y[sel]).max())
     )
     ux = diff_axis4(u, h, axis=1)
     uy = diff_axis4(u, h, axis=0)
-    pieces = [
-        np.abs(phi_x[..., 1, 0, 0]), np.abs(phi_x[..., 1, 0, 1]),
-        np.abs(phi_x[..., 1, 0, 3]),
-        np.abs(phi_y[..., 1, 0, 0]), np.abs(phi_y[..., 1, 0, 1]),
-        np.abs(phi_y[..., 1, 0, 2] - 0.0), np.abs(phi_y[..., 1, 0, 3] - e_u),
-        np.abs(phi_x[..., 0, 1, 0]), np.abs(phi_x[..., 0, 1, 1]),
-        np.abs(phi_x[..., 0, 1, 3]),
-        np.abs(phi_y[..., 0, 1, 0]), np.abs(phi_y[..., 0, 1, 1]),
-        np.abs(phi_y[..., 0, 1, 2]),
-        np.abs(phi_x[..., 0, 0, 0]), np.abs(phi_y[..., 0, 0, 0]),
-        np.abs(phi_x[..., 0, 0, 1] + 0.5 * uy),
-        np.abs(phi_y[..., 0, 0, 1] - 0.5 * ux),
-        np.abs(phi_x[..., 0, 0, 2]), np.abs(phi_y[..., 0, 0, 3]),
-    ]
-    for c_ in range(4):
-        pieces.append(np.abs(phi_x[..., 0, 0, c_] - phi_x[..., 1, 1, c_]))
-        pieces.append(np.abs(phi_y[..., 0, 0, c_] - phi_y[..., 1, 1, c_]))
-    pattern = float(np.maximum.reduce(pieces)[sel].max() / scale)
+
+    def off_pattern():
+        """Everything the structured form says must vanish, one field at a time."""
+        yield from (phi_x[..., 1, 0, c] for c in (0, 1, 3))
+        yield from (phi_y[..., 1, 0, c] for c in (0, 1, 2))
+        yield phi_y[..., 1, 0, 3] - e_u
+        yield from (phi_x[..., 0, 1, c] for c in (0, 1, 3))
+        yield from (phi_y[..., 0, 1, c] for c in (0, 1, 2))
+        yield from (phi_x[..., 0, 0, 0], phi_y[..., 0, 0, 0])
+        yield phi_x[..., 0, 0, 1] + 0.5 * uy
+        yield phi_y[..., 0, 0, 1] - 0.5 * ux
+        yield from (phi_x[..., 0, 0, 2], phi_y[..., 0, 0, 3])
+        for c in range(4):
+            yield phi_x[..., 0, 0, c] - phi_x[..., 1, 1, c]
+            yield phi_y[..., 0, 0, c] - phi_y[..., 1, 1, c]
+
+    # one running maximum (a NaN propagates), no stack of the pieces
+    pattern = np.zeros(u.shape)
+    for piece in off_pattern():
+        np.maximum(pattern, np.abs(piece), out=pattern)
+    pattern = float(pattern[sel].max() / scale)
 
     lap, lap_valid = laplacian(u, grid)
     gauss_field = np.abs(

@@ -579,19 +579,23 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup, spine):
                     state = advance(i, state)
                     for d, half in halves:
                         _pair_view(vals[:, i0 + d * (j + 1 + i)])[...] = state[half]
-                # each half's first bad line of the block, then its first bad member
+                # each half's first bad line of the block, then its first bad
+                # member; the per-node norms only where the block's one max
+                # exceeds blowup or is NaN
                 for d, _ in halves:
                     i1 = i0 + d * (j + 1)
-                    norm = np.abs(vals[:, _lines(i1, k, d)]).max(axis=tuple(range(2, vals.ndim)))
+                    block = np.abs(vals[:, _lines(i1, k, d)])
+                    if block.max() <= blowup:
+                        continue
+                    norm = block.max(axis=tuple(range(2, vals.ndim)))
                     bad = ~(norm <= blowup)
-                    if bad.any():
-                        line = int(bad.any(axis=0).argmax())
-                        r = int(bad[:, line].argmax())
-                        err = StepBlowup(f"state norm {norm[r, line]:.3e} exceeds {blowup:.1e}",
-                                         node=node(r, i1 + d * line))
-                        if d > 0:
-                            raise err
-                        pending = err if pending is None else pending
+                    line = int(bad.any(axis=0).argmax())
+                    r = int(bad[:, line].argmax())
+                    err = StepBlowup(f"state norm {norm[r, line]:.3e} exceeds {blowup:.1e}",
+                                     node=node(r, i1 + d * line))
+                    if d > 0:
+                        raise err
+                    pending = err if pending is None else pending
         if pending is not None:
             raise pending
 

@@ -59,8 +59,23 @@ def qconj(a):
     return out
 
 
+def _dot(a, b, first):
+    """np.sum(a[..., first:] * b[..., first:], axis=-1), bit for bit, for a
+    last axis of fewer than first + 8 entries, without numpy's reduction
+    machinery, which is slow on so short an axis.  numpy adds so few terms
+    one by one, left to right, starting from +0.0.  Here the products are
+    added in that order and their sum then to the integer 0, so that a sum
+    of -0.0 reads +0.0 and integer input stays integer."""
+    out = a[..., first] * b[..., first]
+    for c in range(first + 1, a.shape[-1]):
+        out += a[..., c] * b[..., c]
+    out += 0
+    return out
+
+
 def qnormsq(a):
-    return np.sum(np.asarray(a, dtype=float) ** 2, axis=-1)
+    a = np.asarray(a, dtype=float)
+    return _dot(a, a, 0)
 
 
 def qnorm(a):
@@ -120,7 +135,7 @@ def from_imag3(v):
 
 def dot3(a, b):
     """Euclidean inner product of the imaginary parts."""
-    return np.sum(imag3(a) * imag3(b), axis=-1)
+    return _dot(np.asarray(a), np.asarray(b), 1)
 
 
 def cross3(a, b):
@@ -326,8 +341,7 @@ INFINITY = "inf"
 
 def lorentz(s, t):
     """Polarization of <s, s> = |s12|^2 - s11*s22 on (..., 6) forms; signature (5, 1)."""
-    dot12 = np.sum(s[..., 2:] * t[..., 2:], axis=-1)
-    return dot12 - 0.5 * (s[..., 0] * t[..., 1] + s[..., 1] * t[..., 0])
+    return _dot(s, t, 2) - 0.5 * (s[..., 0] * t[..., 1] + s[..., 1] * t[..., 0])
 
 
 def herm_apply(s, u, v):

@@ -211,6 +211,27 @@ def test_spherical_type_positive_cases(grid129, catenoid129):
     assert res <= 1e-3
 
 
+def test_spherical_type_certificate_call_counts(grid65, monkeypatch):
+    """The certificate differentiates the surface once and builds its
+    fundamental forms once, for the umbilic gap and the congruence alike."""
+    from isothermic import cmc as cmc_module
+
+    counts = {}
+    for name in ("surface_jets", "fundamental_forms"):
+        original = getattr(cmc_module, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cmc_module, name, counted)
+    surface = PolarizedSurface(darboux_weierstrass(plane_data(grid65), 1.0).f, "dz2")
+    _, res = spherical_type_certificate(surface)
+    assert counts == {"surface_jets": 1, "fundamental_forms": 1}
+    monkeypatch.undo()
+    assert spherical_type_certificate(surface)[1] == res
+
+
 def test_spherical_type_negative_control(grid129):
     cyl = PolarizedSurface.sample(grid129, cylinder)
     _, res = spherical_type_certificate(cyl)

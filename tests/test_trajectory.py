@@ -190,3 +190,59 @@ def test_compare_gates_refinement_order_drops(tmp_path, capsys):
     assert "  criterion 8 (Gauss residual): A 1.99  B 1.6  ORDER DROPPED\n" in out
     assert "  criterion 10 (double dual vs original): A 4.0  B 3.5  ORDER DROPPED\n" in out
     assert "ORDER DROPPED: 2 refinement order(s) more than 0.3 below A" in out
+
+
+def test_measure_traces_the_first_seeds_in_alternating_order(monkeypatch):
+    """Each tree runs traced on the first TRACED_SEEDS seeds, the trees taking
+    turns as in the untraced runs; per layer the file keeps each metric's
+    median, min and max over those runs."""
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace):
+        calls.append((tree, workload, seed, trace))
+        calls_per_op = 7.0 if tree == "A" else 6.0
+        metrics = {name: {"value": 1.0, "unit": "x"} for name in NAMES}
+        if trace:
+            metrics = {"grid.integrate_frame.calls": {"value": calls_per_op, "unit": "count"},
+                       "grid.self_s": {"value": 0.1 * seed, "unit": "s"}}
+        return {"attempted": 3, "failed": 0, "ops": [], "metrics": metrics,
+                "env": {"python": "3", "numpy": "2", "nproc": 2}}
+
+    monkeypatch.setattr(trajectory, "run_once", run_once)
+    monkeypatch.setattr(trajectory, "acceptance", lambda tree: {})
+    monkeypatch.setattr(trajectory, "_commit", lambda tree: "abc")
+    out = trajectory.measure([("parent", "A"), ("change", "B")], [5, 6, 7, 8], 1.0)
+    traced = [(tree, seed) for tree, workload, seed, trace in calls
+              if trace and workload == "permutability"]
+    assert trajectory.TRACED_SEEDS == 3
+    assert traced == [("A", 5), ("B", 5), ("B", 6), ("A", 6), ("A", 7), ("B", 7)]
+    untraced = [(tree, seed) for tree, workload, seed, trace in calls
+                if not trace and workload == "permutability"]
+    assert untraced[:4] == [("A", 5), ("B", 5), ("B", 6), ("A", 6)] and len(untraced) == 8
+    layer = out["change"]["workloads"]["permutability"]["per_layer"]
+    assert layer["seeds"] == [5, 6, 7]
+    assert layer["metrics"]["grid.integrate_frame.calls"] == {
+        "median": 6.0, "min": 6.0, "max": 6.0, "unit": "count"}
+    self_s = layer["metrics"]["grid.self_s"]
+    assert (self_s["median"], self_s["min"], self_s["max"]) == (0.1 * 6, 0.1 * 5, 0.1 * 7)
+
+
+def test_compare_prints_the_median_ratio_of_traced_runs(tmp_path, capsys):
+    """A per-layer line shows each side's median and range and the B/A ratio
+    of the medians; a file with one traced run per tree still compares."""
+    a = _tree((1.0, 1.2), (42, 40), ([], []))
+    b = _tree((0.8, 0.9), (45, 44), ([], []))
+    b["workloads"]["permutability"]["per_layer"] = trajectory.per_layer_summary([
+        {"seed": s, "attempted": 9, "failed": 0,
+         "metrics": {"grid.integrate_frame.calls": {"value": 4.0, "unit": "count"},
+                     "quaternion.self_s": {"value": v, "unit": "s"}}}
+        for s, v in ((1, 0.02), (2, 0.03), (3, 0.025))])
+    a["workloads"]["permutability"]["per_layer"]["metrics"]["quaternion.self_s"] = {
+        "value": 0.05, "unit": "s"}
+    path = tmp_path / "BENCH_3.json"
+    path.write_text(json.dumps({"pr": 3, "seeds": [1, 2], "trees": {"parent": a, "change": b}}))
+    trajectory.compare(f"{path}:parent", f"{path}:change")
+    out = capsys.readouterr().out
+    assert "traced runs of seeds 1 (A) and 1 2 3 (B), per op:" in out
+    assert "grid.integrate_frame.calls [count]: A 5  B 4  B/A 0.8000" in out
+    assert "quaternion.self_s [s]: A 0.05  B 0.025 (0.02-0.03)  B/A 0.5000" in out
