@@ -45,6 +45,11 @@ ORDER DROPPED, and --compare exits 1.  The orders of criteria 1-4 are
 labelled not order evidence and not gated: their marches run on the plane,
 whose canonical connection has constant coefficients, so no march's midpoint
 order shows in them (criterion 2's Enneper lines march nothing at all).
+Neither is criterion 5's: its residual is the worst of 20 quadruples that
+moebius_equivalent draws anew at each grid size, so the ratio between sizes
+mixes the draw with the discretisation (over n = 65/129/257 the order reads
+3.94 at the line's seed 3, 2.56 at seed 4 and 5.46 at seed 5, and 2.77 at
+seed 3 at numpy's baseline SIMD dispatch).
 """
 
 from __future__ import annotations
@@ -72,8 +77,10 @@ RESIDUAL_GROWTH = 2.0
 #: moves a printed order by a few hundredths
 ORDER_DROP = 0.3
 
-#: acceptance lines that run on the plane (criteria 1-4, not 10)
-PLANE_LINE = re.compile(r"criterion [1-4](?!\d)")
+#: acceptance lines whose printed order is not order evidence, and why:
+#: those that run on the plane (criteria 1-4, not 10) and criterion 5
+NOT_ORDER_EVIDENCE = ((re.compile(r"criterion [1-4](?!\d)"), "criteria 1-4"),
+                      (re.compile(r"criterion 5(?!\d)"), "criterion 5: quadruples drawn per size"))
 
 #: a report line of tests/test_acceptance.py (pytest's progress dots may precede it)
 REPORT_LINE = re.compile(
@@ -316,8 +323,8 @@ def compare_acceptance(a, b, same_dispatch=True):
 
 def compare_orders(a, b):
     """Print every refinement order that A and B both record, marking a drop
-    of more than ORDER_DROP on a line outside criteria 1-4; those are
-    labelled not order evidence.  Returns the names of the lines whose order
+    of more than ORDER_DROP on a line that NOT_ORDER_EVIDENCE does not label
+    not order evidence.  Returns the names of the lines whose order
     dropped."""
     both = [n for n in a if n in b and "order" in a[n] and "order" in b[n]]
     if not both:
@@ -326,9 +333,10 @@ def compare_orders(a, b):
     dropped = []
     for name in both:
         oa, ob = a[name]["order"], b[name]["order"]
+        why = [why for line, why in NOT_ORDER_EVIDENCE if line.match(name)]
         mark = ""
-        if PLANE_LINE.match(name):
-            mark = "  not order evidence (criteria 1-4)"
+        if why:
+            mark = f"  not order evidence ({why[0]})"
         elif ob < oa - ORDER_DROP:
             dropped.append(name)
             mark = "  ORDER DROPPED"

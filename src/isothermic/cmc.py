@@ -22,13 +22,15 @@ from .errors import (
     DegenerateTangent,
     FrameUnavailable,
     InitialOnBoundary,
+    MaskedNeighbor,
     MaskedRegion,
     NotClosed,
     PatternMismatch,
     UmbilicRegion,
 )
 from .grid import (
-    _walk_path,
+    _connection_planes,
+    _path_scan,
     FrameField,
     GridSpec,
     QField,
@@ -44,6 +46,8 @@ from .grid import (
 from .quaternion import (
     INFINITY,
     _dot,
+    _pair_entry,
+    _pair_floats,
     cj,
     dot3,
     lorentz,
@@ -522,10 +526,28 @@ def quat_from_rotation(r3):
     return out / np.where(norm > 1e-300, norm, 1.0)[..., None]
 
 
+def _sign_scan(lines):
+    """Flip in place the sign of each node after the first of quaternion
+    lines (m, ..., 4) where its dot product with the node before it, as
+    flipped, is below 0.  A flip negates a dot product exactly, so a node's
+    sign is the product of the signs of the dot products of the unflipped
+    nodes back to the last that is 0 or NaN, where it restarts at +1."""
+    dots = _dot(lines[1:], lines[:-1], 0)
+    neg = dots < 0
+    flips = np.ones(lines.shape[:-1], np.int8)
+    flips[1:][neg] = -1
+    sign = np.multiply.accumulate(flips, axis=0)
+    restart = np.ones(sign.shape, bool)
+    restart[1:] = ~(neg | (dots > 0))
+    index = np.arange(len(lines)).reshape((-1,) + (1,) * (sign.ndim - 1))
+    last = np.maximum.accumulate(np.where(restart, index, 0), axis=0)
+    sign *= np.take_along_axis(sign, last, axis=0)
+    np.negative(lines, out=lines, where=(sign < 0)[..., None])
+
+
 def _sign_continuity(r, p0):
     """Flip quaternion signs so the field is continuous along the path scheme."""
-    return _walk_path(r, p0, lambda prev, q: np.where(
-        (_dot(q, prev, 0) < 0)[..., None], -q, q))
+    return _path_scan(r, p0, _sign_scan)
 
 
 def _ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
@@ -617,6 +639,23 @@ def family_ribaucour_connection(grid: GridSpec, lam: float, p0=None) -> FrameCon
     return _ribaucour_from_parts(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
 
 
+#: the entries (row, column, component) of phi_x and of phi_y that the
+#: structured form says vanish
+_ZERO_X = ((1, 0, 0), (1, 0, 1), (1, 0, 3), (0, 1, 0), (0, 1, 1), (0, 1, 3), (0, 0, 0),
+           (0, 0, 2))
+_ZERO_Y = ((1, 0, 0), (1, 0, 1), (1, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 0, 0),
+           (0, 0, 3))
+
+
+def _peak(planes, block):
+    """Largest |component| of pair planes (2, 2, 2, m, nx) over the nodes
+    block (m, nx), as max(max, -min), which is exact; nan where one is nan."""
+    x = _pair_floats(planes)
+    if not block.all():
+        x = x[..., block, :]
+    return np.maximum(x.max(), -x.min())
+
+
 @dataclass
 class RibaucourData:
     """Curvature data read off a structured connection form."""
@@ -642,60 +681,58 @@ def ribaucour_data_extract(frame: FrameField) -> RibaucourData:
     """
     grid = frame.grid
     h = grid.h
-    phi_x, phi_y = frame.connection_form()
     sel = dilate_invalid(grid.valid(), rings=2)
+    # residual maxima over nodes whose extraction used centered stencils
+    # only; sel lies inside the nodes whose Laplacian is valid
+    valid = sel & grid.interior(3)
+    if not valid.any():
+        raise MaskedNeighbor("curvature data extraction needs a node three rings inside "
+                             "the grid whose two rings are valid")
 
-    eu_x = phi_x[..., 1, 0, 2]
+    # per block of grid rows, from Phi's pair planes: the entries the data
+    # read, the running maximum of every off-pattern piece but the two that
+    # need u's derivatives (a NaN propagates), and the largest |component|
+    # of each coefficient over the selected nodes
+    shape = (grid.ny, grid.nx)
+    eu_x, e_u, x_j, y_k, p_k, q_j, xi, yi = (np.empty(shape) for _ in range(8))
+    pattern = np.zeros(shape)
+    peaks = np.full(2, -np.inf)
+    for rows, phi_x, phi_y in _connection_planes(frame):
+        eu_x[rows] = _pair_entry(phi_x, 1, 0, 2)
+        e_u[rows] = np.where(eu_x[rows] > 0, eu_x[rows], 1.0)
+        for out, phi, entry in ((x_j, phi_x, (0, 1, 2)), (y_k, phi_y, (0, 1, 3)),
+                                (p_k, phi_x, (0, 0, 3)), (q_j, phi_y, (0, 0, 2)),
+                                (xi, phi_x, (0, 0, 1)), (yi, phi_y, (0, 0, 1))):
+            out[rows] = _pair_entry(phi, *entry)
+        for phi, zero in ((phi_x, _ZERO_X), (phi_y, _ZERO_Y)):
+            for piece in [_pair_entry(phi, *e) for e in zero] + [
+                    _pair_entry(phi, 0, 0, c) - _pair_entry(phi, 1, 1, c) for c in range(4)]:
+                np.maximum(pattern[rows], np.abs(piece), out=pattern[rows])
+        np.maximum(pattern[rows], np.abs(_pair_entry(phi_y, 1, 0, 3) - e_u[rows]),
+                   out=pattern[rows])
+        if sel[rows].any():
+            np.maximum(peaks, [_peak(phi, sel[rows]) for phi in (phi_x, phi_y)], out=peaks)
+
     if (eu_x[sel] <= 0).any():
         raise PatternMismatch("lower-left entry is not e^u dz j (e^u must be > 0)")
-    u = np.log(np.where(eu_x > 0, eu_x, 1.0))
-    e_u = np.where(eu_x > 0, eu_x, 1.0)
+    u = np.log(e_u)
     e_mu = 1.0 / e_u
-
-    x_j = phi_x[..., 0, 1, 2]
-    y_k = phi_y[..., 0, 1, 3]
     lamhat = 0.5 * (x_j + y_k) * e_mu
     lam = 0.5 * (y_k - x_j) * e_u
-
-    p_k = phi_x[..., 0, 0, 3]
-    q_j = phi_y[..., 0, 0, 2]
     big_h = (q_j - p_k) * e_mu
     big_hhat = -(q_j + p_k) * e_u
 
-    scale = 1.0 + max(
-        float(np.abs(phi_x[sel]).max()), float(np.abs(phi_y[sel]).max())
-    )
+    scale = 1.0 + max(float(peaks[0]), float(peaks[1]))
     ux = diff_axis4(u, h, axis=1)
     uy = diff_axis4(u, h, axis=0)
-
-    def off_pattern():
-        """Everything the structured form says must vanish, one field at a time."""
-        yield from (phi_x[..., 1, 0, c] for c in (0, 1, 3))
-        yield from (phi_y[..., 1, 0, c] for c in (0, 1, 2))
-        yield phi_y[..., 1, 0, 3] - e_u
-        yield from (phi_x[..., 0, 1, c] for c in (0, 1, 3))
-        yield from (phi_y[..., 0, 1, c] for c in (0, 1, 2))
-        yield from (phi_x[..., 0, 0, 0], phi_y[..., 0, 0, 0])
-        yield phi_x[..., 0, 0, 1] + 0.5 * uy
-        yield phi_y[..., 0, 0, 1] - 0.5 * ux
-        yield from (phi_x[..., 0, 0, 2], phi_y[..., 0, 0, 3])
-        for c in range(4):
-            yield phi_x[..., 0, 0, c] - phi_x[..., 1, 1, c]
-            yield phi_y[..., 0, 0, c] - phi_y[..., 1, 1, c]
-
-    # one running maximum (a NaN propagates), no stack of the pieces
-    pattern = np.zeros(u.shape)
-    for piece in off_pattern():
-        np.maximum(pattern, np.abs(piece), out=pattern)
+    np.maximum(pattern, np.abs(xi + 0.5 * uy), out=pattern)
+    np.maximum(pattern, np.abs(yi - 0.5 * ux), out=pattern)
     pattern = float(pattern[sel].max() / scale)
 
-    lap, lap_valid = laplacian(u, grid)
     gauss_field = np.abs(
-        lap + big_h**2 * np.exp(2 * u) - big_hhat**2 * np.exp(-2 * u)
+        laplacian(u, grid)[0] + big_h**2 * np.exp(2 * u) - big_hhat**2 * np.exp(-2 * u)
         - 4.0 * np.exp(2 * u) * lamhat
     )
-    # residual maxima over nodes whose extraction used centered stencils only
-    valid = sel & lap_valid & grid.interior(3)
     gauss = float(gauss_field[valid].max())
 
     def wirtinger_bar(fld):

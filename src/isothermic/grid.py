@@ -28,12 +28,12 @@ from .errors import (
 )
 from .quaternion import (
     _cayley_dickson,
+    _pair_floats,
     _pair_matmul,
     _pair_planes,
     _pair_view,
     _put_planes,
-    qm2_inv,
-    qm2_mul,
+    _study_planes,
     qm2_norm,
     qmul,
     qnorm,
@@ -200,10 +200,13 @@ class FrameField:
             raise ValueError("frame values must have shape (ny, nx, 2, 2, 4)")
 
     def connection_form(self):
-        """(phi_x, phi_y) of Phi = F^-1 dF, entrywise fourth-order differences."""
-        inv = qm2_inv(self.values)
-        return (qm2_mul(inv, diff_axis4(self.values, self.grid.h, axis=1)),
-                qm2_mul(inv, diff_axis4(self.values, self.grid.h, axis=0)))
+        """(phi_x, phi_y) of Phi = F^-1 dF, entrywise fourth-order differences
+        (see _connection_planes)."""
+        phi = np.empty((2,) + self.values.shape)
+        for rows, *planes in _connection_planes(self):
+            for out, p in zip(phi, planes):
+                _pair_view(out[rows].reshape(-1, 2, 2, 4))[...] = p.reshape(2, 2, 2, -1)
+        return phi[0], phi[1]
 
     def study_det_drift(self):
         """Largest deviation of the Study determinant from 1 over valid nodes."""
@@ -377,19 +380,17 @@ def _spine_rows_order(grid, p0):
     return iy0, ix0
 
 
-def _walk_path(values, p0, step):
-    """A copy of values (ny, nx, ...) in which every node but p0 is replaced,
-    in march order, by step(value of the node before it on its path, its
-    own value): up and down the base column, then along the rows."""
+def _path_scan(values, p0, scan):
+    """values (ny, nx, ...) scanned along the spine-then-rows path scheme: up
+    and down the base column from p0, then along every row outwards from
+    that column.  scan(lines) scans lines (m, ...) in place, walked along
+    their first axis outwards from the node they leave, which it keeps: each
+    later node's value is made from its own and those of the nodes before
+    it."""
     out = np.array(values, copy=True)
-
-    def lines(v, i0):  # v walked along its first axis, outwards from i0
-        for d, end in ((1, len(v)), (-1, -1)):
-            for i in range(i0 + d, end, d):
-                v[i] = step(v[i - d], v[i])
-
-    lines(out[:, p0[1]], p0[0])
-    lines(np.swapaxes(out, 0, 1), p0[1])
+    for lines, i0 in ((out[:, p0[1]], p0[0]), (np.swapaxes(out, 0, 1), p0[1])):
+        scan(lines[i0:])
+        scan(lines[i0::-1])
     return out
 
 
@@ -399,7 +400,7 @@ def _path_valid_mask(grid, p0):
     iy0, ix0 = p0
     if not valid[iy0, ix0]:
         raise MaskedRegion("base node is masked", node=p0)
-    return _walk_path(valid, p0, np.logical_and)
+    return _path_scan(valid, p0, lambda lines: np.logical_and.accumulate(lines, out=lines))
 
 
 def cumulative_simpson(values, h, axis, origin):
@@ -478,30 +479,66 @@ def midpoint_samples(coef, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _block_lines(stencil, values, axis, first, count, reach):
-    """stencil(values)[first:first + count] along axis, bit for bit, from the
-    lines of values it reads.  reach = (before, after, width): the stencil
-    reads `before` lines before the block and `after` lines after it, and
-    `width` lines where its one-sided formulas meet an edge of the grid."""
+def _block_lines(values, axis, first, count, reach):
+    """The lines of values along axis that a stencil reads to give its lines
+    first..first + count - 1 bit for bit, and the slice of those lines
+    within them.  reach = (before, after, width): the stencil reads `before`
+    lines before the block and `after` lines after it, and `width` lines
+    where its one-sided formulas meet an edge of the grid."""
     before, after, width = reach
     n = values.shape[axis]
     lo = max(0, min(first - before, n - width))
     hi = min(n, max(first + count + after, lo + width))
-    lead = (slice(None),) * axis
-    out = stencil(values[lead + (slice(lo, hi),)])
-    return out[lead + (slice(first - lo, first - lo + count),)]
+    return values[(slice(None),) * axis + (slice(lo, hi),)], slice(first - lo, first - lo + count)
 
 
 def _block_midpoints(coef, first, count):
     """midpoint_samples(coef, axis=1)[:, first:first + count], bit for bit:
     the cubic stencils read one column before a block and two after it, and
     the four columns at a grid edge."""
-    return _block_lines(partial(midpoint_samples, axis=1), coef, 1, first, count, (1, 2, 4))
+    lines, block = _block_lines(coef, 1, first, count, (1, 2, 4))
+    return midpoint_samples(lines, axis=1)[:, block]
 
 
 #: nodes per block of grid columns whose RK4 steps a march prepares at once,
-#: and per block of grid rows whose Maurer-Cartan curvature a gate computes
+#: and per block of grid rows that the connection and curvature of a frame
+#: are computed on
 _MARCH_BLOCK = 4096
+
+
+def _row_planes(values, reach):
+    """Blocks of grid rows of about _MARCH_BLOCK nodes of a (ny, nx, 2, 2, 4)
+    field, each copied once into pair planes (2, 2, 2, m, nx) together with
+    the rows around it that a stencil of reach along the rows reads (see
+    _block_lines).  Yields (rows, planes, block): the block's grid rows, the
+    planes, and the block's rows within them."""
+    ny, nx = values.shape[:2]
+    step = max(1, _MARCH_BLOCK // nx)
+    for first in range(0, ny, step):
+        lines, block = _block_lines(values, 0, first, min(step, ny - first), reach)
+        yield slice(first, first + step), _pair_planes(lines, 2), block
+
+
+def _plane_diff(stencil, planes, h, axis):
+    """stencil (diff_axis or diff_axis4) of pair planes (..., m, nx) along
+    their rows (axis -2) or columns (axis -1), taken on their float view:
+    bit for bit the derivative of the real components."""
+    return stencil(_pair_floats(planes), h, axis - 1).view(complex)[..., 0]
+
+
+def _connection_planes(frame):
+    """Phi = F^-1 dF of a FrameField per block of grid rows (see _row_planes),
+    entrywise fourth-order differences: yields (rows, phi_x, phi_y) as pair
+    planes (2, 2, 2, m, nx).  A block reads the two rows on either side of
+    it, and six rows at a grid edge, where diff_axis4's one-sided formulas
+    read five (below six rows it is diff_axis).  SingularMatrix names the
+    first singular node of the grid, row-major."""
+    h, nx = frame.grid.h, frame.grid.nx
+    for rows, planes, block in _row_planes(frame.values, (2, 2, 6)):
+        f = planes[..., block, :]
+        inv = _study_planes(f, True, lambda i: (rows.start + int(i) // nx, int(i) % nx))[1]
+        yield (rows, _pair_matmul(inv, _plane_diff(diff_axis4, f, h, -1)),
+               _pair_matmul(inv, _plane_diff(diff_axis4, planes, h, -2)[..., block, :]))
 
 
 def _lines(first, count, d):
@@ -672,18 +709,23 @@ def _column_product(v, m):
 def _maurer_cartan_point(phi_x, phi_y, grid):
     """Pointwise |d(Phi) + Phi^Phi| and the nodes whose plaquettes are gated.
 
-    Computed over blocks of grid rows of about _MARCH_BLOCK nodes, so that no
-    temporary spans the whole grid; the y-derivative of a block reads one row
-    on either side of it, and three rows at a grid edge.
+    Computed over blocks of grid rows (see _row_planes), so that no temporary
+    spans the whole grid: each coefficient's block is copied to pair planes
+    once, phi_x's with the row on either side of it (three rows at a grid
+    edge) that its y-derivative reads, and both products of the commutator
+    read those planes.  The curvature goes back to real components per
+    block, so that qm2_norm sums its entries in their order.
     """
     point = np.empty((grid.ny, grid.nx))
-    rows = max(1, _MARCH_BLOCK // grid.nx)
-    for first in range(0, grid.ny, rows):
-        block = slice(first, first + rows)
-        px, py = phi_x[block], phi_y[block]
-        d = diff_x(py, grid.h) - _block_lines(partial(diff_y, h=grid.h), phi_x, 0, first,
-                                              len(px), (1, 1, 3))
-        point[block] = qm2_norm(d + (qm2_mul(px, py) - qm2_mul(py, px)))
+    for (rows, px, block), (_, py, _) in zip(_row_planes(phi_x, (1, 1, 3)),
+                                              _row_planes(phi_y, (0, 0, 0))):
+        d = (_plane_diff(diff_axis, py, grid.h, -1)
+             - _plane_diff(diff_axis, px, grid.h, -2)[..., block, :])
+        px = px[..., block, :]
+        d += _pair_matmul(px, py) - _pair_matmul(py, px)
+        curvature = np.empty(d.shape[3:] + (2, 2, 4))
+        _pair_view(curvature.reshape(-1, 2, 2, 4))[...] = d.reshape(2, 2, 2, -1)
+        point[rows] = qm2_norm(curvature)
     return point, dilate_invalid(grid.valid())
 
 

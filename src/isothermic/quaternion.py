@@ -173,6 +173,19 @@ def _pair_conj(x):
     return np.array((np.conj(x[0]), -x[1]))
 
 
+def _pair_entry(x, r, c, k):
+    """Component k (of w, x, y, z) of entry (r, c) of the matrices held as the
+    pair array x (2, 2, 2, ...)."""
+    half = x[k // 2, r, c]
+    return half.imag if k % 2 else half.real
+
+
+def _pair_floats(x):
+    """The float view (..., n, 2) of a pair array x (..., n) whose last axis
+    is contiguous: the real and imaginary parts of its entries last."""
+    return x.view(float).reshape(x.shape + (2,))
+
+
 def _pairs(x):
     """Float (..., 4) components as the complex (..., 2) array (alpha, beta),
     a view wherever the last axis is contiguous."""
@@ -262,16 +275,44 @@ def qm2_matvec(m, v):
     return p[..., 0, :] + p[..., 1, :]
 
 
-def _study(m, inverse):
-    """Study determinants D of (..., 2, 2, 4) matrices M = [[a, b], [c, d]] and,
-    with inverse=True, their inverses, as closed forms on pair planes in
-    blocks of _QM2_BLOCK nodes (x' = conj x):
+def _study_planes(x, inverse, node):
+    """Study determinants D of the matrices M = [[a, b], [c, d]] held as pair
+    planes x (2, 2, 2, ...) and, with inverse=True, their inverses as pair
+    planes of the same shape, from the closed forms (x' = conj x)
     D = |a|^2 |d|^2 + |b|^2 |c|^2 - 2 Re(a c' d b'),
     M^-1 = [[|d|^2 a' - c' d b', |b|^2 c' - a' b d'],
-            [|c|^2 b' - d' c a', |a|^2 d' - b' a c']] / D.
-    The inverse raises SingularMatrix at the first node where D is at most
-    EPS_SINGULAR times its bound (|a|^2 + |b|^2)(|c|^2 + |d|^2).
+            [|c|^2 b' - d' c a', |a|^2 d' - b' a c']] / D;
+    the one place the inverse is written down.  The inverse raises
+    SingularMatrix at the first node, in the order of x's flattened node
+    axes, where D is at most EPS_SINGULAR times its bound
+    (|a|^2 + |b|^2)(|c|^2 + |d|^2); node(i) names the node of flat index i.
     """
+    xc = _pair_conj(x)  # the conjugate entries
+    sq = x.real ** 2 + x.imag ** 2
+    (na, nb), (nc, nd) = sq[0] + sq[1]
+    cd = _cayley_dickson(xc[:, 1, 0], x[:, 1, 1])  # c' d
+    cdb = _cayley_dickson(cd, xc[:, 0, 1])
+    d = na * nd + nb * nc - 2.0 * _cayley_dickson(x[:, 0, 0], cdb)[0].real
+    if not inverse:
+        return d, None
+    bad = np.flatnonzero(d <= EPS_SINGULAR * (na + nb) * (nc + nd))
+    if bad.size:
+        raise SingularMatrix(f"singular matrix: Study determinant {d.flat[bad[0]]:.3e} is "
+                             f"at most {EPS_SINGULAR:g} of its bound", node=node(bad[0]))
+    ab = _cayley_dickson(xc[:, 0, 0], x[:, 0, 1])  # a' b
+    out = np.empty(x.shape, complex)
+    for (r, c), norm, triple in (
+            ((0, 0), nd, cdb),
+            ((0, 1), nb, _cayley_dickson(ab, xc[:, 1, 1])),
+            ((1, 0), nc, _cayley_dickson(_pair_conj(cd), xc[:, 0, 0])),
+            ((1, 1), na, _cayley_dickson(_pair_conj(ab), xc[:, 1, 0]))):
+        out[:, r, c] = (norm * xc[:, c, r] - triple) / d
+    return d, out
+
+
+def _study(m, inverse):
+    """Study determinants of (..., 2, 2, 4) matrices and, with inverse=True,
+    their inverses, by _study_planes in blocks of _QM2_BLOCK nodes."""
     m = np.asarray(m, dtype=float)
     lead = m.shape[:-3]
     rows = m.reshape(-1, 2, 2, 4)
@@ -279,28 +320,11 @@ def _study(m, inverse):
     out = np.empty(rows.shape) if inverse else None
     for start in range(0, len(rows), _QM2_BLOCK):
         block = slice(start, start + _QM2_BLOCK)
-        x = _pair_planes(rows[block], 2)  # x[:, r, c] is entry (r, c)
-        xc = _pair_conj(x)  # the conjugate entries
-        sq = x.real ** 2 + x.imag ** 2
-        (na, nb), (nc, nd) = sq[0] + sq[1]
-        cd = _cayley_dickson(xc[:, 1, 0], x[:, 1, 1])  # c' d
-        cdb = _cayley_dickson(cd, xc[:, 0, 1])
-        d = det[block]
-        d[...] = na * nd + nb * nc - 2.0 * _cayley_dickson(x[:, 0, 0], cdb)[0].real
-        if not inverse:
-            continue
-        bad = np.flatnonzero(d <= EPS_SINGULAR * (na + nb) * (nc + nd))
-        if bad.size:
-            node = tuple(int(i) for i in np.unravel_index(start + bad[0], lead))
-            raise SingularMatrix(f"singular matrix: Study determinant {d[bad[0]]:.3e} is "
-                                 f"at most {EPS_SINGULAR:g} of its bound", node=node or None)
-        ab = _cayley_dickson(xc[:, 0, 0], x[:, 0, 1])  # a' b
-        for (r, c), norm, triple in (
-                ((0, 0), nd, cdb),
-                ((0, 1), nb, _cayley_dickson(ab, xc[:, 1, 1])),
-                ((1, 0), nc, _cayley_dickson(_pair_conj(cd), xc[:, 0, 0])),
-                ((1, 1), na, _cayley_dickson(_pair_conj(ab), xc[:, 1, 0]))):
-            _pair_view(out[block])[:, r, c] = (norm * xc[:, c, r] - triple) / d
+        det[block], inv = _study_planes(
+            _pair_planes(rows[block], 2), inverse,
+            lambda i: tuple(int(k) for k in np.unravel_index(start + i, lead)) or None)
+        if inverse:
+            _pair_view(out[block])[...] = inv
     return det.reshape(lead), None if out is None else out.reshape(m.shape)
 
 

@@ -10,9 +10,9 @@ quaternion components that ``integrate_riccati`` ran before its states and
 coefficients became complex pairs.  The cubic midpoint samples are shared
 with the package; the gates and the blow-up check are not part of it.
 
-The path-scheme walks the package ran as loops of their own before they
-shared the march order of ``grid._walk_path`` are kept here too: the reach
-mask of ``grid._path_valid_mask`` and the sign continuation of
+The path-scheme walks the package ran as loops before they became the
+array scans of ``grid._path_scan`` are kept here too: the reach mask of
+``grid._path_valid_mask`` and the sign continuation of
 ``cmc._sign_continuity``.
 
 So is the tuple form of the Cayley-Dickson product that
@@ -22,6 +22,12 @@ same four complex products, with the conjugate factor on the left.
 So is the whole-grid Maurer-Cartan point that ``grid._maurer_cartan_point``
 computed before it went over blocks of grid rows; it shares the package's
 difference operators and matrix product, so the two agree bit for bit.
+
+So are F^-1 dF over the whole grid, ``qm2_mul(qm2_inv(F), diff_axis4(F))``,
+which ``FrameField.connection_form`` computed before it went over blocks of
+grid rows on pair planes (``grid._connection_planes``), and the curvature
+data extraction ``cmc.ribaucour_data_extract`` that read its entries from
+that whole-grid Phi.
 """
 
 from __future__ import annotations
@@ -30,7 +36,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from isothermic.grid import diff_x, diff_y, dilate_invalid, midpoint_samples
+from isothermic.cmc import RibaucourData
+from isothermic.errors import PatternMismatch
+from isothermic.grid import (
+    diff_axis4,
+    diff_x,
+    diff_y,
+    dilate_invalid,
+    laplacian,
+    midpoint_samples,
+)
+from isothermic.quaternion import qm2_inv as package_qm2_inv
 from isothermic.quaternion import qm2_mul as package_qm2_mul
 from isothermic.quaternion import qm2_norm
 
@@ -195,3 +211,86 @@ def maurer_cartan_point(phi_x, phi_y, grid):
     d = diff_x(phi_y, grid.h) - diff_y(phi_x, grid.h)
     comm = package_qm2_mul(phi_x, phi_y) - package_qm2_mul(phi_y, phi_x)
     return qm2_norm(d + comm), dilate_invalid(grid.valid())
+
+
+def connection_form(frame):
+    """(phi_x, phi_y) of Phi = F^-1 dF over the whole grid at once."""
+    inv = package_qm2_inv(frame.values)
+    return (package_qm2_mul(inv, diff_axis4(frame.values, frame.grid.h, axis=1)),
+            package_qm2_mul(inv, diff_axis4(frame.values, frame.grid.h, axis=0)))
+
+
+def ribaucour_data_extract(frame):
+    """Read (u, H, Hhat, lam, lamhat) from the whole-grid Phi = F^-1 dF."""
+    grid = frame.grid
+    h = grid.h
+    phi_x, phi_y = connection_form(frame)
+    sel = dilate_invalid(grid.valid(), rings=2)
+
+    eu_x = phi_x[..., 1, 0, 2]
+    if (eu_x[sel] <= 0).any():
+        raise PatternMismatch("lower-left entry is not e^u dz j (e^u must be > 0)")
+    u = np.log(np.where(eu_x > 0, eu_x, 1.0))
+    e_u = np.where(eu_x > 0, eu_x, 1.0)
+    e_mu = 1.0 / e_u
+
+    x_j = phi_x[..., 0, 1, 2]
+    y_k = phi_y[..., 0, 1, 3]
+    lamhat = 0.5 * (x_j + y_k) * e_mu
+    lam = 0.5 * (y_k - x_j) * e_u
+
+    p_k = phi_x[..., 0, 0, 3]
+    q_j = phi_y[..., 0, 0, 2]
+    big_h = (q_j - p_k) * e_mu
+    big_hhat = -(q_j + p_k) * e_u
+
+    scale = 1.0 + max(
+        float(np.abs(phi_x[sel]).max()), float(np.abs(phi_y[sel]).max())
+    )
+    ux = diff_axis4(u, h, axis=1)
+    uy = diff_axis4(u, h, axis=0)
+
+    def off_pattern():
+        """Everything the structured form says must vanish, one field at a time."""
+        yield from (phi_x[..., 1, 0, c] for c in (0, 1, 3))
+        yield from (phi_y[..., 1, 0, c] for c in (0, 1, 2))
+        yield phi_y[..., 1, 0, 3] - e_u
+        yield from (phi_x[..., 0, 1, c] for c in (0, 1, 3))
+        yield from (phi_y[..., 0, 1, c] for c in (0, 1, 2))
+        yield from (phi_x[..., 0, 0, 0], phi_y[..., 0, 0, 0])
+        yield phi_x[..., 0, 0, 1] + 0.5 * uy
+        yield phi_y[..., 0, 0, 1] - 0.5 * ux
+        yield from (phi_x[..., 0, 0, 2], phi_y[..., 0, 0, 3])
+        for c in range(4):
+            yield phi_x[..., 0, 0, c] - phi_x[..., 1, 1, c]
+            yield phi_y[..., 0, 0, c] - phi_y[..., 1, 1, c]
+
+    # one running maximum (a NaN propagates), no stack of the pieces
+    pattern = np.zeros(u.shape)
+    for piece in off_pattern():
+        np.maximum(pattern, np.abs(piece), out=pattern)
+    pattern = float(pattern[sel].max() / scale)
+
+    lap, lap_valid = laplacian(u, grid)
+    gauss_field = np.abs(
+        lap + big_h**2 * np.exp(2 * u) - big_hhat**2 * np.exp(-2 * u)
+        - 4.0 * np.exp(2 * u) * lamhat
+    )
+    # residual maxima over nodes whose extraction used centered stencils only
+    valid = sel & lap_valid & grid.interior(3)
+    gauss = float(gauss_field[valid].max())
+
+    def wirtinger_bar(fld):
+        return 0.5 * (
+            diff_axis4(fld, h, axis=1) + 1j * diff_axis4(fld, h, axis=0)
+        )
+
+    def wirtinger(fld):
+        return 0.5 * (
+            diff_axis4(fld, h, axis=1) - 1j * diff_axis4(fld, h, axis=0)
+        )
+
+    cod1 = np.abs(wirtinger_bar(lamhat) * e_u + wirtinger(lam) * e_mu)
+    cod2 = np.abs(wirtinger_bar(big_h) * e_u - wirtinger(big_hhat) * e_mu)
+    codazzi = float(np.maximum(cod1, cod2)[valid].max())
+    return RibaucourData(u, big_h, big_hhat, lam, lamhat, valid, pattern, gauss, codazzi)

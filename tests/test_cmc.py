@@ -291,6 +291,47 @@ def test_extraction_on_family_frame(grid129):
     assert frame.study_det_drift() < 1e-8
 
 
+def test_extraction_call_counts(grid65, monkeypatch):
+    """The extraction takes Phi = F^-1 dF on pair planes per block of grid
+    rows: no qm2_inv and no qm2_mul call, and one plane copy of F per block
+    with the rows its y-derivative reads: on the n = 65 grid, blocks of 63
+    rows and of 2, copied with the 2 rows after the first (65 rows) and the
+    4 before the second (6, as the one-sided rows at an edge read)."""
+    import sys
+
+    from isothermic import grid as grid_module
+    from isothermic import quaternion
+
+    conn = family_ribaucour_connection(grid65, 1.0)
+    phx, phy = conn.phi(1.0)
+    frame = integrate_frame(phx, phy, grid65, conn.frame0_at_p0(), conn.p0)
+    want = ribaucour_data_extract(frame)
+    calls = {"qm2_inv": 0, "qm2_mul": 0}
+    for name in calls:
+        original = getattr(quaternion, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("isothermic")]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    copies = []
+    pair_planes = grid_module._pair_planes
+
+    def copied(p, ndim):
+        copies.append(p.shape)
+        return pair_planes(p, ndim)
+
+    monkeypatch.setattr(grid_module, "_pair_planes", copied)
+    got = ribaucour_data_extract(frame)
+    assert calls == {"qm2_inv": 0, "qm2_mul": 0}
+    assert copies == [(65, 65, 2, 2, 4), (6, 65, 2, 2, 4)]
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), value), name
+
+
 def test_extraction_centrality_cross_check(grid129, catenoid129):
     # H == 0 in the extracted data corresponds to the enveloped congruence
     # being exactly the mean-curvature sphere family of the surface

@@ -12,19 +12,32 @@ whatever the width of its column blocks, in the phase where both halves of
 the lines march as one batch and in the tail where the longer half marches
 alone.  From a corner or an edge base node, where the spine or the lines
 march in one direction only, and from base nodes that split the lines into
-unequal halves, the marches match the reference too; and the path-scheme walks (reach mask, sign
-continuation) equal the loops they replaced bit for bit.  The Maurer-Cartan
-point, computed over blocks of grid rows, equals the whole-grid formula bit
-for bit, and fails where it fails.
+unequal halves, the marches match the reference too; and the path-scheme scans (reach mask, sign
+continuation) equal the loops they replaced bit for bit, through zero and
+NaN quaternions.  The Maurer-Cartan point, computed over blocks of grid
+rows, equals the whole-grid formula bit for bit, and fails where it fails;
+so do F^-1 dF on pair planes per block of grid rows and the curvature data
+extraction that reads those planes, at every block height.
 """
+
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from isothermic import GridSpec, NotIntegrable, family_ribaucour_connection
+from isothermic import (
+    GridSpec,
+    MaskedNeighbor,
+    NotIntegrable,
+    SingularMatrix,
+    family_ribaucour_connection,
+    ribaucour_data_extract,
+)
 from isothermic import grid as grid_module
 from isothermic.cmc import _sign_continuity
 from isothermic.grid import (
+    FrameField,
     integrate_frame,
     integrate_left_vector,
     integrate_riccati,
@@ -185,12 +198,11 @@ def _assert_point_equal(got, want):
     assert np.array_equal(got[1], want[1])
 
 
-@pytest.mark.parametrize("ny", [4, 5, 6])
+@pytest.mark.parametrize("ny, nx", [(4, 7), (5, 7), (6, 7), (7, 5), (17, 9)])
 @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
-def test_maurer_cartan_point_blocks_equal_whole_grid(ny, masked, monkeypatch):
+def test_maurer_cartan_point_blocks_equal_whole_grid(ny, nx, masked, monkeypatch):
     """Blocks of every row count from 1 to ny + 1 (most of them not dividing
     ny), against the whole-grid formula, bit for bit."""
-    nx = 7
     phi_x, phi_y = _random_connection(ny, nx, ny)
     mask = np.random.default_rng(ny + 10).random((ny, nx)) > 0.25 if masked else None
     grid = GridSpec(-1.0, -0.5, 0.25, nx, ny, mask)
@@ -292,3 +304,178 @@ def test_sign_continuity_matches_reference(p0):
         got = _sign_continuity(r, p0)
         assert np.array_equal(got, ref.sign_continuity(r, p0))
         assert not np.array_equal(got, r)
+
+
+@pytest.mark.parametrize("p0", WALK_BASES)
+def test_sign_continuity_restarts_at_zero_and_nan(p0):
+    """Zero quaternions (of either sign), NaN components and single zero
+    components planted in a sign-scrambled field, on the spine and off it:
+    a dot product of 0 or NaN restarts the sign at +1, as the loop's < 0
+    test does; equal bit for bit, the signs of NaNs and zeros included."""
+    rng = np.random.default_rng(p0[0] * 31 + p0[1] + 5)
+    z = WALK_GRID.zgrid()[..., None]
+    smooth = np.concatenate([np.cos(z.real), np.sin(z.real), np.cos(z.imag), np.sin(z.imag)],
+                            axis=-1) / np.sqrt(2.0)
+    for trial in range(6):
+        r = rng.choice((-1.0, 1.0), size=smooth.shape[:2] + (1,)) * smooth
+        nodes = rng.integers((WALK_GRID.ny, WALK_GRID.nx), size=(12, 2))
+        nodes[:3, 1] = p0[1]  # on the spine
+        for k, (iy, ix) in enumerate(nodes):
+            kind = (k + trial) % 4
+            if kind == 0:
+                r[iy, ix] = 0.0
+            elif kind == 1:
+                r[iy, ix] = -0.0
+            elif kind == 2:
+                r[iy, ix, rng.integers(4)] = rng.choice((np.nan, -np.nan))
+            else:  # an orthogonal neighbour: a dot product of exactly 0
+                r[iy, ix] = (r[iy, ix] * [1.0, 0.0, 0.0, 0.0]) if trial % 2 else 0.0
+        got = _sign_continuity(r, p0)
+        want = ref.sign_continuity(r, p0)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# ---------------------------------------------------------------------------
+# F^-1 dF on pair planes, per block of grid rows
+# ---------------------------------------------------------------------------
+
+#: (ny, nx): diff_axis4 falls back to diff_axis below 6 lines, along y on
+#: the 5-row grid and along x on the 5-column one
+PLANE_SHAPES = ((5, 8), (6, 5), (7, 7), (17, 9), (65, 65))
+
+
+def _random_frame(ny, nx, seed, mask=None):
+    values = np.random.default_rng(seed).normal(size=(ny, nx, 2, 2, 4))
+    return FrameField(GridSpec(-1.0, -0.5, 0.25, nx, ny, mask), values)
+
+
+def _family_frame(ny, nx, mask=None):
+    """The criterion-8 frame on an ny x nx grid centred at 0, of spacing
+    1/32 or, on more than 65 lines, inside [-1, 1]^2."""
+    h = min(1.0 / 32, 2.0 / (max(ny, nx) - 1))
+    grid = GridSpec(-h * (nx - 1) / 2, -h * (ny - 1) / 2, h, nx, ny)
+    conn = family_ribaucour_connection(grid, 0.6)
+    phi_x, phi_y = conn.phi(1.0)
+    frame = integrate_frame(phi_x, phi_y, grid, conn.frame0_at_p0(), conn.p0)
+    return FrameField(grid.with_mask(mask), frame.values)
+
+
+def _block_heights(frame, monkeypatch):
+    """Every block height from 1 to ny + 1 rows, set through _MARCH_BLOCK."""
+    for rows in range(1, frame.grid.ny + 2):
+        monkeypatch.setattr(grid_module, "_MARCH_BLOCK", rows * frame.grid.nx)
+        yield rows
+
+
+def _assert_data_equal(got, want):
+    for name, value in vars(want).items():
+        assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+
+
+@pytest.mark.parametrize("ny, nx", PLANE_SHAPES)
+def test_connection_planes_equal_whole_grid(ny, nx, monkeypatch):
+    """connection_form per block of grid rows on pair planes against
+    qm2_mul(qm2_inv(F), diff_axis4(F)) over the whole grid, bit for bit, at
+    every block height; on a random frame and on the criterion-8 frame."""
+    for frame in (_random_frame(ny, nx, ny * nx), _family_frame(ny, nx)):
+        want = ref.connection_form(frame)
+        for _ in _block_heights(frame, monkeypatch):
+            for got, w in zip(frame.connection_form(), want):
+                assert np.array_equal(got, w)
+
+
+@pytest.mark.parametrize("ny, nx", [(7, 7), (17, 9), (9, 17), (65, 65)])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_extraction_planes_equal_whole_grid(ny, nx, masked, monkeypatch):
+    """ribaucour_data_extract, reading Phi's pair planes per block of grid
+    rows, against the extraction from the whole-grid Phi: every field bit
+    for bit, at every block height, on masked grids too."""
+    mask = None
+    if masked:
+        mask = np.ones((ny, nx), bool)
+        mask[1, :2] = mask[ny // 2, -1] = mask[-1, -1] = False
+    frame = _family_frame(ny, nx, mask)
+    want = ref.ribaucour_data_extract(frame)
+    assert want.valid.any()
+    for _ in _block_heights(frame, monkeypatch):
+        _assert_data_equal(ribaucour_data_extract(frame), want)
+
+
+def test_extraction_default_blocks_equal_whole_grid():
+    """The criterion-8 frame at n = 129: blocks of 31 rows and one of 5."""
+    frame = _family_frame(129, 129)
+    assert frame.grid.ny % (grid_module._MARCH_BLOCK // frame.grid.nx) != 0
+    _assert_data_equal(ribaucour_data_extract(frame), ref.ribaucour_data_extract(frame))
+
+
+@pytest.mark.parametrize("nodes", [[(9, 4)], [(12, 2), (9, 7)], [(0, 0)], [(16, 8), (15, 0)]],
+                         ids=str)
+def test_connection_planes_name_the_whole_grid_singular_node(nodes, monkeypatch):
+    """Singular matrices [[a, b], [a, b]] planted at nodes: SingularMatrix
+    names the node the whole-grid qm2_inv names, the first row-major, at
+    every block height, also where it sits on the halo rows of the block
+    before its own."""
+    frame = _random_frame(17, 9, 3)
+    for node in nodes:
+        frame.values[node + (1,)] = frame.values[node + (0,)]
+    with pytest.raises(SingularMatrix) as info:
+        ref.connection_form(frame)
+    want = info.value.node
+    assert want == min(nodes)
+    for _ in _block_heights(frame, monkeypatch):
+        with pytest.raises(SingularMatrix) as info:
+            frame.connection_form()
+        assert info.value.node == want
+
+
+@pytest.mark.parametrize("row", [0, 1, 5, 8, 15, 16])
+def test_connection_planes_nan_on_a_halo_row(row, monkeypatch):
+    """A NaN in one entry of F on one row, which the y-derivatives of the
+    blocks before and after it read as a halo row: Phi equals the whole-grid
+    Phi, NaN for NaN, at every block height, and the blocks raise no
+    RuntimeWarning more than the whole grid does (the inverse's divisions
+    warn at the NaN node in both; halo rows are differentiated, not
+    inverted)."""
+    frame = _random_frame(17, 9, 4)
+    frame.values[row, 3, 0, 1, 2] = np.nan
+
+    def run(connection_form):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            phi = connection_form()
+        return phi, Counter((w.category, str(w.message)) for w in caught)
+
+    want, want_warnings = run(lambda: ref.connection_form(frame))
+    assert np.isnan(want[1][row]).any()
+    for _ in _block_heights(frame, monkeypatch):
+        got, got_warnings = run(frame.connection_form)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        assert not got_warnings - want_warnings
+
+
+def test_extraction_without_a_two_ring_node_is_masked_neighbor():
+    """A 9 x 9 criterion-8 frame masked to a 5-node cross has no node whose
+    two rings are valid: MaskedNeighbor, where the whole-grid extraction
+    raised a raw ValueError."""
+    mask = np.zeros((9, 9), bool)
+    mask[4, 3:6] = mask[3:6, 4] = True
+    frame = _family_frame(9, 9, mask)
+    with pytest.raises(ValueError, match="zero-size array"):
+        ref.ribaucour_data_extract(frame)
+    with pytest.raises(MaskedNeighbor):
+        ribaucour_data_extract(frame)
+
+
+@pytest.mark.parametrize("ny, nx", [(5, 9), (9, 6)])
+def test_extraction_without_a_three_ring_node_is_masked_neighbor(ny, nx):
+    """A grid with fewer than 7 rows or columns has no node three rings
+    inside it, where the Gauss and Codazzi residuals are read: MaskedNeighbor,
+    where the whole-grid extraction raised a raw ValueError."""
+    frame = _family_frame(ny, nx)
+    with pytest.raises(ValueError, match="zero-size array"):
+        ref.ribaucour_data_extract(frame)
+    with pytest.raises(MaskedNeighbor):
+        ribaucour_data_extract(frame)
+

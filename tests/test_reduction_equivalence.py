@@ -178,19 +178,40 @@ def test_each_off_pattern_entry_reaches_the_pattern_residual(curvature_frame, en
     """The running maximum folds every off-pattern piece, and a NaN in any
     one of them propagates: 1e3 added to one entry at one node (to both
     diagonal entries for a (0, 0) entry) lifts the pattern residual from
-    about 3e-4 to about 1."""
-    phi = dict(zip("xy", (p.copy() for p in curvature_frame.connection_form())))
+    about 3e-4 to about 1.  The value is planted in the pair planes of Phi
+    that the extraction reads, as component k of entry (r, c) at float
+    [k // 2, r, c, row, 2 column + k % 2]."""
     base = cmc.ribaucour_data_extract(curvature_frame).pattern_residual
     assert base < 1e-3
     axis, r, c, comp = entry
-    phi[axis][16, 16, r, c, comp] += value
-    if (r, c) == (0, 0):  # keep the diagonal's difference, a piece of its own
-        phi[axis][16, 16, 1, 1, comp] += value
-    monkeypatch.setattr(grid_module.FrameField, "connection_form",
-                        lambda self: (phi["x"], phi["y"]))
+    planes = cmc._connection_planes
+
+    def planted(frame):
+        for rows, phi_x, phi_y in planes(frame):
+            if rows.start <= 16 < rows.stop:
+                phi = {"x": phi_x, "y": phi_y}[axis].view(float)
+                at = (comp // 2, slice(None), slice(None), 16 - rows.start, 32 + comp % 2)
+                phi[at][r, c] += value
+                if (r, c) == (0, 0):  # keep the diagonal's difference, a piece of its own
+                    phi[at][1, 1] += value
+            yield rows, phi_x, phi_y
+
+    monkeypatch.setattr(cmc, "_connection_planes", planted)
     with np.errstate(invalid="ignore"):
         got = cmc.ribaucour_data_extract(curvature_frame).pattern_residual
     assert np.isnan(got) if np.isnan(value) else got > 0.5
+
+
+def test_planted_planes_are_the_connection_form(curvature_frame):
+    """The planes the previous test plants into hold connection_form()'s
+    components at the place its index names."""
+    phi = curvature_frame.connection_form()
+    for rows, *planes in cmc._connection_planes(curvature_frame):
+        for want, got in zip(phi, planes):
+            got = got.view(float)
+            for r, c, comp in np.ndindex(2, 2, 4):
+                assert np.array_equal(got[comp // 2, r, c, :, comp % 2::2],
+                                      want[rows, :, r, c, comp])
 
 
 # ---------------------------------------------------------------------------

@@ -481,18 +481,19 @@ def _count_calls(monkeypatch):
     ("reference", {"grid.integrate_frame": 5, "grid.maurer_cartan_residual": 1,
                    "surfaces.isothermic_certificate": 6, "surfaces.surface_jets": 7,
                    "transforms.canonical_connection": 3, "transforms.t_transform": 2,
-                   "quaternion.qm2_mul": 18}),
+                   "quaternion.qm2_mul": 14}),
     ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 1,
                 "surfaces.isothermic_certificate": 3, "surfaces.surface_jets": 4,
                 "transforms.canonical_connection": 2, "transforms.t_transform": 1,
-                "quaternion.qm2_mul": 18}),
+                "quaternion.qm2_mul": 14}),
 ])
 def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
     """Every march of a canonical family, or of a family a spectral transform
     inherits from one, passes its Maurer-Cartan gate on the curvature
     polynomial; only the gauged Darboux-chain family is gated by
-    maurer_cartan_residual, whose point takes two qm2_mul calls per block of
-    grid rows: four on the two blocks (63 and 2 rows) of the n = 65 grid."""
+    maurer_cartan_residual, whose point forms its commutator on pair planes
+    per block of grid rows and calls no qm2_mul (it took four, two on each
+    of the two blocks of the n = 65 grid, until it shared its planes)."""
     run = {"reference": reference_permutability.permutability_suite,
            "shared": permutability_suite}[suite]
     counts = _count_calls(monkeypatch)
