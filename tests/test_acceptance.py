@@ -154,9 +154,9 @@ def test_criterion_4_first_permutability(grid129):
 
 
 def test_criterion_5_group_law():
-    # at every size, so that its line prints an order; moebius_equivalent
-    # draws its quadruples per size, so bench/trajectory.py does not take
-    # that order as evidence
+    # at every size, so that its line prints an order; the residual sits
+    # near its rounding floor, so bench/trajectory.py does not take that
+    # order as evidence
     errs = []
     for n in (65, 129, 257):
         g = GridSpec.square(1.0, n)

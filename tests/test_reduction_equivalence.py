@@ -154,6 +154,25 @@ def test_sign_step_matches_reference(shape):
             _assert_same(got, ref.sign_step(prev, q))
 
 
+@pytest.mark.parametrize("nodes", ["all", "some"])
+def test_peak_matches_abs_max(nodes):
+    """The extraction's scale, max(max, -min) of a block's components over
+    its selected nodes, equals np.abs(...).max(), NaN for NaN, with the
+    largest magnitude drawn negative as often as positive (the sign of a
+    zero peak is not compared: the scale adds 1 to it)."""
+    rng = np.random.default_rng(13)
+    with np.errstate(all="ignore"):
+        for trial in range(200):
+            draw = rng.choice(SPECIAL, size=(2, 2, 2, 3, 4, 2)) if trial % 2 else (
+                rng.normal(size=(2, 2, 2, 3, 4, 2)))
+            planes = draw.view(complex)[..., 0]
+            block = np.ones((3, 4), bool) if nodes == "all" else rng.random((3, 4)) < 0.5
+            if not block.any():
+                continue
+            want = np.abs(draw[..., block, :]).max()
+            assert np.array_equal(cmc._peak(planes, block), want, equal_nan=True)
+
+
 #: every off-pattern entry of ribaucour_data_extract as (axis, row, column,
 #: component): 19 that must vanish, e^u dy k, the two u-derivative entries
 #: and the 8 of the diagonal's difference, planted in its (1, 1) entry

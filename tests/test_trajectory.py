@@ -184,7 +184,7 @@ def test_compare_gates_refinement_order_drops(tmp_path, capsys):
             "  not order evidence (criteria 1-4)\n") in out
     assert "  criterion 2 C^2 identity [enneper]: A 3.98  B 3.8  not order evidence" in out
     assert ("  criterion 5 (group law T_0.7 T_0.3 = T_1.0): A 3.94  B 2.56"
-            "  not order evidence (criterion 5: quadruples drawn per size)\n") in out
+            "  not order evidence (criterion 5: near its rounding floor)\n") in out
     assert "ORDER DROPPED" not in out
     doc["trees"]["change"]["acceptance"]["criterion 8 (Gauss residual)"]["order"] = 1.6
     doc["trees"]["change"]["acceptance"]["criterion 10 (double dual vs original)"]["order"] = 3.5
