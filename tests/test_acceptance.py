@@ -2,10 +2,14 @@
 
 Each test prints one pass/fail line; the default desk scale is spacing
 1/64 on [-1, 1]^2 (129 samples per side), with refinement studies over
-spacings 1/32, 1/64, 1/128 where an observed order is required.
+spacings 1/32, 1/64, 1/128 where an observed order is required.  A line
+also fails where its residual grows above twice its RESIDUALS entry.
 
 Run `pytest tests/test_acceptance.py -s` to see the summary lines.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -44,11 +48,64 @@ from conftest import cylinder, sample_values
 
 V0_SEED = np.array([[1.0, 0, 0, 0], [0, -1.0, 0, 0]])  # (1, -i)
 
+_spec = importlib.util.spec_from_file_location(
+    "trajectory", Path(__file__).resolve().parent.parent / "bench" / "trajectory.py")
+_trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_trajectory)
+
+#: the factor of bench/trajectory.py --compare
+RESIDUAL_GROWTH = _trajectory.RESIDUAL_GROWTH
+
+
+#: the n = 129 residual of every report line, rounded up to three digits:
+#: the larger of numpy's default and baseline (x86-64-v2) SIMD dispatch,
+#: between which the reprs of most lines differ by rounding (criterion 5's
+#: by x1.95).  report() fails a residual above RESIDUAL_GROWTH times its
+#: entry, so an accuracy loss shows although its tolerance still passes.  A
+#: line at its rounding floor (below about 1e-13) is None and not gated:
+#: rounding alone moves it by more than that factor.  An accuracy gain
+#: lowers its entry; no tolerance moves.
+RESIDUALS = {
+    "criterion 1a (spectral surface vs closed form)": 1.71e-09,
+    "criterion 1b (spectral frame vs closed form)": 9.61e-10,
+    "criterion 2 wedge(df, dCf) [plane]": None,
+    "criterion 2 C^2 identity [plane]": None,
+    "criterion 2 wedge(df, dCf) [enneper]": 6.27e-05,
+    "criterion 2 C^2 identity [enneper]": 8.75e-08,
+    "criterion 3 (linear vs closed form)": 3.30e-10,
+    "criterion 3 (riccati vs closed form)": 2.48e-09,
+    "criterion 3 (riccati vs linear)": 2.66e-09,
+    "criterion 4a (second point = spectral transform of dual)": None,
+    "criterion 4b (Darboux member of the spectral family vs closed form)": 2.57e-09,
+    "criterion 5 (group law T_0.7 T_0.3 = T_1.0)": 1.78e-08,
+    "criterion 6 (|H| = 2.0 at parameter 1.0: deviation)": 9.32e-07,
+    "criterion 6 (|H| std at parameter 1.0)": 2.58e-06,
+    "criterion 6 (|H| = 1.0 at parameter 0.5: deviation)": 1.23e-07,
+    "criterion 6 (|H| std at parameter 0.5)": 3.31e-07,
+    "criterion 7 (Liouville residual, closed-form member at 1)": 1.59e-05,
+    "criterion 7 (Liouville residual, enneper)": 4.13e-06,
+    "criterion 8 (|H| on the example frame)": 5.43e-07,
+    "criterion 8 (|Hhat - 1|)": 2.42e-07,
+    "criterion 8 (|lamhat|)": 5.43e-07,
+    "criterion 8 (Gauss residual)": 6.50e-04,
+    "criterion 8 (Codazzi residual)": 2.50e-07,
+    "criterion 9 (darboux vs spectral embedding)": 1.66e-08,
+    "criterion 9 (darboux vs coupled system)": 2.48e-08,
+    "criterion 9 (spectral embedding vs coupled system)": 1.90e-08,
+    "criterion 10 (double dual vs original)": None,
+    "criterion 10 (cousins of two duals: dual preimages)": 1.26e-06,
+}
+
 
 def report(name, residual, tol, extra=""):
-    state = "PASS" if residual <= tol else "FAIL"
+    """Print the line of a check and fail it above its tolerance, or above
+    RESIDUAL_GROWTH times its RESIDUALS entry."""
+    bound = RESIDUALS[name]
+    grew = bound is not None and residual > RESIDUAL_GROWTH * bound
+    state = "PASS" if residual <= tol and not grew else "FAIL"
     print(f"{state}  {name}: residual {float(residual)!r} (tolerance {tol:.1e}) {extra}")
     assert residual <= tol, f"{name}: {residual:.3e} > {tol:.1e}"
+    assert not grew, f"{name}: {residual:.3e} > {RESIDUAL_GROWTH} x its table entry {bound:.2e}"
 
 
 def plane_surface(grid):
