@@ -372,6 +372,10 @@ def run_verifications(surface, extras, config: PipelineConfig, report: Invariant
     if perm:
         report.add("permutability_p1", perm.p1_residual, perm.tau, h)
         report.add("permutability_p2_positioning", perm.p2_pointwise, 100 * perm.tau, h)
+        report.add("permutability_p2_translation", perm.p2_translation, 100 * perm.tau, h)
+        # a line only on a miss: a passing certificate would set the margin
+        if not perm.p2_certificate <= TAU_ISOTHERMIC:
+            report.add("permutability_p2_certificate", perm.p2_certificate, TAU_ISOTHERMIC, h)
         report.add("permutability_p3", perm.p3_residual, perm.tau, h)
     return report
 

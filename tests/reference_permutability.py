@@ -6,7 +6,8 @@ connection and identity-pinned frame of phi(lam) for itself, through the
 public transforms.  It is kept here as the reference that
 ``permutability_suite`` is tested against bit for bit
 (tests/test_transforms.py), unchanged but for one more certificate of the
-input surface at the end, whose residual the report now carries.
+input surface at the end and one of P2's Darboux transform, whose
+residuals the report now carries.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def permutability_suite(
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam
+    _, p2_certificate = isothermic_certificate(dar)
     cd = christoffel(dar, p0, c0)
     dc = darboux_riccati(cs, lam, p0, c0)
     sel = (
@@ -91,4 +93,5 @@ def permutability_suite(
     _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1, tau=tau)
 
     _, iso = isothermic_certificate(surface)
-    return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p3, tau)
+    return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p2_certificate,
+                               p3, tau)

@@ -257,7 +257,8 @@ def test_verify_certifies_the_input_surface_once(tmp_path, monkeypatch):
     assert sum(s is surface for s in certified) == 1
     assert [c.name for c in report.checks] == [
         "isothermic_certificate", "permutability_p1", "permutability_p2_positioning",
-        "permutability_p3"]
+        "permutability_p2_translation", "permutability_p3"]
+    assert report.all_passed()
     assert report.checks[0].residual == original(surface)[1]
 
 
@@ -476,15 +477,28 @@ def test_cli_unknown_last_op_is_rejected_before_the_generator(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_cli_permutability_names_the_failing_p2_certificate(tmp_path, capsys):
-    # at grid_n 33 the input passes its certificate; P2's Darboux transform does not
+@pytest.mark.parametrize("n, failing", [(33, ["permutability_p2_certificate"]), (65, [])])
+def test_cli_permutability_names_the_failing_p2_certificate(tmp_path, capsys, n, failing):
+    """At grid_n 33 the input passes its certificate and P2's Darboux
+    transform misses its own: a failed check (exit 1) with a line of its
+    own, which a passing certificate does not print, as at grid_n 65."""
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(dict(BASE_CONFIG, verify={"permutability": True})))
-    assert cli_main(["verify", "--config", str(p), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: permutability P2, Darboux transform: "
-                          "isothermic certificate residual 2.513e-04 exceeds 1.0e-04")
-    assert "Traceback" not in err
+    p.write_text(json.dumps(dict(BASE_CONFIG, grid_n=n,
+                                 generator={"kind": "example", "lambda": 0.8},
+                                 verify={"permutability": True, "isothermic": True},
+                                 export={"report": "report.json"})))
+    out = tmp_path / "out"
+    assert cli_main(["verify", "--config", str(p), "--out", str(out)]) == int(bool(failing))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [
+        "isothermic_certificate", "permutability_p1", "permutability_p2_positioning",
+        "permutability_p2_translation", *failing, "permutability_p3"]
+    assert [c["name"] for c in checks if not c["pass"]] == failing
+    if failing:
+        assert "FAIL  permutability_p2_certificate: residual 1.796e-04 (tol 1.0e-04)" in (
+            captured.out)
 
 
 @pytest.mark.parametrize("n", [5, 7])
