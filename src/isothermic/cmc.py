@@ -29,6 +29,8 @@ from .errors import (
     UmbilicRegion,
 )
 from .grid import (
+    _D2_4,
+    _along,
     _connection_planes,
     _path_scan,
     FrameField,
@@ -101,15 +103,11 @@ class WeierstrassData:
     dg: np.ndarray = None  # complex (ny, nx), dg/dz
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=complex)
-        self.w = np.asarray(self.w, dtype=complex)
+        self.g = np.ascontiguousarray(self.g, dtype=complex)
+        self.w = np.ascontiguousarray(self.w, dtype=complex)
         if self.dg is None:
-            self.dg = 0.5 * (
-                diff_axis4(self.g.real, self.grid.h, 1)
-                + 1j * diff_axis4(self.g.imag, self.grid.h, 1)
-                - 1j * diff_axis4(self.g.real, self.grid.h, 0)
-                + diff_axis4(self.g.imag, self.grid.h, 0)
-            )
+            gx, gy = (diff_axis4(self.g, self.grid.h, axis) for axis in (1, 0))
+            self.dg = 0.5 * (gx - 1j * gy)
         else:
             self.dg = np.asarray(self.dg, dtype=complex)
 
@@ -126,12 +124,7 @@ class WeierstrassData:
         out = []
         sel = dilate_invalid(self.grid.valid(), rings=2)
         for arr in (self.g, self.w):
-            dx = diff_axis4(arr.real, self.grid.h, 1) + 1j * diff_axis4(
-                arr.imag, self.grid.h, 1
-            )
-            dy = diff_axis4(arr.real, self.grid.h, 0) + 1j * diff_axis4(
-                arr.imag, self.grid.h, 0
-            )
+            dx, dy = (diff_axis4(arr, self.grid.h, axis) for axis in (1, 0))
             dbar = 0.5 * (dx + 1j * dy)
             scale = max(
                 1e-300,
@@ -180,7 +173,13 @@ def weierstrass_minimal(data: WeierstrassData, p0=None, f0=np.zeros(4)) -> Polar
     data.check_holomorphic()
     p0 = p0 or data.grid.center_node()
     form = weierstrass_form(data)
-    if float(qnorm(form.px)[data.grid.valid()].max()) < EPS_IMMERSION:
+    try:
+        with np.errstate(over="raise"):
+            peak = float(qnorm(form.px)[data.grid.valid()].max())
+    except FloatingPointError:
+        raise DegenerateTangent("Weierstrass form overflows at grid spacing "
+                                f"{data.grid.h:.3e}") from None
+    if peak < EPS_IMMERSION:
         raise DegenerateTangent("omega vanishes: the data does not immerse")
     f = integrate_form(form, p0, np.asarray(f0, dtype=float))
     return PolarizedSurface(f, "dz2", ("weierstrass_minimal",))
@@ -434,7 +433,7 @@ def spherical_type_certificate(surface: PolarizedSurface):
     e_s = lorentz(sx, sx)
     ok = e_s > 1e-300
     u = -0.5 * np.log(np.where(ok, e_s, 1.0))
-    lap = _laplacian4(u, h)
+    lap = _along(_D2_4, u, h, 0, None) + _along(_D2_4, u, h, 1, None)
     residual_field = np.abs(lap - np.exp(-2.0 * u))
     # three chained stencil levels (jets, ds, laplacian): an 8-ring margin
     # keeps the reported maximum on centered stencils only
@@ -442,17 +441,6 @@ def spherical_type_certificate(surface: PolarizedSurface):
     if not valid.any():
         raise UmbilicRegion("no valid non-umbilic interior nodes")
     return u, float(residual_field[valid].max())
-
-
-def _laplacian4(u, h):
-    """Fourth-order 9-point Laplacian (certificate-internal, not the 5-point op)."""
-    lap = np.zeros_like(u)
-    c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
-    lap[2:-2, :] += sum(c[k] * u[k : u.shape[0] - 4 + k, :] for k in range(5))
-    lap[:, 2:-2] += sum(c[k] * u[:, k : u.shape[1] - 4 + k] for k in range(5))
-    lap[:2, :] = lap[-2:, :] = 0.0
-    lap[:, :2] = lap[:, -2:] = 0.0
-    return lap
 
 
 # ---------------------------------------------------------------------------
@@ -735,18 +723,11 @@ def ribaucour_data_extract(frame: FrameField) -> RibaucourData:
     )
     gauss = float(gauss_field[valid].max())
 
-    def wirtinger_bar(fld):
-        return 0.5 * (
-            diff_axis4(fld, h, axis=1) + 1j * diff_axis4(fld, h, axis=0)
-        )
+    def wirtinger(fld, sign):  # d/dzbar of a real field (sign 1), d/dz (sign -1)
+        return 0.5 * (diff_axis4(fld, h, axis=1) + sign * 1j * diff_axis4(fld, h, axis=0))
 
-    def wirtinger(fld):
-        return 0.5 * (
-            diff_axis4(fld, h, axis=1) - 1j * diff_axis4(fld, h, axis=0)
-        )
-
-    cod1 = np.abs(wirtinger_bar(lamhat) * e_u + wirtinger(lam) * e_mu)
-    cod2 = np.abs(wirtinger_bar(big_h) * e_u - wirtinger(big_hhat) * e_mu)
+    cod1 = np.abs(wirtinger(lamhat, 1) * e_u + wirtinger(lam, -1) * e_mu)
+    cod2 = np.abs(wirtinger(big_h, 1) * e_u - wirtinger(big_hhat, -1) * e_mu)
     codazzi = float(np.maximum(cod1, cod2)[valid].max())
     return RibaucourData(u, big_h, big_hhat, lam, lamhat, valid, pattern, gauss, codazzi)
 

@@ -219,64 +219,124 @@ class FrameField:
 # difference operators
 # ---------------------------------------------------------------------------
 
-def diff_axis(values, h, axis):
-    """Second-order derivative along an axis (central, one-sided at edges)."""
+@dataclass(frozen=True)
+class _Stencil:
+    """A stencil along one axis: integer weights over a denominator, times
+    h**-power.  An interior output row k reads the lines k - before ..
+    k + after with the weights centre.  Output rows 0 .. before - 1 read the
+    first lines with the weights of edge, or are 0 where edge has no row
+    for them, and the last `before` rows mirror them (changing sign for an
+    odd power).  So n lines give n + before - after rows.  Below `lines`
+    lines the stencil is its fallback."""
+
+    centre: tuple
+    before: int
+    edge: tuple
+    denominator: int
+    power: int
+    lines: int
+    fallback: _Stencil | None
+
+    @property
+    def reach(self):
+        """(before, after, width): the lines a row reads before and after its
+        own, and the lines that give every row at a grid edge as the whole
+        axis does (edge rows and fallback included)."""
+        return self.before, len(self.centre) - 1 - self.before, self.lines
+
+
+# the stencil table: second- and fourth-order first derivatives (one-sided
+# rows at the edges), second derivatives (0 at the edges; their sum over
+# both axes is a Laplacian), and the cubic interval midpoints
+_D1 = _Stencil((-1, 0, 1), 1, ((-3, 4, -1),), 2, 1, 3, None)
+_D1_4 = _Stencil((1, -8, 0, 8, -1), 2, ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)),
+                 12, 1, 6, _D1)
+_D2 = _Stencil((1, -2, 1), 1, (), 1, 2, 3, None)
+_D2_4 = _Stencil((-1, 16, -30, 16, -1), 2, (), 12, 2, 5, None)
+_MIDPOINT = _Stencil((-1, 9, 9, -1), 1, ((5, 15, -5, 1),), 16, 0, 4,
+                     _Stencil((1, 1), 0, (), 2, 0, 2, None))
+
+
+def _weighted_sum(terms, out):
+    """Write into out the sum of w * (a - b), or of w * a where b is None,
+    over the triples (w, a, b) of terms, left to right, with no product for
+    a weight of 1 or -1."""
+    tmp = np.empty_like(out)
+    for i, (w, a, b) in enumerate(terms):
+        t = a if b is None else np.subtract(a, b, out=tmp if i else out)
+        if not i:
+            if b is None or w != 1:
+                np.multiply(t, w, out=out)
+        elif w > 0:
+            out += t if w == 1 else np.multiply(t, w, out=tmp)
+        else:
+            out -= t if w == -1 else np.multiply(t, -w, out=tmp)
+
+
+def _along(stencil, values, h, axis, rows):
+    """stencil applied to values along axis at its output rows `rows` (a
+    slice, or None for all of them), reading only the lines those rows name.
+
+    Weights that sum to 0 (derivatives) are summed as differences, so that a
+    constant gives exactly 0: w (v[k] - v[-k]) over k > 0 for an
+    antisymmetric centre, w (v[k] - v[0]) over k != 0 for another one, and
+    w (v[k] - v[i]) over k != i for edge row i; the sum is divided once by
+    the denominator times h, and by h again for a second derivative.  Other
+    weights (interpolation) add w v[k] left to right and divide by the
+    denominator.  A complex field goes through its float view.
+    """
+    if np.iscomplexobj(values):
+        axis %= values.ndim
+        return _along(stencil, _pair_floats(values), h, axis, rows).view(complex)[..., 0]
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    sl = [slice(None)] * v.ndim
+    axis %= v.ndim
+    n = v.shape[axis]
+    if n < stencil.lines and stencil.fallback:
+        stencil = stencil.fallback
+    before, after, _ = stencil.reach
+    m = n + before - after
+    first, stop, _ = (rows or slice(None)).indices(m)
+    out = (np.zeros if len(stencil.edge) < before else np.empty)(
+        v.shape[:axis] + (stop - first,) + v.shape[axis + 1:])
+    at = (slice(None),) * axis
+    c = stencil.centre
+    difference = sum(c) == 0
 
-    def at(idx):
-        s = list(sl)
-        s[axis] = idx
-        return tuple(s)
+    lo, hi = max(first, before), min(stop, m - before)
+    if lo < hi:
+        def line(k):
+            return v[at + (slice(lo + k, hi + k),)]
 
-    out[at(slice(1, -1))] = (v[at(slice(2, None))] - v[at(slice(0, -2))]) / (2 * h)
-    out[at(0)] = (-3 * v[at(0)] + 4 * v[at(1)] - v[at(2)]) / (2 * h)
-    out[at(-1)] = (3 * v[at(-1)] - 4 * v[at(-2)] + v[at(-3)]) / (2 * h)
+        if not difference:
+            terms = ((w, line(k - before), None) for k, w in enumerate(c))
+        elif c == tuple(-w for w in c[::-1]):
+            terms = ((c[before + k], line(k), line(-k)) for k in range(1, before + 1))
+        else:
+            terms = ((w, line(k - before), line(0)) for k, w in enumerate(c) if k != before)
+        _weighted_sum(terms, out[at + (slice(lo - first, hi - first),)])
+    for i, weights in enumerate(stencil.edge):
+        for k, lines, far in ((i, v, False), (m - 1 - i, np.flip(v, axis), True)):
+            if first <= k < stop:
+                row, base = out[at + (slice(k - first, k - first + 1),)], lines[at + (slice(i, i + 1),)]
+                _weighted_sum(((w, lines[at + (slice(j, j + 1),)], base if difference else None)
+                               for j, w in enumerate(weights) if j != i or not difference), row)
+                if far and stencil.power % 2:
+                    np.negative(row, out=row)
+    out /= stencil.denominator * h if stencil.power else stencil.denominator
+    if stencil.power == 2:
+        out /= h
     return out
 
 
-def diff_x(values, h):
-    return diff_axis(values, h, axis=1)
-
-
-def diff_y(values, h):
-    return diff_axis(values, h, axis=0)
+def diff_axis(values, h, axis):
+    """Second-order derivative along an axis (central, one-sided at edges)."""
+    return _along(_D1, values, h, axis, None)
 
 
 def diff_axis4(values, h, axis):
-    """Fourth-order derivative along an axis; one-sided 5-point at edges."""
-    v = np.asarray(values, dtype=float)
-    n = v.shape[axis]
-    if n < 6:
-        return diff_axis(values, h, axis)
-    out = np.empty_like(v)
-    sl = [slice(None)] * v.ndim
-
-    def at(idx):
-        s = list(sl)
-        s[axis] = idx
-        return tuple(s)
-
-    out[at(slice(2, -2))] = (
-        v[at(slice(0, -4))]
-        - 8 * v[at(slice(1, -3))]
-        + 8 * v[at(slice(3, -1))]
-        - v[at(slice(4, None))]
-    ) / (12 * h)
-    # one-sided / skewed five-point stencils near the edges
-    c_edge = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    c_next = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    for row, coeff, sign in (
-        (0, c_edge, 1.0),
-        (1, c_next, 1.0),
-        (n - 1, c_edge, -1.0),
-        (n - 2, c_next, -1.0),
-    ):
-        idxs = range(5) if sign > 0 else range(n - 1, n - 6, -1)
-        acc = sum(c * v[at(k)] for c, k in zip(coeff, idxs))
-        out[at(row)] = sign * acc / h
-    return out
+    """Fourth-order derivative along an axis; one-sided 5-point at edges, and
+    diff_axis below six lines."""
+    return _along(_D1_4, values, h, axis, None)
 
 
 def dilate_invalid(valid, rings=1):
@@ -292,17 +352,22 @@ def dilate_invalid(valid, rings=1):
     return out
 
 
-def d_field(f: QField) -> QForm1:
-    """Exterior derivative of a 0-form: central differences, exact on linears."""
+def _exterior_derivative(f: QField, stencil) -> QForm1:
+    """The 1-form of stencil along x and y; on a masked grid, valid where
+    every node its rows read is valid."""
     grid = f.grid
-    px = diff_x(f.values, grid.h)
-    py = diff_y(f.values, grid.h)
+    px, py = (_along(stencil, f.values, grid.h, axis, None) for axis in (1, 0))
     if not grid.all_valid():
-        valid = dilate_invalid(grid.valid())
+        valid = dilate_invalid(grid.valid(), rings=stencil.before)
         if not valid.any():
             raise MaskedNeighbor("no node has a fully valid stencil")
         grid = grid.with_mask(valid)
     return QForm1(grid, px, py)
+
+
+def d_field(f: QField) -> QForm1:
+    """Exterior derivative of a 0-form: central differences, exact on linears."""
+    return _exterior_derivative(f, _D1)
 
 
 def d_field_hi(f: QField) -> QForm1:
@@ -312,15 +377,7 @@ def d_field_hi(f: QField) -> QForm1:
     RK4 transforms need the extra accuracy to keep cross-ratio level
     comparisons near the integrator floor at desk-scale grids.
     """
-    grid = f.grid
-    px = diff_axis4(f.values, grid.h, axis=1)
-    py = diff_axis4(f.values, grid.h, axis=0)
-    if not grid.all_valid():
-        valid = dilate_invalid(grid.valid(), rings=2)
-        if not valid.any():
-            raise MaskedNeighbor("no node has a fully valid stencil")
-        grid = grid.with_mask(valid)
-    return QForm1(grid, px, py)
+    return _exterior_derivative(f, _D1_4)
 
 
 def wedge(alpha: QForm1, beta: QForm1) -> QField:
@@ -334,7 +391,7 @@ def wedge(alpha: QForm1, beta: QForm1) -> QField:
 
 def curl(omega: QForm1):
     """Pointwise discrete curl Dx(py) - Dy(px); zero on derivative fields."""
-    return diff_x(omega.py, omega.grid.h) - diff_y(omega.px, omega.grid.h)
+    return diff_axis(omega.py, omega.grid.h, 1) - diff_axis(omega.px, omega.grid.h, 0)
 
 
 def _closedness_point(omega: QForm1):
@@ -465,39 +522,9 @@ def midpoint_samples(coef, axis):
 
     Returns an array with n-1 entries along `axis`; entry k sits between
     samples k and k+1.  Fourth-order accurate so RK4 keeps its global order
-    on smooth non-constant coefficients.
+    on smooth non-constant coefficients; linear below four samples.
     """
-    v = np.moveaxis(np.asarray(coef, dtype=float), axis, 0)
-    n = v.shape[0]
-    out = np.empty((n - 1,) + v.shape[1:])
-    if n < 4:
-        out[:] = 0.5 * (v[:-1] + v[1:])
-    else:
-        out[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
-        out[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-        out[-1] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
-    return np.moveaxis(out, 0, axis)
-
-
-def _block_lines(values, axis, first, count, reach):
-    """The lines of values along axis that a stencil reads to give its lines
-    first..first + count - 1 bit for bit, and the slice of those lines
-    within them.  reach = (before, after, width): the stencil reads `before`
-    lines before the block and `after` lines after it, and `width` lines
-    where its one-sided formulas meet an edge of the grid."""
-    before, after, width = reach
-    n = values.shape[axis]
-    lo = max(0, min(first - before, n - width))
-    hi = min(n, max(first + count + after, lo + width))
-    return values[(slice(None),) * axis + (slice(lo, hi),)], slice(first - lo, first - lo + count)
-
-
-def _block_midpoints(coef, first, count):
-    """midpoint_samples(coef, axis=1)[:, first:first + count], bit for bit:
-    the cubic stencils read one column before a block and two after it, and
-    the four columns at a grid edge."""
-    lines, block = _block_lines(coef, 1, first, count, (1, 2, 4))
-    return midpoint_samples(lines, axis=1)[:, block]
+    return _along(_MIDPOINT, coef, None, axis, None)
 
 
 #: nodes per block of grid columns whose RK4 steps a march prepares at once,
@@ -506,39 +533,36 @@ def _block_midpoints(coef, first, count):
 _MARCH_BLOCK = 4096
 
 
-def _row_planes(values, reach):
+def _row_planes(values, *stencils):
     """Blocks of grid rows of about _MARCH_BLOCK nodes of a (ny, nx, 2, 2, 4)
     field, each copied once into pair planes (2, 2, 2, m, nx) together with
-    the rows around it that a stencil of reach along the rows reads (see
-    _block_lines).  Yields (rows, planes, block): the block's grid rows, the
-    planes, and the block's rows within them."""
+    the rows around it that the stencils read along the rows to give the
+    block's rows as the whole grid does (their reach, see _Stencil).  Yields
+    (rows, planes, block): the block's grid rows, the planes, and the
+    block's rows within them."""
+    before, after, width = (max(r) for r in zip((0, 0, 0), *(s.reach for s in stencils)))
     ny, nx = values.shape[:2]
     step = max(1, _MARCH_BLOCK // nx)
     for first in range(0, ny, step):
-        lines, block = _block_lines(values, 0, first, min(step, ny - first), reach)
-        yield slice(first, first + step), _pair_planes(lines, 2), block
-
-
-def _plane_diff(stencil, planes, h, axis):
-    """stencil (diff_axis or diff_axis4) of pair planes (..., m, nx) along
-    their rows (axis -2) or columns (axis -1), taken on their float view:
-    bit for bit the derivative of the real components."""
-    return stencil(_pair_floats(planes), h, axis - 1).view(complex)[..., 0]
+        count = min(step, ny - first)
+        lo = max(0, min(first - before, ny - width))
+        hi = min(ny, max(first + count + after, lo + width))
+        block = slice(first - lo, first - lo + count)
+        yield slice(first, first + step), _pair_planes(values[lo:hi], 2), block
 
 
 def _connection_planes(frame):
     """Phi = F^-1 dF of a FrameField per block of grid rows (see _row_planes),
-    entrywise fourth-order differences: yields (rows, phi_x, phi_y) as pair
-    planes (2, 2, 2, m, nx).  A block reads the two rows on either side of
-    it, and six rows at a grid edge, where diff_axis4's one-sided formulas
-    read five (below six rows it is diff_axis).  SingularMatrix names the
-    first singular node of the grid, row-major."""
+    entrywise fourth-order differences (diff_axis4): yields (rows, phi_x,
+    phi_y) as pair planes (2, 2, 2, m, nx), differentiating the block's rows
+    only.  SingularMatrix names the first singular node of the grid,
+    row-major."""
     h, nx = frame.grid.h, frame.grid.nx
-    for rows, planes, block in _row_planes(frame.values, (2, 2, 6)):
+    for rows, planes, block in _row_planes(frame.values, _D1_4):
         f = planes[..., block, :]
         inv = _study_planes(f, True, lambda i: (rows.start + int(i) // nx, int(i) % nx))[1]
-        yield (rows, _pair_matmul(inv, _plane_diff(diff_axis4, f, h, -1)),
-               _pair_matmul(inv, _plane_diff(diff_axis4, planes, h, -2)[..., block, :]))
+        yield (rows, _pair_matmul(inv, _along(_D1_4, f, h, -1, None)),
+               _pair_matmul(inv, _along(_D1_4, planes, h, -2, block)))
 
 
 def _lines(first, count, d):
@@ -608,7 +632,7 @@ def _march(grid, p0, coef_x, coef_y, state0, steps, blowup, spine):
                     first = i1 - 1 if d > 0 else i1 - k + 1
                     for buf, c in zip((pa, pm, pb), (
                             coef[:, _lines(i1 - d, k, d)],
-                            _block_midpoints(coef, first, k)[:, ::d],
+                            _along(_MIDPOINT, coef, None, 1, slice(first, first + k))[:, ::d],
                             coef[:, _lines(i1, k, d)])):
                         _put_planes(buf[half], np.swapaxes(c, 0, 1), ndim)
                 advance = steps(pa, pm, pb, np.broadcast_to(s, (k, len(s))))
@@ -711,16 +735,14 @@ def _maurer_cartan_point(phi_x, phi_y, grid):
 
     Computed over blocks of grid rows (see _row_planes), so that no temporary
     spans the whole grid: each coefficient's block is copied to pair planes
-    once, phi_x's with the row on either side of it (three rows at a grid
-    edge) that its y-derivative reads, and both products of the commutator
-    read those planes.  The curvature goes back to real components per
-    block, so that qm2_norm sums its entries in their order.
+    once, phi_x's with the rows around it that its y-derivative reads, and
+    both products of the commutator read those planes.  The curvature goes
+    back to real components per block, so that qm2_norm sums its entries in
+    their order.
     """
     point = np.empty((grid.ny, grid.nx))
-    for (rows, px, block), (_, py, _) in zip(_row_planes(phi_x, (1, 1, 3)),
-                                              _row_planes(phi_y, (0, 0, 0))):
-        d = (_plane_diff(diff_axis, py, grid.h, -1)
-             - _plane_diff(diff_axis, px, grid.h, -2)[..., block, :])
+    for (rows, px, block), (_, py, _) in zip(_row_planes(phi_x, _D1), _row_planes(phi_y)):
+        d = _along(_D1, py, grid.h, -1, None) - _along(_D1, px, grid.h, -2, block)
         px = px[..., block, :]
         d += _pair_matmul(px, py) - _pair_matmul(py, px)
         curvature = np.empty(d.shape[3:] + (2, 2, 4))
@@ -835,12 +857,7 @@ def laplacian(u, grid: GridSpec):
 
     Returns (values, interior validity mask).
     """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    h2 = grid.h * grid.h
-    out[1:-1, 1:-1] = (
-        u[1:-1, 2:] + u[1:-1, :-2] + u[2:, 1:-1] + u[:-2, 1:-1] - 4.0 * u[1:-1, 1:-1]
-    ) / h2
+    out = _along(_D2, u, grid.h, 0, None) + _along(_D2, u, grid.h, 1, None)
     valid = dilate_invalid(grid.valid()) & grid.interior()
     if not valid.any():
         raise MaskedNeighbor("laplacian needs interior nodes")

@@ -7,8 +7,9 @@ here, unchanged, as the independent reference that ``integrate_frame`` and
 ``integrate_left_vector`` are tested against
 (tests/test_march_equivalence.py), together with the Riccati march on real
 quaternion components that ``integrate_riccati`` ran before its states and
-coefficients became complex pairs.  The cubic midpoint samples are shared
-with the package; the gates and the blow-up check are not part of it.
+coefficients became complex pairs.  So is the cubic midpoint formula that
+``grid.midpoint_samples`` wrote out before it became an entry of the
+package's stencil table; the gates and the blow-up check are not part of it.
 
 The path-scheme walks the package ran as loops before they became the
 array scans of ``grid._path_scan`` are kept here too: the reach mask of
@@ -39,12 +40,10 @@ import numpy as np
 from isothermic.cmc import RibaucourData
 from isothermic.errors import PatternMismatch
 from isothermic.grid import (
+    diff_axis,
     diff_axis4,
-    diff_x,
-    diff_y,
     dilate_invalid,
     laplacian,
-    midpoint_samples,
 )
 from isothermic.quaternion import qm2_inv as package_qm2_inv
 from isothermic.quaternion import qm2_mul as package_qm2_mul
@@ -110,6 +109,22 @@ def _rk4_step_right(state, pa, pm, pb, h, mul):
     k3 = mul(state + 0.5 * h * k2, pm)
     k4 = mul(state + h * k3, pb)
     return state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def midpoint_samples(coef, axis):
+    """Cubic interpolation of coefficient samples at interval midpoints
+    (n-1 entries along axis; entry k between samples k and k+1), linear
+    below four samples."""
+    v = np.moveaxis(np.asarray(coef, dtype=float), axis, 0)
+    n = v.shape[0]
+    out = np.empty((n - 1,) + v.shape[1:])
+    if n < 4:
+        out[:] = 0.5 * (v[:-1] + v[1:])
+    else:
+        out[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
+        out[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+        out[-1] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+    return np.moveaxis(out, 0, axis)
 
 
 def march(grid, p0, coef_x, coef_y, state0, mul):
@@ -208,7 +223,7 @@ def sign_continuity(r, p0):
 def maurer_cartan_point(phi_x, phi_y, grid):
     """Pointwise |d(Phi) + Phi^Phi| over the whole grid at once, and the
     nodes whose plaquettes are gated."""
-    d = diff_x(phi_y, grid.h) - diff_y(phi_x, grid.h)
+    d = diff_axis(phi_y, grid.h, 1) - diff_axis(phi_x, grid.h, 0)
     comm = package_qm2_mul(phi_x, phi_y) - package_qm2_mul(phi_y, phi_x)
     return qm2_norm(d + comm), dilate_invalid(grid.valid())
 

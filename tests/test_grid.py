@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isothermic import (
     GridSpec,
@@ -31,7 +33,9 @@ from isothermic.grid import (
     save_field,
 )
 from isothermic import grid as grid_module
-from isothermic.quaternion import cj, qm2_identity
+from isothermic.quaternion import _pair_planes, cj, qm2_identity
+
+import reference_march as ref
 
 
 def _zero_form(grid):
@@ -72,6 +76,104 @@ def test_d_field_second_order_convergence():
         errs.append(np.abs(df.px[..., 2] - np.cos(g.zgrid().real)).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
+
+
+#: the derivative and Laplacian entries of the stencil table
+DIFFERENCES = {"D1": grid_module._D1, "D1_4": grid_module._D1_4, "D2": grid_module._D2,
+               "D2_4": grid_module._D2_4}
+STENCILS = dict(DIFFERENCES, midpoint=grid_module._MIDPOINT)
+
+
+def _magnitude():
+    """A float of either sign between 1e-300 and 1e300."""
+    return st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                     st.floats(-300, 300))
+
+
+@pytest.mark.parametrize("name, degree, order", [("D1", 2, 1), ("D1_4", 4, 1), ("D2", 3, 2),
+                                                 ("D2_4", 5, 2), ("midpoint", 3, 0)])
+def test_stencils_are_exact_on_polynomials(name, degree, order):
+    """Each entry's weights: exact on polynomials of its degree at every row
+    it gives, edge rows included (a second derivative gives none there)."""
+    stencil = STENCILS[name]
+    x = np.linspace(-1.0, 1.0, 9)
+    p = np.polynomial.Polynomial(np.random.default_rng(degree).normal(size=degree + 1))
+    got = grid_module._along(stencil, p(x), x[1] - x[0], 0, None)
+    want = p.deriv(order)(x) if order else p(0.5 * (x[:-1] + x[1:]))
+    rows = slice(None) if stencil.edge else slice(stencil.before, -stencil.before)
+    assert np.abs(got[rows] - want[rows]).max() < 1e-11
+    assert not stencil.edge or len(stencil.edge) == stencil.before
+    assert stencil.edge or (got[:stencil.before] == 0).all()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(name=st.sampled_from(sorted(DIFFERENCES)), c=_magnitude(), d=_magnitude(),
+       h=_magnitude().map(abs), kind=st.sampled_from(["real", "complex", "planes"]),
+       ny=st.integers(3, 9), nx=st.integers(3, 9), data=st.data())
+def test_differences_of_a_constant_are_exactly_zero(name, c, d, h, kind, ny, nx, data):
+    """Every derivative and Laplacian entry sums differences, so a constant
+    gives exactly 0 at every row, edge rows included, whatever its size and
+    the spacing's; on real and complex fields and on pair planes, whose
+    rows are axis -2 and columns axis -1."""
+    if kind == "real":
+        values = np.full((ny, nx), c)
+    elif kind == "complex":
+        values = np.full((ny, nx), complex(c, d))
+    else:
+        values = _pair_planes(np.full((ny, nx, 2, 2, 4), c), 2)
+    axis = data.draw(st.sampled_from([0, 1] if kind != "planes" else [-2, -1]))
+    n = values.shape[axis]
+    first = data.draw(st.integers(0, n - 1))
+    rows = data.draw(st.sampled_from([None, slice(first, data.draw(st.integers(first, n)))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = grid_module._along(DIFFERENCES[name], values, h, axis, rows)
+    assert out.dtype == values.dtype
+    assert (out == 0.0).all()
+
+
+@pytest.mark.parametrize("name", sorted(STENCILS))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stencil_rows_equal_the_whole_axis(name, axis):
+    """A range of output rows gives the bits of the matching slice of the
+    whole axis, at both grid edges and on every line count from two (three
+    for the first derivatives, whose edge rows read three) to nine, below
+    each entry's smallest line count too, where its fallback or zero rows
+    take over.  The range reads only the lines its reach names (the rule
+    _row_planes copies by), so lines outside them may hold anything."""
+    stencil = STENCILS[name]
+    rng = np.random.default_rng(3)
+    for n in range(3 if name.startswith("D1") else 2, 10):
+        values = np.moveaxis(rng.normal(size=(n, 5, 3)), 0, axis)
+        whole = grid_module._along(stencil, values, 0.1, axis, None)
+        m = whole.shape[axis]
+        before, after, _ = stencil.reach
+        for first in range(m):
+            for stop in range(first, m + 1):
+                got = grid_module._along(stencil, values, 0.1, axis, slice(first, stop))
+                assert np.array_equal(got, np.take(whole, range(first, stop), axis)), (n, first)
+                if n < stencil.lines or first == stop:
+                    continue
+                # garbage outside the lines the range reads leaves it alone
+                lo = max(0, min(first - before, n - stencil.lines))
+                hi = min(n, max(stop + after, lo + stencil.lines))
+                spoiled = np.moveaxis(np.full((n, 5, 3), np.nan), 0, axis)
+                window = (slice(None),) * axis + (slice(lo, hi),)
+                spoiled[window] = values[window]
+                got = grid_module._along(stencil, spoiled, 0.1, axis, slice(first, stop))
+                assert np.array_equal(got, np.take(whole, range(first, stop), axis)), (n, first)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 129])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_midpoint_samples_equal_the_reference_formula(n, axis):
+    """The table's midpoint entry keeps the written-out cubic formula's
+    arithmetic: bit for bit, on samples of every size and sign."""
+    rng = np.random.default_rng(n)
+    coef = rng.normal(size=(n, n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, n, 3))
+    coef = np.moveaxis(coef, 0, axis)
+    got = grid_module.midpoint_samples(coef, axis)
+    assert np.array_equal(got, ref.midpoint_samples(coef, axis))
 
 
 # ---------------------------------------------------------------------------

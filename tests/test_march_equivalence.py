@@ -113,16 +113,6 @@ def test_riccati_matches_reference(n):
                   ref.riccati(a_x, a_y, b_x, b_y, grid, delta0, p0))
 
 
-def test_block_midpoints_equal_whole_grid():
-    # every block of intervals, at the block edges and at both grid ends
-    coef = np.random.default_rng(9).normal(size=(37, 29, 2, 2, 4))
-    whole = grid_module.midpoint_samples(coef, axis=1)
-    for first in range(28):
-        for count in range(1, 29 - first):
-            got = grid_module._block_midpoints(coef, first, count)
-            assert np.array_equal(got, whole[:, first:first + count])
-
-
 def test_march_blocks_bit_identical(monkeypatch):
     # blocks of 3 columns against the whole 37 x 29 grid in one block
     grid = GridSpec(-1.0, -0.75, 1.0 / 16, 29, 37)

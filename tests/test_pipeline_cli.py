@@ -7,7 +7,6 @@ import os
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -574,8 +573,12 @@ HUGE_DOMAIN = {"x0": -1, "y0": -1, "width": 1e300, "height": 1e300}
      3, "Weierstrass form overflows at grid spacing 6.250e+298"),
     ({"grid_n": 17, "domain": HUGE_DOMAIN, "generator": {"kind": "darboux-weierstrass"}},
      3, "state norm nan exceeds 1.0e+12 (at node (1, 0))"),
+    # a form of finite entries whose squared norm overflows
+    ({"grid_n": 17, "domain": {"x0": 0, "y0": 0, "width": 1e100, "height": 1e100},
+      "generator": {"kind": "weierstrass"}},
+     3, "Weierstrass form overflows at grid spacing 6.250e+98"),
 ], ids=["spacing_1e-300", "bryant_lambda_1e300", "weierstrass_width_1e300",
-        "darboux_weierstrass_width_1e300"])
+        "darboux_weierstrass_width_1e300", "weierstrass_width_1e100_at_origin"])
 def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, raw, expected,
                                                             message):
     cfg = tmp_path / "cfg.json"
@@ -593,15 +596,19 @@ def test_cli_numeric_extremes_fail_without_runtime_warnings(tmp_path, capsys, ra
 
 
 def test_surface_jets_overflow_without_runtime_warnings(tmp_path):
-    """The engine's own guard, behind the config check: an unresolved domain
-    built without from_dict fails in surface_jets, not with a warning."""
-    cfg = replace(PipelineConfig.from_dict(dict(BASE_CONFIG, grid_n=17)),
-                  domain=dict(UNRESOLVED_DOMAIN))
+    """The engine's own guard, behind the config check: a surface file of
+    finite values whose tangents' cross product overflows (the plane scaled
+    by 1e300) fails in surface_jets, not with a warning."""
+    def scale(doc):
+        doc["values"] = (1e300 * np.asarray(doc["values"])).tolist()
+
+    with open(_surface_file(tmp_path, scale)) as fh:
+        cfg = PipelineConfig.from_dict(dict(json.load(fh), verify={"isothermic": True}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateTangent,
-                           match="immersion derivatives overflow at grid spacing 6.250e-302"):
-            run_pipeline(cfg, str(tmp_path))
+                           match="immersion derivatives overflow at grid spacing 1.250e-01"):
+            run_pipeline(cfg, str(tmp_path / "out"))
 
 
 def test_unresolved_domain_spacing_is_a_config_error(tmp_path, capsys):
@@ -617,23 +624,26 @@ def test_unresolved_domain_spacing_is_a_config_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("command, generator, expected, message", [
-    ("verify", {"kind": "example"}, 0, "pass  isothermic_certificate"),
-    ("generate", {"kind": "weierstrass"}, 3, "Cauchy-Riemann residual 7.071e-01"),
-], ids=["example", "weierstrass"])
-def test_tiny_resolved_domain_runs_as_before(tmp_path, capsys, command, generator, expected,
-                                            message):
+WEIERSTRASS_KINDS = ("weierstrass", "bryant", "darboux-weierstrass")
+
+
+@pytest.mark.parametrize("command, generator, message", [
+    ("verify", {"kind": "example"}, "pass  isothermic_certificate"),
+    *(("generate", {"kind": kind}, "wrote surface") for kind in WEIERSTRASS_KINDS),
+], ids=["example", *WEIERSTRASS_KINDS])
+def test_tiny_resolved_domain_runs_as_before(tmp_path, capsys, command, generator, message):
     """At x0 = y0 = 0 the same 1e-300 width is resolved (the ulp of 1e-300 is
     about 1.5e-316): the config passes and the engine runs as it did before
-    the spacing rule.  The weierstrass run still fails there: diff_axis4's
-    edge coefficients do not sum to zero in floats, so the constant w gets
-    an edge derivative of about 2.2e-16 / h."""
+    the spacing rule.  The Weierstrass generators run there too: their
+    derivatives sum differences, so the constant w differentiates to exactly
+    0 (it read about 2.2e-16 / h at the edges while the one-sided weights
+    were divided one by one)."""
     raw = {"grid_n": 17, "domain": dict(UNRESOLVED_DOMAIN, x0=0, y0=0), "generator": generator,
            "verify": {"isothermic": True} if command == "verify" else {}}
     PipelineConfig.from_dict(raw)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == expected
+    assert cli_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     captured = capsys.readouterr()
     assert message in captured.out + captured.err
 
@@ -780,7 +790,8 @@ def test_cli_family_overflow_names_node(tmp_path, capsys):
 # fuzzed configs: mutations drawn from the config table
 # ---------------------------------------------------------------------------
 
-FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+#: about half the examples mutate a field, half draw a domain (see mutated_configs)
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=600)
 
 #: a valid config of each generator kind; "file" reads the fuzz_surface file,
 #: whose path the test puts in place of SURFACE
@@ -798,14 +809,27 @@ FUZZ_EXPORT = {"obj": "s.obj", "surface": "s.json", "report": "r.json"}
 WRONG_TYPES = (True, "abc", None, [[1.0]], {"key": 1.0})
 
 
+#: a domain coordinate: 0, or of either sign and a magnitude from 1e-300 to 1e300
+COORDINATES = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
+                                                st.sampled_from([1.0, -1.0]),
+                                                st.floats(-300, 300)))
+
+
 @st.composite
 def mutated_configs(draw):
-    """A valid base config with one field of FIELDS mutated."""
+    """A valid base config with one field of FIELDS mutated, or with its
+    domain's corner and (square) size drawn from 0 and 1e-300 to 1e300
+    instead."""
     entry = draw(st.sampled_from(FIELDS))
     kinds = entry.only if entry.section == "generator" and entry.only else GENERATOR_KINDS
     raw = json.loads(json.dumps(FUZZ_BASES[draw(st.sampled_from(kinds))]))
     raw.setdefault("verify", {"isothermic": True})
     raw.update(grid_n=draw(st.integers(9, 17)), export=dict(FUZZ_EXPORT))
+    if draw(st.booleans()):
+        width = abs(draw(COORDINATES)) or 1e-300
+        raw["domain"] = {"x0": draw(COORDINATES), "y0": draw(COORDINATES), "width": width,
+                         "height": width}
+        return raw
     if entry.section == "transforms":
         box = {"op": entry.only[0] if entry.only else "t_transform"}
         raw["transforms"] = [box]
