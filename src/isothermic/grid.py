@@ -317,8 +317,9 @@ def _along(stencil, values, h, axis, rows):
     for i, weights in enumerate(stencil.edge):
         for k, lines, far in ((i, v, False), (m - 1 - i, np.flip(v, axis), True)):
             if first <= k < stop:
-                row, base = out[at + (slice(k - first, k - first + 1),)], lines[at + (slice(i, i + 1),)]
-                _weighted_sum(((w, lines[at + (slice(j, j + 1),)], base if difference else None)
+                row = out[at + (slice(k - first, k - first + 1),)]
+                base = lines[at + (slice(i, i + 1),)] if difference else None
+                _weighted_sum(((w, lines[at + (slice(j, j + 1),)], base)
                                for j, w in enumerate(weights) if j != i or not difference), row)
                 if far and stencil.power % 2:
                     np.negative(row, out=row)
