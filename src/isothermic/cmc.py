@@ -538,38 +538,58 @@ def _sign_continuity(r, p0):
     return _path_scan(r, p0, _sign_scan)
 
 
-def _ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
-    """Assemble the frame [[f r, r], [r, 0]] and its connection family.
+class _RibaucourFamily(FrameConnection):
+    """The frame [[f r, r], [r, 0]] and its family, stored as f, r, e^u, e^-u,
+    u_x and u_y only (see FrameConnection).
 
     Diagonal: ( -u_y i - e^-u k )/2 dx + ( u_x i - e^-u j )/2 dy;
     lower-left psi = e^u (j dx + k dy); slope psi* = e^-u (-j dx + k dy).
     """
-    e_u = np.exp(u)
-    e_mu = np.exp(-u)
-    shape = (grid.ny, grid.nx, 2, 2, 4)
-    const_x = np.zeros(shape)
-    const_y = np.zeros(shape)
-    diag_x = np.zeros((grid.ny, grid.nx, 4))
-    diag_x[..., 1] = -0.5 * uy
-    diag_x[..., 3] = -0.5 * e_mu
-    diag_y = np.zeros((grid.ny, grid.nx, 4))
-    diag_y[..., 1] = 0.5 * ux
-    diag_y[..., 2] = -0.5 * e_mu
-    const_x[..., 0, 0, :] = diag_x
-    const_x[..., 1, 1, :] = diag_x
-    const_y[..., 0, 0, :] = diag_y
-    const_y[..., 1, 1, :] = diag_y
-    const_x[..., 1, 0, 2] = e_u
-    const_y[..., 1, 0, 3] = e_u
-    slope_x = np.zeros(shape)
-    slope_y = np.zeros(shape)
-    slope_x[..., 0, 1, 2] = -e_mu
-    slope_y[..., 0, 1, 3] = e_mu
-    frame0 = np.zeros(shape)
-    frame0[..., 0, 0, :] = qmul(fvals, spin)
-    frame0[..., 0, 1, :] = spin
-    frame0[..., 1, 0, :] = spin
-    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)
+
+    def __init__(self, grid, fvals, spin, u, ux, uy, p0):
+        self.grid, self.p0 = grid, p0
+        self._parts = fvals, spin, np.exp(u), np.exp(-u), ux, uy
+
+    frame0 = property(lambda self: self._frame())
+    const_x = property(lambda self: self._const(True))
+    const_y = property(lambda self: self._const(False))
+    slope_x = property(lambda self: self._upper(True))
+    slope_y = property(lambda self: self._upper(False))
+
+    def frame0_at_p0(self):
+        return self._frame(*self.p0)
+
+    def _frame(self, *node):
+        fvals, spin = (a[node] for a in self._parts[:2])
+        out = np.zeros(spin.shape[:-1] + (2, 2, 4))
+        out[..., 0, 0, :] = qmul(fvals, spin)
+        out[..., 0, 1, :] = spin
+        out[..., 1, 0, :] = spin
+        return out
+
+    def phi(self, lam):
+        return self._const(True, lam), self._const(False, lam)
+
+    def _upper(self, x):
+        out = np.zeros((self.grid.ny, self.grid.nx, 2, 2, 4))
+        out[..., 0, 1, 2 if x else 3] = -self._parts[3] if x else self._parts[3]
+        return out
+
+    def _const(self, x, lam=None):
+        """const_x (x) or const_y; given lam, phi's entries as const + lam * slope."""
+        _, _, e_u, e_mu, ux, uy = self._parts
+        d, o = (3, 2) if x else (2, 3)  # components of the diagonal's e^-u and of psi
+        out = np.zeros((self.grid.ny, self.grid.nx, 2, 2, 4))
+        for r in (0, 1):
+            np.multiply(uy if x else ux, -0.5 if x else 0.5, out=out[..., r, r, 1])
+            np.multiply(e_mu, -0.5, out=out[..., r, r, d])
+        out[..., 1, 0, o] = e_u
+        if lam is not None:
+            for entry in ((0, 0, 1), (0, 0, d), (1, 1, 1), (1, 1, d), (1, 0, o)):
+                out[(...,) + entry] += lam * 0.0
+            np.multiply(-e_mu if x else e_mu, lam, out=out[..., 0, 1, o])
+            out[..., 0, 1, o] += 0.0
+        return out
 
 
 def ribaucour_connection(surface: PolarizedSurface, p0=None) -> FrameConnection:
@@ -612,8 +632,7 @@ def ribaucour_connection(surface: PolarizedSurface, p0=None) -> FrameConnection:
     spin = _sign_continuity(quat_from_rotation(rot), p0)
     ux = diff_axis4(u, grid.h, axis=1)
     uy = diff_axis4(u, grid.h, axis=0)
-    conn = _ribaucour_from_parts(grid, surface.f.values, spin, u, ux, uy, p0)
-    return conn
+    return _RibaucourFamily(grid, surface.f.values, spin, u, ux, uy, p0)
 
 
 def family_ribaucour_connection(grid: GridSpec, lam: float, p0=None) -> FrameConnection:
@@ -624,7 +643,7 @@ def family_ribaucour_connection(grid: GridSpec, lam: float, p0=None) -> FrameCon
     zs = grid.zgrid()
     fvals, spin, (u, dzu) = oracles.family_frame_parts(zs, lam)
     spin = _sign_continuity(spin, p0)
-    return _ribaucour_from_parts(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
+    return _RibaucourFamily(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
 
 
 #: the entries (row, column, component) of phi_x and of phi_y that the
@@ -788,11 +807,6 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> Isom
         raise FrameUnavailable(f"no structured frame for this surface: {exc}") from None
     grid = conn.grid
     h = grid.h
-    if lam == 0:
-        frame_lam = conn.frame0
-    else:
-        phx, phy = conn.phi(lam)
-        frame_lam = integrate_frame(phx, phy, grid, conn.frame0_at_p0(), conn.p0).values
 
     def forms(frame_values, lam_t):
         s_f, s_c = frame_point_forms(frame_values)
@@ -805,8 +819,11 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> Isom
         ii_g = -lorentz(sfy, ty)
         return (e1, f1, g1), (ii_e, ii_f, ii_g)
 
-    i0, ii0 = forms(conn.frame0, 0.0)
-    il, iil = forms(frame_lam, lam)
+    il, iil = i0, ii0 = forms(conn.frame0, 0.0)
+    if lam != 0:
+        phx, phy = conn.phi(lam)
+        frame_lam = integrate_frame(phx, phy, grid, conn.frame0_at_p0(), conn.p0).values
+        il, iil = forms(frame_lam, lam)
     sel = grid.interior(4)
     scale = float(np.mean(i0[0][sel]))
     first_dev = max(float(np.abs(il[k] - i0[k])[sel].max()) for k in range(3))

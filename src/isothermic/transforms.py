@@ -141,11 +141,13 @@ def goursat(
 class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 
-    phi(lam) = const + lam * slope entrywise; frame0 projects to the
-    underlying surface in the chart v1 v2^-1.  A family whose Maurer-Cartan
-    curvature is known in closed form carries it as curvature = (n0, n1,
-    shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2 =
-    n0 + (shift + lam)^2 n1 at every node (see canonical_connection).
+    phi(lam) = const + lam * slope entrywise; frame0 projects to the underlying
+    surface in the chart v1 v2^-1.  The canonical, chained and numeric families
+    store these fields; the Ribaucour family (cmc) stores its scalar parts and
+    computes them on each read.  A family whose Maurer-Cartan curvature is known
+    in closed form carries it as curvature = (n0, n1, shift): (ny, nx) fields
+    with |d phi(lam) + phi(lam)^phi(lam)|^2 = n0 + (shift + lam)^2 n1 at every
+    node (see canonical_connection).
     """
 
     grid: GridSpec

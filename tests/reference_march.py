@@ -29,6 +29,11 @@ which ``FrameField.connection_form`` computed before it went over blocks of
 grid rows on pair planes (``grid._connection_planes``), and the curvature
 data extraction ``cmc.ribaucour_data_extract`` that read its entries from
 that whole-grid Phi.
+
+So is the dense body of the Ribaucour frame family that
+``cmc.family_ribaucour_connection`` and ``cmc.ribaucour_connection``
+returned before the family kept only its scalar parts: five whole
+``(ny, nx, 2, 2, 4)`` fields, combined as ``const + lam * slope``.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from isothermic.grid import (
 from isothermic.quaternion import qm2_inv as package_qm2_inv
 from isothermic.quaternion import qm2_mul as package_qm2_mul
 from isothermic.quaternion import qm2_norm
+from isothermic.quaternion import qmul as package_qmul
+from isothermic.transforms import FrameConnection
 
 
 def qmul(a, b):
@@ -309,3 +316,37 @@ def ribaucour_data_extract(frame):
     cod2 = np.abs(wirtinger_bar(big_h) * e_u - wirtinger(big_hhat) * e_mu)
     codazzi = float(np.maximum(cod1, cod2)[valid].max())
     return RibaucourData(u, big_h, big_hhat, lam, lamhat, valid, pattern, gauss, codazzi)
+
+
+def ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
+    """Assemble the frame [[f r, r], [r, 0]] and its connection family.
+
+    Diagonal: ( -u_y i - e^-u k )/2 dx + ( u_x i - e^-u j )/2 dy;
+    lower-left psi = e^u (j dx + k dy); slope psi* = e^-u (-j dx + k dy).
+    """
+    e_u = np.exp(u)
+    e_mu = np.exp(-u)
+    shape = (grid.ny, grid.nx, 2, 2, 4)
+    const_x = np.zeros(shape)
+    const_y = np.zeros(shape)
+    diag_x = np.zeros((grid.ny, grid.nx, 4))
+    diag_x[..., 1] = -0.5 * uy
+    diag_x[..., 3] = -0.5 * e_mu
+    diag_y = np.zeros((grid.ny, grid.nx, 4))
+    diag_y[..., 1] = 0.5 * ux
+    diag_y[..., 2] = -0.5 * e_mu
+    const_x[..., 0, 0, :] = diag_x
+    const_x[..., 1, 1, :] = diag_x
+    const_y[..., 0, 0, :] = diag_y
+    const_y[..., 1, 1, :] = diag_y
+    const_x[..., 1, 0, 2] = e_u
+    const_y[..., 1, 0, 3] = e_u
+    slope_x = np.zeros(shape)
+    slope_y = np.zeros(shape)
+    slope_x[..., 0, 1, 2] = -e_mu
+    slope_y[..., 0, 1, 3] = e_mu
+    frame0 = np.zeros(shape)
+    frame0[..., 0, 0, :] = package_qmul(fvals, spin)
+    frame0[..., 0, 1, :] = spin
+    frame0[..., 1, 0, :] = spin
+    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)

@@ -36,7 +36,6 @@ from isothermic import (
     weierstrass_minimal,
 )
 from isothermic import oracles as oc
-from isothermic.cmc import _ribaucour_from_parts, _sign_continuity
 from isothermic.grid import crop_field
 from isothermic.quaternion import cj, qmul, qnorm
 from isothermic.surfaces import fundamental_forms
@@ -465,18 +464,3 @@ def test_umehara_yamada_frame_unavailable(grid65):
     cyl = PolarizedSurface.sample(grid65, cylinder)
     with pytest.raises(FrameUnavailable):
         umehara_yamada_check(cyl, 1.0)
-
-
-@pytest.mark.parametrize("lam", [2e-4, 0.6, 1.0])
-def test_family_connection_equals_the_public_oracles(grid65, lam):
-    """The connection built from one evaluation of each closed form equals,
-    bit for bit, the one built from minimal_family, family_spin and
-    family_log_metric."""
-    conn = family_ribaucour_connection(grid65, lam)
-    zs, p0 = grid65.zgrid(), grid65.center_node()
-    u, dzu = oc.family_log_metric(zs, lam)
-    want = _ribaucour_from_parts(grid65, oc.minimal_family(zs, lam),
-                                 _sign_continuity(oc.family_spin(zs, lam), p0),
-                                 u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
-    for name in ("frame0", "const_x", "const_y", "slope_x", "slope_y"):
-        assert getattr(conn, name).tobytes() == getattr(want, name).tobytes()

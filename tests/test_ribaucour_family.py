@@ -1,0 +1,116 @@
+"""The Ribaucour frame family, kept as its scalar parts, against the dense body
+it replaced (tests/reference_march.py).
+
+family_ribaucour_connection and ribaucour_connection store f, the spin field,
+e^u, e^-u, u_x and u_y, and compute frame0, const_*, slope_* and phi(lam) on
+each read.  Every one of them must equal the dense family's bytes, at the
+spectral parameters a march or a transform uses, -0.0 included; the stored
+parts must take less memory than one dense field, and phi(lam) no more than
+its two outputs and one (ny, nx) temporary.  Criterion 9 hands the family to
+t_transform_gauged, which must give the same bytes as for a plain
+FrameConnection holding the family's fields.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from isothermic import (
+    FrameConnection,
+    GridSpec,
+    WeierstrassData,
+    family_ribaucour_connection,
+    ribaucour_connection,
+    t_transform_gauged,
+    weierstrass_minimal,
+)
+from isothermic import cmc
+from isothermic import oracles as oc
+from isothermic.cmc import _sign_continuity
+
+import reference_march as ref
+
+FIELDS = ("frame0", "const_x", "const_y", "slope_x", "slope_y")
+LAMS = (1.0, -0.7, 0.0, -0.0, 0.6)
+
+
+def _assert_same_family(conn, want):
+    assert isinstance(conn, FrameConnection)
+    assert conn.grid is want.grid and conn.p0 == want.p0 and conn.curvature is None
+    for name in FIELDS:
+        got = getattr(conn, name)
+        assert got.shape == getattr(want, name).shape
+        assert got.tobytes() == getattr(want, name).tobytes(), name
+    assert conn.frame0_at_p0().tobytes() == want.frame0_at_p0().tobytes()
+    for lam in LAMS:
+        for got, exp in zip(conn.phi(lam), want.phi(lam)):
+            assert got.tobytes() == exp.tobytes(), lam
+
+
+@pytest.mark.parametrize("lam", [2e-4, 0.6, 1.0])
+def test_family_connection_equals_the_public_oracles(grid65, lam):
+    """The connection built from one evaluation of each closed form equals,
+    bit for bit, the dense reference family built from minimal_family,
+    family_spin and family_log_metric."""
+    conn = family_ribaucour_connection(grid65, lam)
+    zs, p0 = grid65.zgrid(), grid65.center_node()
+    u, dzu = oc.family_log_metric(zs, lam)
+    want = ref.ribaucour_from_parts(grid65, oc.minimal_family(zs, lam),
+                                    _sign_continuity(oc.family_spin(zs, lam), p0),
+                                    u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
+    _assert_same_family(conn, want)
+
+
+def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch):
+    """ribaucour_connection's family equals the dense reference family
+    assembled from the very parts it was given."""
+    parts = []
+    family = cmc._RibaucourFamily
+
+    def record(*args):
+        parts.append(args)
+        return family(*args)
+
+    monkeypatch.setattr(cmc, "_RibaucourFamily", record)
+    conn = ribaucour_connection(catenoid129)
+    (args,) = parts
+    _assert_same_family(conn, ref.ribaucour_from_parts(*args))
+    # -0.5 u_y is -0.0 where u_y is +0.0, which phi(0) turns into +0.0
+    assert conn.const_x.tobytes() != conn.phi(0.0)[0].tobytes()
+
+
+def test_family_memory():
+    n = 129
+    dense = n * n * 2 * 2 * 4 * 8
+    grid = GridSpec.square(1.0, n)
+    tracemalloc.start()
+    try:
+        conn = family_ribaucour_connection(grid, 0.6)
+        assert tracemalloc.get_traced_memory()[0] < dense
+        for lam in (1.0, -0.7):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            phi = conn.phi(lam)
+            assert tracemalloc.get_traced_memory()[1] - base <= 2 * dense + n * n * 8
+            del phi
+    finally:
+        tracemalloc.stop()
+
+
+def test_gauged_transform_takes_the_family_as_a_stored_connection(grid65):
+    lam = 0.5
+    data = WeierstrassData.sample(grid65, lambda z: oc.family_g(z, lam),
+                                  lambda z: oc.family_w(z, lam),
+                                  lambda z: oc.family_dg(z, lam))
+    minimal = weierstrass_minimal(data)
+    conn = ribaucour_connection(minimal, grid65.center_node())
+    stored = FrameConnection(conn.grid, *(getattr(conn, name) for name in FIELDS), conn.p0)
+    got = t_transform_gauged(minimal, -lam, conn)
+    want = t_transform_gauged(minimal, -lam, stored)
+    assert got.surface.f.values.tobytes() == want.surface.f.values.tobytes()
+    assert np.array_equal(got.surface.grid.valid(), want.surface.grid.valid())
+    assert got.frame.values.tobytes() == want.frame.values.tobytes()
+    for name in FIELDS:
+        assert (getattr(got.connection, name).tobytes()
+                == getattr(want.connection, name).tobytes()), name
