@@ -142,12 +142,11 @@ class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 
     phi(lam) = const + lam * slope entrywise; frame0 projects to the underlying
-    surface in the chart v1 v2^-1.  The canonical, chained and numeric families
-    store these fields; the Ribaucour family (cmc) stores its scalar parts and
-    computes them on each read.  A family whose Maurer-Cartan curvature is known
-    in closed form carries it as curvature = (n0, n1, shift): (ny, nx) fields
-    with |d phi(lam) + phi(lam)^phi(lam)|^2 = n0 + (shift + lam)^2 n1 at every
-    node (see canonical_connection).
+    surface in the chart v1 v2^-1.  The numeric and Darboux-chain families store these
+    fields; the others store parts and compute the rest on each read.  A family whose
+    Maurer-Cartan curvature is known in closed form carries it as curvature = (n0, n1,
+    shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2 = n0 + (shift +
+    lam)^2 n1 at every node (see canonical_connection).
     """
 
     grid: GridSpec
@@ -179,13 +178,38 @@ class FrameConnection:
         return self.frame0[self.p0[0], self.p0[1]]
 
 
-def _upper(entry_x, entry_y, shape):
-    """Embed 1-form coefficients into the upper-right matrix slot."""
-    out_x = np.zeros(shape)
-    out_y = np.zeros(shape)
-    out_x[..., 0, 1, :] = entry_x
-    out_y[..., 0, 1, :] = entry_y
-    return out_x, out_y
+def _entry(values, row, col):
+    """The (..., 2, 2, 4) matrices with values (..., 4) at (row, col), 0 elsewhere."""
+    out = np.zeros(values.shape[:-1] + (2, 2, 4))
+    out[..., row, col, :] = values
+    return out
+
+
+class _CanonicalFamily(FrameConnection):
+    """The frame [[f, 1], [1, 0]] and its family, stored as f, df and dCf only; const =
+    [[0, 0], [df, 0]], slope = [[0, dCf], [0, 0]], phi = const + lam slope entrywise."""
+
+    def __init__(self, grid, fvals, df, cform, p0, curvature):
+        self.grid, self.p0, self.curvature = grid, p0, curvature
+        self._f, self._df, self._dcf = fvals, (df.px, df.py), (cform.px, cform.py)
+
+    const_x = property(lambda self: _entry(self._df[0], 1, 0))
+    const_y = property(lambda self: _entry(self._df[1], 1, 0))
+    slope_x = property(lambda self: _entry(self._dcf[0], 0, 1))
+    slope_y = property(lambda self: _entry(self._dcf[1], 0, 1))
+
+    @property
+    def frame0(self):
+        out = _entry(self._f, 0, 0)
+        out[..., 0, 1, 0] = out[..., 1, 0, 0] = 1.0
+        return out
+
+    def phi(self, lam):
+        out = np.zeros((2,) + self._f.shape[:-1] + (2, 2, 4))
+        for o, df, dcf in zip(out, self._df, self._dcf):
+            np.add(df, lam * 0.0, out=o[..., 1, 0, :])
+            np.add(dcf * lam, 0.0, out=o[..., 0, 1, :])
+        return out[0], out[1]
 
 
 def canonical_connection(
@@ -208,22 +232,11 @@ def canonical_connection(
         _certify_isothermic(surface)
         cform = christoffel_form(surface, df)
     grid = grid.merge_mask(df.grid.valid() & cform.grid.valid())
-    shape = (grid.ny, grid.nx, 2, 2, 4)
-    const_x = np.zeros(shape)
-    const_y = np.zeros(shape)
-    const_x[..., 1, 0, :] = df.px
-    const_y[..., 1, 0, :] = df.py
-    slope_x, slope_y = _upper(cform.px, cform.py, shape)
-    frame0 = np.zeros(shape)
-    frame0[..., 0, 0, :] = surface.f.values
-    frame0[..., 0, 1, 0] = 1.0
-    frame0[..., 1, 0, 0] = 1.0
     with np.errstate(all="ignore"):
         n0 = qnormsq(curl(df))
         n1 = (qnormsq(curl(cform)) + qnormsq(wedge(cform, df).values)
               + qnormsq(wedge(df, cform).values))
-    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0,
-                           (n0, n1, 0.0))
+    return _CanonicalFamily(grid, surface.f.values, df, cform, p0, (n0, n1, 0.0))
 
 
 def affine_chart(vec):
@@ -251,6 +264,17 @@ class TTransformResult:
         return QField(self.connection.grid.merge_mask(ok), vals)
 
 
+class _SpectralFamily(FrameConnection):
+    """A spectral transform's family: frame0 and phi(lam) stored, slopes read from its parent."""
+
+    def __init__(self, parent, frame0, const_x, const_y, curvature):
+        self._parent, self.frame0, self.const_x, self.const_y = parent, frame0, const_x, const_y
+        self.grid, self.p0, self.curvature = parent.grid, parent.p0, curvature
+
+    slope_x = property(lambda self: self._parent.slope_x)
+    slope_y = property(lambda self: self._parent.slope_y)
+
+
 def t_transform_via_connection(
     conn: FrameConnection,
     lam: float,
@@ -264,8 +288,7 @@ def t_transform_via_connection(
     surf_vals, ok1 = affine_chart(composed[..., :, 0, :])
     grid1 = conn.grid.merge_mask(ok1)
     surface = PolarizedSurface(QField(grid1, surf_vals), polarization, provenance)
-    out_conn = FrameConnection(conn.grid, composed, phi_x, phi_y, conn.slope_x,
-                               conn.slope_y, conn.p0, conn.shifted_curvature(lam))
+    out_conn = _SpectralFamily(conn, composed, phi_x, phi_y, conn.shifted_curvature(lam))
     return TTransformResult(surface, frame_id, out_conn)
 
 
@@ -326,7 +349,7 @@ def frame_connection_from_field(
     psi_y = const_y[..., 1, 0, :]
     star_x, ok_x = qinv_masked(psi_x)
     star_y, ok_y = qinv_masked(psi_y)
-    slope_x, slope_y = _upper(star_x, -star_y, const_x.shape)
+    slope_x, slope_y = _entry(star_x, 0, 1), _entry(-star_y, 0, 1)
     out_grid = grid.merge_mask(ok & ok_x & ok_y)
     return FrameConnection(out_grid, frame.values, const_x, const_y, slope_x, slope_y, p0)
 
@@ -570,11 +593,15 @@ def permutability_suite(
     iso = _certify_isothermic(surface)
     conn = canonical_connection(surface, cform, p0)
 
-    # P1
+    # P1; cs is certified and given its dual form once, for P1 and for P2
     tt = t_transform_via_connection(conn, lam, surface.polarization)
+    second, frame = tt.second_point, tt.frame  # the frame of phi(lam), for P3
+    del tt
     cs = christoffel(surface, p0, cform=cform)
-    tc = t_transform(cs, lam, p0)
-    _, p1 = moebius_equivalent(tt.second_point, tc.surface, seed=seed)
+    _certify_isothermic(cs)
+    cs_form = christoffel_form(cs)
+    tc = t_transform_via_connection(canonical_connection(cs, cs_form, p0), lam).surface
+    _, p1 = moebius_equivalent(second, tc, seed=seed)
 
     # P2  (positioning lam (CDf - Cf) = (Df - f)^-1)
     dar = darboux_riccati(surface, lam, p0, d0, cform=cform)
@@ -583,7 +610,7 @@ def permutability_suite(
     c0 = inv_diff[p0[0], p0[1]] / lam
     _, p2_certificate = isothermic_certificate(dar)
     cd = christoffel(dar, p0, c0, cform=christoffel_form(dar))
-    dc = darboux_riccati(cs, lam, p0, c0)
+    dc = darboux_riccati(cs, lam, p0, c0, cform=cs_form)
     sel = (
         grid.interior()
         & cd.grid.valid()
@@ -599,10 +626,13 @@ def permutability_suite(
     v0 = np.zeros((2, 4))
     v0[0, 0] = 1.0
     v0[1] = diff[p0[0], p0[1]]
-    dar_chain = darboux_via_connection(conn, lam, v0, chain=True, frame=tt.frame)
-    lhs = t_transform_via_connection(dar_chain.connection, mu).surface
-    tt_chain = t_transform_via_connection(conn, mu)
-    rhs = darboux_via_connection(tt_chain.connection, lam - mu, v0).surface
+    del second, tc, cs, cs_form, dar, diff, inv_diff, cd, dc, trans  # freed before marching
+    dar_chain = darboux_via_connection(conn, lam, v0, chain=True, frame=frame).connection
+    del frame
+    lhs = t_transform_via_connection(dar_chain, mu).surface
+    del dar_chain
+    tt_chain = t_transform_via_connection(conn, mu).connection
+    rhs = darboux_via_connection(tt_chain, lam - mu, v0).surface
     _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1)
 
     return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p2_certificate,

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from isothermic import GridSpec, PolarizedSurface, QField
-from isothermic import oracles
+from isothermic import (
+    GridSpec,
+    PolarizedSurface,
+    QField,
+    WeierstrassData,
+    canonical_connection,
+    weierstrass_minimal,
+)
+from isothermic import cmc, oracles
 from isothermic.quaternion import qinv_masked, qmul
 
 
@@ -66,3 +73,29 @@ def plane65(grid65):
 @pytest.fixture(scope="session")
 def catenoid129(grid129):
     return PolarizedSurface.sample(grid129, lambda z: oracles.minimal_family(z, 1.0))
+
+
+@pytest.fixture(scope="session")
+def canonical_inputs(grid65):
+    """The arguments canonical_connection receives for the canonical families
+    on the example plane, on Enneper's surface and on the boundary map -jg of
+    the family Weierstrass data (boundary_connection, analytic dual form)."""
+    plane = WeierstrassData.sample(grid65, lambda z: z, lambda z: 1.0 + 0j,
+                                   lambda z: 1.0 + 0j)
+    family = WeierstrassData.sample(grid65, lambda z: oracles.family_g(z, 0.5),
+                                    lambda z: oracles.family_w(z, 0.5),
+                                    lambda z: oracles.family_dg(z, 0.5))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cmc, "canonical_connection", lambda *args: calls.append(args))
+        cmc.boundary_connection(family)
+    return {
+        "example": (PolarizedSurface.sample(grid65, oracles.f_plane, "dzbar2"),),
+        "weierstrass": (weierstrass_minimal(plane),),
+        "boundary": calls[0],
+    }
+
+
+@pytest.fixture(scope="session")
+def canonical_families(canonical_inputs):
+    return {name: canonical_connection(*args) for name, args in canonical_inputs.items()}

@@ -34,6 +34,10 @@ So is the dense body of the Ribaucour frame family that
 ``cmc.family_ribaucour_connection`` and ``cmc.ribaucour_connection``
 returned before the family kept only its scalar parts: five whole
 ``(ny, nx, 2, 2, 4)`` fields, combined as ``const + lam * slope``.
+
+So is the dense body of ``transforms.canonical_connection``, which built the
+canonical family [[f, 1], [1, 0]] as five whole fields before the family kept
+only f, df and dCf.
 """
 
 from __future__ import annotations
@@ -45,16 +49,19 @@ import numpy as np
 from isothermic.cmc import RibaucourData
 from isothermic.errors import PatternMismatch
 from isothermic.grid import (
+    curl,
+    d_field_hi,
     diff_axis,
     diff_axis4,
     dilate_invalid,
     laplacian,
+    wedge,
 )
 from isothermic.quaternion import qm2_inv as package_qm2_inv
 from isothermic.quaternion import qm2_mul as package_qm2_mul
-from isothermic.quaternion import qm2_norm
+from isothermic.quaternion import qm2_norm, qnormsq
 from isothermic.quaternion import qmul as package_qmul
-from isothermic.transforms import FrameConnection
+from isothermic.transforms import FrameConnection, _certify_isothermic, christoffel_form
 
 
 def qmul(a, b):
@@ -350,3 +357,37 @@ def ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
     frame0[..., 0, 1, :] = spin
     frame0[..., 1, 0, :] = spin
     return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)
+
+
+def canonical_connection(surface, cform=None, p0=None):
+    """Connection family of the canonical Euclidean frame [[f, 1], [1, 0]].
+
+    phi(lam) = [[0, lam dCf], [df, 0]], with the curvature polynomial n0 =
+    |d df|^2, n1 = |d dCf|^2 + |dCf^df|^2 + |df^dCf|^2.
+    """
+    grid = surface.grid
+    p0 = p0 or grid.center_node()
+    df = d_field_hi(surface.f)
+    if cform is None:
+        _certify_isothermic(surface)
+        cform = christoffel_form(surface, df)
+    grid = grid.merge_mask(df.grid.valid() & cform.grid.valid())
+    shape = (grid.ny, grid.nx, 2, 2, 4)
+    const_x = np.zeros(shape)
+    const_y = np.zeros(shape)
+    const_x[..., 1, 0, :] = df.px
+    const_y[..., 1, 0, :] = df.py
+    slope_x = np.zeros(shape)
+    slope_y = np.zeros(shape)
+    slope_x[..., 0, 1, :] = cform.px
+    slope_y[..., 0, 1, :] = cform.py
+    frame0 = np.zeros(shape)
+    frame0[..., 0, 0, :] = surface.f.values
+    frame0[..., 0, 1, 0] = 1.0
+    frame0[..., 1, 0, 0] = 1.0
+    with np.errstate(all="ignore"):
+        n0 = qnormsq(curl(df))
+        n1 = (qnormsq(curl(cform)) + qnormsq(wedge(cform, df).values)
+              + qnormsq(wedge(df, cform).values))
+    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0,
+                           (n0, n1, 0.0))

@@ -114,3 +114,27 @@ def test_gauged_transform_takes_the_family_as_a_stored_connection(grid65):
     for name in FIELDS:
         assert (getattr(got.connection, name).tobytes()
                 == getattr(want.connection, name).tobytes()), name
+
+
+def test_gauged_transform_keeps_no_slope_of_the_family():
+    """The family a spectral transform returns reads the Ribaucour family's
+    slopes when they are needed: the result holds its frame, the frame moved
+    to the surface and phi(lam), four dense fields and the surface (six, and
+    13.3 MB at n = 129, when it stored the two slopes)."""
+    n, lam = 129, 0.5
+    dense = n * n * 2 * 2 * 4 * 8
+    grid = GridSpec.square(1.0, n)
+    data = WeierstrassData.sample(grid, lambda z: oc.family_g(z, lam),
+                                  lambda z: oc.family_w(z, lam),
+                                  lambda z: oc.family_dg(z, lam))
+    minimal = weierstrass_minimal(data)
+    conn = ribaucour_connection(minimal, grid.center_node())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = t_transform_gauged(minimal, -lam, conn)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 4 * dense + dense // 2
+    assert result.connection.slope_x.tobytes() == conn.slope_x.tobytes()
