@@ -631,8 +631,8 @@ def permutability_suite(
     del frame
     lhs = t_transform_via_connection(dar_chain, mu).surface
     del dar_chain
-    tt_chain = t_transform_via_connection(conn, mu).connection
-    rhs = darboux_via_connection(tt_chain, lam - mu, v0).surface
+    rhs = darboux_via_connection(t_transform_via_connection(conn, mu).connection, lam - mu,
+                                 v0).surface
     _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1)
 
     return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p2_certificate,

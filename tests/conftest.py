@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isothermic import (
+    FrameConnection,
     GridSpec,
     PolarizedSurface,
     QField,
@@ -11,6 +12,34 @@ from isothermic import (
 )
 from isothermic import cmc, oracles
 from isothermic.quaternion import qinv_masked, qmul
+
+
+#: the fields of a FrameConnection, and the spectral parameters at which
+#: phi(lam) is compared: those a march or a transform uses, -0.0 included
+FAMILY_FIELDS = ("frame0", "const_x", "const_y", "slope_x", "slope_y")
+FAMILY_LAMS = (1.0, -0.7, 0.0, -0.0, 0.6)
+
+
+def assert_same_family(conn, want):
+    """conn equals the dense family want byte for byte: its fields, its frame
+    at the base node, phi(lam) at FAMILY_LAMS and its curvature polynomial."""
+    assert isinstance(conn, FrameConnection)
+    assert conn.p0 == want.p0 and conn.grid.same_geometry(want.grid)
+    assert np.array_equal(conn.grid.valid(), want.grid.valid())
+    for name in FAMILY_FIELDS:
+        got = getattr(conn, name)
+        assert got.shape == getattr(want, name).shape
+        assert got.tobytes() == getattr(want, name).tobytes(), name
+    assert conn.frame0_at_p0().tobytes() == want.frame0_at_p0().tobytes()
+    for lam in FAMILY_LAMS:
+        for got, exp in zip(conn.phi(lam), want.phi(lam)):
+            assert got.tobytes() == exp.tobytes(), lam
+    if want.curvature is None:
+        assert conn.curvature is None
+    else:
+        (n0, n1, shift), (w0, w1, wshift) = conn.curvature, want.curvature
+        assert n0.tobytes() == w0.tobytes() and n1.tobytes() == w1.tobytes()
+        assert np.float64(shift).tobytes() == np.float64(wshift).tobytes()
 
 
 def sample_values(grid, fn):

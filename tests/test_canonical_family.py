@@ -28,33 +28,16 @@ from isothermic import oracles as oc
 from isothermic.quaternion import qm2_identity, qm2_mul
 
 import reference_march as ref
+from conftest import FAMILY_LAMS as LAMS
+from conftest import assert_same_family
 
-FIELDS = ("frame0", "const_x", "const_y", "slope_x", "slope_y")
-LAMS = (1.0, -0.7, 0.0, -0.0, 0.6)
 NAMES = ("example", "weierstrass", "boundary")
-
-
-def _assert_same_family(conn, want):
-    assert isinstance(conn, FrameConnection)
-    assert conn.p0 == want.p0 and conn.grid.same_geometry(want.grid)
-    assert np.array_equal(conn.grid.valid(), want.grid.valid())
-    for name in FIELDS:
-        got = getattr(conn, name)
-        assert got.shape == getattr(want, name).shape
-        assert got.tobytes() == getattr(want, name).tobytes(), name
-    assert conn.frame0_at_p0().tobytes() == want.frame0_at_p0().tobytes()
-    for lam in LAMS:
-        for got, exp in zip(conn.phi(lam), want.phi(lam)):
-            assert got.tobytes() == exp.tobytes(), lam
-    (n0, n1, shift), (w0, w1, wshift) = conn.curvature, want.curvature
-    assert n0.tobytes() == w0.tobytes() and n1.tobytes() == w1.tobytes()
-    assert np.float64(shift).tobytes() == np.float64(wshift).tobytes()
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_canonical_family_equals_the_dense_reference(canonical_inputs, canonical_families,
                                                     name):
-    _assert_same_family(canonical_families[name],
+    assert_same_family(canonical_families[name],
                         ref.canonical_connection(*canonical_inputs[name]))
 
 
@@ -74,7 +57,7 @@ def test_spectral_family_equals_the_dense_reference(canonical_inputs, canonical_
                            base.shifted_curvature(mu))
     got = t_transform_via_connection(canonical_families[name], mu)
     assert got.frame.values.tobytes() == frame.values.tobytes()
-    _assert_same_family(got.connection, want)
+    assert_same_family(got.connection, want)
 
 
 def test_nans_in_the_parts_read_as_in_the_dense_fields(canonical_inputs):

@@ -30,22 +30,8 @@ from isothermic import oracles as oc
 from isothermic.cmc import _sign_continuity
 
 import reference_march as ref
-
-FIELDS = ("frame0", "const_x", "const_y", "slope_x", "slope_y")
-LAMS = (1.0, -0.7, 0.0, -0.0, 0.6)
-
-
-def _assert_same_family(conn, want):
-    assert isinstance(conn, FrameConnection)
-    assert conn.grid is want.grid and conn.p0 == want.p0 and conn.curvature is None
-    for name in FIELDS:
-        got = getattr(conn, name)
-        assert got.shape == getattr(want, name).shape
-        assert got.tobytes() == getattr(want, name).tobytes(), name
-    assert conn.frame0_at_p0().tobytes() == want.frame0_at_p0().tobytes()
-    for lam in LAMS:
-        for got, exp in zip(conn.phi(lam), want.phi(lam)):
-            assert got.tobytes() == exp.tobytes(), lam
+from conftest import FAMILY_FIELDS as FIELDS
+from conftest import assert_same_family
 
 
 @pytest.mark.parametrize("lam", [2e-4, 0.6, 1.0])
@@ -59,7 +45,7 @@ def test_family_connection_equals_the_public_oracles(grid65, lam):
     want = ref.ribaucour_from_parts(grid65, oc.minimal_family(zs, lam),
                                     _sign_continuity(oc.family_spin(zs, lam), p0),
                                     u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
-    _assert_same_family(conn, want)
+    assert_same_family(conn, want)
 
 
 def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch):
@@ -75,7 +61,7 @@ def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch)
     monkeypatch.setattr(cmc, "_RibaucourFamily", record)
     conn = ribaucour_connection(catenoid129)
     (args,) = parts
-    _assert_same_family(conn, ref.ribaucour_from_parts(*args))
+    assert_same_family(conn, ref.ribaucour_from_parts(*args))
     # -0.5 u_y is -0.0 where u_y is +0.0, which phi(0) turns into +0.0
     assert conn.const_x.tobytes() != conn.phi(0.0)[0].tobytes()
 
