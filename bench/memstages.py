@@ -11,8 +11,10 @@ stage's output stays alive to the end, as in the workload.
 ``--chain permutability`` runs ``transforms.permutability_suite`` once on the
 flat example surface at the spectral parameter LAM, as the ``permutability``
 workload's pipeline does.  Its stages are the suite's own top-level calls,
-in order: each function the suite's body names is wrapped, so what each
-stage keeps alive is what the suite itself keeps, not a copy of it.
+in order: each function that the suite's body or one of its
+``_permutability_*`` helpers names is wrapped (the helpers themselves are
+not stages), so what each stage keeps alive is what the suite itself keeps,
+not a copy of it.
 
 After each stage it prints the memory that ``tracemalloc`` traces: current
 (what the outputs so far hold) and the stage's peak, in MB (10^6 bytes).
@@ -75,8 +77,13 @@ def permutability(g, lam):
         return run
 
     space = vars(transforms)
-    names = [name for name in transforms.permutability_suite.__code__.co_names
-             if inspect.isfunction(space.get(name))]
+    bodies, names = [transforms.permutability_suite], []
+    for body in bodies:  # the suite, then the _permutability_* helpers it names
+        for name in body.__code__.co_names:
+            if name.startswith("_permutability"):
+                bodies.append(space[name])
+            elif inspect.isfunction(space.get(name)) and name not in names:
+                names.append(name)
     saved = {name: space[name] for name in names}
     try:
         for name, fn in saved.items():

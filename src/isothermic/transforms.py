@@ -15,6 +15,7 @@ different representatives always go through the cross-ratio certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -198,9 +199,13 @@ class _CanonicalFamily(FrameConnection):
     slope_x = property(lambda self: _entry(self._dcf[0], 0, 1))
     slope_y = property(lambda self: _entry(self._dcf[1], 0, 1))
 
-    @property
-    def frame0(self):
-        out = _entry(self._f, 0, 0)
+    frame0 = property(lambda self: self._frame())
+
+    def frame0_at_p0(self):
+        return self._frame(*self.p0)
+
+    def _frame(self, *node):
+        out = _entry(self._f[node], 0, 0)
         out[..., 0, 1, 0] = out[..., 1, 0, 0] = 1.0
         return out
 
@@ -585,48 +590,14 @@ def permutability_suite(
         parameter shift; checked through chained frame families so the
         initial conditions correspond exactly.
     """
-    grid = surface.grid
-    p0 = p0 or grid.center_node()
+    p0 = p0 or surface.grid.center_node()
     mu = 0.4 * lam if mu is None else mu
     # one dual form, one connection family and one frame of phi(lam)
     cform = christoffel_form(surface)
     iso = _certify_isothermic(surface)
     conn = canonical_connection(surface, cform, p0)
-
-    # P1; cs is certified and given its dual form once, for P1 and for P2
-    tt = t_transform_via_connection(conn, lam, surface.polarization)
-    second, frame = tt.second_point, tt.frame  # the frame of phi(lam), for P3
-    del tt
-    cs = christoffel(surface, p0, cform=cform)
-    _certify_isothermic(cs)
-    cs_form = christoffel_form(cs)
-    tc = t_transform_via_connection(canonical_connection(cs, cs_form, p0), lam).surface
-    _, p1 = moebius_equivalent(second, tc, seed=seed)
-
-    # P2  (positioning lam (CDf - Cf) = (Df - f)^-1)
-    dar = darboux_riccati(surface, lam, p0, d0, cform=cform)
-    diff = dar.f.values - surface.f.values
-    inv_diff, ok = qinv_masked(diff)
-    c0 = inv_diff[p0[0], p0[1]] / lam
-    _, p2_certificate = isothermic_certificate(dar)
-    cd = christoffel(dar, p0, c0, cform=christoffel_form(dar))
-    dc = darboux_riccati(cs, lam, p0, c0, cform=cs_form)
-    sel = (
-        grid.interior()
-        & cd.grid.valid()
-        & dc.grid.valid()
-        & cs.grid.valid()
-        & ok
-    )
-    point_res = qnorm(lam * (cd.f.values - cs.f.values) - inv_diff)[sel].max()
-    trans = cd.f.values - dc.f.values
-    trans_res = qnorm(trans - trans[p0[0], p0[1]])[sel].max()
-
-    # P3 via chained connections: T_mu(D_lam f) vs D_(lam-mu)(T_mu f)
-    v0 = np.zeros((2, 4))
-    v0[0, 0] = 1.0
-    v0[1] = diff[p0[0], p0[1]]
-    del second, tc, cs, cs_form, dar, diff, inv_diff, cd, dc, trans  # freed before marching
+    p1, frame, *p2, v0 = _permutability_p1_p2(surface, conn, cform, lam, p0, d0, seed)
+    # P3: T_mu(D_lam f) vs D_(lam-mu)(T_mu f) by chained families, each freed after its reader
     dar_chain = darboux_via_connection(conn, lam, v0, chain=True, frame=frame).connection
     del frame
     lhs = t_transform_via_connection(dar_chain, mu).surface
@@ -634,7 +605,36 @@ def permutability_suite(
     rhs = darboux_via_connection(t_transform_via_connection(conn, mu).connection, lam - mu,
                                  v0).surface
     _, p3 = moebius_equivalent(lhs, rhs, seed=seed + 1)
+    return PermutabilityReport(iso, p1, *p2, p3, TAU_PERMUTABILITY)
 
-    return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p2_certificate,
-                               p3, TAU_PERMUTABILITY)
+
+def _permutability_p1_p2(surface, conn, cform, lam, p0, d0, seed):
+    """P1 and P2, sharing the Christoffel dual cs, certified and given its dual form once:
+    P1's residual, its frame of phi(lam) (P3 reuses it), then _permutability_p2's results."""
+    second, frame = attrgetter("second_point", "frame")(
+        t_transform_via_connection(conn, lam, surface.polarization))
+    cs = christoffel(surface, p0, cform=cform)
+    _certify_isothermic(cs)
+    cs_form = christoffel_form(cs)
+    tc = t_transform_via_connection(canonical_connection(cs, cs_form, p0), lam).surface
+    _, p1 = moebius_equivalent(second, tc, seed=seed)
+    return (p1, frame) + _permutability_p2(surface, cform, cs, cs_form, lam, p0, d0)
+
+
+def _permutability_p2(surface, cform, cs, cs_form, lam, p0, d0):
+    """P2's pointwise (lam (CDf - Cf) = (Df - f)^-1) and translation residuals, its Darboux
+    transform's certificate, and the start column [1, Df - f] at p0 of P3's transforms."""
+    dar = darboux_riccati(surface, lam, p0, d0, cform=cform)
+    diff = dar.f.values - surface.f.values
+    inv_diff, ok = qinv_masked(diff)
+    c0 = inv_diff[p0[0], p0[1]] / lam
+    _, p2_certificate = isothermic_certificate(dar)
+    cd = christoffel(dar, p0, c0, cform=christoffel_form(dar))
+    dc = darboux_riccati(cs, lam, p0, c0, cform=cs_form)
+    sel = surface.grid.interior() & cd.grid.valid() & dc.grid.valid() & cs.grid.valid() & ok
+    point_res = qnorm(lam * (cd.f.values - cs.f.values) - inv_diff)[sel].max()
+    trans = cd.f.values - dc.f.values
+    trans_res = qnorm(trans - trans[p0[0], p0[1]])[sel].max()
+    v0 = np.array([[1.0, 0.0, 0.0, 0.0], diff[p0[0], p0[1]]])
+    return float(point_res), float(trans_res), p2_certificate, v0
 

@@ -74,7 +74,7 @@ def test_nans_in_the_parts_read_as_in_the_dense_fields(canonical_inputs):
 
 def test_permutability_suite_memory():
     """One suite at n = 129 peaks at no more than 14 (ny, nx, 2, 2, 4) fields
-    of traced memory: about 12.3 with its fields freed after their last
+    of traced memory: about 12.2 with its fields freed after their last
     reader and the canonical family kept as its parts, 33 before; keeping
     the Darboux chain's five fields through P3's last transform reads 15.
     At n = 65 the march's fixed blocks of 4096 nodes alone peak at about 10

@@ -45,6 +45,7 @@ def test_family_connection_equals_the_public_oracles(grid65, lam):
     want = ref.ribaucour_from_parts(grid65, oc.minimal_family(zs, lam),
                                     _sign_continuity(oc.family_spin(zs, lam), p0),
                                     u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
+    assert conn.grid is want.grid
     assert_same_family(conn, want)
 
 
@@ -61,7 +62,9 @@ def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch)
     monkeypatch.setattr(cmc, "_RibaucourFamily", record)
     conn = ribaucour_connection(catenoid129)
     (args,) = parts
-    assert_same_family(conn, ref.ribaucour_from_parts(*args))
+    want = ref.ribaucour_from_parts(*args)
+    assert conn.grid is want.grid
+    assert_same_family(conn, want)
     # -0.5 u_y is -0.0 where u_y is +0.0, which phi(0) turns into +0.0
     assert conn.const_x.tobytes() != conn.phi(0.0)[0].tobytes()
 
