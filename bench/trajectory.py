@@ -50,7 +50,12 @@ moebius_equivalent draws anew at each grid size, and at n = 129 and 257 it
 sits near its rounding floor, so rounding alone moves the order by more
 than ORDER_DROP.  Over n = 65/129/257 the same code reads 3.94 at the
 line's seed 3 and 2.77 at numpy's baseline SIMD dispatch (the residual at
-129 is 9.1e-9 and 1.8e-8), and 2.56 and 5.46 at seeds 4 and 5.
+129 is 9.1e-9 and 1.8e-8), and 2.56 and 5.46 at seeds 4 and 5.  Nor is the
+order of the permutability suite's P3 line, which compares the two sides of
+T_mu D_lam f = D_(lam-mu) T_mu f through chained frame families: rounding in
+the chained family sets it, so the same code reads its n = 257 residual as
+1.75e-9 and 1.05e-9 at the two dispatch levels, and its order as 3.83 and
+4.08.  Its residual is gated like every other line's.
 """
 
 from __future__ import annotations
@@ -79,9 +84,11 @@ RESIDUAL_GROWTH = 2.0
 ORDER_DROP = 0.3
 
 #: acceptance lines whose printed order is not order evidence, and why:
-#: those that run on the plane (criteria 1-4, not 10) and criterion 5
+#: those that run on the plane (criteria 1-4, not 10), criterion 5 and P3
 NOT_ORDER_EVIDENCE = ((re.compile(r"criterion [1-4](?!\d)"), "criteria 1-4"),
-                      (re.compile(r"criterion 5(?!\d)"), "criterion 5: near its rounding floor"))
+                      (re.compile(r"criterion 5(?!\d)"), "criterion 5: near its rounding floor"),
+                      (re.compile(r"permutability P3 "),
+                       "P3: set by rounding in the chained family"))
 
 #: a report line of tests/test_acceptance.py (pytest's progress dots may precede it)
 REPORT_LINE = re.compile(

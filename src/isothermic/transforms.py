@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DegenerateQuadruple,
+    GridMismatch,
     NotAdapted,
     NotClosed,
     SingularityHit,
@@ -30,6 +31,7 @@ from .grid import (
     GridSpec,
     QField,
     QForm1,
+    _row_planes,
     curl,
     d_field_hi,
     integrate_form,
@@ -39,6 +41,11 @@ from .grid import (
     wedge,
 )
 from .quaternion import (
+    _cayley_dickson,
+    _pair_matmul,
+    _pair_planes,
+    _pair_view,
+    _study_planes,
     cross_ratio_class_array,
     qinv_masked,
     qm2_identity,
@@ -143,11 +150,11 @@ class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 
     phi(lam) = const + lam * slope entrywise; frame0 projects to the underlying
-    surface in the chart v1 v2^-1.  The numeric and Darboux-chain families store these
-    fields; the others store parts and compute the rest on each read.  A family whose
-    Maurer-Cartan curvature is known in closed form carries it as curvature = (n0, n1,
-    shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2 = n0 + (shift +
-    lam)^2 n1 at every node (see canonical_connection).
+    surface in the chart v1 v2^-1.  The numeric family stores these fields; the others
+    store parts (a Darboux chain's family its two slopes) and compute the rest on each
+    read.  A family whose Maurer-Cartan curvature is known in closed form carries it as
+    curvature = (n0, n1, shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2
+    = n0 + (shift + lam)^2 n1 at every node (see canonical_connection).
     """
 
     grid: GridSpec
@@ -158,6 +165,7 @@ class FrameConnection:
     slope_y: np.ndarray
     p0: tuple
     curvature: tuple | None = None
+    _uppers = None  # (a_x, a_y) where the slopes are known to be upper(a), else None
 
     def phi(self, lam):
         return self.const_x + lam * self.slope_x, self.const_y + lam * self.slope_y
@@ -198,6 +206,7 @@ class _CanonicalFamily(FrameConnection):
     const_y = property(lambda self: _entry(self._df[1], 1, 0))
     slope_x = property(lambda self: _entry(self._dcf[0], 0, 1))
     slope_y = property(lambda self: _entry(self._dcf[1], 0, 1))
+    _uppers = property(lambda self: self._dcf)
 
     frame0 = property(lambda self: self._frame())
 
@@ -278,6 +287,7 @@ class _SpectralFamily(FrameConnection):
 
     slope_x = property(lambda self: self._parent.slope_x)
     slope_y = property(lambda self: self._parent.slope_y)
+    _uppers = property(lambda self: self._parent._uppers)
 
 
 def t_transform_via_connection(
@@ -383,46 +393,66 @@ def darboux_via_connection(
     Solves 0 = dw + phi(lam) w and projects frame0 * w.  With chain=True the
     output carries its own frame family (the transform parameter of the
     output family is offset so that its own Darboux/T transforms compose
-    with exact initial-condition correspondence); the chain marches the
-    identity-pinned frame of phi(lam) unless that frame is supplied.
+    with exact initial-condition correspondence); the chain marches the frame
+    of phi(lam) pinned to Id unless it is supplied (on conn's grid, or GridMismatch).
     """
-    phi_x, phi_y = conn.phi(lam)
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (2, 4):
         raise ValueError("w0 must be a homogeneous column (2, 4)")
     if not chain:
-        w = integrate_left_vector(phi_x, phi_y, conn.grid, w0, conn.p0,
+        w = integrate_left_vector(*conn.phi(lam), conn.grid, w0, conn.p0,
                                   curvature_norm=conn.curvature_norm(lam))
-        homog = qm2_matvec(conn.frame0, w)
-        out_conn = None
+        homog, out_conn = qm2_matvec(conn.frame0, w), None
     else:
-        y = frame or integrate_frame(phi_x, phi_y, conn.grid, qm2_identity(), conn.p0,
+        if frame is not None and not frame.grid.same_geometry(conn.grid):
+            raise GridMismatch("the supplied frame lives on another grid than the family")
+        y = frame or integrate_frame(*conn.phi(lam), conn.grid, qm2_identity(), conn.p0,
                                      curvature_norm=conn.curvature_norm(lam))
-        y_inv = qm2_inv(y.values)
-        w = qm2_matvec(y_inv, w0)
-        homog = qm2_matvec(conn.frame0, w)
-        # completion [w0 | w0'] with an independent constant second column
-        v = np.zeros((2, 2, 4))
-        v[:, 0, :] = w0
-        if qnorm(w0[0]) >= qnorm(w0[1]):
-            v[1, 1, 0] = 1.0
-        else:
-            v[0, 1, 0] = 1.0
-        g_frame = qm2_mul(qm2_mul(conn.frame0, y_inv), v)
-        # family: phi_out(mu) = mu * V^-1 Y upper(slope) Y^-1 V (affine, const = 0 at mu=0
-        # relative to this Darboux parameter; the group offset is already absorbed)
-        v_inv = qm2_inv(v)
-        sx = qm2_mul(qm2_mul(y.values, conn.slope_x), y_inv)
-        sy = qm2_mul(qm2_mul(y.values, conn.slope_y), y_inv)
-        sx = qm2_mul(qm2_mul(v_inv, sx), v)
-        sy = qm2_mul(qm2_mul(v_inv, sy), v)
-        out_conn = FrameConnection(
-            conn.grid, g_frame, -lam * sx, -lam * sy, sx, sy, conn.p0
-        )
+        homog, out_conn = _darboux_chain(conn, y.values, lam, w0)
     vals, ok = affine_chart(homog)
     grid = conn.grid.merge_mask(ok)
     surface = PolarizedSurface(QField(grid, vals), polarization, provenance)
     return DarbouxResult(surface, out_conn)
+
+
+class _DarbouxFamily(FrameConnection):
+    """A Darboux chain's family: slopes s stored, const = -lam s and frame0 Y^-1 V on read."""
+
+    def __init__(self, parent, y, v, lam, sx, sy):
+        self.grid, self.p0, self.slope_x, self.slope_y = parent.grid, parent.p0, sx, sy
+        self._parent, self._y, self._v, self._lam = parent, y, v, lam
+
+    const_x = property(lambda self: -self._lam * self.slope_x)
+    const_y = property(lambda self: -self._lam * self.slope_y)
+    frame0 = property(lambda self: qm2_mul(qm2_mul(self._parent.frame0, qm2_inv(self._y)),
+                                           self._v))
+
+    def frame0_at_p0(self):
+        y = self._y[self.p0[0], self.p0[1]]
+        return qm2_mul(qm2_mul(self._parent.frame0_at_p0(), qm2_inv(y)), self._v)
+
+
+def _darboux_chain(conn, y, lam, w0):
+    """Darboux points frame0 Y^-1 w0 from the frame Y of phi(lam), and the family of slopes
+    V^-1 ((Y S) Y^-1) V, V = [w0 | e], in one pass over blocks of grid rows on pair planes; (Y S)
+    Y^-1 takes 6 of 16 products if S = upper(a).  SingularMatrix names Y's first singular node."""
+    v = np.zeros((2, 2, 4))
+    v[:, 0], v[int(qnorm(w0[0]) >= qnorm(w0[1])), 1, 0] = w0, 1.0
+    (ny, nx), slopes = y.shape[:2], conn._uppers or (conn.slope_x, conn.slope_y)
+    frame_rows = conn._frame if isinstance(conn, _CanonicalFamily) else conn.frame0.__getitem__
+    v_pl, vinv_pl, w0_pl = (_pair_planes(m[None], 2) for m in (v, qm2_inv(v), w0[:, None]))
+    homog, out = np.empty((ny * nx, 2, 4)), np.empty((2, ny * nx, 2, 2, 4))
+    for rows, yb, _ in _row_planes(y):
+        nodes, yb = slice(rows.start * nx, rows.stop * nx), yb.reshape(2, 2, 2, -1)
+        inv = _study_planes(yb, True, lambda i: (rows.start + int(i) // nx, int(i) % nx))[1]
+        f = _pair_planes(frame_rows(rows), 2).reshape(2, 2, 2, -1)
+        _pair_view(homog[nodes])[...] = _pair_matmul(f, _pair_matmul(inv, w0_pl))[:, :, 0]
+        for s, o in zip(slopes, out):
+            s = _pair_planes(s[rows], s.ndim - 3).reshape(2, *s.shape[2:-1], -1)
+            p = (_pair_matmul(_pair_matmul(yb, s), inv) if s.ndim == 4 else _cayley_dickson(
+                _cayley_dickson(yb[:, :, 0], s[:, None])[:, :, None], inv[:, None, 1]))
+            _pair_view(o[nodes])[...] = _pair_matmul(_pair_matmul(vinv_pl, p), v_pl)
+    return homog.reshape(ny, nx, 2, 4), _DarbouxFamily(conn, y, v, lam, *out.reshape(2, *y.shape))
 
 
 def darboux_linear(

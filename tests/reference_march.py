@@ -38,6 +38,13 @@ returned before the family kept only its scalar parts: five whole
 So is the dense body of ``transforms.canonical_connection``, which built the
 canonical family [[f, 1], [1, 0]] as five whole fields before the family kept
 only f, df and dCf.
+
+So is the dense body of ``transforms.darboux_via_connection(chain=True)``,
+which formed Y^-1, the Darboux point, the output frame and the slopes
+V^-1 ((Y S) Y^-1) V of the output family through whole-grid products, and
+stored that family as five whole fields (const = -lam * slope), before the
+chain went over blocks of grid rows on pair planes and its family kept only
+its slopes.
 """
 
 from __future__ import annotations
@@ -57,11 +64,20 @@ from isothermic.grid import (
     laplacian,
     wedge,
 )
+from isothermic import grid as package_grid
+from isothermic import quaternion as package_quaternion
+from isothermic.quaternion import qm2_norm, qnorm, qnormsq
 from isothermic.quaternion import qm2_inv as package_qm2_inv
 from isothermic.quaternion import qm2_mul as package_qm2_mul
-from isothermic.quaternion import qm2_norm, qnormsq
 from isothermic.quaternion import qmul as package_qmul
-from isothermic.transforms import FrameConnection, _certify_isothermic, christoffel_form
+from isothermic.surfaces import PolarizedSurface
+from isothermic.transforms import (
+    DarbouxResult,
+    FrameConnection,
+    _certify_isothermic,
+    affine_chart,
+    christoffel_form,
+)
 
 
 def qmul(a, b):
@@ -391,3 +407,38 @@ def canonical_connection(surface, cform=None, p0=None):
               + qnormsq(wedge(df, cform).values))
     return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0,
                            (n0, n1, 0.0))
+
+
+def darboux_chain(conn, lam, w0, polarization="dz2", provenance=(), frame=None):
+    """darboux_via_connection(conn, lam, w0, polarization, provenance, chain=True,
+    frame=frame) through whole-grid products: the Darboux point frame0 Y^-1 w0 of
+    the frame Y of phi(lam) (marched unless supplied), and the output family with
+    frame0 (frame0 Y^-1) V, slopes V^-1 ((Y S) Y^-1) V of the parent's slopes S
+    and const = -lam * slope, for the completion V = [w0 | e] of w0 by a
+    constant unit column e.  The package's kernels are called through their
+    modules, so that a test counting their calls sees these too."""
+    q = package_quaternion
+    phi_x, phi_y = conn.phi(lam)
+    w0 = np.asarray(w0, dtype=float)
+    y = frame or package_grid.integrate_frame(phi_x, phi_y, conn.grid, q.qm2_identity(),
+                                              conn.p0, curvature_norm=conn.curvature_norm(lam))
+    y_inv = q.qm2_inv(y.values)
+    w = q.qm2_matvec(y_inv, w0)
+    homog = q.qm2_matvec(conn.frame0, w)
+    v = np.zeros((2, 2, 4))
+    v[:, 0, :] = w0
+    if qnorm(w0[0]) >= qnorm(w0[1]):
+        v[1, 1, 0] = 1.0
+    else:
+        v[0, 1, 0] = 1.0
+    g_frame = q.qm2_mul(q.qm2_mul(conn.frame0, y_inv), v)
+    v_inv = q.qm2_inv(v)
+    sx = q.qm2_mul(q.qm2_mul(y.values, conn.slope_x), y_inv)
+    sy = q.qm2_mul(q.qm2_mul(y.values, conn.slope_y), y_inv)
+    sx = q.qm2_mul(q.qm2_mul(v_inv, sx), v)
+    sy = q.qm2_mul(q.qm2_mul(v_inv, sy), v)
+    out_conn = FrameConnection(conn.grid, g_frame, -lam * sx, -lam * sy, sx, sy, conn.p0)
+    vals, ok = affine_chart(homog)
+    surface = PolarizedSurface(package_grid.QField(conn.grid.merge_mask(ok), vals),
+                               polarization, provenance)
+    return DarbouxResult(surface, out_conn)

@@ -7,7 +7,9 @@ public transforms.  It is kept here as the reference that
 ``permutability_suite`` is tested against bit for bit
 (tests/test_transforms.py), unchanged but for one more certificate of the
 input surface at the end and one of P2's Darboux transform, whose
-residuals the report now carries.
+residuals the report now carries, and for P3's Darboux chain, which runs the
+dense body of ``darboux_via_connection(chain=True)`` kept in
+tests/reference_march.py.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from isothermic.transforms import (
     t_transform,
     t_transform_via_connection,
 )
+
+from reference_march import darboux_chain
 
 
 def permutability_suite(
@@ -86,7 +90,7 @@ def permutability_suite(
     v0[0, 0] = 1.0
     v0[1] = diff[p0[0], p0[1]]
     conn = canonical_connection(surface, p0=p0)
-    dar_chain = darboux_via_connection(conn, lam, v0, chain=True)
+    dar_chain = darboux_chain(conn, lam, v0)
     lhs = t_transform_via_connection(dar_chain.connection, mu).surface
     tt_chain = t_transform_via_connection(conn, mu)
     rhs = darboux_via_connection(tt_chain.connection, lam - mu, v0).surface

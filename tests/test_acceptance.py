@@ -33,6 +33,7 @@ from isothermic import (
     mean_curvature_hyperbolic,
     minimal_position,
     moebius_equivalent,
+    permutability_suite,
     ribaucour_data_extract,
     spherical_type_certificate,
     t_transform,
@@ -43,6 +44,7 @@ from isothermic import (
 from isothermic import oracles as oc
 from isothermic.grid import crop_field
 from isothermic.quaternion import qnorm
+from isothermic.transforms import TAU_PERMUTABILITY
 
 from conftest import cylinder, sample_values
 
@@ -94,6 +96,7 @@ RESIDUALS = {
     "criterion 9 (spectral embedding vs coupled system)": 1.90e-08,
     "criterion 10 (double dual vs original)": None,
     "criterion 10 (cousins of two duals: dual preimages)": 1.26e-06,
+    "permutability P3 (T_mu D_lam f = D_(lam-mu) T_mu f)": 2.78e-08,
 }
 
 
@@ -326,3 +329,14 @@ def test_criterion_10_duality(grid129):
     c2 = cousin_dual_preimage(pair2.dual_cousin)
     _, res2 = moebius_equivalent(c1, c2, n_quads=20, seed=5, tau=1e-4)
     report("criterion 10 (cousins of two duals: dual preimages)", res2, 1e-4)
+
+
+def test_permutability_p3_chain():
+    # P3 of the permutability suite on the example plane at every size, so
+    # that its line prints the order of the chained Darboux family; rounding
+    # in that family sets the order, so bench/trajectory.py does not take it
+    # as evidence, but it gates the residual
+    errs = [permutability_suite(plane_surface(GridSpec.square(1.0, n)), 0.8).p3_residual
+            for n in (65, 129, 257)]
+    report("permutability P3 (T_mu D_lam f = D_(lam-mu) T_mu f)", errs[1], TAU_PERMUTABILITY,
+           f"order {order_line(errs):.2f}")

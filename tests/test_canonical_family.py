@@ -7,7 +7,7 @@ stores its frame and phi(lam) and reads its slopes from the family it came
 from.  Every field must equal the dense family's bytes, at the spectral
 parameters a march or a transform uses, -0.0 included, and so must the
 curvature polynomial.  The permutability suite, which frees each field after
-its last reader, must peak at no more than 14 fields, against 33 before.
+its last reader, must peak at no more than 11 fields, against 33 before.
 """
 
 import tracemalloc
@@ -73,12 +73,14 @@ def test_nans_in_the_parts_read_as_in_the_dense_fields(canonical_inputs):
 
 
 def test_permutability_suite_memory():
-    """One suite at n = 129 peaks at no more than 14 (ny, nx, 2, 2, 4) fields
-    of traced memory: about 12.2 with its fields freed after their last
-    reader and the canonical family kept as its parts, 33 before; keeping
-    the Darboux chain's five fields through P3's last transform reads 15.
-    At n = 65 the march's fixed blocks of 4096 nodes alone peak at about 10
-    fields, so the count there measures the block size more than the suite."""
+    """One suite at n = 129 peaks at no more than 11 (ny, nx, 2, 2, 4) fields
+    of traced memory: about 9.8 with its fields freed after their last
+    reader, the canonical family kept as its parts and the Darboux chain in
+    one blocked pass whose family keeps its two slopes; 12.2 when the chain
+    multiplied whole fields and kept five, 33 before the suite freed its
+    fields.  At n = 65 the march's fixed blocks of 4096 nodes alone peak at
+    about 10 fields, so the count there measures the block size more than
+    the suite."""
     n = 129
     dense = n * n * 2 * 2 * 4 * 8
     surface = PolarizedSurface.sample(GridSpec.square(1.0, n), oc.f_plane, "dzbar2")
@@ -91,4 +93,4 @@ def test_permutability_suite_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * dense
+    assert peak <= 11 * dense

@@ -162,12 +162,13 @@ def test_compare_does_not_gate_residuals_across_dispatch_levels(tmp_path, capsys
 def test_compare_gates_refinement_order_drops(tmp_path, capsys):
     """An order that dropped by more than ORDER_DROP is marked and makes
     --compare exit 1, at any dispatch; a drop of 0.18 is not, and neither is
-    any drop on the plane lines of criteria 1-4 (criterion 10 is not one)
-    or on criterion 5's line."""
+    any drop on the plane lines of criteria 1-4 (criterion 10 is not one),
+    on criterion 5's line or on P3's."""
     orders = {"criterion 2 wedge(df, dCf) [plane]": (float("inf"), 2.0),
               "criterion 2 C^2 identity [enneper]": (3.98, 3.8),
               "criterion 4b (Darboux member)": (3.9, 2.0),
               "criterion 5 (group law T_0.7 T_0.3 = T_1.0)": (3.94, 2.56),
+              "permutability P3 (T_mu D_lam f = D_(lam-mu) T_mu f)": (4.08, 3.6),
               "criterion 8 (Gauss residual)": (1.99, 1.99),
               "criterion 10 (double dual vs original)": (4.0, 4.0)}
     path = _dispatch_file(tmp_path, ["AVX2", "SSE2"], ["SSE2"])
@@ -179,12 +180,14 @@ def test_compare_gates_refinement_order_drops(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert trajectory.main(["--compare", f"{path}:parent", f"{path}:change"]) == 0
     out = capsys.readouterr().out
-    assert "refinement orders: 6 lines" in out
+    assert "refinement orders: 7 lines" in out
     assert ("  criterion 2 wedge(df, dCf) [plane]: A inf  B 2.0"
             "  not order evidence (criteria 1-4)\n") in out
     assert "  criterion 2 C^2 identity [enneper]: A 3.98  B 3.8  not order evidence" in out
     assert ("  criterion 5 (group law T_0.7 T_0.3 = T_1.0): A 3.94  B 2.56"
             "  not order evidence (criterion 5: near its rounding floor)\n") in out
+    assert ("  permutability P3 (T_mu D_lam f = D_(lam-mu) T_mu f): A 4.08  B 3.6"
+            "  not order evidence (P3: set by rounding in the chained family)\n") in out
     assert "ORDER DROPPED" not in out
     doc["trees"]["change"]["acceptance"]["criterion 8 (Gauss residual)"]["order"] = 1.6
     doc["trees"]["change"]["acceptance"]["criterion 10 (double dual vs original)"]["order"] = 3.5

@@ -434,12 +434,15 @@ def test_permutability_p3_nearly_coincident_images(lam, seed, plane129):
     assert rep.p3_residual <= 1e-6, rep.p3_residual
 
 
-@pytest.mark.parametrize("n, lam, seed", [(65, lam, 7) for lam in (0.5, 1.0, 1.5)]
+@pytest.mark.parametrize("n, lam, seed",
+                         [(65, lam, 7) for lam in (0.5, 1.0, 1.5, 0.8, 1.3, -0.6)]
+                         + [(129, lam, 7) for lam in (0.8, 1.3, -0.6)]
                          + [(129, lam, seed) for lam, seed in _P3_INPUTS])
 def test_permutability_suite_equals_reference(n, lam, seed, plane65, plane129):
     """The suite that builds the dual form, certificate, connection and frame
-    of phi(lam) once reports what the reference, which builds each of them
-    per identity, reports, bit for bit."""
+    of phi(lam) once, and runs P3's Darboux chain in one blocked pass,
+    reports what the reference, which builds each of them per identity and
+    runs the dense chain body, reports, bit for bit."""
     surface = {65: plane65, 129: plane129}[n]
     got = permutability_suite(surface, lam, seed=seed)
     want = reference_permutability.permutability_suite(surface, lam, seed=seed)
@@ -481,7 +484,7 @@ def _count_calls(monkeypatch):
                    "quaternion.qm2_mul": 14}),
     ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 1,
                 "surfaces.isothermic_certificate": 3, "surfaces.surface_jets": 4,
-                "transforms.canonical_connection": 2, "quaternion.qm2_mul": 14}),
+                "transforms.canonical_connection": 2, "quaternion.qm2_mul": 6}),
 ])
 def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
     """Every march of a canonical family, or of a family a spectral transform
@@ -489,7 +492,11 @@ def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
     polynomial; only the gauged Darboux-chain family is gated by
     maurer_cartan_residual, whose point forms its commutator on pair planes
     per block of grid rows and calls no qm2_mul (it took four, two on each
-    of the two blocks of the n = 65 grid, until it shared its planes)."""
+    of the two blocks of the n = 65 grid, until it shared its planes).  The
+    shared suite's Darboux chain runs on pair planes too: its qm2_mul calls
+    are the four of the spectral transforms and the two that build the
+    chained family's frame at the base node, against the ten of the dense
+    chain body that the reference runs."""
     run = {"reference": reference_permutability.permutability_suite,
            "shared": permutability_suite}[suite]
     counts = _count_calls(monkeypatch)
