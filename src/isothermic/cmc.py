@@ -168,10 +168,11 @@ def weierstrass_form(data: WeierstrassData) -> QForm1:
     return QForm1(data.grid, px, py)
 
 
-def weierstrass_minimal(data: WeierstrassData, p0=None, f0=np.zeros(4)) -> PolarizedSurface:
-    """Minimal surface with the given meromorphic data, pinned at f(p0) = f0."""
+def weierstrass_minimal(data: WeierstrassData) -> PolarizedSurface:
+    """Minimal surface with the given meromorphic data, pinned at f = 0 at the
+    centre node."""
     data.check_holomorphic()
-    p0 = p0 or data.grid.center_node()
+    p0 = data.grid.center_node()
     form = weierstrass_form(data)
     try:
         with np.errstate(over="raise"):
@@ -181,7 +182,7 @@ def weierstrass_minimal(data: WeierstrassData, p0=None, f0=np.zeros(4)) -> Polar
                                 f"{data.grid.h:.3e}") from None
     if peak < EPS_IMMERSION:
         raise DegenerateTangent("omega vanishes: the data does not immerse")
-    f = integrate_form(form, p0, np.asarray(f0, dtype=float))
+    f = integrate_form(form, p0, np.zeros(4))
     return PolarizedSurface(f, "dz2", ("weierstrass_minimal",))
 
 
@@ -230,12 +231,7 @@ class CmcSurface:
         return self.f.grid
 
 
-def darboux_weierstrass(
-    data: WeierstrassData,
-    lam: float,
-    p0=None,
-    v0=V0,
-) -> CmcSurface:
+def darboux_weierstrass(data: WeierstrassData, lam: float, v0=V0) -> CmcSurface:
     """cmc surface as a Darboux transform of its boundary map -jg.
 
     Integrates the linear system dv1 = -lam omega j v2, dv2 = j dg v1 and
@@ -243,13 +239,11 @@ def darboux_weierstrass(
     plane.
     """
     data.check_holomorphic()
-    grid = data.grid
-    p0 = p0 or grid.center_node()
     v0 = np.asarray(v0, dtype=float)
     off0, ok0 = _off_boundary(v0[None, None])
     if not ok0[0, 0] or abs(off0[0, 0, 1]) < EPS_HEIGHT:
         raise InitialOnBoundary("v2 v1^-1 must start off the plane Cj")
-    conn = boundary_connection(data, p0)
+    conn = boundary_connection(data)
     prov = (f"darboux_weierstrass({lam})",)
     result = darboux_via_connection(conn, lam, v0, "dz2", prov)
     base = boundary_surface(data)
@@ -267,27 +261,18 @@ def boundary_surface(data: WeierstrassData) -> PolarizedSurface:
     return PolarizedSurface(QField(data.grid, vals), "dzbar2", ("boundary(-jg)",))
 
 
-def boundary_connection(data: WeierstrassData, p0=None) -> FrameConnection:
+def boundary_connection(data: WeierstrassData) -> FrameConnection:
     """Canonical connection of -jg with the analytic dual form omega j.
 
     The pair (-jg, integral of omega j) is a Christoffel pair for the
     polarization omega dg, so the dual form is available without numerical
     integration.
     """
-    grid = data.grid
-    p0 = p0 or grid.center_node()
-    cform = QForm1(grid, cj(data.w), cj(1j * data.w))
-    surf = boundary_surface(data)
-    return canonical_connection(surf, cform, p0)
+    cform = QForm1(data.grid, cj(data.w), cj(1j * data.w))
+    return canonical_connection(boundary_surface(data), cform)
 
 
-def bryant_system(
-    data: WeierstrassData,
-    lam: float,
-    p0=None,
-    f0=np.zeros(4),
-    fh0=(1.0, 0.0, 0.0, 0.0),
-):
+def bryant_system(data: WeierstrassData, lam: float, f0=np.zeros(4), fh0=(1.0, 0.0, 0.0, 0.0)):
     """Integrate the coupled first-order system of the perturbed representation.
 
     d f = fh * [(i - jg) omega j (i - jg) / 2]
@@ -297,16 +282,17 @@ def bryant_system(
     frame), not points of Im H; see bryant_candidates for the projections
     compared against the unambiguous routes.
     """
-    frame = _bryant_frame(data, lam, p0, f0, fh0)
+    frame = _bryant_frame(data, lam, f0, fh0)
     return QField(data.grid, frame[..., 0, 0, :]), QField(data.grid, frame[..., 0, 1, :])
 
 
-def _bryant_frame(data, lam, p0, f0, fh0):
-    """Frame of the coupled system, F(p0) = [[f0, fh0], [1, 0]]: its first
-    row is the pair (f, fh) of bryant_system, its second the companion row."""
+def _bryant_frame(data, lam, f0, fh0):
+    """Frame of the coupled system, F = [[f0, fh0], [1, 0]] at the centre node:
+    its first row is the pair (f, fh) of bryant_system, its second the
+    companion row."""
     data.check_holomorphic()
     grid = data.grid
-    p0 = p0 or grid.center_node()
+    p0 = grid.center_node()
     alpha = weierstrass_form(data)
     q1 = _q1_field(data.g)
     q1_inv = -q1 / (1.0 + np.abs(data.g) ** 2)[..., None]
@@ -540,7 +526,7 @@ def _sign_continuity(r, p0):
 
 class _RibaucourFamily(FrameConnection):
     """The frame [[f r, r], [r, 0]] and its family, stored as f, r, e^u, e^-u,
-    u_x and u_y only (see FrameConnection).
+    u_x and u_y only (see FrameConnection); its slopes are upper.
 
     Diagonal: ( -u_y i - e^-u k )/2 dx + ( u_x i - e^-u j )/2 dy;
     lower-left psi = e^u (j dx + k dy); slope psi* = e^-u (-j dx + k dy).
@@ -550,17 +536,14 @@ class _RibaucourFamily(FrameConnection):
         self.grid, self.p0 = grid, p0
         self._parts = fvals, spin, np.exp(u), np.exp(-u), ux, uy
 
-    frame0 = property(lambda self: self._frame())
-    const_x = property(lambda self: self._const(True))
-    const_y = property(lambda self: self._const(False))
-    slope_x = property(lambda self: self._upper(True))
-    slope_y = property(lambda self: self._upper(False))
+    @property
+    def slopes(self):
+        out = np.zeros((2, self.grid.ny, self.grid.nx, 4))
+        out[0, ..., 2], out[1, ..., 3] = -self._parts[3], self._parts[3]
+        return out[0], out[1]
 
-    def frame0_at_p0(self):
-        return self._frame(*self.p0)
-
-    def _frame(self, *node):
-        fvals, spin = (a[node] for a in self._parts[:2])
+    def frame(self, index):
+        fvals, spin = (a[index] for a in self._parts[:2])
         out = np.zeros(spin.shape[:-1] + (2, 2, 4))
         out[..., 0, 0, :] = qmul(fvals, spin)
         out[..., 0, 1, :] = spin
@@ -568,15 +551,10 @@ class _RibaucourFamily(FrameConnection):
         return out
 
     def phi(self, lam):
-        return self._const(True, lam), self._const(False, lam)
+        return self._phi(True, lam), self._phi(False, lam)
 
-    def _upper(self, x):
-        out = np.zeros((self.grid.ny, self.grid.nx, 2, 2, 4))
-        out[..., 0, 1, 2 if x else 3] = -self._parts[3] if x else self._parts[3]
-        return out
-
-    def _const(self, x, lam=None):
-        """const_x (x) or const_y; given lam, phi's entries as const + lam * slope."""
+    def _phi(self, x, lam):
+        """phi_x (x) or phi_y, entry by entry as const + lam * slope."""
         _, _, e_u, e_mu, ux, uy = self._parts
         d, o = (3, 2) if x else (2, 3)  # components of the diagonal's e^-u and of psi
         out = np.zeros((self.grid.ny, self.grid.nx, 2, 2, 4))
@@ -584,11 +562,10 @@ class _RibaucourFamily(FrameConnection):
             np.multiply(uy if x else ux, -0.5 if x else 0.5, out=out[..., r, r, 1])
             np.multiply(e_mu, -0.5, out=out[..., r, r, d])
         out[..., 1, 0, o] = e_u
-        if lam is not None:
-            for entry in ((0, 0, 1), (0, 0, d), (1, 1, 1), (1, 1, d), (1, 0, o)):
-                out[(...,) + entry] += lam * 0.0
-            np.multiply(-e_mu if x else e_mu, lam, out=out[..., 0, 1, o])
-            out[..., 0, 1, o] += 0.0
+        for entry in ((0, 0, 1), (0, 0, d), (1, 1, 1), (1, 1, d), (1, 0, o)):
+            out[(...,) + entry] += lam * 0.0
+        np.multiply(-e_mu if x else e_mu, lam, out=out[..., 0, 1, o])
+        out[..., 0, 1, o] += 0.0
         return out
 
 
@@ -635,11 +612,11 @@ def ribaucour_connection(surface: PolarizedSurface, p0=None) -> FrameConnection:
     return _RibaucourFamily(grid, surface.f.values, spin, u, ux, uy, p0)
 
 
-def family_ribaucour_connection(grid: GridSpec, lam: float, p0=None) -> FrameConnection:
+def family_ribaucour_connection(grid: GridSpec, lam: float) -> FrameConnection:
     """Closed-form Ribaucour connection of the reference minimal family."""
     from . import oracles
 
-    p0 = p0 or grid.center_node()
+    p0 = grid.center_node()
     zs = grid.zgrid()
     fvals, spin, (u, dzu) = oracles.family_frame_parts(zs, lam)
     spin = _sign_continuity(spin, p0)
@@ -792,7 +769,7 @@ def _form_metric(comp_fields, h):
     )
 
 
-def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> IsometryReport:
+def umehara_yamada_check(minimal: PolarizedSurface, lam: float) -> IsometryReport:
     """Verify the isometric deformation identities of the spectral family.
 
     Extracts I and II from the structured frames at parameters 0 and lam
@@ -800,9 +777,8 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> Isom
     tangent-plane congruence in hyperbolic space) and checks I_lam = I_0
     and II_lam = II_0 - 2 lam I_0 nodewise.
     """
-    p0 = p0 or minimal.grid.center_node()
     try:
-        conn = ribaucour_connection(minimal, p0)
+        conn = ribaucour_connection(minimal, minimal.grid.center_node())
     except PatternMismatch as exc:
         raise FrameUnavailable(f"no structured frame for this surface: {exc}") from None
     grid = conn.grid
@@ -819,7 +795,7 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> Isom
         ii_g = -lorentz(sfy, ty)
         return (e1, f1, g1), (ii_e, ii_f, ii_g)
 
-    il, iil = i0, ii0 = forms(conn.frame0, 0.0)
+    il, iil = i0, ii0 = forms(conn.frame(...), 0.0)
     if lam != 0:
         phx, phy = conn.phi(lam)
         frame_lam = integrate_frame(phx, phy, grid, conn.frame0_at_p0(), conn.p0).values
@@ -840,12 +816,7 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float, p0=None) -> Isom
     )
 
 
-def bryant_surface(
-    data: WeierstrassData,
-    lam: float,
-    p0=None,
-    f0=None,
-) -> CmcSurface:
+def bryant_surface(data: WeierstrassData, lam: float) -> CmcSurface:
     """Surface and Gauss map assembled from the coupled first-order system.
 
     The quaternion pair of bryant_system is one component row of rescaled
@@ -854,9 +825,7 @@ def bryant_surface(
     (Gauss map: ratio of the second).  Both rows are the rows of one frame.
     """
     grid = data.grid
-    if f0 is None:
-        f0 = np.zeros(4)
-    frame = _bryant_frame(data, lam, p0, f0, (1.0, 0.0, 0.0, 0.0))
+    frame = _bryant_frame(data, lam, np.zeros(4), (1.0, 0.0, 0.0, 0.0))
     top, bottom = frame[..., 0, :, :], frame[..., 1, :, :]
     inv_f, ok_f = qinv_masked(bottom[..., 0, :])
     inv_h, ok_h = qinv_masked(bottom[..., 1, :])
@@ -876,13 +845,7 @@ class DualPair:
     ns_connection: FrameConnection  # family of the secondary Gauss map
 
 
-def dual_cmc(
-    data: WeierstrassData,
-    lam: float,
-    p0=None,
-    v0=V0,
-    v0_dual=None,
-) -> DualPair:
+def dual_cmc(data: WeierstrassData, lam: float, v0_dual=None) -> DualPair:
     """Construct a cmc surface and a dual by exchanging its two Gauss maps.
 
     The dual is realized through the permutability chain: the secondary
@@ -890,11 +853,9 @@ def dual_cmc(
     is a Darboux transform of it at the opposite parameter (initial data
     v0_dual picks the member of the three-parameter dual family).
     """
-    grid = data.grid
-    p0 = p0 or grid.center_node()
-    v0 = np.asarray(v0, dtype=float)
+    v0 = np.asarray(V0, dtype=float)
     v0_dual = v0 if v0_dual is None else np.asarray(v0_dual, dtype=float)
-    conn = boundary_connection(data, p0)
+    conn = boundary_connection(data)
 
     fres = darboux_via_connection(conn, lam, v0, "dz2", ("dual_cmc.f",))
     base = boundary_surface(data)
@@ -910,12 +871,12 @@ def dual_cmc(
     # initial-condition correspondences but a rescaled spectral parameter,
     # so the cousins use the canonical (grid-polarization) transform of the
     # sampled surfaces
-    cousin = t_transform(fres.surface, lam, p0).surface
-    dual_cousin = t_transform(dual_res.surface, -lam, p0).surface
+    cousin = t_transform(fres.surface, lam).surface
+    dual_cousin = t_transform(dual_res.surface, -lam).surface
     return DualPair(f, dual, cousin, dual_cousin, ns_res.connection)
 
 
-def double_dual(pair: DualPair, data: WeierstrassData, lam: float, v0=V0) -> PolarizedSurface:
+def double_dual(pair: DualPair, data: WeierstrassData, lam: float) -> PolarizedSurface:
     """The dual of the dual: exchange the Gauss-map roles once more.
 
     Mirrors the dual construction with (n_h, lam) replaced by (n_s, -lam):
@@ -926,7 +887,7 @@ def double_dual(pair: DualPair, data: WeierstrassData, lam: float, v0=V0) -> Pol
     """
     nsh_res = t_transform_via_connection(pair.ns_connection, -lam, "dz2",
                                          ("double_dual.nsh",))
-    back = darboux_via_connection(nsh_res.connection, lam, np.asarray(v0, dtype=float),
+    back = darboux_via_connection(nsh_res.connection, lam, np.asarray(V0, dtype=float),
                                   "dz2", ("double_dual",))
     return back.surface
 

@@ -247,7 +247,9 @@ class _Stencil:
 
 # the stencil table: second- and fourth-order first derivatives (one-sided
 # rows at the edges), second derivatives (0 at the edges; their sum over
-# both axes is a Laplacian), and the cubic interval midpoints
+# both axes is a Laplacian), and the cubic interval midpoints (n - 1 entries,
+# entry k between samples k and k + 1; fourth-order so RK4 keeps its order,
+# linear below four samples)
 _D1 = _Stencil((-1, 0, 1), 1, ((-3, 4, -1),), 2, 1, 3, None)
 _D1_4 = _Stencil((1, -8, 0, 8, -1), 2, ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1)),
                  12, 1, 6, _D1)
@@ -516,16 +518,6 @@ def _rk4_step_right(state, pa, pm, pb, h, mul):
     k3 = mul(state + 0.5 * h * k2, pm)
     k4 = mul(state + h * k3, pb)
     return state + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def midpoint_samples(coef, axis):
-    """Cubic interpolation of coefficient samples at interval midpoints.
-
-    Returns an array with n-1 entries along `axis`; entry k sits between
-    samples k and k+1.  Fourth-order accurate so RK4 keeps its global order
-    on smooth non-constant coefficients; linear below four samples.
-    """
-    return _along(_MIDPOINT, coef, None, axis, None)
 
 
 #: nodes per block of grid columns whose RK4 steps a march prepares at once,

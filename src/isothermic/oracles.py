@@ -176,11 +176,6 @@ def sinh2c_sl(z, lam):
     return _Split(z, lam)(_SINH2C)
 
 
-def cosh2m1_over_lam(z, lam):
-    """(cosh(2 sqrt(lam) z) - 1)/lam."""
-    return _Split(z, lam)(_COSH2M1)
-
-
 def _ck(c):
     """c*k for complex c: components (0, 0, -Im c, Re c)."""
     return cj(1j * c)

@@ -28,7 +28,7 @@ from .cmc import (
     spherical_type_certificate,
     weierstrass_minimal,
 )
-from .errors import ConfigInvalid, GeometryError, IoError
+from .errors import ConfigInvalid, GeometryError, IoError, NotClosed
 from .grid import GridSpec, load_field, save_field, surface_texts, write_text
 from .objio import export_obj
 from .quaternion import from_imag3
@@ -352,12 +352,19 @@ def run_verifications(surface, extras, config: PipelineConfig, report: Invariant
     h = grid.h
     verify = config.verify
     lam = extras.get("lambda", 1.0)
-    perm = None
+    perm = iso = None
     if verify.get("permutability"):
         # the suite certifies its input: that residual is the isothermic check's
-        perm = permutability_suite(surface, lam, seed=config.seed)
-    if verify.get("isothermic"):
-        res = perm.isothermic_residual if perm else isothermic_certificate(surface)[1]
+        try:
+            perm = permutability_suite(surface, lam, seed=config.seed)
+            iso = perm.isothermic_residual
+        except NotClosed:
+            # the input's missed certificate is a failed check, another surface's a singularity
+            iso = isothermic_certificate(surface)[1]
+            if iso <= TAU_ISOTHERMIC:
+                raise
+    if verify.get("isothermic") or (verify.get("permutability") and perm is None):
+        res = isothermic_certificate(surface)[1] if iso is None else iso
         report.add("isothermic_certificate", res, TAU_ISOTHERMIC, h)
     if verify.get("spherical_type") or verify.get("liouville"):
         _, res = spherical_type_certificate(surface)

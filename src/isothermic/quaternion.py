@@ -410,7 +410,7 @@ def point_form(p):
     return out
 
 
-def cross_ratio_class_array(a, b, c, d, eps=EPS_INV):
+def cross_ratio_class_array(a, b, c, d):
     """Moebius-invariant pair (Re r, |r|) of r = (a-b)(b-c)^-1 (c-d)(d-a)^-1
     for (..., 4) points.
 
@@ -420,7 +420,7 @@ def cross_ratio_class_array(a, b, c, d, eps=EPS_INV):
     """
     ab, bc, cd, da = a - b, b - c, c - d, d - a
     for diff in (ab, bc, cd, da):
-        if np.any(qnormsq(diff) < eps * eps):
+        if np.any(qnormsq(diff) < EPS_INV * EPS_INV):
             raise DegenerateQuadruple("coincident points in cross-ratio")
-    r = qmul(qmul(ab, qinv(bc, eps)), qmul(cd, qinv(da, eps)))
+    r = qmul(qmul(ab, qinv(bc)), qmul(cd, qinv(da)))
     return r[..., 0], qnorm(r)

@@ -55,10 +55,6 @@ class PolarizedSurface:
         prov = self.provenance + ((step,) if step else ())
         return PolarizedSurface(QField(grid, values), pol, prov)
 
-    def real_part_residual(self):
-        sel = self.grid.valid()
-        return float(np.abs(self.f.values[..., 0])[sel].max())
-
 
 @dataclass
 class SurfaceJets:

@@ -6,7 +6,8 @@ or the associated linear system; the spectral (T) transform integrates the
 parameter family of flat connections.
 
 A FrameConnection packages an adapted frame field together with its affine
-lambda-family of connection forms.  Chaining transforms through connections
+lambda-family of connection forms, read through frame(index), phi(lam) and
+slopes whatever the family stores.  Chaining transforms through connections
 keeps the initial-condition correspondences of the permutability theorems
 exact, which pointwise comparisons rely on; surfaces compared across
 different representatives always go through the cross-ratio certificate.
@@ -118,26 +119,20 @@ def christoffel(
     return surface.derived(cf.values, grid=cf.grid, flip=True, step="christoffel")
 
 
-def goursat(
-    surface: PolarizedSurface,
-    m,
-    p0=None,
-    g0=np.zeros(4),
-    c0=np.zeros(4),
-) -> PolarizedSurface:
+def goursat(surface: PolarizedSurface, m, p0=None) -> PolarizedSurface:
     """Goursat transform for the essential map x -> (x - m)^-1, m a (4,) array.
 
     Integrates -(Cf - m) df (Cf - m); equivalent to Christoffel, Moebius
     map, Christoffel but in a single integration.
     """
     p0 = p0 or surface.grid.center_node()
-    cf = christoffel(surface, p0, c0)
+    cf = christoffel(surface, p0)
     df = d_field_hi(surface.f)
     factor = cf.f.values - np.asarray(m, dtype=float)
     px = -qmul(factor, qmul(df.px, factor))
     py = -qmul(factor, qmul(df.py, factor))
     grid = df.grid.merge_mask(cf.grid.valid())
-    gf = integrate_form(QForm1(grid, px, py), p0, np.asarray(g0, dtype=float))
+    gf = integrate_form(QForm1(grid, px, py), p0, np.zeros(4))
     return surface.derived(gf.values, grid=gf.grid, step="goursat")
 
 
@@ -145,30 +140,40 @@ def goursat(
 # frame connections
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(repr=False)  # the families that store parts have none of the stored fields
 class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 
-    phi(lam) = const + lam * slope entrywise; frame0 projects to the underlying
-    surface in the chart v1 v2^-1.  The numeric family stores these fields; the others
-    store parts (a Darboux chain's family its two slopes) and compute the rest on each
-    read.  A family whose Maurer-Cartan curvature is known in closed form carries it as
+    Every family reads through one protocol: frame(index) is the frame at a
+    grid index (... the whole grid, p0 the base node, a row slice one block),
+    and phi(lam) = const + lam * slope entrywise, whose slopes are (s_x, s_y):
+    the upper-right entries (ny, nx, 4) where every other slope entry is 0,
+    else the dense (ny, nx, 2, 2, 4) slopes.  frame(...) projects to the
+    underlying surface in the chart v1 v2^-1.  This class stores the frame, the
+    constant parts const = (x, y) and the slopes; the canonical, Ribaucour and
+    Darboux families store parts and compute frame and phi on each read.  A
+    family whose Maurer-Cartan curvature is known in closed form carries it as
     curvature = (n0, n1, shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2
     = n0 + (shift + lam)^2 n1 at every node (see canonical_connection).
     """
 
     grid: GridSpec
     frame0: np.ndarray  # (ny, nx, 2, 2, 4)
-    const_x: np.ndarray
-    const_y: np.ndarray
-    slope_x: np.ndarray
-    slope_y: np.ndarray
+    const: tuple
+    slopes: tuple
     p0: tuple
     curvature: tuple | None = None
-    _uppers = None  # (a_x, a_y) where the slopes are known to be upper(a), else None
+
+    def frame(self, index):
+        return self.frame0[index]
 
     def phi(self, lam):
-        return self.const_x + lam * self.slope_x, self.const_y + lam * self.slope_y
+        out = []
+        for c, s in zip(self.const, self.slopes):
+            out.append(c + lam * (s if s.ndim == c.ndim else 0.0))
+            if s.ndim < c.ndim:  # the float operations of c + lam * (s at entry [0, 1], else 0)
+                out[-1][..., 0, 1, :] = c[..., 0, 1, :] + lam * s
+        return tuple(out)
 
     def shifted_curvature(self, lam):
         """The curvature of the family mu -> phi(lam + mu), or None."""
@@ -184,43 +189,26 @@ class FrameConnection:
                 return np.sqrt(n0 + t * t * n1)
 
     def frame0_at_p0(self):
-        return self.frame0[self.p0[0], self.p0[1]]
-
-
-def _entry(values, row, col):
-    """The (..., 2, 2, 4) matrices with values (..., 4) at (row, col), 0 elsewhere."""
-    out = np.zeros(values.shape[:-1] + (2, 2, 4))
-    out[..., row, col, :] = values
-    return out
+        return self.frame(self.p0)
 
 
 class _CanonicalFamily(FrameConnection):
-    """The frame [[f, 1], [1, 0]] and its family, stored as f, df and dCf only; const =
-    [[0, 0], [df, 0]], slope = [[0, dCf], [0, 0]], phi = const + lam slope entrywise."""
+    """The frame [[f, 1], [1, 0]] and its family, stored as f, df and the slopes dCf only;
+    phi = [[0, 0], [df, 0]] + lam [[0, dCf], [0, 0]] entrywise."""
 
     def __init__(self, grid, fvals, df, cform, p0, curvature):
         self.grid, self.p0, self.curvature = grid, p0, curvature
-        self._f, self._df, self._dcf = fvals, (df.px, df.py), (cform.px, cform.py)
+        self._f, self._df, self.slopes = fvals, (df.px, df.py), (cform.px, cform.py)
 
-    const_x = property(lambda self: _entry(self._df[0], 1, 0))
-    const_y = property(lambda self: _entry(self._df[1], 1, 0))
-    slope_x = property(lambda self: _entry(self._dcf[0], 0, 1))
-    slope_y = property(lambda self: _entry(self._dcf[1], 0, 1))
-    _uppers = property(lambda self: self._dcf)
-
-    frame0 = property(lambda self: self._frame())
-
-    def frame0_at_p0(self):
-        return self._frame(*self.p0)
-
-    def _frame(self, *node):
-        out = _entry(self._f[node], 0, 0)
-        out[..., 0, 1, 0] = out[..., 1, 0, 0] = 1.0
+    def frame(self, index):
+        f = self._f[index]
+        out = np.zeros(f.shape[:-1] + (2, 2, 4))
+        out[..., 0, 0, :], out[..., 0, 1, 0], out[..., 1, 0, 0] = f, 1.0, 1.0
         return out
 
     def phi(self, lam):
         out = np.zeros((2,) + self._f.shape[:-1] + (2, 2, 4))
-        for o, df, dcf in zip(out, self._df, self._dcf):
+        for o, df, dcf in zip(out, self._df, self.slopes):
             np.add(df, lam * 0.0, out=o[..., 1, 0, :])
             np.add(dcf * lam, 0.0, out=o[..., 0, 1, :])
         return out[0], out[1]
@@ -274,20 +262,8 @@ class TTransformResult:
     @property
     def second_point(self) -> QField:
         """The affine point of the frame's second column, computed on each read."""
-        vals, ok = affine_chart(self.connection.frame0[..., :, 1, :])
+        vals, ok = affine_chart(self.connection.frame(...)[..., :, 1, :])
         return QField(self.connection.grid.merge_mask(ok), vals)
-
-
-class _SpectralFamily(FrameConnection):
-    """A spectral transform's family: frame0 and phi(lam) stored, slopes read from its parent."""
-
-    def __init__(self, parent, frame0, const_x, const_y, curvature):
-        self._parent, self.frame0, self.const_x, self.const_y = parent, frame0, const_x, const_y
-        self.grid, self.p0, self.curvature = parent.grid, parent.p0, curvature
-
-    slope_x = property(lambda self: self._parent.slope_x)
-    slope_y = property(lambda self: self._parent.slope_y)
-    _uppers = property(lambda self: self._parent._uppers)
 
 
 def t_transform_via_connection(
@@ -303,7 +279,8 @@ def t_transform_via_connection(
     surf_vals, ok1 = affine_chart(composed[..., :, 0, :])
     grid1 = conn.grid.merge_mask(ok1)
     surface = PolarizedSurface(QField(grid1, surf_vals), polarization, provenance)
-    out_conn = _SpectralFamily(conn, composed, phi_x, phi_y, conn.shifted_curvature(lam))
+    out_conn = FrameConnection(conn.grid, composed, (phi_x, phi_y), conn.slopes, conn.p0,
+                               conn.shifted_curvature(lam))
     return TTransformResult(surface, frame_id, out_conn)
 
 
@@ -346,8 +323,8 @@ def frame_connection_from_field(
     """Numeric connection family of an adapted frame field.
 
     Reads phi0 = F^-1 dF entrywise and completes the family with the
-    lam-slope built from the lower-left form psi: slope = upper(psi_x^-1,
-    -psi_y^-1).
+    lam-slope built from the lower-left form psi: the upper-right entries
+    (psi_x^-1, -psi_y^-1).
     """
     grid = frame.grid
     p0 = p0 or grid.center_node()
@@ -359,14 +336,11 @@ def frame_connection_from_field(
     scale = max(1.0, float(qnorm(surface.f.values)[sel].max()))
     if dev > 1e-5 * scale:
         raise NotAdapted(f"frame does not project onto the surface (max dev {dev:.3e})")
-    const_x, const_y = frame.connection_form()
-    psi_x = const_x[..., 1, 0, :]
-    psi_y = const_y[..., 1, 0, :]
-    star_x, ok_x = qinv_masked(psi_x)
-    star_y, ok_y = qinv_masked(psi_y)
-    slope_x, slope_y = _entry(star_x, 0, 1), _entry(-star_y, 0, 1)
+    const = frame.connection_form()
+    star_x, ok_x = qinv_masked(const[0][..., 1, 0, :])
+    star_y, ok_y = qinv_masked(const[1][..., 1, 0, :])
     out_grid = grid.merge_mask(ok & ok_x & ok_y)
-    return FrameConnection(out_grid, frame.values, const_x, const_y, slope_x, slope_y, p0)
+    return FrameConnection(out_grid, frame.values, const, (star_x, -star_y), p0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +364,7 @@ def darboux_via_connection(
 ) -> DarbouxResult:
     """Darboux transform through an adapted frame family.
 
-    Solves 0 = dw + phi(lam) w and projects frame0 * w.  With chain=True the
+    Solves 0 = dw + phi(lam) w and projects frame(...) * w.  With chain=True the
     output carries its own frame family (the transform parameter of the
     output family is offset so that its own Darboux/T transforms compose
     with exact initial-condition correspondence); the chain marches the frame
@@ -402,7 +376,7 @@ def darboux_via_connection(
     if not chain:
         w = integrate_left_vector(*conn.phi(lam), conn.grid, w0, conn.p0,
                                   curvature_norm=conn.curvature_norm(lam))
-        homog, out_conn = qm2_matvec(conn.frame0, w), None
+        homog, out_conn = qm2_matvec(conn.frame(...), w), None
     else:
         if frame is not None and not frame.grid.same_geometry(conn.grid):
             raise GridMismatch("the supplied frame lives on another grid than the family")
@@ -416,36 +390,34 @@ def darboux_via_connection(
 
 
 class _DarbouxFamily(FrameConnection):
-    """A Darboux chain's family: slopes s stored, const = -lam s and frame0 Y^-1 V on read."""
+    """A Darboux chain's family: its dense slopes s stored; phi(mu) = -lam s + mu s and the
+    frame (parent frame Y^-1) V on read."""
 
     def __init__(self, parent, y, v, lam, sx, sy):
-        self.grid, self.p0, self.slope_x, self.slope_y = parent.grid, parent.p0, sx, sy
+        self.grid, self.p0, self.slopes = parent.grid, parent.p0, (sx, sy)
         self._parent, self._y, self._v, self._lam = parent, y, v, lam
 
-    const_x = property(lambda self: -self._lam * self.slope_x)
-    const_y = property(lambda self: -self._lam * self.slope_y)
-    frame0 = property(lambda self: qm2_mul(qm2_mul(self._parent.frame0, qm2_inv(self._y)),
-                                           self._v))
+    def frame(self, index):
+        return qm2_mul(qm2_mul(self._parent.frame(index), qm2_inv(self._y[index])), self._v)
 
-    def frame0_at_p0(self):
-        y = self._y[self.p0[0], self.p0[1]]
-        return qm2_mul(qm2_mul(self._parent.frame0_at_p0(), qm2_inv(y)), self._v)
+    def phi(self, mu):
+        return tuple(-self._lam * s + mu * s for s in self.slopes)
 
 
 def _darboux_chain(conn, y, lam, w0):
-    """Darboux points frame0 Y^-1 w0 from the frame Y of phi(lam), and the family of slopes
-    V^-1 ((Y S) Y^-1) V, V = [w0 | e], in one pass over blocks of grid rows on pair planes; (Y S)
-    Y^-1 takes 6 of 16 products if S = upper(a).  SingularMatrix names Y's first singular node."""
+    """Darboux points F Y^-1 w0 of conn's frame F and the frame Y of phi(lam), and the family of
+    slopes V^-1 ((Y S) Y^-1) V, V = [w0 | e], in one pass over blocks of grid rows on pair planes;
+    (Y S) Y^-1 takes 6 of 16 products if S = upper(a).  SingularMatrix names Y's first singular
+    node."""
     v = np.zeros((2, 2, 4))
     v[:, 0], v[int(qnorm(w0[0]) >= qnorm(w0[1])), 1, 0] = w0, 1.0
-    (ny, nx), slopes = y.shape[:2], conn._uppers or (conn.slope_x, conn.slope_y)
-    frame_rows = conn._frame if isinstance(conn, _CanonicalFamily) else conn.frame0.__getitem__
+    (ny, nx), slopes = y.shape[:2], conn.slopes
     v_pl, vinv_pl, w0_pl = (_pair_planes(m[None], 2) for m in (v, qm2_inv(v), w0[:, None]))
     homog, out = np.empty((ny * nx, 2, 4)), np.empty((2, ny * nx, 2, 2, 4))
     for rows, yb, _ in _row_planes(y):
         nodes, yb = slice(rows.start * nx, rows.stop * nx), yb.reshape(2, 2, 2, -1)
         inv = _study_planes(yb, True, lambda i: (rows.start + int(i) // nx, int(i) % nx))[1]
-        f = _pair_planes(frame_rows(rows), 2).reshape(2, 2, 2, -1)
+        f = _pair_planes(conn.frame(rows), 2).reshape(2, 2, 2, -1)
         _pair_view(homog[nodes])[...] = _pair_matmul(f, _pair_matmul(inv, w0_pl))[:, :, 0]
         for s, o in zip(slopes, out):
             s = _pair_planes(s[rows], s.ndim - 3).reshape(2, *s.shape[2:-1], -1)
@@ -605,7 +577,6 @@ def permutability_suite(
     lam: float,
     mu: float | None = None,
     p0=None,
-    d0=None,
     seed=7,
 ) -> PermutabilityReport:
     """Run the three permutability checks on a surface.
@@ -626,7 +597,7 @@ def permutability_suite(
     cform = christoffel_form(surface)
     iso = _certify_isothermic(surface)
     conn = canonical_connection(surface, cform, p0)
-    p1, frame, *p2, v0 = _permutability_p1_p2(surface, conn, cform, lam, p0, d0, seed)
+    p1, frame, *p2, v0 = _permutability_p1_p2(surface, conn, cform, lam, p0, seed)
     # P3: T_mu(D_lam f) vs D_(lam-mu)(T_mu f) by chained families, each freed after its reader
     dar_chain = darboux_via_connection(conn, lam, v0, chain=True, frame=frame).connection
     del frame
@@ -638,7 +609,7 @@ def permutability_suite(
     return PermutabilityReport(iso, p1, *p2, p3, TAU_PERMUTABILITY)
 
 
-def _permutability_p1_p2(surface, conn, cform, lam, p0, d0, seed):
+def _permutability_p1_p2(surface, conn, cform, lam, p0, seed):
     """P1 and P2, sharing the Christoffel dual cs, certified and given its dual form once:
     P1's residual, its frame of phi(lam) (P3 reuses it), then _permutability_p2's results."""
     second, frame = attrgetter("second_point", "frame")(
@@ -648,13 +619,13 @@ def _permutability_p1_p2(surface, conn, cform, lam, p0, d0, seed):
     cs_form = christoffel_form(cs)
     tc = t_transform_via_connection(canonical_connection(cs, cs_form, p0), lam).surface
     _, p1 = moebius_equivalent(second, tc, seed=seed)
-    return (p1, frame) + _permutability_p2(surface, cform, cs, cs_form, lam, p0, d0)
+    return (p1, frame) + _permutability_p2(surface, cform, cs, cs_form, lam, p0)
 
 
-def _permutability_p2(surface, cform, cs, cs_form, lam, p0, d0):
+def _permutability_p2(surface, cform, cs, cs_form, lam, p0):
     """P2's pointwise (lam (CDf - Cf) = (Df - f)^-1) and translation residuals, its Darboux
     transform's certificate, and the start column [1, Df - f] at p0 of P3's transforms."""
-    dar = darboux_riccati(surface, lam, p0, d0, cform=cform)
+    dar = darboux_riccati(surface, lam, p0, cform=cform)
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam

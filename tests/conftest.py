@@ -13,28 +13,31 @@ from isothermic import (
 from isothermic import cmc, oracles
 from isothermic.quaternion import qinv_masked, qmul
 
+from reference_march import dense_slopes
 
-#: the fields of a FrameConnection, and the spectral parameters at which
-#: phi(lam) is compared: those a march or a transform uses, -0.0 included
-FAMILY_FIELDS = ("frame0", "const_x", "const_y", "slope_x", "slope_y")
+
+#: the spectral parameters at which phi(lam) is compared: those a march or a
+#: transform uses, -0.0 included
 FAMILY_LAMS = (1.0, -0.7, 0.0, -0.0, 0.6)
 GRID_FIELDS = ("x0", "y0", "h", "nx", "ny")
 
 
 def assert_same_family(conn, want):
-    """conn equals the dense family want byte for byte: its grid (geometry and
-    mask compared exactly), its fields, its frame at the base node, phi(lam) at
-    FAMILY_LAMS and its curvature polynomial."""
+    """conn equals the family want byte for byte: its grid (geometry and mask
+    compared exactly), its frame on the whole grid and at the base node,
+    phi(lam) at FAMILY_LAMS, its slopes expanded to dense and its curvature
+    polynomial."""
     assert isinstance(conn, FrameConnection)
     assert conn.p0 == want.p0
     assert ([getattr(conn.grid, k) for k in GRID_FIELDS]
             == [getattr(want.grid, k) for k in GRID_FIELDS])
     assert np.array_equal(conn.grid.valid(), want.grid.valid())
-    for name in FAMILY_FIELDS:
-        got = getattr(conn, name)
-        assert got.shape == getattr(want, name).shape
-        assert got.tobytes() == getattr(want, name).tobytes(), name
-    assert conn.frame0_at_p0().tobytes() == want.frame0_at_p0().tobytes()
+    pairs = [(conn.frame(...), want.frame(...)), (conn.frame(conn.p0), want.frame(want.p0)),
+             (conn.frame0_at_p0(), want.frame0_at_p0()),
+             *zip(dense_slopes(conn), dense_slopes(want))]
+    for got, exp in pairs:
+        assert got.shape == exp.shape
+        assert got.tobytes() == exp.tobytes()
     for lam in FAMILY_LAMS:
         for got, exp in zip(conn.phi(lam), want.phi(lam)):
             assert got.tobytes() == exp.tobytes(), lam

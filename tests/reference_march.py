@@ -8,8 +8,8 @@ here, unchanged, as the independent reference that ``integrate_frame`` and
 (tests/test_march_equivalence.py), together with the Riccati march on real
 quaternion components that ``integrate_riccati`` ran before its states and
 coefficients became complex pairs.  So is the cubic midpoint formula that
-``grid.midpoint_samples`` wrote out before it became an entry of the
-package's stencil table; the gates and the blow-up check are not part of it.
+the package wrote out before it became the ``grid._MIDPOINT`` entry of its
+stencil table; the gates and the blow-up check are not part of it.
 
 The path-scheme walks the package ran as loops before they became the
 array scans of ``grid._path_scan`` are kept here too: the reach mask of
@@ -33,7 +33,8 @@ that whole-grid Phi.
 So is the dense body of the Ribaucour frame family that
 ``cmc.family_ribaucour_connection`` and ``cmc.ribaucour_connection``
 returned before the family kept only its scalar parts: five whole
-``(ny, nx, 2, 2, 4)`` fields, combined as ``const + lam * slope``.
+``(ny, nx, 2, 2, 4)`` fields, combined as ``const + lam * slope``.  These
+dense bodies return a ``FrameConnection`` that stores its slopes dense.
 
 So is the dense body of ``transforms.canonical_connection``, which built the
 canonical family [[f, 1], [1, 0]] as five whole fields before the family kept
@@ -372,7 +373,19 @@ def ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
     frame0[..., 0, 0, :] = package_qmul(fvals, spin)
     frame0[..., 0, 1, :] = spin
     frame0[..., 1, 0, :] = spin
-    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0)
+    return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y), p0)
+
+
+def dense_slopes(conn):
+    """conn's slopes as dense (ny, nx, 2, 2, 4) fields: upper-right entries
+    are placed into zeros, dense slopes returned as they are."""
+    out = []
+    for s in conn.slopes:
+        if s.ndim == 3:
+            s, upper = np.zeros(s.shape[:-1] + (2, 2, 4)), s
+            s[..., 0, 1, :] = upper
+        out.append(s)
+    return tuple(out)
 
 
 def canonical_connection(surface, cform=None, p0=None):
@@ -405,18 +418,19 @@ def canonical_connection(surface, cform=None, p0=None):
         n0 = qnormsq(curl(df))
         n1 = (qnormsq(curl(cform)) + qnormsq(wedge(cform, df).values)
               + qnormsq(wedge(df, cform).values))
-    return FrameConnection(grid, frame0, const_x, const_y, slope_x, slope_y, p0,
+    return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y), p0,
                            (n0, n1, 0.0))
 
 
 def darboux_chain(conn, lam, w0, polarization="dz2", provenance=(), frame=None):
     """darboux_via_connection(conn, lam, w0, polarization, provenance, chain=True,
-    frame=frame) through whole-grid products: the Darboux point frame0 Y^-1 w0 of
-    the frame Y of phi(lam) (marched unless supplied), and the output family with
-    frame0 (frame0 Y^-1) V, slopes V^-1 ((Y S) Y^-1) V of the parent's slopes S
-    and const = -lam * slope, for the completion V = [w0 | e] of w0 by a
-    constant unit column e.  The package's kernels are called through their
-    modules, so that a test counting their calls sees these too."""
+    frame=frame) through whole-grid products: the Darboux point F Y^-1 w0 of the
+    parent's frame F and the frame Y of phi(lam) (marched unless supplied), and
+    the output family with frame (F Y^-1) V, slopes V^-1 ((Y S) Y^-1) V of the
+    parent's slopes S, expanded to dense, and const = -lam * slope, for the
+    completion V = [w0 | e] of w0 by a constant unit column e.  The package's
+    kernels are called through their modules, so that a test counting their
+    calls sees these too."""
     q = package_quaternion
     phi_x, phi_y = conn.phi(lam)
     w0 = np.asarray(w0, dtype=float)
@@ -424,20 +438,21 @@ def darboux_chain(conn, lam, w0, polarization="dz2", provenance=(), frame=None):
                                               conn.p0, curvature_norm=conn.curvature_norm(lam))
     y_inv = q.qm2_inv(y.values)
     w = q.qm2_matvec(y_inv, w0)
-    homog = q.qm2_matvec(conn.frame0, w)
+    homog = q.qm2_matvec(conn.frame(...), w)
     v = np.zeros((2, 2, 4))
     v[:, 0, :] = w0
     if qnorm(w0[0]) >= qnorm(w0[1]):
         v[1, 1, 0] = 1.0
     else:
         v[0, 1, 0] = 1.0
-    g_frame = q.qm2_mul(q.qm2_mul(conn.frame0, y_inv), v)
+    g_frame = q.qm2_mul(q.qm2_mul(conn.frame(...), y_inv), v)
     v_inv = q.qm2_inv(v)
-    sx = q.qm2_mul(q.qm2_mul(y.values, conn.slope_x), y_inv)
-    sy = q.qm2_mul(q.qm2_mul(y.values, conn.slope_y), y_inv)
+    slope_x, slope_y = dense_slopes(conn)
+    sx = q.qm2_mul(q.qm2_mul(y.values, slope_x), y_inv)
+    sy = q.qm2_mul(q.qm2_mul(y.values, slope_y), y_inv)
     sx = q.qm2_mul(q.qm2_mul(v_inv, sx), v)
     sy = q.qm2_mul(q.qm2_mul(v_inv, sy), v)
-    out_conn = FrameConnection(conn.grid, g_frame, -lam * sx, -lam * sy, sx, sy, conn.p0)
+    out_conn = FrameConnection(conn.grid, g_frame, (-lam * sx, -lam * sy), (sx, sy), conn.p0)
     vals, ok = affine_chart(homog)
     surface = PolarizedSurface(package_grid.QField(conn.grid.merge_mask(ok), vals),
                                polarization, provenance)

@@ -1,12 +1,13 @@
 """The canonical frame family, kept as its parts, against the dense body it
 replaced (tests/reference_march.py).
 
-canonical_connection stores f, df and dCf and computes frame0, const_*,
-slope_* and phi(lam) on each read; the family a spectral transform returns
-stores its frame and phi(lam) and reads its slopes from the family it came
-from.  Every field must equal the dense family's bytes, at the spectral
-parameters a march or a transform uses, -0.0 included, and so must the
-curvature polynomial.  The permutability suite, which frees each field after
+canonical_connection stores f, df and dCf and computes its frame and phi(lam)
+on each read; its slopes are the upper-right entries dCf.  The family a
+spectral transform returns stores its frame, phi(lam) as its constant part and
+the slopes of the family it came from.  Frames, slopes (expanded to dense) and
+phi(lam) must equal the dense family's bytes, at the spectral parameters a
+march or a transform uses, -0.0 included, and so must the curvature
+polynomial.  The permutability suite, which frees each field after
 its last reader, must peak at no more than 11 fields, against 33 before.
 """
 
@@ -52,9 +53,8 @@ def test_spectral_family_equals_the_dense_reference(canonical_inputs, canonical_
     phi_x, phi_y = base.phi(mu)
     frame = integrate_frame(phi_x, phi_y, base.grid, qm2_identity(), base.p0,
                             curvature_norm=base.curvature_norm(mu))
-    want = FrameConnection(base.grid, qm2_mul(base.frame0_at_p0(), frame.values), phi_x,
-                           phi_y, base.slope_x, base.slope_y, base.p0,
-                           base.shifted_curvature(mu))
+    want = FrameConnection(base.grid, qm2_mul(base.frame0_at_p0(), frame.values),
+                           (phi_x, phi_y), base.slopes, base.p0, base.shifted_curvature(mu))
     got = t_transform_via_connection(canonical_families[name], mu)
     assert got.frame.values.tobytes() == frame.values.tobytes()
     assert_same_family(got.connection, want)
@@ -65,8 +65,8 @@ def test_nans_in_the_parts_read_as_in_the_dense_fields(canonical_inputs):
     the dense const + lam * slope gives it, as do the zeros around it."""
     got = canonical_connection(*canonical_inputs["example"])
     want = ref.canonical_connection(*canonical_inputs["example"])
-    got._df[1][5, 7, 3] = want.const_y[5, 7, 1, 0, 3] = np.nan
-    got._dcf[0][9, 2, 1] = want.slope_x[9, 2, 0, 1, 1] = -np.nan
+    got._df[1][5, 7, 3] = want.const[1][5, 7, 1, 0, 3] = np.nan
+    got.slopes[0][9, 2, 1] = want.slopes[0][9, 2, 0, 1, 1] = -np.nan
     for lam in LAMS:
         for a, b in zip(got.phi(lam), want.phi(lam)):
             assert a.tobytes() == b.tobytes(), lam

@@ -1,13 +1,16 @@
 """The Darboux chain, one blocked pass on pair planes, against the dense body
-it replaced (tests/reference_march.darboux_chain).
+it replaced (tests/reference_march.darboux_chain), and the read protocol
+every frame family shares.
 
 darboux_via_connection(chain=True) forms Y^-1, the Darboux point and the
-slopes V^-1 ((Y S) Y^-1) V of its output family per block of grid rows, and
-the family stores only those slopes: const = -lam * slope, phi(mu) and
-frame0 = (frame0 Y^-1) V are computed on each read.  For a parent whose
-slope is upper(a) it takes 6 of the 16 products of (Y S) Y^-1, skipping
-products with zeros, so a zero of the slopes may differ from the dense
-body's in sign: the slopes and constants are compared by == with the same
+slopes V^-1 ((Y S) Y^-1) V of its output family per block of grid rows,
+reading the parent's frame(rows) and slopes, and the family stores only
+those slopes: phi(mu) = -lam * slope + mu * slope and the frame (F Y^-1) V
+of the parent's frame F are computed on each read.  For a parent whose
+slopes are upper-right entries (every family but a Darboux family's own and
+its spectral transforms) it takes 6 of the 16 products of (Y S) Y^-1,
+skipping products with zeros, so a zero of the slopes may differ from the
+dense body's in sign: the slopes and phi are compared by == with the same
 NaN positions, everything else byte for byte (phi at P3's parameter
 0.4 * lam, where the two signs of a zero slope give one bit pattern).
 """
@@ -24,10 +27,12 @@ from isothermic import (
     SingularMatrix,
     canonical_connection,
     darboux_via_connection,
+    family_ribaucour_connection,
     integrate_frame,
     t_transform_via_connection,
 )
 from isothermic import oracles as oc
+from isothermic.cmc import _sign_continuity
 from isothermic.quaternion import qm2_identity
 from isothermic.transforms import frame_connection_from_field
 
@@ -67,10 +72,10 @@ def assert_same_chain(got, want, lam):
     assert a.p0 == b.p0 and a.curvature is None and b.curvature is None
     assert ([getattr(a.grid, k) for k in GRID_FIELDS]
             == [getattr(b.grid, k) for k in GRID_FIELDS])
-    _same(a.frame0, b.frame0)
+    _same(a.frame(...), b.frame(...))
     _same(a.frame0_at_p0(), b.frame0_at_p0())
-    for name in ("slope_x", "slope_y", "const_x", "const_y"):
-        _same(getattr(a, name), getattr(b, name), exact=False)
+    for x, y in zip(a.slopes, b.slopes):
+        _same(x, y, exact=False)
     mu = 0.4 * lam
     for lam_read, exact in [(mu, True)] + [(m, False) for m in FAMILY_LAMS]:
         for x, y in zip(a.phi(lam_read), b.phi(lam_read)):
@@ -87,25 +92,56 @@ def example(canonical_inputs):
 @pytest.fixture(scope="module")
 def parents(example):
     """Parent families, each with its dense twin: the canonical family, the
-    spectral transform of it at 0.4, and the numeric family read off the
-    canonical frame (frame_connection_from_field, slopes stored dense)."""
+    spectral transform of it at 0.4, the numeric family read off the
+    canonical frame (frame_connection_from_field) and the Ribaucour family of
+    the reference minimal family at 0.6 (the twin built by the dense body
+    from the public oracles)."""
     conn = canonical_connection(example)
     dense = ref.canonical_connection(example)
     frame = integrate_frame(*conn.phi(0.0), conn.grid, conn.frame0_at_p0(), conn.p0)
     numeric = frame_connection_from_field(example, frame)
+    grid, lam = example.grid, 0.6
+    zs, p0 = grid.zgrid(), grid.center_node()
+    u, dzu = oc.family_log_metric(zs, lam)
+    ribaucour = ref.ribaucour_from_parts(grid, oc.minimal_family(zs, lam),
+                                         _sign_continuity(oc.family_spin(zs, lam), p0),
+                                         u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
     return {"canonical": (conn, dense),
             "spectral": (t_transform_via_connection(conn, 0.4).connection,
                          t_transform_via_connection(dense, 0.4).connection),
-            "numeric": (numeric, numeric)}
+            "numeric": (numeric, numeric),
+            "ribaucour": (family_ribaucour_connection(grid, lam), ribaucour)}
 
 
 @pytest.mark.parametrize("w0", sorted(W0S))
 @pytest.mark.parametrize("lam", LAMS)
-@pytest.mark.parametrize("parent", ["canonical", "spectral", "numeric"])
+@pytest.mark.parametrize("parent", ["canonical", "spectral", "numeric", "ribaucour"])
 def test_chain_equals_the_dense_body(parents, parent, lam, w0):
     conn, dense = parents[parent]
     assert_same_chain(darboux_via_connection(conn, lam, W0S[w0], chain=True),
                       ref.darboux_chain(dense, lam, W0S[w0]), lam)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "ribaucour", "numeric", "spectral", "darboux",
+                                  "darboux-spectral"])
+def test_every_family_reads_through_one_protocol(parents, kind):
+    """frame(rows) is frame(...)[rows] and frame0_at_p0() is frame(...)[p0],
+    byte for byte; the slopes are upper-right entries (ny, nx, 4) for every
+    kind but a Darboux family and its spectral transforms, which hold them
+    dense; a family that stores parts prints without its stored fields."""
+    conn = parents.get(kind, parents["canonical"])[0]
+    if kind.startswith("darboux"):
+        conn = darboux_via_connection(conn, 1.3, W0S["e2"], chain=True).connection
+    if kind == "darboux-spectral":
+        conn = t_transform_via_connection(conn, 0.4).connection
+    whole = conn.frame(...)
+    assert whole.shape == (65, 65, 2, 2, 4)
+    for rows in (slice(0, 5), slice(20, 37), slice(60, 65)):
+        _same(conn.frame(rows), whole[rows])
+    _same(conn.frame0_at_p0(), whole[conn.p0])
+    dense = kind.startswith("darboux")
+    assert [s.shape for s in conn.slopes] == [whole.shape if dense else (65, 65, 4)] * 2
+    assert type(conn).__name__ in repr(conn)
 
 
 @pytest.mark.parametrize("lam", [0.8, -0.6])
@@ -129,20 +165,20 @@ def test_supplied_frame_is_used_and_phi_not_built(parents, monkeypatch):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_nan_in_the_parent_dual_form(example, sign):
-    """A NaN of either sign in the parent's dCf reaches the slopes, the
-    constants and phi at the nodes where the dense body puts it; the frame Y
+    """A NaN of either sign in the parent's dCf reaches the slopes and phi at
+    the nodes where the dense body puts it; the frame Y
     is marched before it is planted, so it stays finite."""
     got = canonical_connection(example)
     want = ref.canonical_connection(example)
     frame = _frame(got, 0.8)
-    got._dcf[0][9, 2, 1] = want.slope_x[9, 2, 0, 1, 1] = sign * np.nan
-    got._dcf[1][40, 50, 3] = want.slope_y[40, 50, 0, 1, 3] = sign * np.nan
+    got.slopes[0][9, 2, 1] = want.slopes[0][9, 2, 0, 1, 1] = sign * np.nan
+    got.slopes[1][40, 50, 3] = want.slopes[1][40, 50, 0, 1, 3] = sign * np.nan
     a = darboux_via_connection(got, 0.8, W0S["e2"], chain=True, frame=frame)
     b = ref.darboux_chain(want, 0.8, W0S["e2"], frame=frame)
     _same(a.surface.f.values, b.surface.f.values)
-    assert np.isnan(a.connection.slope_x[9, 2]).any()
-    for name in ("slope_x", "slope_y", "const_x", "const_y"):
-        _same(getattr(a.connection, name), getattr(b.connection, name), exact=False)
+    assert np.isnan(a.connection.slopes[0][9, 2]).any()
+    for x, y in zip(a.connection.slopes, b.connection.slopes):
+        _same(x, y, exact=False)
     for lam in (0.32,) + FAMILY_LAMS:
         for x, y in zip(a.connection.phi(lam), b.connection.phi(lam)):
             _same(x, y, exact=False)
@@ -201,6 +237,6 @@ def test_chain_memory():
         held, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert out.connection.slope_x.shape == frame.values.shape
+    assert out.connection.slopes[0].shape == frame.values.shape
     assert peak <= 6 * dense
     assert held <= 2.5 * dense

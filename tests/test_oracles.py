@@ -108,7 +108,7 @@ def test_series_limits_match_small_lambda():
     for _ in range(50):
         z = complex(RNG.uniform(-1, 1), RNG.uniform(-1, 1))
         lam = 1.05e-4 / max(abs(z * z), 1e-6)
-        for fn in (oc.cosh_sl, oc.sinhc_sl, oc.tanhc_sl, oc.sinh2c_sl, oc.cosh2m1_over_lam):
+        for fn in (oc.cosh_sl, oc.sinhc_sl, oc.tanhc_sl, oc.sinh2c_sl):
             a = fn(z, lam * 0.999999)
             b = fn(z, lam * 1.000001)
             assert abs(a - b) < 1e-8 * max(1.0, abs(a))

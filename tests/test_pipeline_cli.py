@@ -500,6 +500,28 @@ def test_cli_permutability_names_the_failing_p2_certificate(tmp_path, capsys, n,
             captured.out)
 
 
+@pytest.mark.parametrize("verify", [{"isothermic": True}, {"permutability": True},
+                                    {"permutability": True, "isothermic": True}],
+                         ids=["isothermic", "permutability", "both"])
+def test_cli_permutability_reports_a_missed_input_certificate(tmp_path, capsys, verify):
+    """Two Darboux transforms of the example at grid_n 17 miss the input
+    certificate: with the permutability suite configured too, that is the
+    same failed check (exit 1) as with the isothermic check alone, one
+    failing isothermic_certificate line, not a numerical failure (exit 3)."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(BASE_CONFIG, grid_n=17,
+                                 generator={"kind": "example", "lambda": 0.8},
+                                 transforms=[{"op": "darboux", "lambda": 0.5}] * 2,
+                                 verify=verify, export={"report": "report.json"})))
+    out = tmp_path / "out"
+    assert cli_main(["verify", "--config", str(p), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL  isothermic_certificate: residual 8.309e-04 (tol 1.0e-04)" in captured.out
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("isothermic_certificate", False)]
+
+
 @pytest.mark.parametrize("n", [5, 7])
 @pytest.mark.parametrize("verify", [{"permutability": True}, {"isothermic": True}],
                          ids=["permutability", "isothermic"])

@@ -2,13 +2,13 @@
 it replaced (tests/reference_march.py).
 
 family_ribaucour_connection and ribaucour_connection store f, the spin field,
-e^u, e^-u, u_x and u_y, and compute frame0, const_*, slope_* and phi(lam) on
-each read.  Every one of them must equal the dense family's bytes, at the
-spectral parameters a march or a transform uses, -0.0 included; the stored
-parts must take less memory than one dense field, and phi(lam) no more than
-its two outputs and one (ny, nx) temporary.  Criterion 9 hands the family to
-t_transform_gauged, which must give the same bytes as for a plain
-FrameConnection holding the family's fields.
+e^u, e^-u, u_x and u_y, and compute their frame, their slopes (upper-right
+entries) and phi(lam) on each read.  Every one of them must equal the dense
+family's bytes, at the spectral parameters a march or a transform uses, -0.0
+included; the stored parts must take less memory than one dense field, and
+phi(lam) no more than its two outputs and one (ny, nx) temporary.  Criterion
+9 hands the family to t_transform_gauged, which must give the same bytes as
+for the dense family.
 """
 
 import tracemalloc
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from isothermic import (
-    FrameConnection,
     GridSpec,
     WeierstrassData,
     family_ribaucour_connection,
@@ -30,7 +29,6 @@ from isothermic import oracles as oc
 from isothermic.cmc import _sign_continuity
 
 import reference_march as ref
-from conftest import FAMILY_FIELDS as FIELDS
 from conftest import assert_same_family
 
 
@@ -49,8 +47,8 @@ def test_family_connection_equals_the_public_oracles(grid65, lam):
     assert_same_family(conn, want)
 
 
-def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch):
-    """ribaucour_connection's family equals the dense reference family
+def _with_dense_twin(monkeypatch, surface, p0=None):
+    """ribaucour_connection(surface, p0), and the dense reference family
     assembled from the very parts it was given."""
     parts = []
     family = cmc._RibaucourFamily
@@ -59,14 +57,19 @@ def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch)
         parts.append(args)
         return family(*args)
 
-    monkeypatch.setattr(cmc, "_RibaucourFamily", record)
-    conn = ribaucour_connection(catenoid129)
+    with monkeypatch.context() as mp:
+        mp.setattr(cmc, "_RibaucourFamily", record)
+        conn = ribaucour_connection(surface, p0)
     (args,) = parts
-    want = ref.ribaucour_from_parts(*args)
+    return conn, ref.ribaucour_from_parts(*args)
+
+
+def test_numeric_connection_equals_the_dense_reference(catenoid129, monkeypatch):
+    conn, want = _with_dense_twin(monkeypatch, catenoid129)
     assert conn.grid is want.grid
     assert_same_family(conn, want)
     # -0.5 u_y is -0.0 where u_y is +0.0, which phi(0) turns into +0.0
-    assert conn.const_x.tobytes() != conn.phi(0.0)[0].tobytes()
+    assert want.const[0].tobytes() != conn.phi(0.0)[0].tobytes()
 
 
 def test_family_memory():
@@ -87,29 +90,27 @@ def test_family_memory():
         tracemalloc.stop()
 
 
-def test_gauged_transform_takes_the_family_as_a_stored_connection(grid65):
+def test_gauged_transform_takes_the_family_as_its_dense_twin(grid65, monkeypatch):
     lam = 0.5
     data = WeierstrassData.sample(grid65, lambda z: oc.family_g(z, lam),
                                   lambda z: oc.family_w(z, lam),
                                   lambda z: oc.family_dg(z, lam))
     minimal = weierstrass_minimal(data)
-    conn = ribaucour_connection(minimal, grid65.center_node())
-    stored = FrameConnection(conn.grid, *(getattr(conn, name) for name in FIELDS), conn.p0)
+    conn, stored = _with_dense_twin(monkeypatch, minimal, grid65.center_node())
     got = t_transform_gauged(minimal, -lam, conn)
     want = t_transform_gauged(minimal, -lam, stored)
     assert got.surface.f.values.tobytes() == want.surface.f.values.tobytes()
     assert np.array_equal(got.surface.grid.valid(), want.surface.grid.valid())
     assert got.frame.values.tobytes() == want.frame.values.tobytes()
-    for name in FIELDS:
-        assert (getattr(got.connection, name).tobytes()
-                == getattr(want.connection, name).tobytes()), name
+    assert_same_family(got.connection, want.connection)
 
 
-def test_gauged_transform_keeps_no_slope_of_the_family():
-    """The family a spectral transform returns reads the Ribaucour family's
-    slopes when they are needed: the result holds its frame, the frame moved
-    to the surface and phi(lam), four dense fields and the surface (six, and
-    13.3 MB at n = 129, when it stored the two slopes)."""
+def test_gauged_transform_keeps_the_slopes_as_upper_entries():
+    """The family a spectral transform returns keeps the Ribaucour family's
+    slopes as their upper-right entries: the result holds its frame, the
+    frame moved to the surface and phi(lam), four dense fields, and the two
+    slope entries and the surface, three quarter fields (six dense fields,
+    13.3 MB at n = 129, when it stored the two slopes dense)."""
     n, lam = 129, 0.5
     dense = n * n * 2 * 2 * 4 * 8
     grid = GridSpec.square(1.0, n)
@@ -125,5 +126,6 @@ def test_gauged_transform_keeps_no_slope_of_the_family():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held <= 4 * dense + dense // 2
-    assert result.connection.slope_x.tobytes() == conn.slope_x.tobytes()
+    assert held <= 5 * dense
+    for got, want in zip(result.connection.slopes, conn.slopes):
+        assert got.shape == (n, n, 4) and got.tobytes() == want.tobytes()
