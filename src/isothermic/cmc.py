@@ -778,7 +778,7 @@ def umehara_yamada_check(minimal: PolarizedSurface, lam: float) -> IsometryRepor
     and II_lam = II_0 - 2 lam I_0 nodewise.
     """
     try:
-        conn = ribaucour_connection(minimal, minimal.grid.center_node())
+        conn = ribaucour_connection(minimal)
     except PatternMismatch as exc:
         raise FrameUnavailable(f"no structured frame for this surface: {exc}") from None
     grid = conn.grid

@@ -150,19 +150,25 @@ class FrameConnection:
     the upper-right entries (ny, nx, 4) where every other slope entry is 0,
     else the dense (ny, nx, 2, 2, 4) slopes.  frame(...) projects to the
     underlying surface in the chart v1 v2^-1.  This class stores the frame, the
-    constant parts const = (x, y) and the slopes; the canonical, Ribaucour and
-    Darboux families store parts and compute frame and phi on each read.  A
-    family whose Maurer-Cartan curvature is known in closed form carries it as
-    curvature = (n0, n1, shift): (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2
-    = n0 + (shift + lam)^2 n1 at every node (see canonical_connection).
+    constant parts const = (x, y) and the slopes, or the family whose slopes it
+    reads on demand; the canonical, Ribaucour and Darboux families store parts
+    and compute frame and phi on each read.  A family whose Maurer-Cartan
+    curvature is known in closed form carries it as curvature = (n0, n1, shift):
+    (ny, nx) fields with |d phi(lam) + phi(lam)^phi(lam)|^2 = n0 + (shift + lam)^2 n1
+    at every node (see canonical_connection).
     """
 
     grid: GridSpec
     frame0: np.ndarray  # (ny, nx, 2, 2, 4)
     const: tuple
-    slopes: tuple
+    _slopes: tuple | FrameConnection  # (s_x, s_y), or the family that computes them on read
     p0: tuple
     curvature: tuple | None = None
+
+    @property
+    def slopes(self):
+        s = self._slopes
+        return s if isinstance(s, tuple) else s.slopes
 
     def frame(self, index):
         return self.frame0[index]
@@ -198,7 +204,7 @@ class _CanonicalFamily(FrameConnection):
 
     def __init__(self, grid, fvals, df, cform, p0, curvature):
         self.grid, self.p0, self.curvature = grid, p0, curvature
-        self._f, self._df, self.slopes = fvals, (df.px, df.py), (cform.px, cform.py)
+        self._f, self._df, self._slopes = fvals, (df.px, df.py), (cform.px, cform.py)
 
     def frame(self, index):
         f = self._f[index]
@@ -279,8 +285,9 @@ def t_transform_via_connection(
     surf_vals, ok1 = affine_chart(composed[..., :, 0, :])
     grid1 = conn.grid.merge_mask(ok1)
     surface = PolarizedSurface(QField(grid1, surf_vals), polarization, provenance)
-    out_conn = FrameConnection(conn.grid, composed, (phi_x, phi_y), conn.slopes, conn.p0,
-                               conn.shifted_curvature(lam))
+    # share stored slopes; read a family's computed slopes (Ribaucour) from it on demand
+    out_conn = FrameConnection(conn.grid, composed, (phi_x, phi_y), getattr(conn, "_slopes", conn),
+                               conn.p0, conn.shifted_curvature(lam))
     return TTransformResult(surface, frame_id, out_conn)
 
 
@@ -394,7 +401,7 @@ class _DarbouxFamily(FrameConnection):
     frame (parent frame Y^-1) V on read."""
 
     def __init__(self, parent, y, v, lam, sx, sy):
-        self.grid, self.p0, self.slopes = parent.grid, parent.p0, (sx, sy)
+        self.grid, self.p0, self._slopes = parent.grid, parent.p0, (sx, sy)
         self._parent, self._y, self._v, self._lam = parent, y, v, lam
 
     def frame(self, index):

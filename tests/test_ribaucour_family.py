@@ -105,12 +105,11 @@ def test_gauged_transform_takes_the_family_as_its_dense_twin(grid65, monkeypatch
     assert_same_family(got.connection, want.connection)
 
 
-def test_gauged_transform_keeps_the_slopes_as_upper_entries():
-    """The family a spectral transform returns keeps the Ribaucour family's
-    slopes as their upper-right entries: the result holds its frame, the
-    frame moved to the surface and phi(lam), four dense fields, and the two
-    slope entries and the surface, three quarter fields (six dense fields,
-    13.3 MB at n = 129, when it stored the two slopes dense)."""
+def test_gauged_transform_keeps_no_slope_of_the_family():
+    """The family a spectral transform returns reads the Ribaucour family's
+    slopes when they are needed: the result holds its frame, the frame moved
+    to the surface and phi(lam), four dense fields and the surface (six, and
+    13.3 MB at n = 129, when it stored the two slopes)."""
     n, lam = 129, 0.5
     dense = n * n * 2 * 2 * 4 * 8
     grid = GridSpec.square(1.0, n)
@@ -126,6 +125,6 @@ def test_gauged_transform_keeps_the_slopes_as_upper_entries():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert held <= 5 * dense
+    assert held <= 4 * dense + dense // 2
     for got, want in zip(result.connection.slopes, conn.slopes):
         assert got.shape == (n, n, 4) and got.tobytes() == want.tobytes()
