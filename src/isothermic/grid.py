@@ -355,11 +355,10 @@ def dilate_invalid(valid, rings=1):
     return out
 
 
-def _exterior_derivative(f: QField, stencil) -> QForm1:
-    """The 1-form of stencil along x and y; on a masked grid, valid where
-    every node its rows read is valid."""
-    grid = f.grid
-    px, py = (_along(stencil, f.values, grid.h, axis, None) for axis in (1, 0))
+def _exterior_derivative(grid: GridSpec, stencil, parts) -> QForm1:
+    """The 1-form of parts = (px, py), a 0-form's stencil derivatives along x
+    and y; on a masked grid, valid where every node its rows read is valid."""
+    px, py = parts
     if not grid.all_valid():
         valid = dilate_invalid(grid.valid(), rings=stencil.before)
         if not valid.any():
@@ -370,7 +369,7 @@ def _exterior_derivative(f: QField, stencil) -> QForm1:
 
 def d_field(f: QField) -> QForm1:
     """Exterior derivative of a 0-form: central differences, exact on linears."""
-    return _exterior_derivative(f, _D1)
+    return _exterior_derivative(f.grid, _D1, [diff_axis(f.values, f.grid.h, a) for a in (1, 0)])
 
 
 def d_field_hi(f: QField) -> QForm1:
@@ -380,7 +379,7 @@ def d_field_hi(f: QField) -> QForm1:
     RK4 transforms need the extra accuracy to keep cross-ratio level
     comparisons near the integrator floor at desk-scale grids.
     """
-    return _exterior_derivative(f, _D1_4)
+    return _exterior_derivative(f.grid, _D1_4, [diff_axis4(f.values, f.grid.h, a) for a in (1, 0)])
 
 
 def wedge(alpha: QForm1, beta: QForm1) -> QField:

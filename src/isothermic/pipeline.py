@@ -311,8 +311,11 @@ def make_surface(config: PipelineConfig):
         fld, doc = load_field(gen["path"])
         _require_keys(doc, {"grid", "values", "polarization", "lambda", "provenance",
                             "model", "route"}, f"surface file {gen['path']}")
-        surface = PolarizedSurface(fld, doc.get("polarization", "dz2"),
-                                   tuple(doc.get("provenance", ())))
+        try:  # a polarization or provenance the surface rejects is the file's error
+            surface = PolarizedSurface(fld, doc.get("polarization", "dz2"),
+                                       tuple(doc.get("provenance", ())))
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"surface file {gen['path']}: {exc}") from None
     else:
         if gen["data"] == "plane":
             data = _plane_weierstrass(grid)

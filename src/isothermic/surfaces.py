@@ -10,13 +10,17 @@ duals flip the stored conjugation flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateTangent, MaskedNeighbor
 from .grid import (
+    _D1_4,
     GridSpec,
     QField,
+    QForm1,
+    _exterior_derivative,
     diff_axis4,
     dilate_invalid,
 )
@@ -55,6 +59,21 @@ class PolarizedSurface:
         prov = self.provenance + ((step,) if step else ())
         return PolarizedSurface(QField(grid, values), pol, prov)
 
+    @cached_property
+    def derivatives(self):
+        """(f_x, f_y, overflow): the immersion's fourth-order derivatives
+        (diff_axis4), taken once per surface and kept read-only, and whether
+        taking them overflowed."""
+        flags = []
+        with np.errstate(over="call", invalid="call", call=lambda *err: flags.append(err)):
+            fx, fy = (diff_axis4(self.f.values, self.grid.h, axis) for axis in (1, 0))
+        fx.flags.writeable = fy.flags.writeable = False
+        return fx, fy, bool(flags)
+
+    def d_field_hi(self) -> QForm1:
+        """d_field_hi(self.f), read from the kept derivatives."""
+        return _exterior_derivative(self.grid, _D1_4, self.derivatives[:2])
+
 
 @dataclass
 class SurfaceJets:
@@ -76,6 +95,8 @@ def surface_jets(surface: PolarizedSurface) -> SurfaceJets:
     Uses fourth-order stencils: curvature-level quantities (certificates,
     curvature oracles) need the extra accuracy at desk-scale grids, while
     the pipeline's own exterior derivative stays the second-order d_field.
+    fx and fy are the surface's kept, read-only derivatives; the second
+    derivatives are taken from them on each call.
 
     The normal is cross(f_x, f_y)/|..| under Im H = R^3, which matches the
     complex structure df(J dx) = n df(dx) for the ij = k convention.
@@ -83,25 +104,45 @@ def surface_jets(surface: PolarizedSurface) -> SurfaceJets:
     """
     grid = surface.grid
     h = grid.h
-    v = surface.f.values
+    fx, fy, overflow = surface.derivatives
     try:
         with np.errstate(over="raise", invalid="raise"):
-            fx = diff_axis4(v, h, axis=1)
-            fy = diff_axis4(v, h, axis=0)
+            if overflow:
+                raise FloatingPointError
             fxx = diff_axis4(fx, h, axis=1)
             fxy = diff_axis4(fx, h, axis=0)
             fyy = diff_axis4(fy, h, axis=0)
-            cr = cross3(fx, fy)
-            n2 = qnorm(cr)
-            eps = EPS_IMMERSION
-            ok = (n2 > eps * eps) & (qnorm(fx) > eps) & (qnorm(fy) > eps)
+            normal, ok = _unit_normal(fx, fy)
     except FloatingPointError:
         raise DegenerateTangent(f"immersion derivatives overflow at grid spacing {h:.3e}") from None
     if not ok.any():
         raise DegenerateTangent("immersion degenerate everywhere")
-    normal = cr / np.where(ok, n2, 1.0)[..., None]
     valid = dilate_invalid(grid.valid() & ok, rings=1)
     return SurfaceJets(grid, fx, fy, fxx, fxy, fyy, normal, valid)
+
+
+def _unit_normal(fx, fy):
+    """(n, ok): n = cross(f_x, f_y)/|..| where the tangents do not degenerate
+    (ok), the bare cross product elsewhere."""
+    cr = cross3(fx, fy)
+    n2 = qnorm(cr)
+    eps = EPS_IMMERSION
+    ok = (n2 > eps * eps) & (qnorm(fx) > eps) & (qnorm(fy) > eps)
+    return cr / np.where(ok, n2, 1.0)[..., None], ok
+
+
+def normal_at(surface: PolarizedSurface, node):
+    """normal_field(surface)'s value at node.  Where no step of surface_jets
+    can overflow (every derivative entry at most 1e76 and 1e305 h in size)
+    and the node's tangents do not degenerate, it is read from the node's two
+    kept derivative samples; elsewhere from normal_field, with its errors."""
+    fx, fy, overflow = surface.derivatives
+    size = max(np.abs(fx).max(), np.abs(fy).max())
+    if not overflow and size <= min(1e76, 1e305 * surface.grid.h):
+        normal, ok = _unit_normal(fx[node[0], node[1]], fy[node[0], node[1]])
+        if ok:
+            return normal
+    return normal_field(surface).values[node[0], node[1]]
 
 
 def normal_field(surface: PolarizedSurface) -> QField:

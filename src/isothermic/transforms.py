@@ -34,7 +34,6 @@ from .grid import (
     QForm1,
     _row_planes,
     curl,
-    d_field_hi,
     integrate_form,
     integrate_frame,
     integrate_left_vector,
@@ -61,7 +60,7 @@ from .surfaces import (
     TAU_ISOTHERMIC,
     PolarizedSurface,
     isothermic_certificate,
-    normal_field,
+    normal_at,
 )
 
 EPS_ESCAPE = 1e-9
@@ -80,9 +79,9 @@ V0 = ((1.0, 0.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0))
 # Christoffel and Goursat
 # ---------------------------------------------------------------------------
 
-def christoffel_form(surface: PolarizedSurface, df: QForm1 | None = None) -> QForm1:
+def christoffel_form(surface: PolarizedSurface) -> QForm1:
     """The dual 1-form f_x^-1 dx - f_y^-1 dy (before integration)."""
-    df = df or d_field_hi(surface.f)
+    df = surface.d_field_hi()
     inv_x, ok_x = qinv_masked(df.px)
     inv_y, ok_y = qinv_masked(df.py)
     grid = df.grid.merge_mask(ok_x & ok_y)
@@ -127,7 +126,7 @@ def goursat(surface: PolarizedSurface, m, p0=None) -> PolarizedSurface:
     """
     p0 = p0 or surface.grid.center_node()
     cf = christoffel(surface, p0)
-    df = d_field_hi(surface.f)
+    df = surface.d_field_hi()
     factor = cf.f.values - np.asarray(m, dtype=float)
     px = -qmul(factor, qmul(df.px, factor))
     py = -qmul(factor, qmul(df.py, factor))
@@ -235,10 +234,10 @@ def canonical_connection(
     """
     grid = surface.grid
     p0 = p0 or grid.center_node()
-    df = d_field_hi(surface.f)
+    df = surface.d_field_hi()
     if cform is None:
         _certify_isothermic(surface)
-        cform = christoffel_form(surface, df)
+        cform = christoffel_form(surface)
     grid = grid.merge_mask(df.grid.valid() & cform.grid.valid())
     with np.errstate(all="ignore"):
         n0 = qnormsq(curl(df))
@@ -466,11 +465,10 @@ def darboux_riccati(
     """
     grid = surface.grid
     p0 = p0 or grid.center_node()
-    df = d_field_hi(surface.f)
-    if cform is None:
-        cform = christoffel_form(surface, df)
+    df = surface.d_field_hi()
+    cform = christoffel_form(surface) if cform is None else cform
     if d0 is None:
-        d0 = surface.f.value_at(p0) + normal_field(surface).values[p0[0], p0[1]]
+        d0 = surface.f.value_at(p0) + normal_at(surface, p0)
     delta0 = np.asarray(d0, dtype=float) - surface.f.value_at(p0)
     if qnorm(delta0) < EPS_ON_SURFACE:
         raise SingularityHit("initial point lies on the surface", node=p0)
@@ -490,29 +488,24 @@ def darboux_riccati(
 # ---------------------------------------------------------------------------
 
 def sample_quadruples(grid: GridSpec, n_quads, seed=0, extra_valid=None):
-    """Seeded node quadruples, pairwise a fifth of the grid apart (at least
-    2 nodes), inside the valid set."""
+    """Seeded node quadruples (n_quads, 4, 2), pairwise a fifth of the grid
+    apart (at least 2 nodes), inside the valid set: the first n_quads
+    separated ones of up to 200 n_quads candidates, drawn 10 n_quads at a
+    time (the stream of one draw of 4 per candidate)."""
     valid = grid.valid() if extra_valid is None else (grid.valid() & extra_valid)
     nodes = np.argwhere(valid)
     if len(nodes) < 16:
         raise DegenerateQuadruple("not enough valid nodes to sample")
     min_sep = max(2, min(grid.nx, grid.ny) // 5)
-    rng = np.random.default_rng(seed)
-    quads = []
-    attempts = 0
-    while len(quads) < n_quads and attempts < 200 * n_quads:
-        attempts += 1
-        pick = nodes[rng.integers(0, len(nodes), size=4)]
-        ok = all(
-            np.abs(pick[a] - pick[b]).max() >= min_sep
-            for a in range(4)
-            for b in range(a + 1, 4)
-        )
-        if ok:
-            quads.append([tuple(p) for p in pick])
-    if len(quads) < n_quads:
-        raise DegenerateQuadruple("could not sample separated quadruples")
-    return quads
+    rng, (i, j) = np.random.default_rng(seed), np.triu_indices(4, 1)
+    found = []
+    for _ in range(20):
+        pick = nodes[rng.integers(0, len(nodes), size=(10 * n_quads, 4))]
+        far = np.abs(pick[:, i] - pick[:, j]) >= min_sep  # (candidate, pair, axis)
+        found.append(pick[(far[..., 0] | far[..., 1]).all(axis=1)])
+        if sum(map(len, found)) >= n_quads:
+            return np.concatenate(found)[:n_quads]
+    raise DegenerateQuadruple("could not sample separated quadruples")
 
 
 #: the six orders of a quadruple's points that fix its first point
@@ -533,8 +526,10 @@ def moebius_equivalent(
     orders on a, the one with |log |r|| least, and b is read in that same
     order (Moebius equivalence in one order implies it in all six).  Returns
     (equivalent, residual): residual is the largest absolute discrepancy in
-    (Re r, |r|) over the sampled quadruples.  Sampling gives up after 40
-    degenerate quadruples.
+    (Re r, |r|) over the sampled quadruples (Python's max from 0.0, which
+    passes over a NaN).  A batch of quadruples takes one cross-ratio call per
+    surface; one degenerate on either surface is a retry, the quadruples
+    still missing are drawn at seed + 101, and sampling gives up after 40.
     """
     fa = a.f if isinstance(a, PolarizedSurface) else a
     fb = b.f if isinstance(b, PolarizedSurface) else b
@@ -547,17 +542,16 @@ def moebius_equivalent(
     seed_k = seed
     while done < n_quads and retries > 0:
         quads = sample_quadruples(fa.grid, n_quads - done, seed_k, extra_valid=common)
-        for quad in quads:
-            nodes = tuple(np.array(quad)[_ORDERS].T)  # (iy, ix), each (4, 6)
-            try:
-                ra, na = cross_ratio_class_array(*fa.values[nodes])
-                rb, nb = cross_ratio_class_array(*fb.values[nodes])
-            except DegenerateQuadruple:
-                retries -= 1
-                continue
-            k = np.argmin(np.abs(np.log(na)))
-            residual = max(residual, float(abs(ra[k] - rb[k])), float(abs(na[k] - nb[k])))
-            done += 1
+        nodes = tuple(quads[:, _ORDERS].transpose(3, 2, 0, 1))  # (iy, ix): (point, quad, order)
+        ra, na, bad_a = cross_ratio_class_array(*fa.values[nodes], masked=True)
+        rb, nb, bad_b = cross_ratio_class_array(*fb.values[nodes], masked=True)
+        good = ~(bad_a | bad_b).any(axis=1)
+        ra, na, rb, nb = (x[good] for x in (ra, na, rb, nb))
+        k = np.arange(len(na)), np.argmin(np.abs(np.log(na)), axis=1)
+        gaps = np.abs(np.stack([ra[k] - rb[k], na[k] - nb[k]], axis=1))
+        residual = max([residual, *gaps.ravel().tolist()])
+        retries -= len(good) - len(na)
+        done += len(na)
         seed_k += 101
     if done < n_quads:
         raise DegenerateQuadruple("quadruple sampling exhausted retries")

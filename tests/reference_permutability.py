@@ -10,21 +10,29 @@ input surface at the end and one of P2's Darboux transform, whose
 residuals the report now carries, and for P3's Darboux chain, which runs the
 dense body of ``darboux_via_connection(chain=True)`` kept in
 tests/reference_march.py.
+
+It also keeps the Moebius check as it was before it took one cross-ratio
+call per surface and batch: ``sample_quadruples`` drawing one candidate per
+loop step, and ``moebius_equivalent`` looping over its quadruples with two
+raising cross-ratio calls each.  The reference suite runs its own
+``moebius_equivalent`` (tests/test_moebius_equivalence.py compares the two
+directly).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from isothermic.quaternion import qinv_masked, qnorm
+from isothermic.errors import DegenerateQuadruple
+from isothermic.quaternion import cross_ratio_class_array, qinv_masked, qnorm
 from isothermic.surfaces import PolarizedSurface, isothermic_certificate, normal_field
 from isothermic.transforms import (
+    _ORDERS,
     PermutabilityReport,
     canonical_connection,
     christoffel,
     darboux_riccati,
     darboux_via_connection,
-    moebius_equivalent,
     t_transform,
     t_transform_via_connection,
 )
@@ -99,3 +107,78 @@ def permutability_suite(
     _, iso = isothermic_certificate(surface)
     return PermutabilityReport(iso, p1, float(point_res), float(trans_res), p2_certificate,
                                p3, tau)
+
+
+def sample_quadruples(grid, n_quads, seed=0, extra_valid=None):
+    """Seeded node quadruples, pairwise a fifth of the grid apart (at least
+    2 nodes), inside the valid set."""
+    valid = grid.valid() if extra_valid is None else (grid.valid() & extra_valid)
+    nodes = np.argwhere(valid)
+    if len(nodes) < 16:
+        raise DegenerateQuadruple("not enough valid nodes to sample")
+    min_sep = max(2, min(grid.nx, grid.ny) // 5)
+    rng = np.random.default_rng(seed)
+    quads = []
+    attempts = 0
+    while len(quads) < n_quads and attempts < 200 * n_quads:
+        attempts += 1
+        pick = nodes[rng.integers(0, len(nodes), size=4)]
+        ok = all(
+            np.abs(pick[a] - pick[b]).max() >= min_sep
+            for a in range(4)
+            for b in range(a + 1, 4)
+        )
+        if ok:
+            quads.append([tuple(p) for p in pick])
+    if len(quads) < n_quads:
+        raise DegenerateQuadruple("could not sample separated quadruples")
+    return quads
+
+
+#: the six orders of a quadruple's points that fix its first point
+_ORDERS = np.array([(0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2),
+                    (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)])
+
+
+def moebius_equivalent(
+    a: PolarizedSurface | QField,
+    b: PolarizedSurface | QField,
+    n_quads=20,
+    seed=0,
+    tau=1e-5,
+):
+    """Compare cross-ratio classes of seeded node quadruples.
+
+    Each quadruple is compared in the best-conditioned of its six point
+    orders on a, the one with |log |r|| least, and b is read in that same
+    order (Moebius equivalence in one order implies it in all six).  Returns
+    (equivalent, residual): residual is the largest absolute discrepancy in
+    (Re r, |r|) over the sampled quadruples.  Sampling gives up after 40
+    degenerate quadruples.
+    """
+    fa = a.f if isinstance(a, PolarizedSurface) else a
+    fb = b.f if isinstance(b, PolarizedSurface) else b
+    if not fa.grid.same_geometry(fb.grid):
+        raise DegenerateQuadruple("surfaces live on different grids")
+    common = fa.grid.valid() & fb.grid.valid()
+    residual = 0.0
+    done = 0
+    retries = 40
+    seed_k = seed
+    while done < n_quads and retries > 0:
+        quads = sample_quadruples(fa.grid, n_quads - done, seed_k, extra_valid=common)
+        for quad in quads:
+            nodes = tuple(np.array(quad)[_ORDERS].T)  # (iy, ix), each (4, 6)
+            try:
+                ra, na = cross_ratio_class_array(*fa.values[nodes])
+                rb, nb = cross_ratio_class_array(*fb.values[nodes])
+            except DegenerateQuadruple:
+                retries -= 1
+                continue
+            k = np.argmin(np.abs(np.log(na)))
+            residual = max(residual, float(abs(ra[k] - rb[k])), float(abs(na[k] - nb[k])))
+            done += 1
+        seed_k += 101
+    if done < n_quads:
+        raise DegenerateQuadruple("quadruple sampling exhausted retries")
+    return residual <= tau, residual

@@ -22,6 +22,7 @@ from isothermic.pipeline import (
     GENERATOR_KINDS,
     MAX_GRID_N,
     REQUIRED,
+    TRANSFORM_OPS,
     PipelineConfig,
     run_pipeline,
 )
@@ -793,6 +794,49 @@ def test_cli_mean_curvature_on_a_masked_surface(tmp_path, capsys, valid):
     assert code == 3
     assert err.startswith("numerical failure: mean curvature: no valid interior node is left")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(polarization="dz"), "polarization must be 'dz2' or 'dzbar2'"),
+    (lambda doc: doc.update(provenance=5), "'int' object is not iterable"),
+], ids=["polarization", "provenance"])
+def test_cli_rejects_a_surface_file_the_surface_rejects(tmp_path, capsys, edit, message):
+    """A polarization or provenance that PolarizedSurface rejects is a
+    configuration error of the file (exit 2), not a traceback."""
+    code = cli_main(["verify", "--config", _surface_file(tmp_path, edit),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: surface file ") and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_constant_surface_is_degenerate_everywhere(tmp_path, capsys):
+    """A surface file whose values are one point: surface_jets finds no node
+    with independent tangents, a numerical failure."""
+    cfg = _surface_file(tmp_path, lambda doc: doc.update(values=[[0.0, 1.0, 2.0, 3.0]] * 289))
+    raw = json.loads(Path(cfg).read_text())
+    raw["verify"] = {"isothermic": True}
+    Path(cfg).write_text(json.dumps(raw))
+    code = cli_main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: immersion degenerate everywhere")
+
+
+@pytest.mark.parametrize("op", TRANSFORM_OPS)
+def test_cli_runs_every_transform_op(tmp_path, capsys, op):
+    """Each transform op on the example surface with its default parameters
+    runs to completion and writes its surface, as CI's smoke loop checks
+    (darboux from its default start point off the surface)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_n": 33, "generator": {"kind": "example"},
+                               "transforms": [{"op": op}], "export": {"surface": "surface.json"}}))
+    out = tmp_path / "out"
+    assert cli_main(["transform", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "surface.json").read_text())
+    assert len(doc["values"]) == 33 * 33 and op in " ".join(doc["provenance"])
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_family_overflow_names_node(tmp_path, capsys):

@@ -484,7 +484,7 @@ def _count_calls(monkeypatch):
                    "transforms.canonical_connection": 3, "transforms.t_transform": 2,
                    "quaternion.qm2_mul": 14}),
     ("shared", {"grid.integrate_frame": 4, "grid.maurer_cartan_residual": 1,
-                "surfaces.isothermic_certificate": 3, "surfaces.surface_jets": 4,
+                "surfaces.isothermic_certificate": 3, "surfaces.surface_jets": 3,
                 "transforms.canonical_connection": 2, "quaternion.qm2_mul": 6}),
 ])
 def test_permutability_suite_call_counts(suite, expected, plane65, monkeypatch):
@@ -579,6 +579,7 @@ def test_curvature_gate_falls_back_on_a_nan(grid33, coef):
     reads back in phi's constant entry [..., 1, 0, :]."""
     conn = canonical_connection(PolarizedSurface.sample(grid33, oc.f_plane, "dzbar2"))
     axis = ("const_x", "const_y").index(coef)
+    conn._df = tuple(part.copy() for part in conn._df)  # the surface keeps df read-only
     conn._df[axis][20, 11, 2] = np.nan
     phi_x, phi_y = conn.phi(0.7)
     assert np.isnan((phi_x, phi_y)[axis][20, 11, 1, 0, 2])
