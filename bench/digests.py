@@ -226,7 +226,7 @@ def group_cmc(iso):
 
 
 def _cli_files(name, configs):
-    """Run the CLI on each (command, config) of configs(out), out a scratch
+    """Run the CLI on each (command, config) of configs(out), out a temporary
     directory, and digest its exit code, its output and every file it wrote."""
     import contextlib
     import io
