@@ -434,27 +434,68 @@ def spherical_type_certificate(surface: PolarizedSurface):
 # ---------------------------------------------------------------------------
 
 def quat_from_rotation(r3):
-    """Unit quaternions of (..., 3, 3) rotation matrices (sign per node).
-
-    Shepperd's method: row k of the symmetric table 4 q q^T, divided by 4 q_k,
-    gives q wherever q_k is not small; the row of the largest of tr, m00,
-    m11 and m22 is taken, q_k = sqrt(1 + tr)/2, sqrt(1 + m00 - m11 - m22)/2
-    and so on.
-    """
+    """Unit quaternions of (..., 3, 3) rotation matrices (sign per node)."""
     m = np.asarray(r3, dtype=float)
-    d0, d1, d2 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    tr = d0 + d1 + d2
-    lead = (1.0 + tr, 1.0 + d0 - d1 - d2, 1.0 - d0 + d1 - d2, 1.0 - d0 - d1 + d2)
-    off = {(0, 1): m[..., 2, 1] - m[..., 1, 2], (0, 2): m[..., 0, 2] - m[..., 2, 0],
-           (0, 3): m[..., 1, 0] - m[..., 0, 1], (1, 2): m[..., 0, 1] + m[..., 1, 0],
-           (1, 3): m[..., 0, 2] + m[..., 2, 0], (2, 3): m[..., 1, 2] + m[..., 2, 1]}
-    choice = np.argmax(np.stack([tr, d0, d1, d2], axis=-1), axis=-1)
-    out = np.empty(m.shape[:-2] + (4,))
-    for k, x in enumerate(lead):
-        q = 0.5 * np.sqrt(np.maximum(x, 0.0))
-        den = np.where(q > 1e-12, 4.0 * q, 1.0)
-        row = [q if j == k else off[min(j, k), max(j, k)] / den for j in range(4)]
-        np.copyto(out, np.stack(row, axis=-1), where=(choice == k)[..., None])
+    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    tr = m00 + m11 + m22
+
+    def safe_sqrt(x):
+        return np.sqrt(np.maximum(x, 0.0))
+
+    w_a = 0.5 * safe_sqrt(1.0 + tr)
+    den_a = np.where(w_a > 1e-12, 4.0 * w_a, 1.0)
+    cand_a = np.stack(
+        [
+            w_a,
+            (m[..., 2, 1] - m[..., 1, 2]) / den_a,
+            (m[..., 0, 2] - m[..., 2, 0]) / den_a,
+            (m[..., 1, 0] - m[..., 0, 1]) / den_a,
+        ],
+        axis=-1,
+    )
+    x_b = 0.5 * safe_sqrt(1.0 + m00 - m11 - m22)
+    den_b = np.where(x_b > 1e-12, 4.0 * x_b, 1.0)
+    cand_b = np.stack(
+        [
+            (m[..., 2, 1] - m[..., 1, 2]) / den_b,
+            x_b,
+            (m[..., 0, 1] + m[..., 1, 0]) / den_b,
+            (m[..., 0, 2] + m[..., 2, 0]) / den_b,
+        ],
+        axis=-1,
+    )
+    y_c = 0.5 * safe_sqrt(1.0 - m00 + m11 - m22)
+    den_c = np.where(y_c > 1e-12, 4.0 * y_c, 1.0)
+    cand_c = np.stack(
+        [
+            (m[..., 0, 2] - m[..., 2, 0]) / den_c,
+            (m[..., 0, 1] + m[..., 1, 0]) / den_c,
+            y_c,
+            (m[..., 1, 2] + m[..., 2, 1]) / den_c,
+        ],
+        axis=-1,
+    )
+    z_d = 0.5 * safe_sqrt(1.0 - m00 - m11 + m22)
+    den_d = np.where(z_d > 1e-12, 4.0 * z_d, 1.0)
+    cand_d = np.stack(
+        [
+            (m[..., 1, 0] - m[..., 0, 1]) / den_d,
+            (m[..., 0, 2] + m[..., 2, 0]) / den_d,
+            (m[..., 1, 2] + m[..., 2, 1]) / den_d,
+            z_d,
+        ],
+        axis=-1,
+    )
+    choice = np.argmax(np.stack([tr, m00, m11, m22], axis=-1), axis=-1)
+    out = np.where(
+        (choice == 0)[..., None],
+        cand_a,
+        np.where(
+            (choice == 1)[..., None],
+            cand_b,
+            np.where((choice == 2)[..., None], cand_c, cand_d),
+        ),
+    )
     norm = qnorm(out)
     return out / np.where(norm > 1e-300, norm, 1.0)[..., None]
 

@@ -372,16 +372,6 @@ def d_field(f: QField) -> QForm1:
     return _exterior_derivative(f.grid, _D1, [diff_axis(f.values, f.grid.h, a) for a in (1, 0)])
 
 
-def d_field_hi(f: QField) -> QForm1:
-    """Fourth-order exterior derivative, used for transform coefficients.
-
-    The public d_field stays second order; coefficient forms feeding the
-    RK4 transforms need the extra accuracy to keep cross-ratio level
-    comparisons near the integrator floor at desk-scale grids.
-    """
-    return _exterior_derivative(f.grid, _D1_4, [diff_axis4(f.values, f.grid.h, a) for a in (1, 0)])
-
-
 def wedge(alpha: QForm1, beta: QForm1) -> QField:
     """dx^dy coefficient of alpha^beta (order-preserving quaternion products)."""
     if not alpha.grid.same_geometry(beta.grid):

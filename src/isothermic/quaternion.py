@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    DegenerateQuadruple,
     NearZeroQuaternion,
     PNotImaginary,
     SingularMatrix,
@@ -410,21 +409,18 @@ def point_form(p):
     return out
 
 
-def cross_ratio_class_array(a, b, c, d, masked=False):
+def cross_ratio_class_array(a, b, c, d):
     """Moebius-invariant pair (Re r, |r|) of r = (a-b)(b-c)^-1 (c-d)(d-a)^-1
-    for (..., 4) points.
+    for (..., 4) points, and the (...) mask of degenerate quadruples.
 
     The conjugacy class of the quaternionic cross-ratio is determined by the
     real part and the norm; both are invariant under simultaneous fractional
-    linear transformations of the four points.  Two cyclically consecutive
-    points closer than EPS_INV raise DegenerateQuadruple; masked=True returns
-    (Re r, |r|, degenerate) instead, degenerate the (...) mask of such
-    quadruples, where Re r and |r| mean nothing.
+    linear transformations of the four points.  A quadruple is degenerate
+    where two cyclically consecutive points are closer than EPS_INV; its
+    Re r and |r| mean nothing.  Returns (Re r, |r|, degenerate).
     """
     ab, bc, cd, da = a - b, b - c, c - d, d - a
     degenerate = np.any([qnormsq(x) < EPS_INV * EPS_INV for x in (ab, bc, cd, da)], axis=0)
-    if not masked and np.any(degenerate):
-        raise DegenerateQuadruple("coincident points in cross-ratio")
     with np.errstate(all="ignore"):  # 1/0 and 0/0 at degenerate quadruples
         r = qmul(qmul(ab, qinv(bc, 0.0)), qmul(cd, qinv(da, 0.0)))
-    return (r[..., 0], qnorm(r)) + ((degenerate,) if masked else ())
+    return r[..., 0], qnorm(r), degenerate

@@ -71,7 +71,12 @@ class PolarizedSurface:
         return fx, fy, bool(flags)
 
     def d_field_hi(self) -> QForm1:
-        """d_field_hi(self.f), read from the kept derivatives."""
+        """Fourth-order exterior derivative of f, from the kept derivatives.
+
+        The public d_field stays second order; coefficient forms feeding the
+        RK4 transforms need the extra accuracy to keep cross-ratio level
+        comparisons near the integrator floor at desk-scale grids.
+        """
         return _exterior_derivative(self.grid, _D1_4, self.derivatives[:2])
 
 

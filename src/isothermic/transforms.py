@@ -543,8 +543,8 @@ def moebius_equivalent(
     while done < n_quads and retries > 0:
         quads = sample_quadruples(fa.grid, n_quads - done, seed_k, extra_valid=common)
         nodes = tuple(quads[:, _ORDERS].transpose(3, 2, 0, 1))  # (iy, ix): (point, quad, order)
-        ra, na, bad_a = cross_ratio_class_array(*fa.values[nodes], masked=True)
-        rb, nb, bad_b = cross_ratio_class_array(*fb.values[nodes], masked=True)
+        ra, na, bad_a = cross_ratio_class_array(*fa.values[nodes])
+        rb, nb, bad_b = cross_ratio_class_array(*fb.values[nodes])
         good = ~(bad_a | bad_b).any(axis=1)
         ra, na, rb, nb = (x[good] for x in (ra, na, rb, nb))
         k = np.arange(len(na)), np.argmin(np.abs(np.log(na)), axis=1)

@@ -36,6 +36,10 @@ returned before the family kept only its scalar parts: five whole
 ``(ny, nx, 2, 2, 4)`` fields, combined as ``const + lam * slope``.  These
 dense bodies return a ``FrameConnection`` that stores its slopes dense.
 
+So is ``grid.d_field_hi``, the fourth-order exterior derivative of a
+0-form, which the package now reads from each surface's kept derivatives
+(``PolarizedSurface.d_field_hi()``).
+
 So is the dense body of ``transforms.canonical_connection``, which built the
 canonical family [[f, 1], [1, 0]] as five whole fields before the family kept
 only f, df and dCf.
@@ -46,9 +50,6 @@ V^-1 ((Y S) Y^-1) V of the output family through whole-grid products, and
 stored that family as five whole fields (const = -lam * slope), before the
 chain went over blocks of grid rows on pair planes and its family kept only
 its slopes.
-
-So is the four-branch body of ``cmc.quat_from_rotation``, each of Shepperd's
-candidate quaternions written out, before it read them from one table.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from isothermic.cmc import RibaucourData
 from isothermic.errors import PatternMismatch
 from isothermic.grid import (
     curl,
-    d_field_hi,
     diff_axis,
     diff_axis4,
     dilate_invalid,
@@ -379,6 +379,11 @@ def ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
     return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y), p0)
 
 
+def d_field_hi(f):
+    return package_grid._exterior_derivative(
+        f.grid, package_grid._D1_4, [diff_axis4(f.values, f.grid.h, a) for a in (1, 0)])
+
+
 def dense_slopes(conn):
     """conn's slopes as dense (ny, nx, 2, 2, 4) fields: upper-right entries
     are placed into zeros, dense slopes returned as they are."""
@@ -460,70 +465,3 @@ def darboux_chain(conn, lam, w0, polarization="dz2", provenance=(), frame=None):
     surface = PolarizedSurface(package_grid.QField(conn.grid.merge_mask(ok), vals),
                                polarization, provenance)
     return DarbouxResult(surface, out_conn)
-
-
-def quat_from_rotation(r3):
-    """Unit quaternions of (..., 3, 3) rotation matrices (sign per node)."""
-    m = np.asarray(r3, dtype=float)
-    m00, m11, m22 = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
-    tr = m00 + m11 + m22
-
-    def safe_sqrt(x):
-        return np.sqrt(np.maximum(x, 0.0))
-
-    w_a = 0.5 * safe_sqrt(1.0 + tr)
-    den_a = np.where(w_a > 1e-12, 4.0 * w_a, 1.0)
-    cand_a = np.stack(
-        [
-            w_a,
-            (m[..., 2, 1] - m[..., 1, 2]) / den_a,
-            (m[..., 0, 2] - m[..., 2, 0]) / den_a,
-            (m[..., 1, 0] - m[..., 0, 1]) / den_a,
-        ],
-        axis=-1,
-    )
-    x_b = 0.5 * safe_sqrt(1.0 + m00 - m11 - m22)
-    den_b = np.where(x_b > 1e-12, 4.0 * x_b, 1.0)
-    cand_b = np.stack(
-        [
-            (m[..., 2, 1] - m[..., 1, 2]) / den_b,
-            x_b,
-            (m[..., 0, 1] + m[..., 1, 0]) / den_b,
-            (m[..., 0, 2] + m[..., 2, 0]) / den_b,
-        ],
-        axis=-1,
-    )
-    y_c = 0.5 * safe_sqrt(1.0 - m00 + m11 - m22)
-    den_c = np.where(y_c > 1e-12, 4.0 * y_c, 1.0)
-    cand_c = np.stack(
-        [
-            (m[..., 0, 2] - m[..., 2, 0]) / den_c,
-            (m[..., 0, 1] + m[..., 1, 0]) / den_c,
-            y_c,
-            (m[..., 1, 2] + m[..., 2, 1]) / den_c,
-        ],
-        axis=-1,
-    )
-    z_d = 0.5 * safe_sqrt(1.0 - m00 - m11 + m22)
-    den_d = np.where(z_d > 1e-12, 4.0 * z_d, 1.0)
-    cand_d = np.stack(
-        [
-            (m[..., 1, 0] - m[..., 0, 1]) / den_d,
-            (m[..., 0, 2] + m[..., 2, 0]) / den_d,
-            (m[..., 1, 2] + m[..., 2, 1]) / den_d,
-            z_d,
-        ],
-        axis=-1,
-    )
-    choice = np.argmax(np.stack([tr, m00, m11, m22], axis=-1), axis=-1)
-    out = np.where(
-        (choice == 0)[..., None],
-        cand_a,
-        np.where(
-            (choice == 1)[..., None],
-            cand_b,
-            np.where((choice == 2)[..., None], cand_c, cand_d),
-        ),
-    )
-    norm = qnorm(out)
-    return out / np.where(norm > 1e-300, norm, 1.0)[..., None]

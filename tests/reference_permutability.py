@@ -14,7 +14,7 @@ tests/reference_march.py.
 It also keeps the Moebius check as it was before it took one cross-ratio
 call per surface and batch: ``sample_quadruples`` drawing one candidate per
 loop step, and ``moebius_equivalent`` looping over its quadruples with two
-raising cross-ratio calls each.  The reference suite runs its own
+cross-ratio calls each, a quadruple degenerate on either surface a retry.  The reference suite runs its own
 ``moebius_equivalent`` (tests/test_moebius_equivalence.py compares the two
 directly).
 """
@@ -169,10 +169,9 @@ def moebius_equivalent(
         quads = sample_quadruples(fa.grid, n_quads - done, seed_k, extra_valid=common)
         for quad in quads:
             nodes = tuple(np.array(quad)[_ORDERS].T)  # (iy, ix), each (4, 6)
-            try:
-                ra, na = cross_ratio_class_array(*fa.values[nodes])
-                rb, nb = cross_ratio_class_array(*fb.values[nodes])
-            except DegenerateQuadruple:
+            ra, na, bad_a = cross_ratio_class_array(*fa.values[nodes])
+            rb, nb, bad_b = cross_ratio_class_array(*fb.values[nodes])
+            if bad_a.any() or bad_b.any():
                 retries -= 1
                 continue
             k = np.argmin(np.abs(np.log(na)))

@@ -35,7 +35,7 @@ from isothermic import (
     ribaucour_data_extract,
 )
 from isothermic import grid as grid_module
-from isothermic.cmc import _sign_continuity, quat_from_rotation
+from isothermic.cmc import _sign_continuity
 from isothermic.grid import (
     FrameField,
     integrate_frame,
@@ -295,35 +295,6 @@ def test_sign_continuity_matches_reference(p0):
         got = _sign_continuity(r, p0)
         assert np.array_equal(got, ref.sign_continuity(r, p0))
         assert not np.array_equal(got, r)
-
-
-def test_quat_from_rotation_matches_reference():
-    """The table form of Shepperd's method equals its four written-out
-    branches bit for bit: on random rotations, on half-turns (q_w = 0, so
-    each of the other three rows leads), on the identity, and on matrices
-    that are no rotations, with NaNs, infinities and zeros among them."""
-    rng = np.random.default_rng(29)
-    q = rng.normal(size=(400, 4))
-    q[:40, 0] = 0.0  # half-turns
-    q[40:50] = (1.0, 0.0, 0.0, 0.0)
-    q /= np.linalg.norm(q, axis=-1, keepdims=True)
-    w, x, y, z = np.moveaxis(q, -1, 0)
-    rot = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-                    2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-                    2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-                   axis=-1).reshape(-1, 3, 3)
-    other = rng.normal(size=(200, 3, 3))
-    other[:20] = 0.0
-    other[20:60].reshape(40, 9)[np.arange(40), rng.integers(9, size=40)] = np.nan
-    other[60:80, rng.integers(3), rng.integers(3)] = np.inf
-    for m in (rot, other, rot.reshape(20, 20, 3, 3)):
-        with np.errstate(invalid="ignore"):
-            got, want = quat_from_rotation(m), ref.quat_from_rotation(m)
-        assert got.tobytes() == want.tobytes()
-    # every branch is taken
-    tr = np.trace(rot, axis1=-2, axis2=-1)
-    diag = np.stack([tr, rot[:, 0, 0], rot[:, 1, 1], rot[:, 2, 2]], axis=-1)
-    assert set(np.argmax(diag, axis=-1)) == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("p0", WALK_BASES)

@@ -137,21 +137,20 @@ def test_moebius_nan_at_sampled_nodes_equals_reference(pairs, side):
         assert _outcome(moebius_equivalent, *pair, seed=seed) == want
 
 
-def test_cross_ratio_masked_flags_degenerate_quadruples():
-    """masked=True returns the raising call's classes where no two
-    cyclically consecutive points coincide, and flags the others."""
+def test_cross_ratio_flags_degenerate_quadruples():
+    """The degenerate mask flags the quadruples where two cyclically
+    consecutive points coincide; the others have the classes they have
+    alone."""
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(4, 30, 4))
     pts[..., 0] = 0.0
     pts[1, :5] = pts[0, :5]  # a = b
     pts[3, 5:8] = pts[0, 5:8]  # d = a
     pts[2, 8:10] = pts[0, 8:10]  # a = c: not consecutive
-    re, nm, degenerate = cross_ratio_class_array(*pts, masked=True)
+    re, nm, degenerate = cross_ratio_class_array(*pts)
     assert np.array_equal(degenerate, np.arange(30) < 8)
     want = cross_ratio_class_array(*pts[:, 8:])
     assert re[8:].tobytes() == want[0].tobytes() and nm[8:].tobytes() == want[1].tobytes()
-    with pytest.raises(DegenerateQuadruple, match="coincident points"):
-        cross_ratio_class_array(*pts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from isothermic import (
     INFINITY,
-    DegenerateQuadruple,
     NearZeroQuaternion,
     PNotImaginary,
     SingularMatrix,
@@ -379,7 +378,8 @@ def test_moebius_act_preserves_cone():
 def test_cross_ratio_square():
     # unit square in span{1, i}: (a-b)(b-c)^-1 (c-d)(d-a)^-1 = -1,
     # matching the complex cross-ratio of the harmonic quadruple
-    re, nm = cross_ratio_class_array(ZERO, ONE, ONE + QI, QI)
+    re, nm, degenerate = cross_ratio_class_array(ZERO, ONE, ONE + QI, QI)
+    assert not degenerate
     assert abs(re + 1.0) < 1e-14
     assert abs(nm - 1.0) < 1e-14
 
@@ -397,10 +397,9 @@ def test_cross_ratio_inversion_invariance():
         pts = [random_imag() for _ in range(4)]
         m = random_imag()
         inv = inversion(m)
-        try:
-            a = cross_ratio_class_array(*pts)
-            b = cross_ratio_class_array(*[moebius_point(inv, p) for p in pts])
-        except DegenerateQuadruple:
+        a = cross_ratio_class_array(*pts)
+        b = cross_ratio_class_array(*[moebius_point(inv, p) for p in pts])
+        if a[2] or b[2]:
             continue
         assert abs(a[0] - b[0]) < 1e-10 * max(1, abs(a[0]))
         assert abs(a[1] - b[1]) < 1e-10 * max(1, a[1])
@@ -411,13 +410,12 @@ def test_cross_ratio_unit_det_moebius_invariance():
     for _ in range(100):
         pts = [random_imag() for _ in range(4)]
         m = _unit_det_matrix()
-        try:
-            a = cross_ratio_class_array(*pts)
-            images = [moebius_point(m, p) for p in pts]
-            if any(p is INFINITY for p in images):
-                continue
-            b = cross_ratio_class_array(*images)
-        except DegenerateQuadruple:
+        a = cross_ratio_class_array(*pts)
+        images = [moebius_point(m, p) for p in pts]
+        if a[2] or any(p is INFINITY for p in images):
+            continue
+        b = cross_ratio_class_array(*images)
+        if b[2]:
             continue
         assert abs(a[0] - b[0]) < 1e-8 * max(1, abs(a[0]))
         assert abs(a[1] - b[1]) < 1e-8 * max(1, a[1])
@@ -428,13 +426,12 @@ def test_cross_ratio_unit_det_moebius_invariance():
 def test_cross_ratio_batch_matches_single_quadruples():
     quads = np.zeros((4, 8, 4))
     quads[..., 1:] = RNG.normal(size=(4, 8, 3))
-    re, nm = cross_ratio_class_array(*quads)
-    assert re.shape == nm.shape == (8,)
+    re, nm, degenerate = cross_ratio_class_array(*quads)
+    assert re.shape == nm.shape == degenerate.shape == (8,)
     for k in range(8):
-        assert (re[k], nm[k]) == cross_ratio_class_array(*quads[:, k])
+        assert (re[k], nm[k], degenerate[k]) == cross_ratio_class_array(*quads[:, k])
 
 
 def test_cross_ratio_degenerate():
     p = random_imag()
-    with pytest.raises(DegenerateQuadruple):
-        cross_ratio_class_array(p, p, random_imag(), random_imag())
+    assert cross_ratio_class_array(p, p, random_imag(), random_imag())[2]

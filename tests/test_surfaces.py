@@ -13,11 +13,12 @@ from isothermic import (
     normal_field,
 )
 from isothermic import oracles as oc
-from isothermic.grid import d_field_hi, diff_axis4
+from isothermic.grid import diff_axis4
 from isothermic.quaternion import qinv, qmul, qnorm
 from isothermic.surfaces import normal_at, surface_jets
 
 from conftest import cylinder
+import reference_march as ref
 
 
 def test_plane_normal_constant(plane129):
@@ -109,7 +110,8 @@ def test_derivatives_are_kept_read_only(grid33):
     """A surface takes its two fourth-order derivatives once; they are those
     of diff_axis4, and an in-place write raises instead of changing what
     every later reader of the surface sees.  d_field_hi() gives the form
-    and mask that grid.d_field_hi gives, on a masked grid too."""
+    and mask that grid.d_field_hi gave (tests/reference_march.py), on a
+    masked grid too."""
     mask = np.ones((33, 33), bool)
     mask[10, 24] = False
     for grid in (grid33, grid33.with_mask(mask)):
@@ -120,7 +122,7 @@ def test_derivatives_are_kept_read_only(grid33):
             assert part.tobytes() == diff_axis4(s.f.values, grid.h, axis).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 part[0, 0, 0] = 1.0
-        got, want = s.d_field_hi(), d_field_hi(s.f)
+        got, want = s.d_field_hi(), ref.d_field_hi(s.f)
         assert got.px is fx and got.py is fy
         assert np.array_equal(got.grid.valid(), want.grid.valid())
         assert got.px.tobytes() == want.px.tobytes() and got.py.tobytes() == want.py.tobytes()
