@@ -466,7 +466,8 @@ def darboux_riccati(
     grid = surface.grid
     p0 = p0 or grid.center_node()
     df = surface.d_field_hi()
-    cform = christoffel_form(surface) if cform is None else cform
+    if cform is None:
+        cform = christoffel_form(surface)
     if d0 is None:
         d0 = surface.f.value_at(p0) + normal_at(surface, p0)
     delta0 = np.asarray(d0, dtype=float) - surface.f.value_at(p0)
