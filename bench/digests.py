@@ -138,7 +138,7 @@ def group_transforms(iso):
             yield f"darboux_riccati/{name}/n{n}", _surface(iso.darboux_riccati(surf, 0.8))
         yield f"goursat/n{n}", _surface(iso.goursat(s, np.array([0.0, 1.0, 0.5, 0.0])))
         yield f"darboux_riccati/d0/n{n}", _surface(
-            iso.darboux_riccati(s, 1.0, None, np.array([0.0, -1.0, 0.0, 0.0])))
+            iso.darboux_riccati(s, 1.0, d0=np.array([0.0, -1.0, 0.0, 0.0])))
         yield f"darboux_linear/n{n}", _surface(iso.darboux_linear(s, 1.0))
         tt = iso.t_transform(s, 0.7)
         yield f"t_transform/n{n}/surface", _surface(tt.surface)

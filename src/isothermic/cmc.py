@@ -532,8 +532,8 @@ class _RibaucourFamily(FrameConnection):
     lower-left psi = e^u (j dx + k dy); slope psi* = e^-u (-j dx + k dy).
     """
 
-    def __init__(self, grid, fvals, spin, u, ux, uy, p0):
-        self.grid, self.p0 = grid, p0
+    def __init__(self, grid, fvals, spin, u, ux, uy):
+        self.grid = grid
         self._parts = fvals, spin, np.exp(u), np.exp(-u), ux, uy
 
     @property
@@ -569,18 +569,18 @@ class _RibaucourFamily(FrameConnection):
         return out
 
 
-def ribaucour_connection(surface: PolarizedSurface, p0=None) -> FrameConnection:
+def ribaucour_connection(surface: PolarizedSurface) -> FrameConnection:
     """Ribaucour frame family of a minimal surface normalized to II = dx^2 - dy^2.
 
     Straightens the orthonormal frame (f_x/e^u, f_y/e^u, n) to (j, k, i) by a
-    unit quaternion spin field and rescales homogeneous coordinates so the
+    unit quaternion spin field (its sign continued from the base node
+    grid.center_node()) and rescales homogeneous coordinates so the
     connection form takes the structured shape (curvature data readable from
     the entries).  Requires <f_xx, n> = +1 to tolerance: the surface must be
     minimal and sampled in conformal curvature-line coordinates with the
     standard polarization.
     """
     grid = surface.grid
-    p0 = p0 or grid.center_node()
     jets = surface_jets(surface)
     ff = fundamental_forms(surface, jets)
     sel = grid.valid() & jets.valid
@@ -606,21 +606,20 @@ def ribaucour_connection(surface: PolarizedSurface, p0=None) -> FrameConnection:
     t2 = jets.fy[..., 1:] / e_u[..., None]
     nrm = jets.normal[..., 1:]
     rot = np.stack([nrm, t1, t2], axis=-1)  # columns: images of (i, j, k)
-    spin = _sign_continuity(quat_from_rotation(rot), p0)
+    spin = _sign_continuity(quat_from_rotation(rot), grid.center_node())
     ux = diff_axis4(u, grid.h, axis=1)
     uy = diff_axis4(u, grid.h, axis=0)
-    return _RibaucourFamily(grid, surface.f.values, spin, u, ux, uy, p0)
+    return _RibaucourFamily(grid, surface.f.values, spin, u, ux, uy)
 
 
 def family_ribaucour_connection(grid: GridSpec, lam: float) -> FrameConnection:
     """Closed-form Ribaucour connection of the reference minimal family."""
     from . import oracles
 
-    p0 = grid.center_node()
     zs = grid.zgrid()
     fvals, spin, (u, dzu) = oracles.family_frame_parts(zs, lam)
-    spin = _sign_continuity(spin, p0)
-    return _RibaucourFamily(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
+    spin = _sign_continuity(spin, grid.center_node())
+    return _RibaucourFamily(grid, fvals, spin, u, 2.0 * dzu.real, -2.0 * dzu.imag)
 
 
 #: the entries (row, column, component) of phi_x and of phi_y that the

@@ -684,8 +684,7 @@ def _linear_steps(product, left):
     return steps
 
 
-def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup, spine,
-                  curvature_norm):
+def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, spine, curvature_norm):
     """Maurer-Cartan gate, then _march of a linear system by RK4 step matrices
     (see _linear_steps).  A known pointwise curvature norm (ny, nx) of Phi
     can pass the gate (see _curvature_residual); where it does not, the gate
@@ -698,7 +697,7 @@ def _linear_march(phi_x, phi_y, grid, p0, state0, product, left, tau, blowup, sp
     if left:
         phi_x, phi_y = (np.swapaxes(p, -3, -2) for p in (phi_x, phi_y))
     return _march(grid, p0, phi_x, phi_y, state0,
-                  _linear_steps(product, left), blowup, spine)
+                  _linear_steps(product, left), BLOWUP_LIMIT, spine)
 
 
 def _column_row(v):
@@ -777,7 +776,6 @@ def integrate_frame(
     f0,
     p0,
     tau=None,
-    blowup=BLOWUP_LIMIT,
     spine="column",
     curvature_norm=None,
 ) -> FrameField:
@@ -794,8 +792,7 @@ def integrate_frame(
     if spine not in ("column", "row"):
         raise ValueError("spine must be 'column' or 'row'")
     return FrameField(grid, _linear_march(phi_x, phi_y, grid, p0, _pair_planes(f0, 2),
-                                          _pair_matmul, False, tau, blowup, spine,
-                                          curvature_norm))
+                                          _pair_matmul, False, tau, spine, curvature_norm))
 
 
 def integrate_left_vector(phi_x, phi_y, grid: GridSpec, v0, p0, tau=None,
@@ -803,8 +800,8 @@ def integrate_left_vector(phi_x, phi_y, grid: GridSpec, v0, p0, tau=None,
     """Solve 0 = dv + Phi v (so dv = -Phi v) for a column vector field;
     curvature_norm as for integrate_frame."""
     v0 = _pair_planes(v0, 1)
-    return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau,
-                         BLOWUP_LIMIT, "column", curvature_norm)
+    return _linear_march(phi_x, phi_y, grid, p0, v0, _column_product, True, tau, "column",
+                         curvature_norm)
 
 
 def integrate_riccati(

@@ -100,11 +100,10 @@ def _certify_isothermic(surface: PolarizedSurface):
 
 def christoffel(
     surface: PolarizedSurface,
-    p0=None,
     c0=np.zeros(4),
     cform: QForm1 | None = None,
 ) -> PolarizedSurface:
-    """Christoffel transform pinned by Cf(p0) = c0.
+    """Christoffel transform pinned by Cf(p0) = c0, p0 = grid.center_node().
 
     The dual is scaled so that df * dCf is the grid polarization dz^2; the
     transform flips the stored conjugation flag.  Supplying cform, the dual
@@ -113,25 +112,23 @@ def christoffel(
     if cform is None:
         _certify_isothermic(surface)
         cform = christoffel_form(surface)
-    p0 = p0 or surface.grid.center_node()
-    cf = integrate_form(cform, p0, np.asarray(c0, dtype=float))
+    cf = integrate_form(cform, surface.grid.center_node(), np.asarray(c0, dtype=float))
     return surface.derived(cf.values, grid=cf.grid, flip=True, step="christoffel")
 
 
-def goursat(surface: PolarizedSurface, m, p0=None) -> PolarizedSurface:
+def goursat(surface: PolarizedSurface, m) -> PolarizedSurface:
     """Goursat transform for the essential map x -> (x - m)^-1, m a (4,) array.
 
     Integrates -(Cf - m) df (Cf - m); equivalent to Christoffel, Moebius
-    map, Christoffel but in a single integration.
+    map, Christoffel but in a single integration; both pinned at the base node.
     """
-    p0 = p0 or surface.grid.center_node()
-    cf = christoffel(surface, p0)
+    cf = christoffel(surface)
     df = surface.d_field_hi()
     factor = cf.f.values - np.asarray(m, dtype=float)
     px = -qmul(factor, qmul(df.px, factor))
     py = -qmul(factor, qmul(df.py, factor))
     grid = df.grid.merge_mask(cf.grid.valid())
-    gf = integrate_form(QForm1(grid, px, py), p0, np.zeros(4))
+    gf = integrate_form(QForm1(grid, px, py), grid.center_node(), np.zeros(4))
     return surface.derived(gf.values, grid=gf.grid, step="goursat")
 
 
@@ -144,10 +141,11 @@ class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 
     Every family reads through one protocol: frame(index) is the frame at a
-    grid index (... the whole grid, p0 the base node, a row slice one block),
-    and phi(lam) = const + lam * slope entrywise, whose slopes are (s_x, s_y):
-    the upper-right entries (ny, nx, 4) where every other slope entry is 0,
-    else the dense (ny, nx, 2, 2, 4) slopes.  frame(...) projects to the
+    grid index (... the whole grid, p0 the base node grid.center_node(), a
+    row slice one block), and phi(lam) = const + lam * slope entrywise, whose
+    slopes are (s_x, s_y): the upper-right entries (ny, nx, 4) where every
+    other slope entry is 0, else the dense (ny, nx, 2, 2, 4) slopes.  Every
+    transform of a family starts at p0.  frame(...) projects to the
     underlying surface in the chart v1 v2^-1.  This class stores the frame, the
     constant parts const = (x, y) and the slopes, or the family whose slopes it
     reads on demand; the canonical, Ribaucour and Darboux families store parts
@@ -161,8 +159,11 @@ class FrameConnection:
     frame0: np.ndarray  # (ny, nx, 2, 2, 4)
     const: tuple
     _slopes: tuple | FrameConnection  # (s_x, s_y), or the family that computes them on read
-    p0: tuple
     curvature: tuple | None = None
+
+    @property
+    def p0(self):
+        return self.grid.center_node()
 
     @property
     def slopes(self):
@@ -201,8 +202,8 @@ class _CanonicalFamily(FrameConnection):
     """The frame [[f, 1], [1, 0]] and its family, stored as f, df and the slopes dCf only;
     phi = [[0, 0], [df, 0]] + lam [[0, dCf], [0, 0]] entrywise."""
 
-    def __init__(self, grid, fvals, df, cform, p0, curvature):
-        self.grid, self.p0, self.curvature = grid, p0, curvature
+    def __init__(self, grid, fvals, df, cform, curvature):
+        self.grid, self.curvature = grid, curvature
         self._f, self._df, self._slopes = fvals, (df.px, df.py), (cform.px, cform.py)
 
     def frame(self, index):
@@ -222,7 +223,6 @@ class _CanonicalFamily(FrameConnection):
 def canonical_connection(
     surface: PolarizedSurface,
     cform: QForm1 | None = None,
-    p0=None,
 ) -> FrameConnection:
     """Connection family of the canonical Euclidean frame [[f, 1], [1, 0]].
 
@@ -233,7 +233,6 @@ def canonical_connection(
     family carries n0 = |db|^2 and n1 = |da|^2 + |a^b|^2 + |b^a|^2.
     """
     grid = surface.grid
-    p0 = p0 or grid.center_node()
     df = surface.d_field_hi()
     if cform is None:
         _certify_isothermic(surface)
@@ -243,7 +242,7 @@ def canonical_connection(
         n0 = qnormsq(curl(df))
         n1 = (qnormsq(curl(cform)) + qnormsq(wedge(cform, df).values)
               + qnormsq(wedge(df, cform).values))
-    return _CanonicalFamily(grid, surface.f.values, df, cform, p0, (n0, n1, 0.0))
+    return _CanonicalFamily(grid, surface.f.values, df, cform, (n0, n1, 0.0))
 
 
 def affine_chart(vec):
@@ -286,18 +285,18 @@ def t_transform_via_connection(
     surface = PolarizedSurface(QField(grid1, surf_vals), polarization, provenance)
     # share stored slopes; read a family's computed slopes (Ribaucour) from it on demand
     out_conn = FrameConnection(conn.grid, composed, (phi_x, phi_y), getattr(conn, "_slopes", conn),
-                               conn.p0, conn.shifted_curvature(lam))
+                               conn.shifted_curvature(lam))
     return TTransformResult(surface, frame_id, out_conn)
 
 
-def t_transform(surface: PolarizedSurface, lam: float, p0=None) -> TTransformResult:
-    """Spectral transform from the canonical Euclidean frame, F(p0) = Id.
+def t_transform(surface: PolarizedSurface, lam: float) -> TTransformResult:
+    """Spectral transform from the canonical Euclidean frame, F(p0) = Id at the base node.
 
     The returned frame is the identity-pinned solution of dF = F Phi_lam;
     the surface representative is the affine projection of the canonical
     frame translate (so lam = 0 returns the surface itself).
     """
-    conn = canonical_connection(surface, p0=p0)
+    conn = canonical_connection(surface)
     prov = surface.provenance + (f"t_transform({lam})",)
     return t_transform_via_connection(conn, lam, surface.polarization, prov)
 
@@ -306,7 +305,6 @@ def t_transform_gauged(
     surface: PolarizedSurface,
     lam: float,
     frame: FrameField | FrameConnection,
-    p0=None,
 ) -> TTransformResult:
     """Spectral transform from an arbitrary adapted frame.
 
@@ -318,14 +316,12 @@ def t_transform_gauged(
     if isinstance(frame, FrameConnection):
         conn = frame
     else:
-        conn = frame_connection_from_field(surface, frame, p0)
+        conn = frame_connection_from_field(surface, frame)
     prov = surface.provenance + (f"t_transform_gauged({lam})",)
     return t_transform_via_connection(conn, lam, surface.polarization, prov)
 
 
-def frame_connection_from_field(
-    surface: PolarizedSurface, frame: FrameField, p0=None
-) -> FrameConnection:
+def frame_connection_from_field(surface: PolarizedSurface, frame: FrameField) -> FrameConnection:
     """Numeric connection family of an adapted frame field.
 
     Reads phi0 = F^-1 dF entrywise and completes the family with the
@@ -333,7 +329,6 @@ def frame_connection_from_field(
     (psi_x^-1, -psi_y^-1).
     """
     grid = frame.grid
-    p0 = p0 or grid.center_node()
     proj, ok = affine_chart(frame.values[..., :, 0, :])
     sel = grid.valid() & ok & surface.grid.valid()
     if not sel.any():
@@ -346,7 +341,7 @@ def frame_connection_from_field(
     star_x, ok_x = qinv_masked(const[0][..., 1, 0, :])
     star_y, ok_y = qinv_masked(const[1][..., 1, 0, :])
     out_grid = grid.merge_mask(ok & ok_x & ok_y)
-    return FrameConnection(out_grid, frame.values, const, (star_x, -star_y), p0)
+    return FrameConnection(out_grid, frame.values, const, (star_x, -star_y))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +395,7 @@ class _DarbouxFamily(FrameConnection):
     frame (parent frame Y^-1) V on read."""
 
     def __init__(self, parent, y, v, lam, sx, sy):
-        self.grid, self.p0, self._slopes = parent.grid, parent.p0, (sx, sy)
+        self.grid, self._slopes = parent.grid, (sx, sy)
         self._parent, self._y, self._v, self._lam = parent, y, v, lam
 
     def frame(self, index):
@@ -433,18 +428,13 @@ def _darboux_chain(conn, y, lam, w0):
     return homog.reshape(ny, nx, 2, 4), _DarbouxFamily(conn, y, v, lam, *out.reshape(2, *y.shape))
 
 
-def darboux_linear(
-    surface: PolarizedSurface,
-    lam: float,
-    p0=None,
-    v0=V0,
-) -> PolarizedSurface:
-    """Darboux transform via the linear system 0 = dv + Phi_lam v.
+def darboux_linear(surface: PolarizedSurface, lam: float, v0=V0) -> PolarizedSurface:
+    """Darboux transform via the linear system 0 = dv + Phi_lam v, v(p0) = v0 at the base node.
 
     The transform is f + v2 v1^-1; the default v0 = V0 matches the seeded
     closed-form family.
     """
-    conn = canonical_connection(surface, p0=p0)
+    conn = canonical_connection(surface)
     prov = surface.provenance + (f"darboux_linear({lam})",)
     return darboux_via_connection(
         conn, lam, np.asarray(v0, dtype=float), surface.polarization, prov
@@ -454,17 +444,17 @@ def darboux_linear(
 def darboux_riccati(
     surface: PolarizedSurface,
     lam: float,
-    p0=None,
     d0=None,
     cform: QForm1 | None = None,
 ) -> PolarizedSurface:
     """Darboux transform via the Riccati equation for delta = Df - f.
 
-    d(delta) = delta (lam dCf) delta - df, delta(p0) = d0 - f(p0), d0 a (4,)
-    array; by default f(p0) plus the unit normal at p0.
+    d(delta) = delta (lam dCf) delta - df, delta(p0) = d0 - f(p0) at the base
+    node p0 = grid.center_node(), d0 a (4,) array; by default f(p0) plus the
+    unit normal at p0.
     """
     grid = surface.grid
-    p0 = p0 or grid.center_node()
+    p0 = grid.center_node()
     df = surface.d_field_hi()
     if cform is None:
         cform = christoffel_form(surface)
@@ -578,10 +568,10 @@ def permutability_suite(
     surface: PolarizedSurface,
     lam: float,
     mu: float | None = None,
-    p0=None,
     seed=7,
 ) -> PermutabilityReport:
-    """Run the three permutability checks on a surface.
+    """Run the three permutability checks on a surface, every transform pinned at the base
+    node grid.center_node().
 
     P1: the second point of the spectral transform is Moebius-equivalent to
         the spectral transform of the Christoffel dual.
@@ -593,13 +583,12 @@ def permutability_suite(
         parameter shift; checked through chained frame families so the
         initial conditions correspond exactly.
     """
-    p0 = p0 or surface.grid.center_node()
     mu = 0.4 * lam if mu is None else mu
     # one dual form, one connection family and one frame of phi(lam)
     cform = christoffel_form(surface)
     iso = _certify_isothermic(surface)
-    conn = canonical_connection(surface, cform, p0)
-    p1, frame, *p2, v0 = _permutability_p1_p2(surface, conn, cform, lam, p0, seed)
+    conn = canonical_connection(surface, cform)
+    p1, frame, *p2, v0 = _permutability_p1_p2(surface, conn, cform, lam, seed)
     # P3: T_mu(D_lam f) vs D_(lam-mu)(T_mu f) by chained families, each freed after its reader
     dar_chain = darboux_via_connection(conn, lam, v0, chain=True, frame=frame).connection
     del frame
@@ -611,29 +600,30 @@ def permutability_suite(
     return PermutabilityReport(iso, p1, *p2, p3, TAU_PERMUTABILITY)
 
 
-def _permutability_p1_p2(surface, conn, cform, lam, p0, seed):
+def _permutability_p1_p2(surface, conn, cform, lam, seed):
     """P1 and P2, sharing the Christoffel dual cs, certified and given its dual form once:
     P1's residual, its frame of phi(lam) (P3 reuses it), then _permutability_p2's results."""
     second, frame = attrgetter("second_point", "frame")(
         t_transform_via_connection(conn, lam, surface.polarization))
-    cs = christoffel(surface, p0, cform=cform)
+    cs = christoffel(surface, cform=cform)
     _certify_isothermic(cs)
     cs_form = christoffel_form(cs)
-    tc = t_transform_via_connection(canonical_connection(cs, cs_form, p0), lam).surface
+    tc = t_transform_via_connection(canonical_connection(cs, cs_form), lam).surface
     _, p1 = moebius_equivalent(second, tc, seed=seed)
-    return (p1, frame) + _permutability_p2(surface, cform, cs, cs_form, lam, p0)
+    return (p1, frame) + _permutability_p2(surface, cform, cs, cs_form, lam)
 
 
-def _permutability_p2(surface, cform, cs, cs_form, lam, p0):
+def _permutability_p2(surface, cform, cs, cs_form, lam):
     """P2's pointwise (lam (CDf - Cf) = (Df - f)^-1) and translation residuals, its Darboux
     transform's certificate, and the start column [1, Df - f] at p0 of P3's transforms."""
-    dar = darboux_riccati(surface, lam, p0, cform=cform)
+    p0 = surface.grid.center_node()
+    dar = darboux_riccati(surface, lam, cform=cform)
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam
     _, p2_certificate = isothermic_certificate(dar)
-    cd = christoffel(dar, p0, c0, cform=christoffel_form(dar))
-    dc = darboux_riccati(cs, lam, p0, c0, cform=cs_form)
+    cd = christoffel(dar, c0, cform=christoffel_form(dar))
+    dc = darboux_riccati(cs, lam, c0, cform=cs_form)
     sel = surface.grid.interior() & cd.grid.valid() & dc.grid.valid() & cs.grid.valid() & ok
     point_res = qnorm(lam * (cd.f.values - cs.f.values) - inv_diff)[sel].max()
     trans = cd.f.values - dc.f.values

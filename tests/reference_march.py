@@ -345,7 +345,7 @@ def ribaucour_data_extract(frame):
     return RibaucourData(u, big_h, big_hhat, lam, lamhat, valid, pattern, gauss, codazzi)
 
 
-def ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
+def ribaucour_from_parts(grid, fvals, spin, u, ux, uy):
     """Assemble the frame [[f r, r], [r, 0]] and its connection family.
 
     Diagonal: ( -u_y i - e^-u k )/2 dx + ( u_x i - e^-u j )/2 dy;
@@ -376,7 +376,7 @@ def ribaucour_from_parts(grid, fvals, spin, u, ux, uy, p0):
     frame0[..., 0, 0, :] = package_qmul(fvals, spin)
     frame0[..., 0, 1, :] = spin
     frame0[..., 1, 0, :] = spin
-    return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y), p0)
+    return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y))
 
 
 def d_field_hi(f):
@@ -396,14 +396,13 @@ def dense_slopes(conn):
     return tuple(out)
 
 
-def canonical_connection(surface, cform=None, p0=None):
+def canonical_connection(surface, cform=None):
     """Connection family of the canonical Euclidean frame [[f, 1], [1, 0]].
 
     phi(lam) = [[0, lam dCf], [df, 0]], with the curvature polynomial n0 =
     |d df|^2, n1 = |d dCf|^2 + |dCf^df|^2 + |df^dCf|^2.
     """
     grid = surface.grid
-    p0 = p0 or grid.center_node()
     df = d_field_hi(surface.f)
     if cform is None:
         _certify_isothermic(surface)
@@ -426,8 +425,7 @@ def canonical_connection(surface, cform=None, p0=None):
         n0 = qnormsq(curl(df))
         n1 = (qnormsq(curl(cform)) + qnormsq(wedge(cform, df).values)
               + qnormsq(wedge(df, cform).values))
-    return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y), p0,
-                           (n0, n1, 0.0))
+    return FrameConnection(grid, frame0, (const_x, const_y), (slope_x, slope_y), (n0, n1, 0.0))
 
 
 def darboux_chain(conn, lam, w0, polarization="dz2", provenance=(), frame=None):
@@ -460,7 +458,7 @@ def darboux_chain(conn, lam, w0, polarization="dz2", provenance=(), frame=None):
     sy = q.qm2_mul(q.qm2_mul(y.values, slope_y), y_inv)
     sx = q.qm2_mul(q.qm2_mul(v_inv, sx), v)
     sy = q.qm2_mul(q.qm2_mul(v_inv, sy), v)
-    out_conn = FrameConnection(conn.grid, g_frame, (-lam * sx, -lam * sy), (sx, sy), conn.p0)
+    out_conn = FrameConnection(conn.grid, g_frame, (-lam * sx, -lam * sy), (sx, sy))
     vals, ok = affine_chart(homog)
     surface = PolarizedSurface(package_grid.QField(conn.grid.merge_mask(ok), vals),
                                polarization, provenance)

@@ -44,12 +44,12 @@ def permutability_suite(
     surface: PolarizedSurface,
     lam: float,
     mu: float | None = None,
-    p0=None,
     d0=None,
     tau=1e-5,
     seed=7,
 ) -> PermutabilityReport:
-    """Run the three permutability checks on a surface.
+    """Run the three permutability checks on a surface, pinned at the base node
+    grid.center_node().
 
     P1: the second point of the spectral transform is Moebius-equivalent to
         the spectral transform of the Christoffel dual.
@@ -61,27 +61,27 @@ def permutability_suite(
         initial conditions correspond exactly.
     """
     grid = surface.grid
-    p0 = p0 or grid.center_node()
+    p0 = grid.center_node()
     mu = 0.4 * lam if mu is None else mu
     f0 = surface.f.value_at(p0)
 
     # P1
-    tt = t_transform(surface, lam, p0)
-    cs = christoffel(surface, p0)
-    tc = t_transform(cs, lam, p0)
+    tt = t_transform(surface, lam)
+    cs = christoffel(surface)
+    tc = t_transform(cs, lam)
     _, p1 = moebius_equivalent(tt.second_point, tc.surface, seed=seed, tau=tau)
 
     # P2  (positioning lam (CDf - Cf) = (Df - f)^-1)
     if d0 is None:
         nrm = normal_field(surface)
         d0 = f0 + nrm.values[p0[0], p0[1]]
-    dar = darboux_riccati(surface, lam, p0, d0)
+    dar = darboux_riccati(surface, lam, d0)
     diff = dar.f.values - surface.f.values
     inv_diff, ok = qinv_masked(diff)
     c0 = inv_diff[p0[0], p0[1]] / lam
     _, p2_certificate = isothermic_certificate(dar)
-    cd = christoffel(dar, p0, c0)
-    dc = darboux_riccati(cs, lam, p0, c0)
+    cd = christoffel(dar, c0)
+    dc = darboux_riccati(cs, lam, c0)
     sel = (
         grid.interior()
         & cd.grid.valid()
@@ -97,7 +97,7 @@ def permutability_suite(
     v0 = np.zeros((2, 4))
     v0[0, 0] = 1.0
     v0[1] = diff[p0[0], p0[1]]
-    conn = canonical_connection(surface, p0=p0)
+    conn = canonical_connection(surface)
     dar_chain = darboux_chain(conn, lam, v0)
     lhs = t_transform_via_connection(dar_chain.connection, mu).surface
     tt_chain = t_transform_via_connection(conn, mu)

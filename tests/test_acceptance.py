@@ -137,8 +137,7 @@ def order_line(errs):
 
 
 def test_criterion_1_spectral_transform_oracle(grid129):
-    p0 = grid129.center_node()
-    out = t_transform(plane_surface(grid129), 1.0, p0)
+    out = t_transform(plane_surface(grid129), 1.0)
     frame_target = oc.t_frame(grid129.zgrid(), 1.0)
     frame_err = float(np.abs(out.frame.values - frame_target).max())
     surf_target = sample_values(grid129, lambda z: oc.t_plane(z, 1.0))
@@ -161,8 +160,8 @@ def test_criterion_2_christoffel_identities():
             w = wedge(d_field(s.f), christoffel_form(s))
             sel = g.interior() & w.grid.valid()
             wedge_errs.append(float(qnorm(w.values)[sel].max()))
-            cs = christoffel(s, p0)
-            ccs = christoffel(cs, p0, c0=s.f.value_at(p0))
+            cs = christoffel(s)
+            ccs = christoffel(cs, c0=s.f.value_at(p0))
             diff = ccs.f.values - s.f.values
             inv_errs.append(
                 float(qnorm(diff - diff[p0[0], p0[1]])[ccs.grid.valid()].max())
@@ -177,11 +176,10 @@ def test_criterion_2_christoffel_identities():
 
 
 def test_criterion_3_darboux_route_equivalence(grid129):
-    p0 = grid129.center_node()
     s = plane_surface(grid129)
     target = sample_values(grid129, lambda z: oc.darboux_plane(z, 1.0))
-    lin = darboux_linear(s, 1.0, p0, V0_SEED)
-    ric = darboux_riccati(s, 1.0, p0, np.array([0.0, -1.0, 0.0, 0.0]))
+    lin = darboux_linear(s, 1.0, V0_SEED)
+    ric = darboux_riccati(s, 1.0, np.array([0.0, -1.0, 0.0, 0.0]))
     sel = lin.grid.valid() & ric.grid.valid()
     pairs = {
         "linear vs closed form": float(qnorm(lin.f.values - target)[sel].max()),
@@ -197,10 +195,9 @@ def test_criterion_4_first_permutability(grid129):
     # theorem: the frame's second point reproduces the spectral transform of
     # the dual surface, and the Darboux member read off the same frame
     # family without further integration reproduces the closed form
-    p0 = grid129.center_node()
     s = plane_surface(grid129)
-    tt = t_transform(s, 1.0, p0)
-    tc = t_transform(christoffel(s, p0), 1.0, p0)
+    tt = t_transform(s, 1.0)
+    tc = t_transform(christoffel(s), 1.0)
     _, res_second = moebius_equivalent(tt.second_point, tc.surface,
                                        n_quads=20, seed=11)
     report("criterion 4a (second point = spectral transform of dual)",
@@ -220,10 +217,9 @@ def test_criterion_5_group_law():
     errs = []
     for n in (65, 129, 257):
         g = GridSpec.square(1.0, n)
-        p0 = g.center_node()
         s = plane_surface(g)
-        chained = t_transform(t_transform(s, 0.3, p0).surface, 0.7, p0)
-        direct = t_transform(s, 1.0, p0)
+        chained = t_transform(t_transform(s, 0.3).surface, 0.7)
+        direct = t_transform(s, 1.0)
         errs.append(moebius_equivalent(chained.surface, direct.surface, n_quads=20, seed=3)[1])
     report("criterion 5 (group law T_0.7 T_0.3 = T_1.0)", errs[1], 1e-5,
            f"order {order_line(errs):.2f}")
@@ -279,9 +275,8 @@ def test_criterion_8_curvature_data_extraction():
     assert order_line(gauss_errs) >= 1.9
 
 
-def test_criterion_9_route_triangle(grid129):
+def test_criterion_9_route_triangle():
     lam = 0.5
-    p0 = grid129.center_node()
     # darboux vs coupled system at every size, so that its line prints the
     # order of the Riccati and Bryant marches
     ac_errs = []
@@ -299,7 +294,7 @@ def test_criterion_9_route_triangle(grid129):
     minimal = weierstrass_minimal(fam129)
     from isothermic import ribaucour_connection
 
-    conn = ribaucour_connection(minimal, p0)
+    conn = ribaucour_connection(minimal)
     b = t_transform_gauged(minimal, -lam, conn)
     _, res_ab = moebius_equivalent(a129.f, b.surface, n_quads=20, seed=5, tau=1e-4)
     _, res_bc = moebius_equivalent(b.surface, c129.f, n_quads=20, seed=7, tau=1e-4)

@@ -54,7 +54,7 @@ def test_spectral_family_equals_the_dense_reference(canonical_inputs, canonical_
     frame = integrate_frame(phi_x, phi_y, base.grid, qm2_identity(), base.p0,
                             curvature_norm=base.curvature_norm(mu))
     want = FrameConnection(base.grid, qm2_mul(base.frame0_at_p0(), frame.values),
-                           (phi_x, phi_y), base.slopes, base.p0, base.shifted_curvature(mu))
+                           (phi_x, phi_y), base.slopes, base.shifted_curvature(mu))
     got = t_transform_via_connection(canonical_families[name], mu)
     assert got.frame.values.tobytes() == frame.values.tobytes()
     assert_same_family(got.connection, want)

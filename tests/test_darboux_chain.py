@@ -105,7 +105,7 @@ def parents(example):
     u, dzu = oc.family_log_metric(zs, lam)
     ribaucour = ref.ribaucour_from_parts(grid, oc.minimal_family(zs, lam),
                                          _sign_continuity(oc.family_spin(zs, lam), p0),
-                                         u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
+                                         u, 2.0 * dzu.real, -2.0 * dzu.imag)
     return {"canonical": (conn, dense),
             "spectral": (t_transform_via_connection(conn, 0.4).connection,
                          t_transform_via_connection(dense, 0.4).connection),

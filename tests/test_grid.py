@@ -354,13 +354,13 @@ def test_integrate_frame_fourth_order():
     assert min(orders) >= 3.8
 
 
-def test_integrate_frame_blowup(grid33):
+def test_integrate_frame_blowup(grid33, monkeypatch):
     phix = np.zeros((grid33.ny, grid33.nx, 2, 2, 4))
     phix[..., 0, 0, 0] = 40.0  # d F11 = 40 F11 dx: overflows the budget
     phiy = np.zeros_like(phix)
+    monkeypatch.setattr(grid_module, "BLOWUP_LIMIT", 1e6)
     with pytest.raises(StepBlowup) as info:
-        integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node(),
-                        blowup=1e6)
+        integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node())
     # e^(40 x) passes 1e6 between x = 0.3125 and 0.375 (ix = 22); row 0 first
     assert info.value.node == (0, 22)
 
@@ -374,7 +374,9 @@ def test_default_blowup_limit(peak, blows):
     phiy[..., 0, 0, 0] = np.log(peak)  # F11 = peak^y on the spine column
     phix = np.zeros_like(phiy)
     p0 = grid.center_node()
-    top = integrate_frame(phix, phiy, grid, qm2_identity(), p0, blowup=np.inf).values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "BLOWUP_LIMIT", np.inf)
+        top = integrate_frame(phix, phiy, grid, qm2_identity(), p0).values
     assert 0.9 * peak < np.abs(top).max() < 1.1 * peak
     if blows:
         with pytest.raises(StepBlowup):
@@ -425,9 +427,9 @@ def test_blowup_named_at_first_column_of_a_block(grid33, monkeypatch, rate, node
     phix[..., 0, 0, 0] = rate
     phiy = np.zeros_like(phix)
     monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid33.ny)
+    monkeypatch.setattr(grid_module, "BLOWUP_LIMIT", 1e7)
     with pytest.raises(StepBlowup) as info:
-        integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node(),
-                        blowup=1e7)
+        integrate_frame(phix, phiy, grid33, qm2_identity(), grid33.center_node())
     assert info.value.node == node
 
 
@@ -437,11 +439,12 @@ def _blowup_node(grid, monkeypatch, phix, blowup, p0=None):
     march runs with warnings as errors, and ungated, since phix may vary
     along y."""
     monkeypatch.setattr(grid_module, "_MARCH_BLOCK", 3 * grid.ny)
+    monkeypatch.setattr(grid_module, "BLOWUP_LIMIT", blowup)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StepBlowup) as info:
             integrate_frame(phix, np.zeros_like(phix), grid, qm2_identity(),
-                            p0 or grid.center_node(), tau=np.inf, blowup=blowup)
+                            p0 or grid.center_node(), tau=np.inf)
     return info.value.node
 
 
@@ -494,6 +497,7 @@ def test_blowup_names_upper_half_before_nearer_lower_half(grid33, monkeypatch, a
     (10, 10) the lower half has 10 lines, so the upper half goes bad in its
     tail, marched alone after the lower half has ended."""
     monkeypatch.setattr(grid_module, "_MARCH_BLOCK", block)
+    monkeypatch.setattr(grid_module, "BLOWUP_LIMIT", 1e6)
     axis = 0 if along == "spine" else 1  # the spine marches by phi_y, the lines by phi_x
 
     def blowup_node(up, down):
@@ -503,8 +507,7 @@ def test_blowup_names_upper_half_before_nearer_lower_half(grid33, monkeypatch, a
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepBlowup) as info:
-                integrate_frame(phi[0], phi[1], grid33, qm2_identity(), p0, tau=np.inf,
-                                blowup=1e6)
+                integrate_frame(phi[0], phi[1], grid33, qm2_identity(), p0, tau=np.inf)
         return info.value.node
 
     upper, lower = blowup_node(20.0, 0.0), blowup_node(0.0, 35.0)
@@ -548,13 +551,14 @@ def test_march_stops_at_first_non_finite_node(grid33, march, bad, gate_node, mar
     assert info.value.node == node
 
 
-def test_row_spine_names_node_in_grid_orientation(grid33):
+def test_row_spine_names_node_in_grid_orientation(grid33, monkeypatch):
     phi_x = np.zeros((33, 33, 2, 2, 4))
     phi_y = np.zeros_like(phi_x)
     phi_y[..., 0, 0, 0] = 40.0  # d F11 = 40 F11 dy along the columns of the scheme
+    monkeypatch.setattr(grid_module, "BLOWUP_LIMIT", 1e6)
     with pytest.raises(StepBlowup) as info:
         integrate_frame(phi_x, phi_y, grid33, qm2_identity(), grid33.center_node(),
-                        spine="row", blowup=1e6)
+                        spine="row")
     # e^(40 y) passes 1e6 at iy = 22, as in test_integrate_frame_blowup; column 0 first
     assert info.value.node == (22, 0)
     assert str(info.value).count("(at node") == 1

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isothermic import (ConfigInvalid, DegenerateTangent, GridSpec, IoError, QField,
-                        export_obj)
+from isothermic import (ConfigInvalid, DegenerateTangent, GeometryError, GridSpec, IoError,
+                        QField, export_obj)
 from isothermic.cli import main as cli_main
 from isothermic.pipeline import (
     FIELDS,
@@ -23,6 +23,7 @@ from isothermic.pipeline import (
     MAX_GRID_N,
     REQUIRED,
     TRANSFORM_OPS,
+    InvariantReport,
     PipelineConfig,
     run_pipeline,
 )
@@ -727,6 +728,21 @@ def test_empty_report_does_not_pass(tmp_path, capsys):
     assert cli_main(["verify", "--config", str(p), "--out", str(tmp_path)]) == 1
 
 
+def test_report_refuses_a_non_finite_residual():
+    report = InvariantReport()
+    with pytest.raises(GeometryError, match="check p1 produced a non-finite residual"):
+        report.add("p1", np.nan, 1e-5, 0.1)
+    assert report.checks == []
+
+
+def test_cli_sweep_needs_a_parameter_value(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--grid-n", "17", "--lambdas", ",", "--out", str(out)]) == 2
+    assert "configuration error: sweep needs at least one parameter value" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_failing_member_returns_one(tmp_path, capsys, monkeypatch):
     from isothermic import pipeline
 
@@ -837,6 +853,18 @@ def test_cli_runs_every_transform_op(tmp_path, capsys, op):
     doc = json.loads((out / "surface.json").read_text())
     assert len(doc["values"]) == 33 * 33 and op in " ".join(doc["provenance"])
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_darboux_from_a_point_on_the_surface_is_a_singularity(tmp_path, capsys):
+    """A Darboux start point on the surface is a numerical failure (exit 3)
+    that names the base node, as CI's smoke step checks."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_n": 33, "generator": {"kind": "example"},
+                               "transforms": [{"op": "darboux", "d0": [0, 0, 0, 0]}]}))
+    assert cli_main(["transform", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: initial point lies on the surface (at node (16, 16))" in err
+    assert "Traceback" not in err
 
 
 def test_cli_family_overflow_names_node(tmp_path, capsys):

@@ -42,13 +42,13 @@ def test_family_connection_equals_the_public_oracles(grid65, lam):
     u, dzu = oc.family_log_metric(zs, lam)
     want = ref.ribaucour_from_parts(grid65, oc.minimal_family(zs, lam),
                                     _sign_continuity(oc.family_spin(zs, lam), p0),
-                                    u, 2.0 * dzu.real, -2.0 * dzu.imag, p0)
+                                    u, 2.0 * dzu.real, -2.0 * dzu.imag)
     assert conn.grid is want.grid
     assert_same_family(conn, want)
 
 
-def _with_dense_twin(monkeypatch, surface, p0=None):
-    """ribaucour_connection(surface, p0), and the dense reference family
+def _with_dense_twin(monkeypatch, surface):
+    """ribaucour_connection(surface), and the dense reference family
     assembled from the very parts it was given."""
     parts = []
     family = cmc._RibaucourFamily
@@ -59,7 +59,7 @@ def _with_dense_twin(monkeypatch, surface, p0=None):
 
     with monkeypatch.context() as mp:
         mp.setattr(cmc, "_RibaucourFamily", record)
-        conn = ribaucour_connection(surface, p0)
+        conn = ribaucour_connection(surface)
     (args,) = parts
     return conn, ref.ribaucour_from_parts(*args)
 
@@ -96,7 +96,7 @@ def test_gauged_transform_takes_the_family_as_its_dense_twin(grid65, monkeypatch
                                   lambda z: oc.family_w(z, lam),
                                   lambda z: oc.family_dg(z, lam))
     minimal = weierstrass_minimal(data)
-    conn, stored = _with_dense_twin(monkeypatch, minimal, grid65.center_node())
+    conn, stored = _with_dense_twin(monkeypatch, minimal)
     got = t_transform_gauged(minimal, -lam, conn)
     want = t_transform_gauged(minimal, -lam, stored)
     assert got.surface.f.values.tobytes() == want.surface.f.values.tobytes()
@@ -117,7 +117,7 @@ def test_gauged_transform_keeps_no_slope_of_the_family():
                                   lambda z: oc.family_w(z, lam),
                                   lambda z: oc.family_dg(z, lam))
     minimal = weierstrass_minimal(data)
-    conn = ribaucour_connection(minimal, grid.center_node())
+    conn = ribaucour_connection(minimal)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

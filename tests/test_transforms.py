@@ -8,6 +8,7 @@ import pytest
 from isothermic import (
     FrameField,
     GridSpec,
+    NotAdapted,
     NotClosed,
     NotIntegrable,
     PolarizedSurface,
@@ -48,6 +49,7 @@ from isothermic.quaternion import (
     qnorm,
 )
 from isothermic.surfaces import fundamental_forms, normal_field
+from isothermic.transforms import frame_connection_from_field
 
 import reference_permutability
 from conftest import inversion, moebius_image, sample_values
@@ -62,8 +64,7 @@ MINUS_I = np.array([0.0, -1.0, 0.0, 0.0])
 # ---------------------------------------------------------------------------
 
 def test_christoffel_plane_exact(plane129, grid129):
-    p0 = grid129.center_node()
-    cf = christoffel(plane129, p0)
+    cf = christoffel(plane129)
     target = sample_values(grid129, oc.cf_plane)
     assert qnorm(cf.f.values - target).max() < 1e-12
     assert cf.polarization == "dz2"  # conjugation flag flips
@@ -108,8 +109,8 @@ def test_wedge_and_involution_orders():
             w = wedge(d_field(s.f), christoffel_form(s))
             sel = g.interior() & w.grid.valid()
             werrs.append(qnorm(w.values)[sel].max())
-            cs = christoffel(s, p0)
-            ccs = christoffel(cs, p0, c0=s.f.value_at(p0))
+            cs = christoffel(s)
+            ccs = christoffel(cs, c0=s.f.value_at(p0))
             diff = ccs.f.values - s.f.values
             cerrs.append(qnorm(diff - diff[p0[0], p0[1]])[ccs.grid.valid()].max())
         assert werrs[-1] < 1e-4 and cerrs[-1] < 1e-4
@@ -138,11 +139,11 @@ def test_christoffel_of_minimal_is_totally_umbilic(grid129):
 def test_goursat_matches_dual_moebius_dual_route(plane129, grid129):
     p0 = grid129.center_node()
     m = np.array([0.0, 1.0, 0.0, 0.0])
-    direct = goursat(plane129, m, p0)
-    cs = christoffel(plane129, p0)
+    direct = goursat(plane129, m)
+    cs = christoffel(plane129)
     vals, ok = moebius_image(inversion(m), cs.f.values)
     mcs = PolarizedSurface(QField(cs.grid.merge_mask(ok), vals), cs.polarization)
-    twostep = christoffel(mcs, p0)
+    twostep = christoffel(mcs)
     diff = direct.f.values - twostep.f.values
     sel = direct.grid.valid() & twostep.grid.valid()
     assert qnorm(diff - diff[p0[0], p0[1]])[sel].max() < 1e-4
@@ -152,12 +153,12 @@ def test_goursat_inverse_composition(plane129, grid129):
     p0 = grid129.center_node()
     m = np.array([0.0, 1.0, 0.0, 0.0])
     mm = inversion(m)
-    g1 = goursat(plane129, m, p0)
-    c0, _ = moebius_image(mm, christoffel(plane129, p0).f.value_at(p0))
-    cg = christoffel(g1, p0, c0)
+    g1 = goursat(plane129, m)
+    c0, _ = moebius_image(mm, christoffel(plane129).f.value_at(p0))
+    cg = christoffel(g1, c0)
     vals, ok = moebius_image(qm2_inv(mm), cg.f.values)
     mcg = PolarizedSurface(QField(cg.grid.merge_mask(ok), vals), cg.polarization)
-    back = christoffel(mcg, p0)
+    back = christoffel(mcg)
     diff = back.f.values - plane129.f.values
     sel = back.grid.valid()
     assert qnorm(diff - diff[p0[0], p0[1]])[sel].max() < 1e-6
@@ -171,7 +172,7 @@ def test_goursat_large_m_similarity_trend(plane129, grid129):
     devs = []
     for mag in (3.0, 10.0, 30.0):
         marr = np.array([0.0, mag, 0.0, 0.0])
-        gm = goursat(plane129, marr, p0)
+        gm = goursat(plane129, marr)
         sim = -qmul(
             np.broadcast_to(marr, plane129.f.values.shape),
             qmul(plane129.f.values - f0, np.broadcast_to(marr, plane129.f.values.shape)),
@@ -187,40 +188,38 @@ def test_goursat_large_m_similarity_trend(plane129, grid129):
 # ---------------------------------------------------------------------------
 
 def test_darboux_routes_match_closed_form(plane129, grid129):
-    p0 = grid129.center_node()
     target = sample_values(grid129, lambda z: oc.darboux_plane(z, 1.0))
-    lin = darboux_linear(plane129, 1.0, p0, V0_SEED)
-    ric = darboux_riccati(plane129, 1.0, p0, MINUS_I)
+    lin = darboux_linear(plane129, 1.0, V0_SEED)
+    ric = darboux_riccati(plane129, 1.0, MINUS_I)
     sel = lin.grid.valid() & ric.grid.valid()
     assert qnorm(lin.f.values - target)[sel].max() < 5e-6
     assert qnorm(ric.f.values - target)[sel].max() < 5e-6
     assert qnorm(ric.f.values - lin.f.values)[sel].max() < 5e-6
 
 
-@pytest.mark.parametrize("p0", [None, (70, 50)], ids=["centre", "off_centre"])
-def test_darboux_riccati_default_start_point(catenoid129, p0):
-    """Without d0 the Riccati march starts one unit normal off f(p0): the
-    same transform, bit for bit, as the call with that point given."""
-    node = p0 or catenoid129.grid.center_node()
+def test_darboux_riccati_default_start_point(catenoid129):
+    """Without d0 the Riccati march starts one unit normal off f(p0) at the
+    base node: the same transform, bit for bit, as the call with that point
+    given."""
+    node = catenoid129.grid.center_node()
     d0 = catenoid129.f.value_at(node) + normal_field(catenoid129).values[node]
-    want = darboux_riccati(catenoid129, 0.5, p0, d0)
-    got = darboux_riccati(catenoid129, 0.5, p0)
+    want = darboux_riccati(catenoid129, 0.5, d0)
+    got = darboux_riccati(catenoid129, 0.5)
     assert np.array_equal(got.f.values, want.f.values)
     assert np.array_equal(got.grid.valid(), want.grid.valid())
 
 
 def test_darboux_lambda_zero_degenerates(plane129, grid129):
     p0 = grid129.center_node()
-    out = darboux_riccati(plane129, 0.0, p0, MINUS_I)
+    out = darboux_riccati(plane129, 0.0, MINUS_I)
     spread = qnorm(out.f.values - out.f.values[p0[0], p0[1]])[out.grid.valid()].max()
     assert spread < 1e-10  # transform collapses to the seed point
 
 
 def test_darboux_reconstructs_dual_form(plane129, grid129):
     # lam dCf = (Df - f)^-1 dDf (Df - f)^-1 pointwise at O(h^2)
-    p0 = grid129.center_node()
     lam = 1.0
-    d = darboux_riccati(plane129, lam, p0, MINUS_I)
+    d = darboux_riccati(plane129, lam, MINUS_I)
     diff = d.f.values - plane129.f.values
     inv, ok = qinv_masked(diff)
     dd = d_field(d.f)
@@ -233,8 +232,7 @@ def test_darboux_reconstructs_dual_form(plane129, grid129):
 
 def test_darboux_curvature_line_correspondence(plane129, grid129):
     # wedge(df, (f - Df)^-1 dDf) vanishes
-    p0 = grid129.center_node()
-    d = darboux_riccati(plane129, 1.0, p0, MINUS_I)
+    d = darboux_riccati(plane129, 1.0, MINUS_I)
     diff = d.f.values - plane129.f.values
     inv, ok = qinv_masked(diff)
     dd = d_field(d.f)
@@ -255,7 +253,7 @@ def _euclidean_frame(value):
 def test_darboux_moebius_equivariance(plane129, grid129):
     p0 = grid129.center_node()
     lam = 1.0
-    base = darboux_linear(plane129, lam, p0, V0_SEED)
+    base = darboux_linear(plane129, lam, V0_SEED)
     rng = np.random.default_rng(5)
     checked = 0
     for _ in range(10):
@@ -282,7 +280,7 @@ def test_darboux_moebius_equivariance(plane129, grid129):
             qm2_mul(mm, _euclidean_frame(plane129.f.value_at(p0))),
         )
         v0t = qm2_matvec(transport, V0_SEED)
-        dm = darboux_linear(ms, lam, p0, v0t)
+        dm = darboux_linear(ms, lam, v0t)
         image_vals, ok2 = moebius_image(mm, base.f.values)
         image = QField(grid129.merge_mask(ok2), image_vals)
         eq, res = moebius_equivalent(image, dm.f, n_quads=10, seed=7, tau=1e-4)
@@ -295,15 +293,13 @@ def test_darboux_moebius_equivariance(plane129, grid129):
 # spectral transform
 # ---------------------------------------------------------------------------
 
-def test_t_transform_zero_is_identity(plane129, grid129):
-    p0 = grid129.center_node()
-    out = t_transform(plane129, 0.0, p0)
+def test_t_transform_zero_is_identity(plane129):
+    out = t_transform(plane129, 0.0)
     assert qnorm(out.surface.f.values - plane129.f.values).max() < 1e-12
 
 
 def test_t_transform_plane_closed_form(plane129, grid129):
-    p0 = grid129.center_node()
-    out = t_transform(plane129, 1.0, p0)
+    out = t_transform(plane129, 1.0)
     frame_target = oc.t_frame(grid129.zgrid(), 1.0)
     assert np.abs(out.frame.values - frame_target).max() < 5e-6
     surf_target = sample_values(grid129, lambda z: oc.t_plane(z, 1.0))
@@ -313,36 +309,37 @@ def test_t_transform_plane_closed_form(plane129, grid129):
 
 
 def test_t_transform_negative_lambda(plane65, grid65):
-    p0 = grid65.center_node()
-    out = t_transform(plane65, -0.8, p0)
+    out = t_transform(plane65, -0.8)
     target = sample_values(grid65, lambda z: oc.t_plane(z, -0.8))
     assert qnorm(out.surface.f.values - target)[out.surface.grid.valid()].max() < 5e-6
 
 
-def test_t_transform_group_law(plane129, grid129):
-    p0 = grid129.center_node()
-    first = t_transform(plane129, 0.3, p0)
-    second = t_transform(first.surface, 0.7, p0)
-    direct = t_transform(plane129, 1.0, p0)
+def test_t_transform_group_law(plane129):
+    first = t_transform(plane129, 0.3)
+    second = t_transform(first.surface, 0.7)
+    direct = t_transform(plane129, 1.0)
     eq, res = moebius_equivalent(second.surface, direct.surface, seed=3)
     assert eq, res
     assert res < 1e-5
 
 
-def test_t_transform_gauged_canonical_reduces_exactly(plane129, grid129):
-    p0 = grid129.center_node()
-    base = t_transform(plane129, 1.0, p0)
-    frame0 = np.zeros((grid129.ny, grid129.nx, 2, 2, 4))
-    frame0[..., 0, 0, :] = plane129.f.values
+def _canonical_frame(grid, fvals):
+    """The frame [[f, 1], [1, 0]] of the values f on grid, as a FrameField."""
+    frame0 = np.zeros((grid.ny, grid.nx, 2, 2, 4))
+    frame0[..., 0, 0, :] = fvals
     frame0[..., 0, 1, 0] = 1.0
     frame0[..., 1, 0, 0] = 1.0
-    gauged = t_transform_gauged(plane129, 1.0, FrameField(grid129, frame0), p0)
+    return FrameField(grid, frame0)
+
+
+def test_t_transform_gauged_canonical_reduces_exactly(plane129):
+    base = t_transform(plane129, 1.0)
+    gauged = t_transform_gauged(plane129, 1.0, _canonical_frame(plane129.grid, plane129.f.values))
     assert qnorm(gauged.surface.f.values - base.surface.f.values).max() < 1e-12
 
 
 def test_t_transform_gauged_scalar_gauge(plane129, grid129):
-    p0 = grid129.center_node()
-    base = t_transform(plane129, 1.0, p0)
+    base = t_transform(plane129, 1.0)
     zs = grid129.zgrid()
     theta = 0.3 * zs.real + 0.2 * zs.imag
     a = np.zeros((grid129.ny, grid129.nx, 4))
@@ -352,10 +349,34 @@ def test_t_transform_gauged_scalar_gauge(plane129, grid129):
     frame0[..., 0, 0, :] = qmul(plane129.f.values, a)
     frame0[..., 0, 1, 0] = 1.0
     frame0[..., 1, 0, :] = a
-    gauged = t_transform_gauged(plane129, 1.0, FrameField(grid129, frame0), p0)
+    gauged = t_transform_gauged(plane129, 1.0, FrameField(grid129, frame0))
     eq, res = moebius_equivalent(base.surface, gauged.surface, seed=2, tau=1e-4)
     # numeric gauge reading is second-order limited; class residual stays small
     assert eq, res
+
+
+def test_numeric_connection_needs_a_frame_that_projects(plane65):
+    """A frame whose second row vanishes has no affine point at any node."""
+    frame = _canonical_frame(plane65.grid, plane65.f.values)
+    frame.values[..., 1, :, :] = 0.0
+    with pytest.raises(NotAdapted, match="frame projects nowhere"):
+        frame_connection_from_field(plane65, frame)
+
+
+def test_numeric_connection_needs_a_frame_adapted_to_the_surface(plane65):
+    """The canonical frame of f + 1 projects one unit off f, beyond 1e-5 of
+    the surface's scale."""
+    message = r"does not project onto the surface \(max dev 1.000e\+00\)"
+    with pytest.raises(NotAdapted, match=message):
+        shifted = plane65.f.values + np.array([1.0, 0.0, 0.0, 0.0])
+        t_transform_gauged(plane65, 1.0, _canonical_frame(plane65.grid, shifted))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 4), (1, 4)])
+def test_darboux_start_column_must_be_homogeneous(plane65, shape):
+    conn = canonical_connection(plane65)
+    with pytest.raises(ValueError, match=r"w0 must be a homogeneous column \(2, 4\)"):
+        darboux_via_connection(conn, 1.0, np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +432,8 @@ def test_moebius_equivalent_negative_control(name, plane129, catenoid129, grid12
 # permutability
 # ---------------------------------------------------------------------------
 
-def test_permutability_suite_plane(plane129, grid129):
-    rep = permutability_suite(plane129, 1.0, mu=0.35, p0=grid129.center_node())
+def test_permutability_suite_plane(plane129):
+    rep = permutability_suite(plane129, 1.0, mu=0.35)
     assert rep.p1_residual <= 1e-5
     assert rep.p3_residual <= 1e-5
     assert rep.p2_pointwise <= 1e-4   # O(h^2) positioning identity
@@ -525,12 +546,11 @@ def test_permutability_p2_positioning_order(plane65, plane129):
     assert np.log2(res[0] / res[1]) >= 1.7
 
 
-def test_distinct_darboux_members_differ(plane129, grid129):
+def test_distinct_darboux_members_differ(plane129):
     # the transform family is genuinely three-parametric: different seeds
     # give inequivalent surfaces (their Goursat relation after a spectral
     # step is exercised by the duality acceptance test)
-    p0 = grid129.center_node()
-    conn = canonical_connection(plane129, p0=p0)
+    conn = canonical_connection(plane129)
     v0b = np.array([[1.0, 0, 0, 0], [0, -0.7, 0.5, 0.2]])
     lhs = darboux_via_connection(conn, 1.0, V0_SEED).surface
     rhs = darboux_via_connection(conn, 1.0, v0b).surface
