@@ -4,8 +4,8 @@
 ``--tree DIR`` imports the package from DIR/src (default: this checkout)
 and prints one ``name sha256`` line per output: the permutability reports,
 the transforms and their families, the cmc constructions, the criterion-8
-frame and extraction, the files the CLI writes (``cmc_export`` and every
-transform op) and the lines of DIR's acceptance suite.  An output that
+frame and extraction, the files the CLI writes (``cmc_export``, every
+transform op, every generator kind but ``file`` and ``sweep``) and the lines of DIR's acceptance suite.  An output that
 raises is digested as its error type and message, so errors are compared
 too.  Arrays are digested with their dtype and shape.  Where a change may
 flip the sign of a zero that no later float operation tells apart (the
@@ -267,7 +267,7 @@ def _cmc_export(lam):
 
 
 def group_cli(iso):
-    from isothermic.pipeline import TRANSFORM_OPS
+    from isothermic.pipeline import GENERATOR_KINDS, TRANSFORM_OPS
 
     for lam in (0.5, 0.8):
         yield from _cli_files(f"cmc_export/lam{lam}", _cmc_export(lam))
@@ -280,6 +280,15 @@ def group_cli(iso):
         cfg = {"grid_n": 33, "generator": {"kind": "example"}, "transforms": [{"op": op}],
                "export": {"surface": "surface.json"}}
         yield from _cli_files(f"cli_transform/{op}", lambda out: [("transform", cfg)])
+    for kind in GENERATOR_KINDS:
+        if kind != "file":  # cmc_export covers file
+            cfg = {"grid_n": 33, "generator": {"kind": kind},
+                   "export": {"surface": "surface.json", "obj": "surface.obj",
+                              "report": "report.json"}}
+            yield from _cli_files(f"cli_generate/{kind}", lambda out: [("generate", cfg)])
+    # the default --lambdas: four members, exit 0
+    cfg = {"grid_n": 17, "generator": {"kind": "example"}}
+    yield from _cli_files("cli_sweep", lambda out: [("sweep", cfg)])
 
 
 def group_acceptance(iso, tree):

@@ -17,6 +17,16 @@ from .errors import ConfigInvalid, GeometryError, IoError
 from .pipeline import PipelineConfig, read_config, run_pipeline, sweep
 
 DEFAULT_CONFIG = {"generator": {"kind": "example"}}  # the schema fills in the rest
+#: subcommand -> (help, the config sections it fills in where the config leaves them empty)
+COMMANDS = {
+    "generate": ("run a generator and export the surface",
+                 {"export": {"surface": "surface.json", "report": "report.json"}}),
+    "transform": ("apply the configured transform chain", {}),
+    "verify": ("run the configured invariant checks", {"verify": {"isothermic": True}}),
+    "export": ("write mesh/JSON artifacts for the configured surface",
+               {"export": {"obj": "surface.obj"}}),
+    "sweep": ("iterate the spectral parameter over a list", {}),
+}
 
 
 def build_parser():
@@ -26,13 +36,7 @@ def build_parser():
         "surfaces and cmc surfaces of hyperbolic space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "run a generator and export the surface"),
-        ("transform", "apply the configured transform chain"),
-        ("verify", "run the configured invariant checks"),
-        ("export", "write mesh/JSON artifacts for the configured surface"),
-        ("sweep", "iterate the spectral parameter over a list"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="pipeline configuration (JSON)")
         p.add_argument("--out", default=".", help="output directory")
@@ -78,12 +82,9 @@ def main(argv=None):
                 print(f"FAIL  checks failed for lambda {failed}")
                 return 1
             return 0
-        if args.command == "generate" and not cfg.export:
-            cfg.export = {"surface": "surface.json", "report": "report.json"}
-        if args.command == "export" and not cfg.export:
-            cfg.export = {"obj": "surface.obj"}
-        if args.command == "verify" and not cfg.verify:
-            cfg.verify = {"isothermic": True}
+        for section, default in COMMANDS[args.command][1].items():
+            if not getattr(cfg, section):
+                setattr(cfg, section, dict(default))
         report, artifacts, _ = run_pipeline(cfg, args.out)
         for check in report.checks:
             state = "pass" if check.passed else "FAIL"

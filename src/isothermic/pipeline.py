@@ -3,9 +3,11 @@
 Every config rule is in one table, FIELDS.  PipelineConfig.from_dict walks
 all of it (unknown or missing keys, each value's kind and range, defaults
 filled in), then checks the cross-field rules, before any work runs; the
-CLI flags and every sweep member go through it too.  The generator, the
-transforms and the checks read only validated values.  Reports are JSON and
-reproducible bit-for-bit for a fixed config and seed.
+CLI flags and every sweep member go through it too.  Each generator kind is
+named once, as a key of GENERATORS, and each transform op once, as a key of
+TRANSFORMS; GENERATOR_KINDS and TRANSFORM_OPS are their keys in order.  The
+generator, the transforms and the checks read only validated values.
+Reports are JSON and reproducible bit-for-bit for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -51,10 +53,59 @@ MEMORY_BUDGET = 2**31
 #: samples per grid side whose square grid stays within MEMORY_BUDGET
 MAX_GRID_N = math.isqrt(MEMORY_BUDGET // PEAK_BYTES_PER_NODE)
 GRID_N_RANGE = f"at most {MAX_GRID_N} (a {MEMORY_BUDGET >> 30} GiB memory estimate)"
-GENERATOR_KINDS = ("example", "weierstrass", "bryant", "darboux-weierstrass", "file")
-TRANSFORM_OPS = ("christoffel", "goursat", "darboux", "darboux_linear", "t_transform")
-_WEIERSTRASS = ("weierstrass", "bryant", "darboux-weierstrass")
 REQUIRED = object()  # the default of a field that must be given
+
+
+# ---------------------------------------------------------------------------
+# generators and transforms
+# ---------------------------------------------------------------------------
+
+def _file(grid, gen):
+    fld, doc = load_field(gen["path"])
+    _require_keys(doc, {"grid", "values", "polarization", "lambda", "provenance",
+                        "model", "route"}, f"surface file {gen['path']}")
+    try:  # a polarization or provenance the surface rejects is the file's error
+        return PolarizedSurface(fld, doc.get("polarization", "dz2"),
+                                tuple(doc.get("provenance", ()))), {}
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"surface file {gen['path']}: {exc}") from None
+
+
+def _weierstrass_data(grid, gen):
+    if gen["data"] == "plane":  # g = z, w = 1, dg = 1
+        return WeierstrassData.sample(grid, np.asarray, np.ones_like, np.ones_like)
+    lam = gen["lambda"]
+    return WeierstrassData.sample(grid, partial(oracles.family_g, lam=lam),
+                                  partial(oracles.family_w, lam=lam),
+                                  partial(oracles.family_dg, lam=lam))
+
+
+def _cmc(kind, cmc):
+    """The surface of a cmc kind and the header keys that name its model and route."""
+    return PolarizedSurface(cmc.f, "dz2", (kind,)), {"model": "halfspace", "route": cmc.route}
+
+
+#: generator kind -> (grid, generator config) -> (surface, extra surface file header)
+GENERATORS = {
+    "example": lambda grid, gen: (PolarizedSurface.sample(grid, oracles.f_plane, "dzbar2",
+                                                          ("example-plane",)), {}),
+    "weierstrass": lambda grid, gen: (weierstrass_minimal(_weierstrass_data(grid, gen)), {}),
+    "bryant": lambda grid, gen: _cmc("bryant", bryant_surface(_weierstrass_data(grid, gen),
+                                                              gen["lambda"])),
+    "darboux-weierstrass": lambda grid, gen: _cmc("darboux-weierstrass", darboux_weierstrass(
+        _weierstrass_data(grid, gen), gen["lambda"], v0=gen["v0"])),
+    "file": _file,
+}
+#: transform op -> (surface, step config) -> surface
+TRANSFORMS = {
+    "christoffel": lambda s, step: christoffel(s),
+    "goursat": lambda s, step: goursat(s, from_imag3(step["m"])),
+    "darboux": lambda s, step: darboux_riccati(s, step["lambda"], d0=step.get("d0")),
+    "darboux_linear": lambda s, step: darboux_linear(s, step["lambda"], v0=step["v0"]),
+    "t_transform": lambda s, step: t_transform(s, step["lambda"]).surface,
+}
+GENERATOR_KINDS = tuple(GENERATORS)
+TRANSFORM_OPS = tuple(TRANSFORMS)
 
 
 class Field(NamedTuple):
@@ -90,11 +141,13 @@ FIELDS = (
     Field("domain", "height", "number", 2.0, range="positive"),
     Field("generator", "kind", "choice", REQUIRED, choices=GENERATOR_KINDS),
     Field("generator", "lambda", "number", 1.0),
-    Field("generator", "data", "choice", "plane", choices=("plane", "family"), only=_WEIERSTRASS),
-    Field("generator", "v0", "array", V0, shape=(2, 4), only=_WEIERSTRASS),
+    Field("generator", "data", "choice", "plane", choices=("plane", "family"),
+          only=("weierstrass", "bryant", "darboux-weierstrass")),
+    Field("generator", "v0", "array", V0, shape=(2, 4), only=("darboux-weierstrass",)),
     Field("generator", "path", "path", REQUIRED, only=("file",)),
     Field("transforms", "op", "choice", REQUIRED, choices=TRANSFORM_OPS),
-    Field("transforms", "lambda", "number", 1.0),
+    Field("transforms", "lambda", "number", 1.0,
+          only=("darboux", "darboux_linear", "t_transform")),
     Field("transforms", "m", "array", [1.0, 0.0, 0.0], shape=(3,), only=("goursat",)),
     Field("transforms", "d0", "array", shape=(4,), only=("darboux",)),
     Field("transforms", "v0", "array", V0, shape=(2, 4), only=("darboux_linear",)),
@@ -280,81 +333,10 @@ class InvariantReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# generators
-# ---------------------------------------------------------------------------
-
-def _family_weierstrass(grid, lam):
-    return WeierstrassData.sample(
-        grid,
-        partial(oracles.family_g, lam=lam),
-        partial(oracles.family_w, lam=lam),
-        partial(oracles.family_dg, lam=lam),
-    )
-
-
-def _plane_weierstrass(grid):
-    # g = z, w = 1, dg = 1
-    return WeierstrassData.sample(grid, np.asarray, np.ones_like, np.ones_like)
-
-
-def make_surface(config: PipelineConfig):
-    """Run the generator; returns (surface, extras dict)."""
-    grid = config.grid()
-    gen = config.generator
-    kind, lam = gen["kind"], gen["lambda"]
-    extras = {"lambda": lam}
-    if kind == "example":
-        surface = PolarizedSurface.sample(grid, oracles.f_plane, "dzbar2",
-                                          ("example-plane",))
-    elif kind == "file":
-        fld, doc = load_field(gen["path"])
-        _require_keys(doc, {"grid", "values", "polarization", "lambda", "provenance",
-                            "model", "route"}, f"surface file {gen['path']}")
-        try:  # a polarization or provenance the surface rejects is the file's error
-            surface = PolarizedSurface(fld, doc.get("polarization", "dz2"),
-                                       tuple(doc.get("provenance", ())))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"surface file {gen['path']}: {exc}") from None
-    else:
-        if gen["data"] == "plane":
-            data = _plane_weierstrass(grid)
-        else:
-            data = _family_weierstrass(grid, lam)
-        if kind == "weierstrass":
-            surface = weierstrass_minimal(data)
-        elif kind == "bryant":
-            cmc = bryant_surface(data, lam)
-            extras["cmc"] = cmc
-            surface = PolarizedSurface(cmc.f, "dz2", ("bryant",))
-        else:
-            cmc = darboux_weierstrass(data, lam, v0=gen["v0"])
-            extras["cmc"] = cmc
-            surface = PolarizedSurface(cmc.f, "dz2", ("darboux-weierstrass",))
-    return surface, extras
-
-
-def apply_transforms(surface: PolarizedSurface, steps):
-    for step in steps:
-        op, lam = step["op"], step["lambda"]
-        if op == "christoffel":
-            surface = christoffel(surface)
-        elif op == "goursat":
-            surface = goursat(surface, from_imag3(step["m"]))
-        elif op == "darboux":
-            surface = darboux_riccati(surface, lam, d0=step.get("d0"))
-        elif op == "darboux_linear":
-            surface = darboux_linear(surface, lam, v0=step["v0"])
-        else:
-            surface = t_transform(surface, lam).surface
-    return surface
-
-
-def run_verifications(surface, extras, config: PipelineConfig, report: InvariantReport):
+def run_verifications(surface, lam, config: PipelineConfig, report: InvariantReport):
     grid = surface.grid
     h = grid.h
     verify = config.verify
-    lam = extras.get("lambda", 1.0)
     perm = iso = None
     if verify.get("permutability"):
         # the suite certifies its input: that residual is the isothermic check's
@@ -406,26 +388,23 @@ def _make_dir(out_dir):
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from None
 
 
-def run_pipeline(config: PipelineConfig, out_dir="."):
+def run_pipeline(config: PipelineConfig, out_dir):
     """Generate, transform, verify, export; returns (report, artifact paths)."""
     _make_dir(out_dir)
     report = InvariantReport()
-    surface, extras = make_surface(config)
-    surface = apply_transforms(surface, config.transforms)
-    run_verifications(surface, extras, config, report)
+    gen = config.generator
+    surface, header = GENERATORS[gen["kind"]](config.grid(), gen)
+    for step in config.transforms:
+        surface = TRANSFORMS[step["op"]](surface, step)
+    run_verifications(surface, gen["lambda"], config, report)
     artifacts = {}
     # one repr pass serves both files, and a non-finite value fails before either
     texts = surface_texts(surface.f) if config.export.keys() & {"surface", "obj"} else None
     if config.export.get("surface"):
         path = os.path.join(out_dir, config.export["surface"])
-        header = {
-            "polarization": surface.polarization,
-            "lambda": extras.get("lambda"),
-            "provenance": list(surface.provenance),
-        }
-        if "cmc" in extras and not config.transforms:
-            cmc = extras["cmc"]
-            header.update({"model": "halfspace", "route": cmc.route})
+        # the generator's own keys describe its surface, not a transformed one
+        header = {"polarization": surface.polarization, "lambda": gen["lambda"],
+                  "provenance": list(surface.provenance), **({} if config.transforms else header)}
         save_field(surface.f, path, header, texts)
         artifacts["surface"] = path
     if config.export.get("obj"):
@@ -439,7 +418,7 @@ def run_pipeline(config: PipelineConfig, out_dir="."):
     return report, artifacts, surface
 
 
-def sweep(config: PipelineConfig, lambdas, out_dir="."):
+def sweep(config: PipelineConfig, lambdas, out_dir):
     """Spectral family: run the pipeline for each parameter, one OBJ each.
 
     If the transform chain carries no spectral step, one is appended, so

@@ -136,7 +136,7 @@ def goursat(surface: PolarizedSurface, m) -> PolarizedSurface:
 # frame connections
 # ---------------------------------------------------------------------------
 
-@dataclass(repr=False)  # the families that store parts have none of the stored fields
+@dataclass(repr=False, eq=False)  # the families that store parts have none of the stored fields
 class FrameConnection:
     """Adapted frame field with its affine family of connection forms.
 

@@ -15,6 +15,7 @@ NaN positions, everything else byte for byte (phi at P3's parameter
 0.4 * lam, where the two signs of a zero slope give one bit pattern).
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -128,7 +129,8 @@ def test_every_family_reads_through_one_protocol(parents, kind):
     """frame(rows) is frame(...)[rows] and frame0_at_p0() is frame(...)[p0],
     byte for byte; the slopes are upper-right entries (ny, nx, 4) for every
     kind but a Darboux family and its spectral transforms, which hold them
-    dense; a family that stores parts prints without its stored fields."""
+    dense; a family that stores parts prints without its stored fields, and
+    a family equals itself only, not a copy of its parts."""
     conn = parents.get(kind, parents["canonical"])[0]
     if kind.startswith("darboux"):
         conn = darboux_via_connection(conn, 1.3, W0S["e2"], chain=True).connection
@@ -142,6 +144,7 @@ def test_every_family_reads_through_one_protocol(parents, kind):
     dense = kind.startswith("darboux")
     assert [s.shape for s in conn.slopes] == [whole.shape if dense else (65, 65, 4)] * 2
     assert type(conn).__name__ in repr(conn)
+    assert conn == conn and conn != copy.copy(conn)
 
 
 @pytest.mark.parametrize("lam", [0.8, -0.6])

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isothermic import (
+    FrameField,
+    GridMismatch,
     GridSpec,
     MaskedNeighbor,
     MaskedRegion,
@@ -25,6 +27,7 @@ from isothermic import (
 )
 from isothermic.grid import (
     crop_field,
+    crop_grid,
     cumulative_simpson,
     field_from_dict,
     grid_tolerance,
@@ -700,3 +703,44 @@ def test_derivative_recovers_integrated_form():
         )
     assert errs[0] > errs[1] > errs[2]
     assert np.log2(errs[1] / errs[2]) >= 1.9
+
+
+# ---------------------------------------------------------------------------
+# invalid input: each raise names its fault
+# ---------------------------------------------------------------------------
+
+G9 = GridSpec.square(1.0, 9)
+MASKED9 = G9.with_mask(np.zeros((9, 9), dtype=bool))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: wedge(QForm1(G9, *_zero_form(G9)), QForm1(GridSpec.square(2.0, 9),
+                                                       *_zero_form(G9))),
+     GridMismatch, "wedge of forms on different grids"),
+    (lambda: laplacian(np.zeros((9, 9)), MASKED9), MaskedNeighbor,
+     "laplacian needs interior nodes"),
+    (lambda: d_field(QField(MASKED9, np.zeros((9, 9, 4)))), MaskedNeighbor,
+     "no node has a fully valid stencil"),
+    (lambda: integrate_form(QForm1(G9, *_zero_form(G9)), (4, 9), np.zeros(4)), ValueError,
+     "base node (4, 9) outside grid"),
+    (lambda: integrate_frame(*np.zeros((2, 9, 9, 2, 2, 4)), G9, qm2_identity(), (4, 4),
+                             spine="diagonal"),
+     ValueError, "spine must be 'column' or 'row'"),
+    (lambda: crop_grid(G9, 3), ValueError, "crop would leave too few samples"),
+    (lambda: GridSpec(0.0, 0.0, 0.0, 9, 9), ValueError, "grid spacing must be positive"),
+    (lambda: GridSpec(0.0, 0.0, 0.1, 3, 9), ValueError,
+     "grid needs at least 4 samples per direction"),
+    (lambda: GridSpec(0.0, 0.0, 0.1, 9, 9, np.ones((9, 8), dtype=bool)), ValueError,
+     "mask shape must be (ny, nx)"),
+    (lambda: QField(G9, np.zeros((9, 8, 4))), ValueError, "values shape must be (ny, nx, 4)"),
+    (lambda: QForm1(G9, np.zeros((9, 9, 4)), np.zeros((9, 9, 3))), ValueError,
+     "form coefficients must have shape (ny, nx, 4)"),
+    (lambda: FrameField(G9, np.zeros((9, 9, 2, 4))), ValueError,
+     "frame values must have shape (ny, nx, 2, 2, 4)"),
+], ids=["wedge_grids", "laplacian_masked", "d_field_masked", "base_node_outside",
+        "integrate_frame_spine", "crop_grid", "gridspec_spacing", "gridspec_size",
+        "gridspec_mask", "qfield_shape", "qform1_shape", "framefield_shape"])
+def test_invalid_input_names_its_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -404,6 +404,14 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
     ({"seed": -1, "verify": {"permutability": True}}, "seed must be non-negative, got -1"),
     ({"generator": {"kind": "bryant", "lambda": 0}, "verify": {"mean_curvature": True}},
      "verify mean_curvature needs a nonzero spectral parameter, got lambda = 0"),
+    ({"generator": {"kind": "weierstrass", "v0": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
+     "unknown keys in generator: ['v0']"),
+    ({"generator": {"kind": "bryant", "v0": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
+     "unknown keys in generator: ['v0']"),
+    ({"transforms": [{"op": "christoffel", "lambda": 0.5}]},
+     "unknown keys in transform christoffel: ['lambda']"),
+    ({"transforms": [{"op": "goursat", "lambda": 0.5}]},
+     "unknown keys in transform goursat: ['lambda']"),
 ], ids=["grid_n", "domain_not_mapping", "seed", "generator_not_mapping",
         "domain_value", "domain_non_finite", "negative_size", "grid_n_fractional",
         "seed_fractional", "seed_bool", "goursat_m_string", "goursat_m_short",
@@ -411,7 +419,8 @@ def test_config_rejects_non_finite_lambda(tmp_path, raw):
         "darboux_linear_v0_ragged", "export_path_number", "file_path_number",
         "verify_flag_string", "lambda_bool", "export_path_empty", "file_path_missing",
         "file_path_directory", "kind_list", "kind_dict", "seed_negative",
-        "mean_curvature_zero_lambda"])
+        "mean_curvature_zero_lambda", "weierstrass_v0", "bryant_v0", "christoffel_lambda",
+        "goursat_lambda"])
 def test_cli_rejects_config_field_of_wrong_type(tmp_path, capsys, edit, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE_CONFIG, **edit)))
@@ -463,10 +472,11 @@ def test_cli_flags_are_validated_like_config_fields(tmp_path, capsys, edit, args
 def test_cli_unknown_last_op_is_rejected_before_the_generator(tmp_path, capsys, monkeypatch):
     from isothermic import pipeline
 
-    def generator_ran(config):
+    def generator_ran(grid, gen):
         pytest.fail("the generator ran before the whole config was checked")
 
-    monkeypatch.setattr(pipeline, "make_surface", generator_ran)
+    for kind in GENERATOR_KINDS:
+        monkeypatch.setitem(pipeline.GENERATORS, kind, generator_ran)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(BASE_CONFIG, grid_n=17, transforms=[
         {"op": "christoffel"}, {"op": "t_transform", "lambda": 0.5}, {"op": "mystery"}])))
@@ -852,6 +862,23 @@ def test_cli_runs_every_transform_op(tmp_path, capsys, op):
     assert cli_main(["transform", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "surface.json").read_text())
     assert len(doc["values"]) == 33 * 33 and op in " ".join(doc["provenance"])
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [kind for kind in GENERATOR_KINDS if kind != "file"])
+def test_cli_runs_every_generator_kind(tmp_path, capsys, kind):
+    """Each generator kind but file (which reads a written surface) with its
+    default fields runs to completion and writes its surface, as CI's smoke
+    loop checks; the two cmc kinds add their model and route to the file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_n": 33, "generator": {"kind": kind},
+                               "export": {"surface": "surface.json"}}))
+    out = tmp_path / "out"
+    assert cli_main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "surface.json").read_text())
+    assert len(doc["values"]) == 33 * 33 and kind in " ".join(doc["provenance"])
+    cmc = kind in ("bryant", "darboux-weierstrass")
+    assert (doc.get("model"), doc.get("route")) == (("halfspace", kind) if cmc else (None, None))
     assert "Traceback" not in capsys.readouterr().err
 
 
